@@ -35,7 +35,7 @@ from .detect import (
     weighted_metric,
 )
 from .errors import CapacityError, FormatError
-from .imagerep import grayscale_fourpart, normalize, read_pgm, resize, write_pgm
+from .imagerep import grayscale_fourpart, normalize, read_pgm, render, resize, write_pgm
 from .net import (
     AdamState,
     ConvBlock,

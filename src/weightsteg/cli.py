@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (
+    MODEL_SUFFIXES,
     build_attacked_collection,
     build_dataset,
     load_collection,
@@ -32,7 +33,7 @@ from .detect import (
     save_detector,
 )
 from .errors import CapacityError, FormatError
-from .imagerep import REPRESENTATIONS, normalize, resize, write_pgm
+from .imagerep import REPRESENTATIONS, normalize, render, write_pgm
 from .net import TrainConfig, preset, train
 from .pipeline import ExperimentConfig, run_report_sweep
 from .steg import AttackSpec, Payload, extract_lsb
@@ -49,8 +50,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CAPACITY = 4
-
-MODEL_SUFFIXES = (".safetensors", ".f32", ".f16")
 
 logger = logging.getLogger("weightsteg")
 
@@ -153,9 +152,8 @@ def cmd_imagify(args) -> int:
     rep = REPRESENTATIONS.get(args.rep)
     if rep is None:
         raise ValueError(f"unknown representation {args.rep!r}; known: {sorted(REPRESENTATIONS)}")
-    img = rep(flatten(model))
-    if args.size:
-        img = resize(img, args.size, args.size)
+    flat = flatten(model)
+    img = render(flat, args.rep, args.size) if args.size else rep(flat)
     out = _out_path(args.out, Path(args.infile).stem + ".pgm")
     write_pgm(img, out)
     print(out)
@@ -246,10 +244,9 @@ def _scan_targets(path: Path) -> list[Path]:
 
 def cmd_scan(args) -> int:
     detector = load_detector(Path(args.detector).read_bytes())
-    rep = REPRESENTATIONS[detector.representation]
     size = detector.config.input_size
     for target in _scan_targets(Path(args.model)):
-        image = normalize(resize(rep(flatten(load_model(target))), size, size))
+        image = normalize(render(flatten(load_model(target)), detector.representation, size))
         if args.mode == "centroid":
             d0, d1 = centroid_distances(detector, image)
             label = 1 if d1 <= d0 else 0

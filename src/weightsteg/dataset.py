@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, FormatError
-from .imagerep import REPRESENTATIONS, normalize, read_pgm, resize, write_pgm
+from .imagerep import normalize, read_pgm, render, write_pgm
 from .steg import Payload, lsb_attack_fill
 from .weights_io import (
     DType,
@@ -189,13 +189,7 @@ def build_attacked_collection(
 
 def model_image(model: ModelWeights, representation: str, size: int) -> np.ndarray:
     """Render one model to its resized 8-bit image."""
-    try:
-        rep = REPRESENTATIONS[representation]
-    except KeyError:
-        raise ValueError(
-            f"unsupported representation {representation!r}; known: {sorted(REPRESENTATIONS)}"
-        ) from None
-    return resize(rep(flatten(model)), size, size)
+    return render(flatten(model), representation, size)
 
 
 def collection_digest(*collections: ModelCollection) -> str:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError
+from .imagerep import REPRESENTATIONS
 from .net import ConvNetConfig, NetParams, forward
 from .weights_io import DType, ModelWeights, WeightTensor, read_container, write_container
 
@@ -235,34 +236,43 @@ def _f32_tensor(name: str, value) -> WeightTensor:
 
 
 def load_detector(data: bytes) -> TrainedDetector:
+    """Parse a detector file; a missing or undecodable field raises FormatError."""
     model = read_container(data)
     meta = model.metadata
     if meta.get("kind") != "weightsteg-detector":
         raise FormatError("not a detector file")
     if meta.get("format_version") != DETECTOR_FORMAT_VERSION:
         raise FormatError(f"unsupported detector format_version {meta.get('format_version')!r}")
-    config = ConvNetConfig.from_dict(json.loads(meta["config"]))
+    representation = meta.get("representation", "grayscale-fourpart")
+    if representation not in REPRESENTATIONS:
+        raise FormatError(f"detector uses unknown representation {representation!r}")
     by_name = {t.name: t.values().reshape(t.shape).copy() for t in model.tensors}
-    params = NetParams(
-        {
-            name[len("net.") :]: by_name.pop(name)
-            for name in list(by_name)
-            if name.startswith("net.")
-        }
-    )
-    return TrainedDetector(
-        config=config,
-        params=params,
-        embeddings=by_name["train.embeddings"],
-        labels=by_name["train.labels"].astype(np.int64),
-        centroid_benign=by_name["centroid.benign"],
-        centroid_malicious=by_name["centroid.malicious"],
-        representation=meta.get("representation", "grayscale-fourpart"),
-        manifest_sha256=meta.get("manifest_sha256", ""),
-        seed=int(meta.get("seed", "0")),
-        strategy=meta.get("strategy", ""),
-        trained_lsb=int(meta.get("trained_lsb", "0")),
-    )
+    try:
+        config = ConvNetConfig.from_dict(json.loads(meta["config"]))
+        params = NetParams(
+            {
+                name[len("net.") :]: by_name.pop(name)
+                for name in list(by_name)
+                if name.startswith("net.")
+            }
+        )
+        return TrainedDetector(
+            config=config,
+            params=params,
+            embeddings=by_name["train.embeddings"],
+            labels=by_name["train.labels"].astype(np.int64),
+            centroid_benign=by_name["centroid.benign"],
+            centroid_malicious=by_name["centroid.malicious"],
+            representation=representation,
+            manifest_sha256=meta.get("manifest_sha256", ""),
+            seed=int(meta.get("seed", "0")),
+            strategy=meta.get("strategy", ""),
+            trained_lsb=int(meta.get("trained_lsb", "0")),
+        )
+    except KeyError as exc:
+        raise FormatError(f"detector file lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"bad detector field: {exc}") from exc
 
 
 def bootstrap_ci(values, n_resamples: int = 10_000, alpha: float = 0.05, seed: int = 0):

@@ -16,31 +16,49 @@ from .errors import FormatError
 from .weights_io import DType, WeightTensor
 
 
-def grayscale_fourpart(tensor: WeightTensor) -> np.ndarray:
-    """Tile the four byte planes of a float32 tensor into one square image.
+def _fourpart_source(tensor: WeightTensor):
+    """The four-part layout as a gather: (height, width, pixels(rows, cols)).
 
     Each 32-bit weight splits into bytes p1..p4 from most to least
     significant. Every plane is zero-padded to the next square, reshaped
-    row-major, and the planes are laid out [[p1, p2], [p3, p4]].
+    row-major, and the planes are laid out [[p1, p2], [p3, p4]]. ``pixels``
+    returns the uint8 block at ``rows x cols`` and reads only the words it shows.
     """
     if tensor.dtype is not DType.F32:
         raise FormatError(
             f"grayscale-fourpart requires float32 weights, got {tensor.dtype.value}"
         )
-    n = tensor.n
+    words, n = tensor.bits, tensor.n
     if n == 0:
         raise ValueError("cannot build an image from an empty tensor")
     side = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
-    words = tensor.bits
-    planes = []
-    for shift in (24, 16, 8, 0):
-        plane = np.zeros(side * side, dtype=np.uint8)
-        plane[:n] = ((words >> np.uint32(shift)) & np.uint32(0xFF)).astype(np.uint8)
-        planes.append(plane.reshape(side, side))
-    return np.block([[planes[0], planes[1]], [planes[2], planes[3]]])
+
+    full_rows = n // side  # >= 1; row full_rows is partial when side**2 > n
+    complete = words[: full_rows * side].reshape(full_rows, side)
+    last = np.zeros(side, dtype=words.dtype)
+    last[: n - full_rows * side] = words[full_rows * side :]
+
+    def pixels(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        r, c = rows % side, cols % side
+        value = complete[np.minimum(r, full_rows - 1)[:, None], c]
+        value[r == full_rows] = last[c]
+        value[r > full_rows] = 0
+        # planes p1..p4 hold the bytes at shifts 24, 16, 8, 0
+        value >>= np.where(rows < side, 16, 0).astype(np.uint32)[:, None]
+        value >>= np.where(cols < side, 8, 0).astype(np.uint32)[None, :]
+        return value.astype(np.uint8)
+
+    return 2 * side, 2 * side, pixels
+
+
+def grayscale_fourpart(tensor: WeightTensor) -> np.ndarray:
+    """Tile the four byte planes of a float32 tensor into one square image."""
+    height, width, pixels = _fourpart_source(tensor)
+    return pixels(np.arange(height), np.arange(width))
 
 
 REPRESENTATIONS = {"grayscale-fourpart": grayscale_fourpart}
+_SOURCES = {"grayscale-fourpart": _fourpart_source}
 
 
 def _check_image(img: np.ndarray) -> np.ndarray:
@@ -50,16 +68,15 @@ def _check_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
-def resize(img: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
-    """Bilinear resize with half-pixel centers; ties round to even.
+def _bilinear(src_h: int, src_w: int, target_h: int, target_w: int, pixels) -> np.ndarray:
+    """Bilinear resize of the source image that ``pixels(rows, cols)`` reads from.
 
     Source coordinate for output pixel d is (d + 0.5) * src/dst - 0.5,
     clamped to the source range. Interpolation is linear in x first, then
     in y, in float64; reimplementations must keep that order, since exact
-    .5 rounding boundaries depend on it.
+    .5 rounding boundaries depend on it. Only the 2*target_h rows by
+    2*target_w columns that the taps touch are read.
     """
-    img = _check_image(img)
-    src_h, src_w = img.shape
     if min(src_h, src_w, target_h, target_w) < 1:
         raise ValueError("image dimensions must be >= 1")
 
@@ -72,11 +89,33 @@ def resize(img: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     wy = (sy - y0)[:, None]
     wx = (sx - x0)[None, :]
 
-    pix = img.astype(np.float64)
-    top = pix[y0[:, None], x0] * (1.0 - wx) + pix[y0[:, None], x1] * wx
-    bottom = pix[y1[:, None], x0] * (1.0 - wx) + pix[y1[:, None], x1] * wx
+    pix = pixels(np.concatenate([y0, y1]), np.concatenate([x0, x1])).astype(np.float64)
+    h, w = target_h, target_w
+    top = pix[:h, :w] * (1.0 - wx) + pix[:h, w:] * wx
+    bottom = pix[h:, :w] * (1.0 - wx) + pix[h:, w:] * wx
     value = top * (1.0 - wy) + bottom * wy
     return np.rint(value).astype(np.uint8)
+
+
+def resize(img: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
+    """Bilinear resize with half-pixel centers; ties round to even."""
+    img = _check_image(img)
+    return _bilinear(*img.shape, target_h, target_w, lambda rows, cols: img[rows[:, None], cols])
+
+
+def render(tensor: WeightTensor, representation: str, size: int) -> np.ndarray:
+    """The model image resized to size x size, reading only the tapped words.
+
+    Equal to ``resize(REPRESENTATIONS[representation](tensor), size, size)``
+    but reads 4 * size**2 words, whatever the number of weights.
+    """
+    source = _SOURCES.get(representation)
+    if source is None:
+        raise ValueError(
+            f"unsupported representation {representation!r}; known: {sorted(_SOURCES)}"
+        )
+    height, width, pixels = source(tensor)
+    return _bilinear(height, width, size, size, pixels)
 
 
 def normalize(img: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .detect import (
     eval_oml,
     summarize_rows,
 )
-from .imagerep import REPRESENTATIONS, normalize, resize
+from .imagerep import normalize, render
 from .net import TrainConfig, preset, train
 from .steg import Payload, lsb_attack_fill
 from .weights_io import WeightTensor, flatten, load_model, sha256_hex
@@ -73,7 +73,7 @@ def load_flat_models(collection: ModelCollection) -> list[FlatModel]:
 
 
 def _render(tensor: WeightTensor, representation: str, size: int) -> np.ndarray:
-    return normalize(resize(REPRESENTATIONS[representation](tensor), size, size))
+    return normalize(render(tensor, representation, size))
 
 
 def render_samples(
@@ -208,17 +208,6 @@ def run_detection_run(
                 rows.append(ReportRow(run_id, cfg.lsb, mode, f"accuracy_x{x}", acc_x[x]))
             rows.append(ReportRow(run_id, cfg.lsb, mode, "weighted_metric", wm))
     return RunResult(seed, detector, rows, oml, weighted, result.epochs_run)
-
-
-def run_report(
-    collection: ModelCollection,
-    payload: Payload,
-    cfg: ExperimentConfig,
-    runs: int,
-    base_seed: int,
-) -> tuple[list[ReportRow], list[RunResult]]:
-    """Repeat the run protocol at one trained severity; seeds are base_seed+i."""
-    return run_report_sweep(collection, payload, cfg, [cfg.lsb], runs, base_seed)
 
 
 def run_report_sweep(

@@ -143,16 +143,34 @@ def lsb_attack(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
 
 
 def lsb_attack_fill(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
-    """Fill every weight's low field by repeating or truncating the payload."""
+    """Fill every weight's low field by repeating or truncating the payload.
+
+    Equal to ``lsb_attack(tensor, lsb, effective_fill_payload(bits, n, lsb))``.
+    Word i's field holds stream bits ``(i*lsb + t) mod k`` for t < lsb, so the
+    field values repeat every ``k / gcd(k, lsb)`` words: one period is built,
+    then laid over all words, costing O(n) word operations and no per-bit work.
+    """
     word_bits = tensor.dtype.word_bits
     _check_lsb(lsb, word_bits)
     bits = _payload_bits(payload)
-    if len(bits) == 0:
+    k, n = len(bits), tensor.n
+    if k == 0:
         raise ValueError("fill attack requires a non-empty payload")
-    if tensor.n == 0:
+    if n == 0:
         raise ValueError("fill attack requires at least one weight")
-    effective = effective_fill_payload(bits, tensor.n, lsb)
-    return lsb_attack(tensor, lsb, effective)
+
+    word_dtype = tensor.dtype.word_dtype
+    period = min(n, k // math.gcd(k, lsb))
+    starts = np.arange(period, dtype=np.int64) * lsb % k
+    fields = np.zeros(period, dtype=word_dtype)
+    for t in range(lsb):  # MSB of the field first
+        fields <<= 1
+        fields |= np.take(bits, starts + t, mode="wrap")
+
+    keep = ((1 << word_bits) - 1) ^ ((1 << lsb) - 1)
+    words = tensor.bits & np.array(keep, dtype=word_dtype)
+    words |= np.resize(fields, n)
+    return tensor.with_bits(words)
 
 
 def effective_fill_payload(bits: np.ndarray, n_weights: int, lsb: int) -> np.ndarray:

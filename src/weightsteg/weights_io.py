@@ -184,7 +184,7 @@ def _decode_header(data: bytes) -> tuple[dict, int]:
 def read_container(data: bytes, source_path: str = "") -> ModelWeights:
     """Parse a safetensors-compatible container, preserving tensor order."""
     header, buffer_start = _decode_header(data)
-    buffer = data[buffer_start:]
+    buffer = memoryview(data)[buffer_start:]  # slices are views; each tensor is copied once
 
     metadata = header.pop(_METADATA_KEY, {})
     if not isinstance(metadata, dict) or not all(

@@ -5,11 +5,12 @@ import pytest
 
 from weightsteg.cli import main
 from weightsteg.dataset import load_dataset, synth_collection
-from weightsteg.detect import load_detector
+from weightsteg.detect import build_detector, load_detector, save_detector
 from weightsteg.imagerep import grayscale_fourpart, read_pgm, resize
 from weightsteg.pipeline import ExperimentConfig, run_detection_run, select_train_pairs, load_flat_models
+from weightsteg.net import ConvBlock, ConvNetConfig, init_params
 from weightsteg.steg import Payload, extract_lsb
-from weightsteg.weights_io import flatten, load_model
+from weightsteg.weights_io import flatten, load_model, read_container, write_container
 
 
 @pytest.fixture
@@ -135,6 +136,52 @@ class TestSynthMc:
                    "--params", 64, "--seed", 9) == 0
         for rel in ("zoo0/model000.safetensors", "zoo1/model001.safetensors"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def _drop_tensor(name):
+    def edit(model):
+        model.tensors = [t for t in model.tensors if t.name != name]
+    return edit
+
+
+def _set_meta(key, value):
+    def edit(model):
+        if value is None:
+            del model.metadata[key]
+        else:
+            model.metadata[key] = value
+    return edit
+
+
+class TestScanBadDetector:
+    """A detector file that cannot be decoded is a data error (exit 3), not a crash."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _drop_tensor("train.embeddings"),
+            _drop_tensor("centroid.benign"),
+            _set_meta("config", "{not json"),
+            _set_meta("config", None),
+            _set_meta("config", '{"input_size": 8}'),
+            _set_meta("seed", "seven"),
+            _set_meta("representation", "nope"),
+        ],
+        ids=["no-embeddings", "no-centroid", "config-not-json", "no-config",
+             "config-incomplete", "seed-not-int", "unknown-representation"],
+    )
+    def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
+        config = ConvNetConfig(input_size=8, blocks=(ConvBlock(2, 3, pool=True),), embedding_dim=4)
+        images = np.random.default_rng(0).random((2, 8, 8))
+        model = read_container(save_detector(
+            build_detector(config, init_params(config), images, [0, 1])
+        ))
+        edit(model)
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(write_container(model))
+        assert run("scan", "--detector", det_path, "--model", mc_dir / "zoo0") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:") and "Traceback" not in err
 
 
 class TestBuildDatasetTrainScan:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import (
@@ -9,6 +10,7 @@ from weightsteg.imagerep import (
     grayscale_fourpart,
     normalize,
     read_pgm,
+    render,
     resize,
     write_pgm,
 )
@@ -101,6 +103,38 @@ class TestGrayscaleFourpart:
                 assert np.array_equal(before, after)
             for before, after in quads[clean_quadrants:]:
                 assert not np.array_equal(before, after)
+
+
+@st.composite
+def render_cases(draw):
+    root = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([1, root * root, root * root + 1, root * root + root]))
+    side = 2 * math.ceil(math.sqrt(n))  # native image side
+    size = draw(st.integers(1, 2 * side + 3))  # below, at and above the native side
+    seed = draw(st.integers(0, 2**16))
+    return n, size, seed
+
+
+class TestRender:
+    @given(render_cases())
+    def test_equals_resized_full_image(self, case):
+        n, size, seed = case
+        words = np.random.default_rng(seed).integers(0, 2**32, size=n, dtype=np.uint64)
+        tensor = f32_tensor(words)
+        full = grayscale_fourpart(tensor)
+        assert np.array_equal(full, fourpart_oracle(words))
+        assert np.array_equal(render(tensor, "grayscale-fourpart", size), resize(full, size, size))
+
+    def test_rejects_what_the_full_image_rejects(self):
+        f16 = WeightTensor("", DType.F16, (1,), np.array([1], dtype=np.uint16))
+        with pytest.raises(FormatError):
+            render(f16, "grayscale-fourpart", 4)
+        with pytest.raises(ValueError):
+            render(f32_tensor([]), "grayscale-fourpart", 4)
+        with pytest.raises(ValueError):
+            render(f32_tensor([1]), "grayscale-fourpart", 0)
+        with pytest.raises(ValueError, match="unsupported representation"):
+            render(f32_tensor([1]), "nope", 4)
 
 
 class TestResize:

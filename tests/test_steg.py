@@ -268,3 +268,30 @@ def test_attack_matches_string_oracle(case):
     attacked = lsb_attack(cover, lsb, Payload(bits))
     expected = splice_oracle(cover.bits, dtype.word_bits, lsb, "".join(map(str, bits)))
     assert list(attacked.bits) == expected
+
+
+@st.composite
+def fill_cases(draw):
+    dtype = draw(st.sampled_from([DType.F32, DType.F16]))
+    n = draw(st.integers(1, 40))
+    lsb = draw(st.integers(1, dtype.word_bits))
+    capacity = n * lsb
+    # payload shorter than one field, within capacity, or longer than capacity
+    k = draw(st.one_of(st.integers(1, lsb), st.integers(1, capacity),
+                       st.integers(capacity + 1, 2 * capacity + 70)))
+    seed = draw(st.integers(0, 2**16))
+    return dtype, n, lsb, k, seed
+
+
+@given(fill_cases())
+def test_fill_equals_attack_on_effective_payload(case):
+    """The periodic fill is exactly the plain attack on the specified stream,
+    including when one period (k / gcd(k, lsb) words) exceeds the model."""
+    dtype, n, lsb, k, seed = case
+    rng = np.random.default_rng(seed)
+    cover = random_tensor(rng, n, dtype)
+    bits = rng.integers(0, 2, size=k, dtype=np.uint8)
+    filled = lsb_attack_fill(cover, lsb, Payload(bits))
+    expected = lsb_attack(cover, lsb, effective_fill_payload(bits, n, lsb))
+    assert filled.dtype is dtype
+    assert np.array_equal(filled.bits, expected.bits)
