@@ -27,9 +27,11 @@ from .detect import (
     build_detector,
     centroid_classify,
     centroids_as_1nn_equivalence_check,
+    embed_samples,
     eval_al,
     eval_oml,
     knn_classify,
+    label_embeddings,
     load_detector,
     save_detector,
     weighted_metric,

@@ -25,8 +25,7 @@ from .dataset import (
 )
 from .detect import (
     build_detector,
-    centroid_distances,
-    knn_votes,
+    label_embeddings,
     load_detector,
     render_report_csv,
     render_report_json,
@@ -247,14 +246,11 @@ def cmd_scan(args) -> int:
     size = detector.config.input_size
     for target in _scan_targets(Path(args.model)):
         image = normalize(render(flatten(load_model(target)), detector.representation, size))
-        if args.mode == "centroid":
-            d0, d1 = centroid_distances(detector, image)
-            label = 1 if d1 <= d0 else 0
-            print(f"{target},{label},{d0!r},{d1!r}")
-        else:
-            v0, v1 = knn_votes(detector, image, args.k)
-            label = 1 if v1 >= v0 else 0
-            print(f"{target},{label},{v0},{v1}")
+        # centroid: path,label,d0,d1 (distances); knn: path,label,v0,v1 (votes)
+        label, benign, malicious = label_embeddings(
+            detector, [detector.embed(image)], args.mode, args.k
+        )[0]
+        print(f"{target},{label},{benign!r},{malicious!r}")
     return EXIT_OK
 
 

@@ -11,12 +11,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError
 from .imagerep import REPRESENTATIONS
-from .net import ConvNetConfig, NetParams, forward
+from .net import ConvNetConfig, NetParams, forward, param_shapes
 from .weights_io import DType, ModelWeights, WeightTensor, read_container, write_container
 
 DETECTOR_FORMAT_VERSION = "1"
@@ -76,30 +77,26 @@ def build_detector(
     )
 
 
-def _centroid_label(embedding, c_benign, c_malicious) -> int:
-    d0 = float(np.linalg.norm(np.asarray(embedding, dtype=np.float64) - c_benign))
-    d1 = float(np.linalg.norm(np.asarray(embedding, dtype=np.float64) - c_malicious))
-    return 1 if d1 <= d0 else 0  # ties fail closed
+class Verdict(NamedTuple):
+    """A label and the two numbers behind it.
+
+    Centroid mode: l2 distances to the benign and the malicious centroid.
+    KNN mode: benign and malicious votes among the k nearest training embeddings.
+    """
+
+    label: int
+    benign: float
+    malicious: float
 
 
-def centroid_distances(detector: TrainedDetector, image) -> tuple[float, float]:
-    e = detector.embed(image)
-    return (
-        float(np.linalg.norm(e - detector.centroid_benign.astype(np.float64))),
-        float(np.linalg.norm(e - detector.centroid_malicious.astype(np.float64))),
-    )
+def _centroid_verdict(embedding, c_benign, c_malicious) -> Verdict:
+    e = np.asarray(embedding, dtype=np.float64)
+    d0 = float(np.linalg.norm(e - c_benign))
+    d1 = float(np.linalg.norm(e - c_malicious))
+    return Verdict(1 if d1 <= d0 else 0, d0, d1)  # ties fail closed
 
 
-def centroid_classify(detector: TrainedDetector, image) -> int:
-    """Label of the nearer training centroid under l2."""
-    return _centroid_label(
-        detector.embed(image),
-        detector.centroid_benign.astype(np.float64),
-        detector.centroid_malicious.astype(np.float64),
-    )
-
-
-def _knn_label(embedding, embeddings, labels, k: int) -> int:
+def _knn_verdict(embedding, embeddings, labels, k: int) -> Verdict:
     if not 1 <= k <= len(embeddings):
         raise ValueError(f"k must be in [1, {len(embeddings)}], got {k}")
     d = np.linalg.norm(
@@ -108,22 +105,53 @@ def _knn_label(embedding, embeddings, labels, k: int) -> int:
     )
     order = np.argsort(d, kind="stable")  # distance ties fall back to stored order
     votes = np.asarray(labels)[order[:k]]
-    return 1 if (votes == 1).sum() >= (votes == 0).sum() else 0
+    v0, v1 = int((votes == 0).sum()), int((votes == 1).sum())
+    return Verdict(1 if v1 >= v0 else 0, v0, v1)  # a balanced vote fails closed
 
 
-def knn_votes(detector: TrainedDetector, image, k: int = 1) -> tuple[int, int]:
-    e = detector.embed(image)
-    if not 1 <= k <= len(detector.embeddings):
-        raise ValueError(f"k must be in [1, {len(detector.embeddings)}], got {k}")
-    d = np.linalg.norm(detector.embeddings.astype(np.float64) - e, axis=1)
-    votes = detector.labels[np.argsort(d, kind="stable")[:k]]
-    return int((votes == 0).sum()), int((votes == 1).sum())
+def _centroid_label(embedding, c_benign, c_malicious) -> int:
+    return _centroid_verdict(embedding, c_benign, c_malicious).label
+
+
+def _knn_label(embedding, embeddings, labels, k: int) -> int:
+    return _knn_verdict(embedding, embeddings, labels, k).label
+
+
+def label_embeddings(
+    detector: TrainedDetector, embeddings, mode: str = "centroid", k: int = 1
+) -> list[Verdict]:
+    """Verdict for each embedding row: the one rule every classifier goes through.
+
+    mode "centroid" picks the nearer training centroid; "1nn" and "knn" take
+    the majority of the k nearest training embeddings. Both under l2.
+    """
+    if mode == "centroid":
+        c0 = detector.centroid_benign.astype(np.float64)
+        c1 = detector.centroid_malicious.astype(np.float64)
+        return [_centroid_verdict(e, c0, c1) for e in embeddings]
+    if mode in ("1nn", "knn"):
+        train = detector.embeddings.astype(np.float64)
+        return [_knn_verdict(e, train, detector.labels, k) for e in embeddings]
+    raise ValueError(f"unknown evaluation mode {mode!r}")
+
+
+def _image_verdict(detector: TrainedDetector, image, mode: str, k: int = 1) -> Verdict:
+    return label_embeddings(detector, [detector.embed(image)], mode, k)[0]
+
+
+def centroid_distances(detector: TrainedDetector, image) -> tuple[float, float]:
+    _, d0, d1 = _image_verdict(detector, image, "centroid")
+    return d0, d1
+
+
+def centroid_classify(detector: TrainedDetector, image) -> int:
+    """Label of the nearer training centroid under l2."""
+    return _image_verdict(detector, image, "centroid").label
 
 
 def knn_classify(detector: TrainedDetector, image, k: int = 1) -> int:
     """Majority label among the k nearest training embeddings (l2)."""
-    v0, v1 = knn_votes(detector, image, k)
-    return 1 if v1 >= v0 else 0
+    return _image_verdict(detector, image, "knn", k).label
 
 
 def centroids_as_1nn_equivalence_check(
@@ -170,24 +198,58 @@ def weighted_metric(benign_accuracy: float, accuracies) -> float:
     return 0.5 * (benign_accuracy + weighted / denom)
 
 
+@dataclass(frozen=True)
+class EmbeddedSamples:
+    """Labelled samples reduced to what scoring reads: one embedding row each."""
+
+    embeddings: np.ndarray  # (n, d) float64
+    labels: tuple[int, ...]
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __add__(self, other: "EmbeddedSamples") -> "EmbeddedSamples":
+        return EmbeddedSamples(
+            np.concatenate([self.embeddings, other.embeddings]), self.labels + other.labels
+        )
+
+
+def embed_samples(detector: TrainedDetector, samples) -> EmbeddedSamples:
+    """Embed each sample's image with one batch-1 forward; embedded samples pass through.
+
+    Batch-1 is the canonical embedding: a batched forward may differ from it
+    in the last bits, so every score is taken on batch-1 embeddings.
+    """
+    if isinstance(samples, EmbeddedSamples):
+        return samples
+    samples = list(samples)
+    embeddings = np.empty((len(samples), detector.config.embedding_dim), dtype=np.float64)
+    for row, sample in zip(embeddings, samples):
+        row[:] = detector.embed(sample.image)
+    return EmbeddedSamples(embeddings, tuple(int(s.label) for s in samples))
+
+
+# The scoring functions below take LabeledSamples, or EmbeddedSamples so that
+# a caller scoring one image set several times embeds it only once.
+
+
 def classify_samples(detector: TrainedDetector, samples, mode: str = "centroid", k: int = 1):
-    if mode == "centroid":
-        return [centroid_classify(detector, s.image) for s in samples]
-    if mode in ("1nn", "knn"):
-        return [knn_classify(detector, s.image, k) for s in samples]
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+    embedded = embed_samples(detector, samples)
+    return [v.label for v in label_embeddings(detector, embedded.embeddings, mode, k)]
 
 
 def accuracy(detector: TrainedDetector, samples, mode: str = "centroid", k: int = 1) -> float:
-    if not samples:
+    embedded = embed_samples(detector, samples)
+    if not embedded:
         raise ValueError("cannot score an empty sample list")
-    predicted = classify_samples(detector, samples, mode, k)
-    return float(np.mean([p == s.label for p, s in zip(predicted, samples)]))
+    predicted = classify_samples(detector, embedded, mode, k)
+    return float(np.mean([p == label for p, label in zip(predicted, embedded.labels)]))
 
 
 def eval_oml(detector, benign_samples, attacked_samples, mode="centroid", k=1) -> float:
     """Accuracy over benign plus samples attacked at the trained severity."""
-    return accuracy(detector, list(benign_samples) + list(attacked_samples), mode, k)
+    both = embed_samples(detector, benign_samples) + embed_samples(detector, attacked_samples)
+    return accuracy(detector, both, mode, k)
 
 
 def eval_al(detector, benign_samples, attacked_by_severity, mode="centroid", k=1):
@@ -235,6 +297,28 @@ def _f32_tensor(name: str, value) -> WeightTensor:
     return WeightTensor(name, DType.F32, arr.shape, arr.view(np.uint32).reshape(-1))
 
 
+def _check_shapes(config: ConvNetConfig, tensors: dict[str, np.ndarray]) -> None:
+    """Fail closed when the tensors are not the ones the config describes."""
+    rows = tensors["train.embeddings"].shape[:1]
+    dim = config.embedding_dim
+    expected = {f"net.{name}": shape for name, shape in param_shapes(config).items()}
+    expected.update(
+        {
+            "train.embeddings": rows + (dim,),
+            "train.labels": rows,
+            "centroid.benign": (dim,),
+            "centroid.malicious": (dim,),
+        }
+    )
+    got = {name: value.shape for name, value in tensors.items()}
+    missing = sorted(expected.keys() - got.keys())
+    if missing:
+        raise FormatError(f"detector file lacks {', '.join(missing)}")
+    wrong = sorted(name for name in got if got[name] != expected.get(name))
+    if wrong:
+        raise FormatError(f"detector tensors disagree with its config: {', '.join(wrong)}")
+
+
 def load_detector(data: bytes) -> TrainedDetector:
     """Parse a detector file; a missing or undecodable field raises FormatError."""
     model = read_container(data)
@@ -249,6 +333,7 @@ def load_detector(data: bytes) -> TrainedDetector:
     by_name = {t.name: t.values().reshape(t.shape).copy() for t in model.tensors}
     try:
         config = ConvNetConfig.from_dict(json.loads(meta["config"]))
+        _check_shapes(config, by_name)
         params = NetParams(
             {
                 name[len("net.") :]: by_name.pop(name)

@@ -187,28 +187,32 @@ def _conv_backward(dy, w, cache):
     return dx, dw, db
 
 
+# The four strided views of a 2x2 pool window, in row-major window order.
+_POOL_OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _pool_views(x):
+    h, w = x.shape[2] // 2 * 2, x.shape[3] // 2 * 2  # an odd last row/column is dropped
+    return [x[:, :, i:h:2, j:w:2] for i, j in _POOL_OFFSETS]
+
+
 def _pool_forward(x):
-    batch, c, h, w = x.shape
-    ph, pw = h // 2, w // 2
-    win = (
-        x[:, :, : ph * 2, : pw * 2]
-        .reshape(batch, c, ph, 2, pw, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(batch, c, ph, pw, 4)
-    )
-    idx = win.argmax(axis=-1)  # first max wins on ties
-    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
-    return y, (idx, x.shape)
+    """2x2 max pool; on ties the first view in window order wins, as argmax does."""
+    views = _pool_views(x)
+    y = views[0]
+    for v in views[1:]:
+        y = np.where(v > y, v, y)
+    return y, (x, y)
 
 
 def _pool_backward(dy, cache):
-    idx, x_shape = cache
-    batch, c, ph, pw = dy.shape
-    buf = np.zeros((batch, c, ph, pw, 4), dtype=dy.dtype)
-    np.put_along_axis(buf, idx[..., None], dy[..., None], axis=-1)
-    block = buf.reshape(batch, c, ph, pw, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    dx[:, :, : ph * 2, : pw * 2] = block.reshape(batch, c, ph * 2, pw * 2)
+    x, y = cache
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    taken = np.zeros(y.shape, dtype=bool)
+    for view, dview in zip(_pool_views(x), _pool_views(dx)):
+        winner = (view == y) & ~taken
+        np.copyto(dview, dy, where=winner)
+        taken |= winner
     return dx
 
 

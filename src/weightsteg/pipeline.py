@@ -17,6 +17,7 @@ from .detect import (
     ReportRow,
     TrainedDetector,
     build_detector,
+    embed_samples,
     eval_al,
     eval_oml,
     summarize_rows,
@@ -188,10 +189,14 @@ def run_detection_run(
     )
 
     test_flats = [fm for fm in flats if fm.zoo in test_zoos]
-    test_benign = render_samples(test_flats, cfg, None, None)
-    test_attacked = render_samples(test_flats, cfg, cfg.lsb, payload)
 
-    per_x = {x: render_samples(test_flats, cfg, x, payload) for x in cfg.severities}
+    def embedded(lsb):
+        # Images are embedded once and dropped; every mode scores the embeddings.
+        return embed_samples(detector, render_samples(test_flats, cfg, lsb, payload))
+
+    test_benign = embedded(None)
+    per_x = {x: embedded(x) for x in cfg.severities}
+    test_attacked = per_x[cfg.lsb] if cfg.lsb in per_x else embedded(cfg.lsb)
 
     rows: list[ReportRow] = []
     oml: dict[str, float] = {}

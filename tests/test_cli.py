@@ -10,7 +10,13 @@ from weightsteg.imagerep import grayscale_fourpart, read_pgm, resize
 from weightsteg.pipeline import ExperimentConfig, run_detection_run, select_train_pairs, load_flat_models
 from weightsteg.net import ConvBlock, ConvNetConfig, init_params
 from weightsteg.steg import Payload, extract_lsb
-from weightsteg.weights_io import flatten, load_model, read_container, write_container
+from weightsteg.weights_io import (
+    WeightTensor,
+    flatten,
+    load_model,
+    read_container,
+    write_container,
+)
 
 
 @pytest.fixture
@@ -144,6 +150,25 @@ def _drop_tensor(name):
     return edit
 
 
+def _drop_last_row(name):
+    def edit(model):
+        model.tensors = [
+            WeightTensor(t.name, t.dtype, (t.shape[0] - 1, *t.shape[1:]),
+                         t.bits[: t.n // t.shape[0] * (t.shape[0] - 1)])
+            if t.name == name else t
+            for t in model.tensors
+        ]
+    return edit
+
+
+def _set_config(key, value):
+    def edit(model):
+        doc = json.loads(model.metadata["config"])
+        doc[key] = value
+        model.metadata["config"] = json.dumps(doc, sort_keys=True)
+    return edit
+
+
 def _set_meta(key, value):
     def edit(model):
         if value is None:
@@ -166,9 +191,15 @@ class TestScanBadDetector:
             _set_meta("config", '{"input_size": 8}'),
             _set_meta("seed", "seven"),
             _set_meta("representation", "nope"),
+            _set_config("input_size", 16),
+            _set_config("embedding_dim", 5),
+            _drop_last_row("train.labels"),
+            _drop_last_row("centroid.benign"),
         ],
         ids=["no-embeddings", "no-centroid", "config-not-json", "no-config",
-             "config-incomplete", "seed-not-int", "unknown-representation"],
+             "config-incomplete", "seed-not-int", "unknown-representation",
+             "config-input-size", "config-embedding-dim", "labels-short",
+             "centroid-short"],
     )
     def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
         config = ConvNetConfig(input_size=8, blocks=(ConvBlock(2, 3, pool=True),), embedding_dim=4)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from weightsteg.net import (
+    _pool_backward,
+    _pool_forward,
     AdamState,
     ConvBlock,
     ConvNetConfig,
@@ -90,6 +94,64 @@ class TestForward:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             forward(SMALL, init_params(SMALL), np.zeros((9, 9)))
+
+
+def argmax_pool(x, dy):
+    """Reference 2x2 max pool: argmax per window (first max wins); dx gets dy there."""
+    b, c, h, w = x.shape
+    ph, pw = h // 2, w // 2
+    win = (
+        x[:, :, : 2 * ph, : 2 * pw]
+        .reshape(b, c, ph, 2, pw, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(b, c, ph, pw, 4)
+    )
+    idx = win.argmax(axis=-1)
+    y = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    dx = np.zeros_like(x)
+    di, dj = np.divmod(idx, 2)
+    bi, ci, pi, pj = np.indices(idx.shape)
+    dx[bi, ci, 2 * pi + di, 2 * pj + dj] = dy
+    return y, dx
+
+
+FLOATS = st.floats(width=32, allow_nan=False, allow_infinity=False)
+TIES = st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5])
+
+
+@st.composite
+def pool_cases(draw):
+    shape = tuple(draw(st.integers(1, n)) for n in (2, 3)) + tuple(
+        draw(st.integers(2, 7)) for _ in range(2)
+    )
+    kind = draw(st.sampled_from(["random", "relu", "ties", "tied-windows"]))
+    if kind == "tied-windows":
+        x = np.full(shape, draw(TIES), dtype=np.float32)
+    else:
+        x = draw(arrays(np.float32, shape, elements=TIES if kind == "ties" else FLOATS))
+    if kind == "relu":
+        x = x * (x > 0)  # negative inputs become -0.0, as after the net's ReLU
+    dy = draw(arrays(np.float32, (*shape[:2], shape[2] // 2, shape[3] // 2), elements=FLOATS))
+    return x, dy
+
+
+class TestPool:
+    @given(pool_cases())
+    def test_matches_argmax_pool_bitwise(self, case):
+        x, dy = case
+        want_y, want_dx = argmax_pool(x, dy)
+        y, cache = _pool_forward(x)
+        dx = _pool_backward(dy, cache)
+        assert y.shape == want_y.shape and dx.shape == x.shape
+        assert np.array_equal(y.view(np.uint32), want_y.view(np.uint32))
+        assert np.array_equal(dx.view(np.uint32), want_dx.view(np.uint32))
+
+    def test_signed_zero_tie_keeps_first(self):
+        x = np.array([[[[-0.0, 0.0], [0.0, 0.0]]]], dtype=np.float32)
+        y, cache = _pool_forward(x)
+        assert np.signbit(y).all()
+        dx = _pool_backward(np.ones((1, 1, 1, 1), dtype=np.float32), cache)
+        assert dx.tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
 
 
 class TestTripletLoss:

@@ -1,0 +1,85 @@
+"""A detection run embeds each evaluation image once and scores it like the sample API."""
+
+import numpy as np
+import pytest
+
+from weightsteg import detect
+from weightsteg.dataset import synth_collection
+from weightsteg.detect import ReportRow, eval_al, eval_oml
+from weightsteg.pipeline import (
+    ExperimentConfig,
+    load_flat_models,
+    render_samples,
+    run_detection_run,
+)
+from weightsteg.steg import Payload
+
+PAYLOAD = Payload.synthetic(16, 2)
+PER_CLASS = 2
+
+
+@pytest.fixture(scope="module")
+def collection(tmp_path_factory):
+    return synth_collection(
+        tmp_path_factory.mktemp("pipeline") / "mc", n_zoos=3, n_models=2, n_params=300, seed=5
+    )
+
+
+@pytest.fixture
+def forwards(monkeypatch):
+    """Images per net forward call made through the detector, in call order."""
+    calls = []
+    real = detect.forward
+
+    def counting(config, params, images):
+        calls.append(np.shape(images)[:-2])
+        return real(config, params, images)
+
+    monkeypatch.setattr(detect, "forward", counting)
+    return calls
+
+
+def sample_based_rows(detector, collection, cfg, seed):
+    """The rows the per-sample eval_oml/eval_al give for the run's detector."""
+    test_flats = [fm for fm in load_flat_models(collection) if fm.zoo not in cfg.train_zoos]
+    benign = render_samples(test_flats, cfg, None, None)
+    attacked = render_samples(test_flats, cfg, cfg.lsb, PAYLOAD)
+    per_x = {x: render_samples(test_flats, cfg, x, PAYLOAD) for x in cfg.severities}
+    rows = []
+    for mode in cfg.modes:
+        oml = eval_oml(detector, benign, attacked, mode, cfg.knn_k)
+        rows.append(ReportRow(str(seed), cfg.lsb, mode, "oml_accuracy", oml))
+        if per_x:
+            wm, a0, acc_x = eval_al(detector, benign, per_x, mode, cfg.knn_k)
+            rows.append(ReportRow(str(seed), cfg.lsb, mode, "benign_accuracy", a0))
+            rows += [
+                ReportRow(str(seed), cfg.lsb, mode, f"accuracy_x{x}", acc_x[x]) for x in sorted(acc_x)
+            ]
+            rows.append(ReportRow(str(seed), cfg.lsb, mode, "weighted_metric", wm))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "lsb,severities,modes,k",
+    [
+        (2, (1, 2, 3), ("centroid", "1nn"), 1),  # trained severity among the scored ones
+        (5, (1, 2, 3), ("centroid", "knn"), 3),  # trained severity scored separately
+        (8, (), ("centroid", "1nn"), 1),  # OML only
+    ],
+    ids=["lsb-in-sweep", "lsb-outside-sweep", "no-sweep"],
+)
+def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, modes, k):
+    cfg = ExperimentConfig(
+        lsb=lsb, train_zoos=("zoo0",), image_size=28, arch="tiny", strategy="ES",
+        train_per_class=PER_CLASS, severities=severities, modes=modes, knn_k=k,
+    )
+    res = run_detection_run(collection, PAYLOAD, cfg, seed=3)
+    calls = list(forwards)
+
+    n_test = 4  # zoo1 and zoo2 hold two models each
+    attacked_sets = len(set(severities) | {lsb})
+    # one batch for the detector's training embeddings, then batch-1 forwards only
+    assert calls[0] == (2 * PER_CLASS,)
+    assert calls[1:] == [()] * (n_test * (1 + attacked_sets))
+
+    assert res.rows == sample_based_rows(res.detector, collection, cfg, 3)
