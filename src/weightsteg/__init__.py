@@ -11,7 +11,6 @@ from .dataset import (
     LabeledSample,
     ModelCollection,
     ModelZoo,
-    build_attacked_collection,
     build_dataset,
     load_collection,
     load_dataset,
@@ -69,6 +68,7 @@ from .weights_io import (
     WeightTensor,
     flatten,
     load_model,
+    parse_model,
     read_container,
     read_raw,
     save_model,

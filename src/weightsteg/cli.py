@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import (
     MODEL_SUFFIXES,
-    build_attacked_collection,
+    attack_model,
     build_dataset,
     load_collection,
     load_dataset,
@@ -36,14 +36,7 @@ from .imagerep import REPRESENTATIONS, normalize, render, write_pgm
 from .net import TrainConfig, preset, train
 from .pipeline import ExperimentConfig, run_report_sweep
 from .steg import AttackSpec, Payload, extract_lsb
-from .weights_io import (
-    flatten,
-    load_model,
-    model_digest,
-    save_model,
-    sha256_hex,
-    unflatten,
-)
+from .weights_io import flatten, load_model, save_model, sha256_hex
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -116,21 +109,8 @@ def _parse_int_spec(text: str) -> tuple[int, ...]:
 
 
 def cmd_embed(args) -> int:
-    payload = _payload_from_args(args)
-    spec = AttackSpec(args.lsb, args.fill, payload, args.mantissa_only)
-    model = load_model(args.infile)
-    flat = flatten(model)
-    attacked = spec.apply(flat)
-    out_model = unflatten(model, attacked.bits)
-    out_model.metadata = dict(model.metadata)
-    out_model.metadata.update(
-        {
-            "attack": "lsb-fill" if args.fill else "lsb",
-            "lsb": str(args.lsb),
-            "payload_sha256": payload.sha256(),
-            "source_sha256": model_digest(model),
-        }
-    )
+    spec = AttackSpec(args.lsb, args.fill, _payload_from_args(args), args.mantissa_only)
+    out_model = attack_model(load_model(args.infile), spec)
     out = _out_path(args.out, Path(args.infile).stem + f".lsb{args.lsb}" + Path(args.infile).suffix)
     save_model(out_model, out)
     print(out)
@@ -172,21 +152,16 @@ def cmd_synth_mc(args) -> int:
 
 def cmd_build_dataset(args) -> int:
     payload = _payload_from_args(args)
-    benign = load_collection(args.mc)
-    first_dtype = flatten(load_model(benign.zoos[0].model_paths[0])).dtype
-    AttackSpec(args.lsb, True, payload, args.mantissa_only).validate_for(first_dtype)
     out = _out_path(args.out, "dataset")
-    attacked = build_attacked_collection(benign, args.lsb, payload, out / "attacked")
-    train_zoos = _parse_zoos(args.train_zoos) if args.train_zoos else None
     manifest = build_dataset(
-        benign,
-        attacked,
+        load_collection(args.mc),
         args.rep,
         args.size,
         out,
         lsb=args.lsb,
-        payload_sha256=payload.sha256(),
-        train_zoos=train_zoos,
+        payload=payload,
+        train_zoos=_parse_zoos(args.train_zoos) if args.train_zoos else None,
+        mantissa_only=args.mantissa_only,
     )
     print(out / "manifest.json")
     logger.info("wrote %d samples", len(manifest.samples))
@@ -242,16 +217,24 @@ def _scan_targets(path: Path) -> list[Path]:
 
 
 def cmd_scan(args) -> int:
+    """Print path,label,d0,d1 per model file; a file that cannot be read or
+    rendered gets an error[data] line on stderr, the scan goes on and exits 3."""
     detector = load_detector(Path(args.detector).read_bytes())
     size = detector.config.input_size
+    failed = False
     for target in _scan_targets(Path(args.model)):
-        image = normalize(render(flatten(load_model(target)), detector.representation, size))
+        try:
+            image = normalize(render(flatten(load_model(target)), detector.representation, size))
+        except (FormatError, OSError, ValueError) as exc:
+            print(f"error[data]: {target}: {exc}", file=sys.stderr)
+            failed = True
+            continue
         # centroid: path,label,d0,d1 (distances); knn: path,label,v0,v1 (votes)
         label, benign, malicious = label_embeddings(
             detector, [detector.embed(image)], args.mode, args.k
         )[0]
         print(f"{target},{label},{benign!r},{malicious!r}")
-    return EXIT_OK
+    return EXIT_DATA if failed else EXIT_OK
 
 
 def cmd_report(args) -> int:

@@ -18,14 +18,15 @@ import numpy as np
 
 from .errors import CapacityError, FormatError
 from .imagerep import normalize, read_pgm, render, write_pgm
-from .steg import Payload, lsb_attack_fill
+from .steg import AttackSpec, Payload
 from .weights_io import (
     DType,
     ModelWeights,
     WeightTensor,
     flatten,
-    load_model,
+    is_canonical,
     model_digest,
+    parse_model,
     save_model,
     unflatten,
 )
@@ -148,43 +149,26 @@ def load_collection(mc_dir: str | Path, mc_id: str | None = None) -> ModelCollec
     return ModelCollection(mc_id or mc_dir.name, zoos)
 
 
-def attack_model(model: ModelWeights, lsb: int, payload: Payload) -> ModelWeights:
-    """Fill-attack a model over its canonical flatten order, keeping structure."""
-    flat = flatten(model)
-    attacked = lsb_attack_fill(flat, lsb, payload)
+def attack_model(
+    model: ModelWeights, spec: AttackSpec, source_sha256: str | None = None
+) -> ModelWeights:
+    """Attack a model over its canonical flatten order, keeping its structure.
+
+    The result's metadata records the provenance: the attack ("lsb-fill" or
+    "lsb", after spec.fill), X, the payload digest and source_sha256, the
+    model_digest of the input (computed when not given).
+    """
+    attacked = spec.apply(flatten(model))
     out = unflatten(model, attacked.bits)
-    out.metadata = dict(model.metadata)
     out.metadata.update(
         {
-            "attack": "lsb-fill",
-            "lsb": str(lsb),
-            "payload_sha256": payload.sha256(),
-            "source_sha256": model_digest(model),
+            "attack": "lsb-fill" if spec.fill else "lsb",
+            "lsb": str(spec.lsb),
+            "payload_sha256": spec.payload.sha256(),
+            "source_sha256": source_sha256 or model_digest(model),
         }
     )
     return out
-
-
-def build_attacked_collection(
-    collection: ModelCollection, lsb: int, payload: Payload, out_dir: str | Path
-) -> ModelCollection:
-    """Attack every model in every zoo, mirroring the directory structure."""
-    out_dir = Path(out_dir)
-    zoos = []
-    for zoo in collection.zoos:
-        zoo_out = out_dir / zoo.zoo_id
-        zoo_out.mkdir(parents=True, exist_ok=True)
-        out_paths = []
-        for path in zoo.model_paths:
-            try:
-                attacked = attack_model(load_model(path), lsb, payload)
-            except (ValueError, CapacityError, FormatError) as exc:
-                raise type(exc)(f"{path}: {exc}") from exc
-            out_path = zoo_out / path.name
-            save_model(attacked, out_path)
-            out_paths.append(out_path)
-        zoos.append(ModelZoo(zoo.zoo_id, zoo.architecture, zoo.task, out_paths))
-    return ModelCollection(f"{collection.mc_id}-attacked", zoos)
 
 
 def model_image(model: ModelWeights, representation: str, size: int) -> np.ndarray:
@@ -192,61 +176,81 @@ def model_image(model: ModelWeights, representation: str, size: int) -> np.ndarr
     return render(flatten(model), representation, size)
 
 
-def collection_digest(*collections: ModelCollection) -> str:
-    """Digest over every member model file, in zoo order."""
-    digest = hashlib.sha256()
-    for collection in collections:
-        for zoo in collection.zoos:
-            for path in zoo.model_paths:
-                digest.update(hashlib.sha256(Path(path).read_bytes()).digest())
-    return digest.hexdigest()
+def _model_pass(
+    path: Path, spec: AttackSpec | None, representation: str, size: int, attacked_dir: Path
+) -> list[tuple[np.ndarray, bytes]]:
+    """One benign model's share of build_dataset: (image, file sha256) for the
+    benign file and, given spec, for the attacked file it writes."""
+    data = path.read_bytes()
+    benign_sha256 = hashlib.sha256(data).digest()
+    model = parse_model(data, path)
+    passed = [(model_image(model, representation, size), benign_sha256)]
+    if spec is not None:
+        source_sha256 = benign_sha256.hex() if is_canonical(model, data) else None
+        del data  # parsing copied the words out; free the file bytes before the attack
+        attacked = attack_model(model, spec, source_sha256)
+        written = save_model(attacked, attacked_dir / path.name)
+        passed.append((model_image(attacked, representation, size), bytes.fromhex(written)))
+    return passed
 
 
 def build_dataset(
     benign: ModelCollection,
-    attacked: ModelCollection | None,
     representation: str,
     size: int,
     out_dir: str | Path,
     lsb: int | None = None,
-    payload_sha256: str | None = None,
+    payload: Payload | None = None,
     train_zoos: list[str] | None = None,
+    mantissa_only: bool = True,
 ) -> DatasetManifest:
-    """Render benign (label 0) and attacked (label 1) models to a labeled image set.
+    """Render benign models (label 0) and, given a payload, their fill-attacked
+    copies (label 1) to a labeled image set.
 
-    The attacked collection, when given, must mirror the benign zoo structure.
-    Images are written as PGM files beside a manifest.json under out_dir.
+    One pass per benign model: read the file once, hash and parse those bytes,
+    fill-attack at lsb (mantissa bits only unless mantissa_only is False),
+    write the attacked model to out_dir/attacked/<zoo>/ while hashing what is
+    written, and render both images from memory. Nothing written is read back.
+    Images are written as PGM files beside a manifest.json under out_dir; the
+    manifest's source_sha256 folds the file digests of every benign model,
+    then of every attacked model.
     """
     out_dir = Path(out_dir)
-    if attacked is not None:
-        if attacked.zoo_ids() != benign.zoo_ids() or any(
-            len(za.model_paths) != len(zb.model_paths)
-            for za, zb in zip(attacked.zoos, benign.zoos)
-        ):
-            raise ValueError("benign and attacked collections must share zoo structure")
-
+    spec = None
+    if payload is not None:
+        if lsb is None:
+            raise ValueError("attacking a collection needs lsb")
+        spec = AttackSpec(lsb, True, payload, mantissa_only)
     manifest = DatasetManifest(
         mc_id=benign.mc_id,
         lsb=lsb,
-        payload_sha256=payload_sha256,
+        payload_sha256=None if payload is None else payload.sha256(),
         representation=representation,
         shape=(size, size),
-        samples=[],
-        source_sha256=collection_digest(*([benign] if attacked is None else [benign, attacked])),
     )
-    for zi, zoo in enumerate(benign.zoos):
-        img_dir = out_dir / "images" / zoo.zoo_id
-        img_dir.mkdir(parents=True, exist_ok=True)
-        pairs = [(zoo.model_paths, 0, "benign")]
-        if attacked is not None:
-            pairs.append((attacked.zoos[zi].model_paths, 1, "attacked"))
-        for paths, label, tag in pairs:
-            for path in paths:
-                img = model_image(load_model(path), representation, size)
-                rel = f"images/{zoo.zoo_id}/{path.stem}.{tag}.pgm"
+    file_digests: tuple[list[bytes], list[bytes]] = ([], [])  # benign, attacked
+    for zoo in benign.zoos:
+        (out_dir / "images" / zoo.zoo_id).mkdir(parents=True, exist_ok=True)
+        attacked_dir = out_dir / "attacked" / zoo.zoo_id
+        if spec is not None:
+            attacked_dir.mkdir(parents=True, exist_ok=True)
+        zoo_samples: tuple[list[SampleRecord], list[SampleRecord]] = ([], [])
+        for path in zoo.model_paths:
+            try:
+                passed = _model_pass(path, spec, representation, size, attacked_dir)
+            except (ValueError, CapacityError, FormatError) as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
+            for label, (img, file_digest) in enumerate(passed):
+                rel = f"images/{zoo.zoo_id}/{path.stem}.{('benign', 'attacked')[label]}.pgm"
                 write_pgm(img, out_dir / rel)
-                manifest.samples.append(SampleRecord(rel, zoo.zoo_id, label))
+                zoo_samples[label].append(SampleRecord(rel, zoo.zoo_id, label))
+                file_digests[label].append(file_digest)
+        manifest.samples += zoo_samples[0] + zoo_samples[1]
 
+    digest = hashlib.sha256()
+    for file_digest in file_digests[0] + file_digests[1]:
+        digest.update(file_digest)
+    manifest.source_sha256 = digest.hexdigest()
     if train_zoos is not None:
         split_by_zoo(manifest, train_zoos)
     (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
@@ -280,7 +284,10 @@ def load_dataset(manifest_path: str | Path) -> tuple[DatasetManifest, list[Label
     base = manifest_path.parent
     samples = []
     for rec in manifest.samples:
-        img = read_pgm(base / rec.path)
+        rel = Path(rec.path)
+        if rel.is_absolute() or ".." in rel.parts:
+            raise FormatError(f"{rec.path}: sample path escapes the dataset directory")
+        img = read_pgm(base / rel)
         if img.shape != manifest.shape:
             raise FormatError(
                 f"{rec.path}: image shape {img.shape} != manifest shape {manifest.shape}"

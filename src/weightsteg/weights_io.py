@@ -152,7 +152,7 @@ def read_raw(data: bytes, dtype: DType) -> WeightTensor:
 
 
 def write_raw(tensor: WeightTensor) -> bytes:
-    return tensor.bits.astype(tensor.dtype.word_dtype).tobytes()
+    return _tensor_buffer(tensor).tobytes()
 
 
 def _decode_header(data: bytes) -> tuple[dict, int]:
@@ -226,30 +226,52 @@ def read_container(data: bytes, source_path: str = "") -> ModelWeights:
     return ModelWeights(tensors, source_path=source_path, metadata=dict(metadata))
 
 
+def _tensor_buffer(tensor: WeightTensor) -> memoryview:
+    """The tensor's on-disk bytes without a copy (its words are little-endian)."""
+    return memoryview(tensor.bits).cast("B")
+
+
+def _container_parts(model: ModelWeights) -> list[bytes | memoryview]:
+    """The canonical container encoding as pieces: the length-prefixed compact
+    JSON header, then one zero-copy buffer per tensor, in tensor order."""
+    header: dict = {}
+    if model.metadata:
+        header[_METADATA_KEY] = dict(model.metadata)
+    offset = 0
+    buffers = []
+    for tensor in model.tensors:
+        if tensor.name == _METADATA_KEY:
+            raise ValueError(f"{_METADATA_KEY!r} is reserved and cannot name a tensor")
+        buffer = _tensor_buffer(tensor)
+        header[tensor.name] = {
+            "dtype": tensor.dtype.value,
+            "shape": list(tensor.shape),
+            "data_offsets": [offset, offset + len(buffer)],
+        }
+        offset += len(buffer)
+        buffers.append(buffer)
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return [struct.pack("<Q", len(header_bytes)) + header_bytes, *buffers]
+
+
 def write_container(model: ModelWeights) -> bytes:
     """Serialize to the canonical container encoding (compact JSON header).
 
     read_container(write_container(m)) == m bit for bit; re-serializing a
     model parsed from canonical bytes reproduces those bytes.
     """
-    header: dict = {}
-    if model.metadata:
-        header[_METADATA_KEY] = dict(model.metadata)
-    offset = 0
-    chunks = []
-    for tensor in model.tensors:
-        if tensor.name == _METADATA_KEY:
-            raise ValueError(f"{_METADATA_KEY!r} is reserved and cannot name a tensor")
-        raw = write_raw(tensor)
-        header[tensor.name] = {
-            "dtype": tensor.dtype.value,
-            "shape": list(tensor.shape),
-            "data_offsets": [offset, offset + len(raw)],
-        }
-        offset += len(raw)
-        chunks.append(raw)
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(chunks)
+    return b"".join(_container_parts(model))
+
+
+def is_canonical(model: ModelWeights, data: bytes) -> bool:
+    """Whether data, the bytes model was parsed from, equal write_container(model).
+
+    Parsing checked that the tensors tile the buffer at the header's offsets,
+    so equal lengths and an equal header mean equal bytes.
+    """
+    parts = _container_parts(model)
+    header = parts[0]
+    return len(data) == sum(len(p) for p in parts) and data[: len(header)] == header
 
 
 def flatten(model: ModelWeights) -> WeightTensor:
@@ -257,14 +279,19 @@ def flatten(model: ModelWeights) -> WeightTensor:
 
     This is the canonical cover sequence every attack operates on.
     """
+    dtype = _flat_dtype(model)
+    bits = np.concatenate([t.bits for t in model.tensors])
+    return WeightTensor("", dtype, (len(bits),), bits)
+
+
+def _flat_dtype(model: ModelWeights) -> DType:
+    """The one dtype of a flattenable model."""
     if not model.tensors:
         raise ValueError("cannot flatten a model with no tensors")
     dtypes = {t.dtype for t in model.tensors}
     if len(dtypes) > 1:
         raise ValueError(f"mixed dtypes in model: {sorted(d.value for d in dtypes)}")
-    dtype = model.tensors[0].dtype
-    bits = np.concatenate([t.bits for t in model.tensors])
-    return WeightTensor("", dtype, (len(bits),), bits)
+    return model.tensors[0].dtype
 
 
 def unflatten(model: ModelWeights, flat_bits: np.ndarray) -> ModelWeights:
@@ -285,27 +312,43 @@ def _raw_dtype_for_path(path: Path) -> DType | None:
     return {".f32": DType.F32, ".f16": DType.F16}.get(path.suffix.lower())
 
 
-def load_model(path: str | Path) -> ModelWeights:
-    """Load a container or raw (.f32/.f16) weights file."""
+def parse_model(data: bytes, path: str | Path) -> ModelWeights:
+    """Parse the bytes of a container or raw (.f32/.f16) file; the suffix of
+    path picks the format."""
     path = Path(path)
-    data = path.read_bytes()
     raw_dtype = _raw_dtype_for_path(path)
     if raw_dtype is not None:
         return ModelWeights([read_raw(data, raw_dtype)], source_path=str(path))
-    model = read_container(data, source_path=str(path))
-    return model
+    return read_container(data, source_path=str(path))
 
 
-def save_model(model: ModelWeights, path: str | Path) -> None:
+def load_model(path: str | Path) -> ModelWeights:
+    """Load a container or raw (.f32/.f16) weights file."""
+    return parse_model(Path(path).read_bytes(), path)
+
+
+def save_model(model: ModelWeights, path: str | Path) -> str:
+    """Write model to path and return the sha256 hex digest of the bytes written.
+
+    A .f32/.f16 path gets write_raw(flatten(model)), any other path
+    write_container(model); the pieces are written and hashed as they are,
+    never joined into one copy.
+    """
     path = Path(path)
     raw_dtype = _raw_dtype_for_path(path)
     if raw_dtype is not None:
-        flat = flatten(model)
-        if flat.dtype is not raw_dtype:
-            raise ValueError(f"model dtype {flat.dtype.value} does not match {path.suffix}")
-        path.write_bytes(write_raw(flat))
+        dtype = _flat_dtype(model)
+        if dtype is not raw_dtype:
+            raise ValueError(f"model dtype {dtype.value} does not match {path.suffix}")
+        parts = [_tensor_buffer(t) for t in model.tensors]
     else:
-        path.write_bytes(write_container(model))
+        parts = _container_parts(model)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def sha256_hex(data: bytes) -> str:
@@ -314,4 +357,7 @@ def sha256_hex(data: bytes) -> str:
 
 def model_digest(model: ModelWeights) -> str:
     """Digest of the canonical serialization, for provenance records."""
-    return sha256_hex(write_container(model))
+    digest = hashlib.sha256()
+    for part in _container_parts(model):
+        digest.update(part)
+    return digest.hexdigest()

@@ -1,21 +1,24 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from weightsteg.cli import main
-from weightsteg.dataset import load_dataset, synth_collection
+from weightsteg.dataset import attack_model, load_dataset, synth_collection
 from weightsteg.detect import build_detector, load_detector, save_detector
 from weightsteg.imagerep import grayscale_fourpart, read_pgm, resize
 from weightsteg.pipeline import ExperimentConfig, run_detection_run, select_train_pairs, load_flat_models
 from weightsteg.net import ConvBlock, ConvNetConfig, init_params
-from weightsteg.steg import Payload, extract_lsb
+from weightsteg.steg import AttackSpec, Payload, extract_lsb, lsb_attack, lsb_attack_fill
 from weightsteg.weights_io import (
     WeightTensor,
     flatten,
     load_model,
     read_container,
+    unflatten,
     write_container,
+    write_raw,
 )
 
 
@@ -113,6 +116,27 @@ class TestEmbedExtract:
         assert meta["payload_sha256"] == Payload.synthetic(32, 5).sha256()
         assert len(meta["source_sha256"]) == 64
 
+    @pytest.mark.parametrize("fill", [True, False])
+    def test_output_equals_attack_model(self, tmp_path, mc_dir, fill):
+        model_path = mc_dir / "zoo0" / "model001.safetensors"
+        out = tmp_path / "att.safetensors"
+        assert run("embed", "--in", model_path, "--lsb", 5, *(["--fill"] if fill else []),
+                   "--synthetic-payload", "32,5", "--out", out) == 0
+        model = load_model(model_path)
+        payload = Payload.synthetic(32, 5)
+        spec = AttackSpec(5, fill, payload)
+        assert load_model(out).metadata == attack_model(model, spec).metadata
+        # the bytes the inline embed composition wrote
+        attack = lsb_attack_fill if fill else lsb_attack
+        expected = unflatten(model, attack(flatten(model), 5, payload).bits)
+        expected.metadata.update({
+            "attack": "lsb-fill" if fill else "lsb",
+            "lsb": "5",
+            "payload_sha256": payload.sha256(),
+            "source_sha256": hashlib.sha256(model_path.read_bytes()).hexdigest(),
+        })
+        assert out.read_bytes() == write_container(expected)
+
 
 class TestImagify:
     def test_matches_library(self, tmp_path, mc_dir):
@@ -142,6 +166,13 @@ class TestSynthMc:
                    "--params", 64, "--seed", 9) == 0
         for rel in ("zoo0/model000.safetensors", "zoo1/model001.safetensors"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def tiny_detector_bytes():
+    """An untrained 8x8-input detector, saved."""
+    config = ConvNetConfig(input_size=8, blocks=(ConvBlock(2, 3, pool=True),), embedding_dim=4)
+    images = np.random.default_rng(0).random((2, 8, 8))
+    return save_detector(build_detector(config, init_params(config), images, [0, 1]))
 
 
 def _drop_tensor(name):
@@ -202,17 +233,58 @@ class TestScanBadDetector:
              "centroid-short"],
     )
     def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
-        config = ConvNetConfig(input_size=8, blocks=(ConvBlock(2, 3, pool=True),), embedding_dim=4)
-        images = np.random.default_rng(0).random((2, 8, 8))
-        model = read_container(save_detector(
-            build_detector(config, init_params(config), images, [0, 1])
-        ))
+        model = read_container(tiny_detector_bytes())
         edit(model)
         det_path = tmp_path / "det.safetensors"
         det_path.write_bytes(write_container(model))
         assert run("scan", "--detector", det_path, "--model", mc_dir / "zoo0") == 3
         err = capsys.readouterr().err
         assert err.startswith("error[data]:") and "Traceback" not in err
+
+
+class TestScanKeepsGoing:
+    def test_bad_files_reported_and_skipped(self, tmp_path, mc_dir, capsys):
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        scan_dir = tmp_path / "scan"
+        scan_dir.mkdir()
+        good = (mc_dir / "zoo0" / "model000.safetensors").read_bytes()
+        (scan_dir / "a_good.safetensors").write_bytes(good)
+        (scan_dir / "b_truncated.safetensors").write_bytes(good[:-10])
+        (scan_dir / "c_half.f16").write_bytes(bytes(64))
+        (scan_dir / "d_good.f32").write_bytes(write_raw(flatten(load_model(mc_dir / "zoo1" / "model002.safetensors"))))
+        capsys.readouterr()
+        assert run("scan", "--detector", det_path, "--model", scan_dir) == 3
+        captured = capsys.readouterr()
+        lines = captured.out.strip().splitlines()
+        assert [line.split(",")[0] for line in lines] == [
+            str(scan_dir / "a_good.safetensors"), str(scan_dir / "d_good.f32")
+        ]
+        assert all(len(line.split(",")) == 4 for line in lines)
+        errors = captured.err.strip().splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith(f"error[data]: {scan_dir / 'b_truncated.safetensors'}: ")
+        assert errors[1].startswith(f"error[data]: {scan_dir / 'c_half.f16'}: ")
+        assert "Traceback" not in captured.err
+
+
+class TestTrainManifestPaths:
+    @pytest.mark.parametrize("escape", ["absolute", "parent"])
+    def test_escaping_sample_path_exit_3(self, tmp_path, mc_dir, capsys, escape):
+        ds = tmp_path / "ds"
+        assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--size", 8, "--train-zoos", "zoo0", "--out", ds) == 0
+        doc = json.loads((ds / "manifest.json").read_text())
+        # a readable image of the right shape outside the dataset directory
+        outside = tmp_path / "outside.pgm"
+        outside.write_bytes((ds / doc["samples"][0]["path"]).read_bytes())
+        doc["samples"][0]["path"] = str(outside) if escape == "absolute" else "../outside.pgm"
+        (ds / "manifest.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("train", "--dataset", ds, "--arch", "tiny", "--out", tmp_path / "d.safetensors") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]:") and "escapes the dataset directory" in err
+        assert not (tmp_path / "d.safetensors").exists()
 
 
 class TestBuildDatasetTrainScan:

@@ -1,15 +1,21 @@
+import builtins
+import hashlib
+import io
 import json
 import logging
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+from weightsteg.cli import main
 
 from weightsteg.dataset import (
     DatasetManifest,
     ModelCollection,
     ModelZoo,
     SampleRecord,
-    build_attacked_collection,
     build_dataset,
     load_collection,
     load_dataset,
@@ -20,8 +26,9 @@ from weightsteg.dataset import (
     synth_zoo,
 )
 from weightsteg.errors import FormatError
-from weightsteg.steg import Payload, effective_fill_payload, extract_lsb
-from weightsteg.weights_io import flatten, load_model
+from weightsteg.imagerep import write_pgm
+from weightsteg.steg import Payload, effective_fill_payload, extract_lsb, lsb_attack_fill
+from weightsteg.weights_io import flatten, load_model, save_model, unflatten, write_container
 
 
 @pytest.fixture
@@ -82,16 +89,22 @@ class TestCollections:
             ModelCollection("mc", [zoo, zoo])
 
 
+def build_attacked(collection, lsb, payload, out_dir):
+    """Build a dataset with an attack and return its attacked collection."""
+    build_dataset(collection, "grayscale-fourpart", 16, out_dir, lsb=lsb, payload=payload)
+    return load_collection(out_dir / "attacked")
+
+
 class TestAttackedCollection:
     def test_structure_preserved(self, tmp_path, small_collection):
         payload = Payload.synthetic(8, seed=1)
-        attacked = build_attacked_collection(small_collection, 23, payload, tmp_path / "att")
+        attacked = build_attacked(small_collection, 23, payload, tmp_path / "ds")
         assert attacked.zoo_ids() == small_collection.zoo_ids()
         assert sum(len(z.model_paths) for z in attacked.zoos) == 6
 
     def test_payload_recoverable_from_members(self, tmp_path, small_collection):
         payload = Payload.synthetic(8, seed=1)
-        attacked = build_attacked_collection(small_collection, 23, payload, tmp_path / "att")
+        attacked = build_attacked(small_collection, 23, payload, tmp_path / "ds")
         flat = flatten(load_model(attacked.zoos[1].model_paths[0]))
         expected = effective_fill_payload(payload.bits, flat.n, 23)
         assert np.array_equal(extract_lsb(flat, 23, flat.n * 23).bits, expected)
@@ -99,11 +112,11 @@ class TestAttackedCollection:
     def test_failing_model_identified(self, tmp_path, small_collection):
         payload = Payload.synthetic(8, seed=1)
         with pytest.raises(ValueError, match="model000"):
-            build_attacked_collection(small_collection, 40, payload, tmp_path / "att")
+            build_attacked(small_collection, 40, payload, tmp_path / "ds")
 
     def test_attacked_metadata(self, tmp_path, small_collection):
         payload = Payload.synthetic(8, seed=1)
-        attacked = build_attacked_collection(small_collection, 8, payload, tmp_path / "att")
+        attacked = build_attacked(small_collection, 8, payload, tmp_path / "ds")
         meta = load_model(attacked.zoos[0].model_paths[0]).metadata
         assert meta["lsb"] == "8"
         assert meta["payload_sha256"] == payload.sha256()
@@ -113,15 +126,13 @@ class TestAttackedCollection:
 class TestBuildDataset:
     def test_counts_labels_shapes(self, tmp_path, small_collection):
         payload = Payload.synthetic(8, seed=1)
-        attacked = build_attacked_collection(small_collection, 8, payload, tmp_path / "att")
         manifest = build_dataset(
             small_collection,
-            attacked,
             "grayscale-fourpart",
             16,
             tmp_path / "ds",
             lsb=8,
-            payload_sha256=payload.sha256(),
+            payload=payload,
             train_zoos=["zoo0"],
         )
         assert len(manifest.samples) == 12
@@ -131,29 +142,16 @@ class TestBuildDataset:
         assert all(0.0 <= s.image.min() and s.image.max() <= 1.0 for s in samples)
 
     def test_benign_only_dataset(self, tmp_path, small_collection):
-        manifest = build_dataset(
-            small_collection, None, "grayscale-fourpart", 16, tmp_path / "ds"
-        )
+        manifest = build_dataset(small_collection, "grayscale-fourpart", 16, tmp_path / "ds")
         assert len(manifest.samples) == 6
         assert all(s.label == 0 for s in manifest.samples)
 
     def test_unsupported_representation(self, tmp_path, small_collection):
         with pytest.raises(ValueError, match="representation"):
-            build_dataset(small_collection, None, "spectrogram", 16, tmp_path / "ds")
-
-    def test_mismatched_structure_rejected(self, tmp_path, small_collection):
-        payload = Payload.synthetic(8, seed=1)
-        attacked = build_attacked_collection(small_collection, 8, payload, tmp_path / "att")
-        attacked.zoos[0].model_paths.pop()
-        with pytest.raises(ValueError, match="structure"):
-            build_dataset(
-                small_collection, attacked, "grayscale-fourpart", 16, tmp_path / "ds"
-            )
+            build_dataset(small_collection, "spectrogram", 16, tmp_path / "ds")
 
     def test_manifest_json_schema(self, tmp_path, small_collection):
-        manifest = build_dataset(
-            small_collection, None, "grayscale-fourpart", 16, tmp_path / "ds"
-        )
+        manifest = build_dataset(small_collection, "grayscale-fourpart", 16, tmp_path / "ds")
         doc = json.loads((tmp_path / "ds/manifest.json").read_text())
         assert set(doc) == {
             "mc_id",
@@ -171,9 +169,8 @@ class TestBuildDataset:
 
     def test_parallel_label_balance(self, tmp_path, small_collection):
         payload = Payload.synthetic(8, seed=1)
-        attacked = build_attacked_collection(small_collection, 8, payload, tmp_path / "att")
         manifest = build_dataset(
-            small_collection, attacked, "grayscale-fourpart", 16, tmp_path / "ds"
+            small_collection, "grayscale-fourpart", 16, tmp_path / "ds", lsb=8, payload=payload
         )
         benign = sum(1 for s in manifest.samples if s.label == 0)
         assert benign == len(manifest.samples) - benign
@@ -185,15 +182,8 @@ class TestBuildDataset:
         from weightsteg.steg import lsb_attack_fill
 
         payload = Payload.synthetic(8, seed=1)
-        attacked = build_attacked_collection(small_collection, 8, payload, tmp_path / "att")
         manifest = build_dataset(
-            small_collection,
-            attacked,
-            "grayscale-fourpart",
-            16,
-            tmp_path / "ds",
-            lsb=8,
-            payload_sha256=payload.sha256(),
+            small_collection, "grayscale-fourpart", 16, tmp_path / "ds", lsb=8, payload=payload
         )
         assert manifest.payload_sha256 == payload.sha256()
         for record in (manifest.samples[0], manifest.samples[-1]):
@@ -252,9 +242,126 @@ class TestModelImage:
         assert img.shape == (100, 100)
 
     def test_shape_mismatch_on_load(self, tmp_path, small_collection):
-        build_dataset(small_collection, None, "grayscale-fourpart", 16, tmp_path / "ds")
+        build_dataset(small_collection, "grayscale-fourpart", 16, tmp_path / "ds")
         doc = json.loads((tmp_path / "ds/manifest.json").read_text())
         doc["shape"] = [32, 32]
         (tmp_path / "ds/manifest.json").write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="shape"):
             load_dataset(tmp_path / "ds")
+
+
+def collection_digest(*collections):
+    """The reference source digest: every member file hashed on disk, in zoo order."""
+    digest = hashlib.sha256()
+    for collection in collections:
+        for zoo in collection.zoos:
+            for path in zoo.model_paths:
+                digest.update(hashlib.sha256(Path(path).read_bytes()).digest())
+    return digest.hexdigest()
+
+
+def two_pass_dataset(benign, representation, size, out_dir, lsb, payload, train_zoos):
+    """build_dataset as a composition of separate passes: attack every model to
+    out_dir/attacked, then load every benign and attacked file to render it."""
+    out_dir = Path(out_dir)
+    attacked_zoos = []
+    for zoo in benign.zoos:
+        (out_dir / "attacked" / zoo.zoo_id).mkdir(parents=True)
+        paths = []
+        for path in zoo.model_paths:
+            model = load_model(path)
+            attacked = unflatten(model, lsb_attack_fill(flatten(model), lsb, payload).bits)
+            attacked.metadata.update({
+                "attack": "lsb-fill",
+                "lsb": str(lsb),
+                "payload_sha256": payload.sha256(),
+                "source_sha256": hashlib.sha256(write_container(model)).hexdigest(),
+            })
+            out = out_dir / "attacked" / zoo.zoo_id / path.name
+            save_model(attacked, out)
+            paths.append(out)
+        attacked_zoos.append(ModelZoo(zoo.zoo_id, zoo.architecture, zoo.task, paths))
+    attacked = ModelCollection("attacked", attacked_zoos)
+    manifest = DatasetManifest(benign.mc_id, lsb, payload.sha256(), representation,
+                               (size, size), [], collection_digest(benign, attacked))
+    for zoo, attacked_zoo in zip(benign.zoos, attacked.zoos):
+        (out_dir / "images" / zoo.zoo_id).mkdir(parents=True)
+        for paths, label, tag in ((zoo.model_paths, 0, "benign"),
+                                  (attacked_zoo.model_paths, 1, "attacked")):
+            for path in paths:
+                rel = f"images/{zoo.zoo_id}/{path.stem}.{tag}.pgm"
+                write_pgm(model_image(load_model(path), representation, size), out_dir / rel)
+                manifest.samples.append(SampleRecord(rel, zoo.zoo_id, label))
+    split_by_zoo(manifest, train_zoos)
+    (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+
+
+def tree(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(Path(root).rglob("*")) if p.is_file()}
+
+
+def raw_collection(small_collection, out_dir):
+    for zoo in small_collection.zoos:
+        (out_dir / zoo.zoo_id).mkdir(parents=True)
+        for path in zoo.model_paths:
+            save_model(load_model(path), out_dir / zoo.zoo_id / f"{path.stem}.f32")
+    return load_collection(out_dir)
+
+
+def spaced_collection(small_collection, out_dir):
+    """The same models in containers whose JSON header is not the canonical one."""
+    for zoo in small_collection.zoos:
+        (out_dir / zoo.zoo_id).mkdir(parents=True)
+        for path in zoo.model_paths:
+            data = path.read_bytes()
+            (header_len,) = struct.unpack("<Q", data[:8])
+            header = json.dumps(json.loads(data[8 : 8 + header_len]), indent=1).encode()
+            (out_dir / zoo.zoo_id / path.name).write_bytes(
+                struct.pack("<Q", len(header)) + header + data[8 + header_len :]
+            )
+    return load_collection(out_dir)
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("layout", ["container", "raw", "spaced"])
+    @pytest.mark.parametrize("lsb", [2, 23])
+    def test_equals_two_pass_composition(self, tmp_path, small_collection, layout, lsb):
+        collection = {
+            "container": lambda: small_collection,
+            "raw": lambda: raw_collection(small_collection, tmp_path / "raw"),
+            "spaced": lambda: spaced_collection(small_collection, tmp_path / "spaced"),
+        }[layout]()
+        payload = Payload.synthetic(5, seed=3)
+        build_dataset(collection, "grayscale-fourpart", 12, tmp_path / "one", lsb=lsb,
+                      payload=payload, train_zoos=["zoo1"])
+        two_pass_dataset(collection, "grayscale-fourpart", 12, tmp_path / "two", lsb,
+                         payload, ["zoo1"])
+        one, two = tree(tmp_path / "one"), tree(tmp_path / "two")
+        assert len(one) == 1 + 2 * 6 + 6  # manifest, images, attacked models
+        assert one == two
+
+    def test_benign_only_source_digest(self, tmp_path, small_collection):
+        manifest = build_dataset(small_collection, "grayscale-fourpart", 12, tmp_path / "ds")
+        assert manifest.source_sha256 == collection_digest(small_collection)
+
+    def test_each_benign_file_read_once(self, tmp_path, small_collection, monkeypatch):
+        reads = []
+        real_open = io.open
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if not any(c in mode for c in "wax+"):
+                reads.append(Path(file).resolve())
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(builtins, "open", recording_open)
+        out = tmp_path / "out"
+        assert main(["build-dataset", "--mc", str(tmp_path / "mc"), "--lsb", "8",
+                     "--synthetic-payload", "16,2", "--size", "12", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        benign = [p.resolve() for z in small_collection.zoos for p in z.model_paths]
+        model_reads = [p for p in reads if p.suffix == ".safetensors"]
+        assert sorted(model_reads) == sorted(benign)
+        assert not [p for p in reads if (out / "attacked").resolve() in p.parents]
+        assert len(list((out / "attacked").rglob("*.safetensors"))) == len(benign)

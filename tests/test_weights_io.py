@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -11,7 +12,10 @@ from weightsteg.weights_io import (
     ModelWeights,
     WeightTensor,
     flatten,
+    is_canonical,
     load_model,
+    model_digest,
+    parse_model,
     read_container,
     read_raw,
     save_model,
@@ -193,9 +197,9 @@ names = st.text(alphabet="abcdefghij_0123456789", min_size=1, max_size=8)
 
 
 @st.composite
-def models(draw):
+def models(draw, min_tensors=0):
     dtype = draw(st.sampled_from([DType.F32, DType.F16]))
-    n_tensors = draw(st.integers(0, 4))
+    n_tensors = draw(st.integers(min_tensors, 4))
     tensor_names = draw(
         st.lists(names, min_size=n_tensors, max_size=n_tensors, unique=True)
     )
@@ -232,3 +236,46 @@ def test_raw_file_helpers(tmp_path):
 
     save_model(model, tmp_path / "m.safetensors")
     assert load_model(tmp_path / "m.safetensors").tensors == model.tensors
+
+
+metadata = st.dictionaries(names, st.text(max_size=6), max_size=3)
+
+
+@given(models(min_tensors=1), metadata, st.booleans())
+def test_save_model_streams_canonical_bytes(tmp_path_factory, model, meta, raw):
+    model.metadata = meta
+    suffix = (".f32" if model.tensors[0].dtype is DType.F32 else ".f16") if raw else ".safetensors"
+    path = tmp_path_factory.mktemp("save") / f"m{suffix}"
+    digest = save_model(model, path)
+    data = path.read_bytes()
+    assert digest == hashlib.sha256(data).hexdigest()
+    assert data == (write_raw(flatten(model)) if raw else write_container(model))
+    assert model_digest(model) == hashlib.sha256(write_container(model)).hexdigest()
+    assert parse_model(data, path) == load_model(path)
+
+
+@given(models(), metadata)
+def test_canonical_bytes_recognized(model, meta):
+    model.metadata = meta
+    data = write_container(model)
+    assert is_canonical(read_container(data), data)
+
+
+def test_noncanonical_bytes_recognized():
+    model = ModelWeights([f32_tensor([1, 2], "w"), f32_tensor([3], "b")])
+    header = json.dumps(
+        {"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
+         "b": {"dtype": "F32", "shape": [1], "data_offsets": [8, 12]}}
+    ).encode()  # the default separators put spaces into the header
+    data = struct.pack("<Q", len(header)) + header + write_container(model)[-12:]
+    parsed = read_container(data)
+    assert parsed == model
+    assert not is_canonical(parsed, data)
+    raw = write_raw(flatten(model))
+    assert not is_canonical(parse_model(raw, "m.f32"), raw)
+    # a raw file that starts with the canonical header of its own parse
+    header = write_container(ModelWeights([f32_tensor([0] * 64)]))[:-256]
+    raw = header + bytes(256 - len(header))
+    parsed = parse_model(raw, "m.f32")
+    assert write_container(parsed).startswith(header)
+    assert not is_canonical(parsed, raw)
