@@ -24,12 +24,11 @@ from .detect import (
     accuracy,
     bootstrap_ci,
     build_detector,
-    centroid_classify,
     centroids_as_1nn_equivalence_check,
+    classify,
     embed_samples,
     eval_al,
     eval_oml,
-    knn_classify,
     label_embeddings,
     load_detector,
     save_detector,

@@ -25,7 +25,7 @@ from .dataset import (
 )
 from .detect import (
     build_detector,
-    label_embeddings,
+    classify,
     load_detector,
     render_report_csv,
     render_report_json,
@@ -90,6 +90,15 @@ def _add_mantissa_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_training_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--strategy", default="UB", choices=["ES", "ST", "UB"])
+    parser.add_argument("--ub-lo", type=float, default=0.5)
+    parser.add_argument("--ub-hi", type=float, default=1.25)
+    parser.add_argument("--lr", type=float, default=1e-4)
+    parser.add_argument("--margin", type=float, default=1.0)
+    parser.add_argument("--batch-size", type=int, default=None)
+
+
 def _parse_zoos(text: str) -> list[str]:
     zoos = [z.strip() for z in text.split(",") if z.strip()]
     if not zoos:
@@ -110,7 +119,8 @@ def _parse_int_spec(text: str) -> tuple[int, ...]:
 
 def cmd_embed(args) -> int:
     spec = AttackSpec(args.lsb, args.fill, _payload_from_args(args), args.mantissa_only)
-    out_model = attack_model(load_model(args.infile), spec)
+    model = load_model(args.infile)
+    _, out_model = attack_model(model, flatten(model), spec)
     out = _out_path(args.out, Path(args.infile).stem + f".lsb{args.lsb}" + Path(args.infile).suffix)
     save_model(out_model, out)
     print(out)
@@ -230,9 +240,7 @@ def cmd_scan(args) -> int:
             failed = True
             continue
         # centroid: path,label,d0,d1 (distances); knn: path,label,v0,v1 (votes)
-        label, benign, malicious = label_embeddings(
-            detector, [detector.embed(image)], args.mode, args.k
-        )[0]
+        label, benign, malicious = classify(detector, image, args.mode, args.k)
         print(f"{target},{label},{benign!r},{malicious!r}")
     return EXIT_DATA if failed else EXIT_OK
 
@@ -347,12 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset directory or manifest.json")
     p.add_argument("--out")
     p.add_argument("--arch", default="osl-small")
-    p.add_argument("--strategy", default="UB", choices=["ES", "ST", "UB"])
-    p.add_argument("--ub-lo", type=float, default=0.5)
-    p.add_argument("--ub-hi", type=float, default=1.25)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--batch-size", type=int, default=None)
+    _add_training_flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -370,12 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-zoos", required=True)
     p.add_argument("--arch", default="osl-small")
     p.add_argument("--size", type=int, default=100)
-    p.add_argument("--strategy", default="UB", choices=["ES", "ST", "UB"])
-    p.add_argument("--ub-lo", type=float, default=0.5)
-    p.add_argument("--ub-hi", type=float, default=1.25)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--margin", type=float, default=1.0)
-    p.add_argument("--batch-size", type=int, default=None)
+    _add_training_flags(p)
     p.add_argument("--train-per-class", type=int, default=3)
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)

@@ -150,15 +150,16 @@ def load_collection(mc_dir: str | Path, mc_id: str | None = None) -> ModelCollec
 
 
 def attack_model(
-    model: ModelWeights, spec: AttackSpec, source_sha256: str | None = None
-) -> ModelWeights:
-    """Attack a model over its canonical flatten order, keeping its structure.
+    model: ModelWeights, flat: WeightTensor, spec: AttackSpec, source_sha256: str | None = None
+) -> tuple[WeightTensor, ModelWeights]:
+    """Attack flat, the flatten(model) words, and return the attacked words
+    with the attacked model: model's structure holding them.
 
-    The result's metadata records the provenance: the attack ("lsb-fill" or
-    "lsb", after spec.fill), X, the payload digest and source_sha256, the
-    model_digest of the input (computed when not given).
+    The attacked model's metadata records the provenance: the attack
+    ("lsb-fill" or "lsb", after spec.fill), X, the payload digest and
+    source_sha256, the model_digest of model (computed when not given).
     """
-    attacked = spec.apply(flatten(model))
+    attacked = spec.apply(flat)
     out = unflatten(model, attacked.bits)
     out.metadata.update(
         {
@@ -168,29 +169,26 @@ def attack_model(
             "source_sha256": source_sha256 or model_digest(model),
         }
     )
-    return out
-
-
-def model_image(model: ModelWeights, representation: str, size: int) -> np.ndarray:
-    """Render one model to its resized 8-bit image."""
-    return render(flatten(model), representation, size)
+    return attacked, out
 
 
 def _model_pass(
     path: Path, spec: AttackSpec | None, representation: str, size: int, attacked_dir: Path
 ) -> list[tuple[np.ndarray, bytes]]:
     """One benign model's share of build_dataset: (image, file sha256) for the
-    benign file and, given spec, for the attacked file it writes."""
+    benign file and, given spec, for the attacked file it writes. The model is
+    flattened once; both images are rendered from flat words."""
     data = path.read_bytes()
     benign_sha256 = hashlib.sha256(data).digest()
     model = parse_model(data, path)
-    passed = [(model_image(model, representation, size), benign_sha256)]
+    flat = flatten(model)
+    passed = [(render(flat, representation, size), benign_sha256)]
     if spec is not None:
         source_sha256 = benign_sha256.hex() if is_canonical(model, data) else None
         del data  # parsing copied the words out; free the file bytes before the attack
-        attacked = attack_model(model, spec, source_sha256)
-        written = save_model(attacked, attacked_dir / path.name)
-        passed.append((model_image(attacked, representation, size), bytes.fromhex(written)))
+        attacked, attacked_model = attack_model(model, flat, spec, source_sha256)
+        written = save_model(attacked_model, attacked_dir / path.name)
+        passed.append((render(attacked, representation, size), bytes.fromhex(written)))
     return passed
 
 

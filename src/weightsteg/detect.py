@@ -109,14 +109,6 @@ def _knn_verdict(embedding, embeddings, labels, k: int) -> Verdict:
     return Verdict(1 if v1 >= v0 else 0, v0, v1)  # a balanced vote fails closed
 
 
-def _centroid_label(embedding, c_benign, c_malicious) -> int:
-    return _centroid_verdict(embedding, c_benign, c_malicious).label
-
-
-def _knn_label(embedding, embeddings, labels, k: int) -> int:
-    return _knn_verdict(embedding, embeddings, labels, k).label
-
-
 def label_embeddings(
     detector: TrainedDetector, embeddings, mode: str = "centroid", k: int = 1
 ) -> list[Verdict]:
@@ -135,23 +127,9 @@ def label_embeddings(
     raise ValueError(f"unknown evaluation mode {mode!r}")
 
 
-def _image_verdict(detector: TrainedDetector, image, mode: str, k: int = 1) -> Verdict:
+def classify(detector: TrainedDetector, image, mode: str = "centroid", k: int = 1) -> Verdict:
+    """Verdict for one image: its batch-1 embedding through label_embeddings."""
     return label_embeddings(detector, [detector.embed(image)], mode, k)[0]
-
-
-def centroid_distances(detector: TrainedDetector, image) -> tuple[float, float]:
-    _, d0, d1 = _image_verdict(detector, image, "centroid")
-    return d0, d1
-
-
-def centroid_classify(detector: TrainedDetector, image) -> int:
-    """Label of the nearer training centroid under l2."""
-    return _image_verdict(detector, image, "centroid").label
-
-
-def knn_classify(detector: TrainedDetector, image, k: int = 1) -> int:
-    """Majority label among the k nearest training embeddings (l2)."""
-    return _image_verdict(detector, image, "knn", k).label
 
 
 def centroids_as_1nn_equivalence_check(
@@ -175,7 +153,8 @@ def centroids_as_1nn_equivalence_check(
         images = rng.random((count, size, size)).astype(np.float32)
         embs = forward(detector.config, detector.params, images).astype(np.float64)
         for e in embs:
-            if _centroid_label(e, c0, c1) != _knn_label(e, two_points, two_labels, k=1):
+            centroid = _centroid_verdict(e, c0, c1).label
+            if centroid != _knn_verdict(e, two_points, two_labels, k=1).label:
                 return False
     return True
 
@@ -215,13 +194,13 @@ class EmbeddedSamples:
 
 
 def embed_samples(detector: TrainedDetector, samples) -> EmbeddedSamples:
-    """Embed each sample's image with one batch-1 forward; embedded samples pass through.
+    """Embed each sample's image with one batch-1 forward.
 
     Batch-1 is the canonical embedding: a batched forward may differ from it
-    in the last bits, so every score is taken on batch-1 embeddings.
+    in the last bits, so every score is taken on batch-1 embeddings. The
+    scoring functions below take the result, so that a caller scoring one
+    image set several times embeds it only once.
     """
-    if isinstance(samples, EmbeddedSamples):
-        return samples
     samples = list(samples)
     embeddings = np.empty((len(samples), detector.config.embedding_dim), dtype=np.float64)
     for row, sample in zip(embeddings, samples):
@@ -229,39 +208,32 @@ def embed_samples(detector: TrainedDetector, samples) -> EmbeddedSamples:
     return EmbeddedSamples(embeddings, tuple(int(s.label) for s in samples))
 
 
-# The scoring functions below take LabeledSamples, or EmbeddedSamples so that
-# a caller scoring one image set several times embeds it only once.
-
-
-def classify_samples(detector: TrainedDetector, samples, mode: str = "centroid", k: int = 1):
-    embedded = embed_samples(detector, samples)
+def classify_samples(detector: TrainedDetector, embedded: EmbeddedSamples, mode="centroid", k=1):
     return [v.label for v in label_embeddings(detector, embedded.embeddings, mode, k)]
 
 
-def accuracy(detector: TrainedDetector, samples, mode: str = "centroid", k: int = 1) -> float:
-    embedded = embed_samples(detector, samples)
+def accuracy(detector: TrainedDetector, embedded: EmbeddedSamples, mode="centroid", k=1) -> float:
     if not embedded:
         raise ValueError("cannot score an empty sample list")
     predicted = classify_samples(detector, embedded, mode, k)
     return float(np.mean([p == label for p, label in zip(predicted, embedded.labels)]))
 
 
-def eval_oml(detector, benign_samples, attacked_samples, mode="centroid", k=1) -> float:
-    """Accuracy over benign plus samples attacked at the trained severity."""
-    both = embed_samples(detector, benign_samples) + embed_samples(detector, attacked_samples)
-    return accuracy(detector, both, mode, k)
+def eval_oml(detector, benign, attacked, mode="centroid", k=1) -> float:
+    """Accuracy over embedded benign plus samples attacked at the trained severity."""
+    return accuracy(detector, benign + attacked, mode, k)
 
 
-def eval_al(detector, benign_samples, attacked_by_severity, mode="centroid", k=1):
-    """Weighted metric over benign data and every severity 1..s.
+def eval_al(detector, benign, attacked_by_severity, mode="centroid", k=1):
+    """Weighted metric over embedded benign samples and every severity 1..s.
 
-    attacked_by_severity maps severity -> samples and must cover 1..s
+    attacked_by_severity maps severity -> embedded samples and must cover 1..s
     contiguously. Returns (wm, benign_accuracy, {severity: accuracy}).
     """
     severities = sorted(attacked_by_severity)
     if severities != list(range(1, len(severities) + 1)):
         raise ValueError(f"severities must cover 1..s contiguously, got {severities}")
-    a0 = accuracy(detector, benign_samples, mode, k)
+    a0 = accuracy(detector, benign, mode, k)
     per_severity = {x: accuracy(detector, attacked_by_severity[x], mode, k) for x in severities}
     wm = weighted_metric(a0, [per_severity[x] for x in severities])
     return wm, a0, per_severity

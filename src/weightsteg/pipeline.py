@@ -24,7 +24,7 @@ from .detect import (
 )
 from .imagerep import normalize, render
 from .net import TrainConfig, preset, train
-from .steg import Payload, lsb_attack_fill
+from .steg import AttackSpec, Payload
 from .weights_io import WeightTensor, flatten, load_model, sha256_hex
 
 
@@ -73,25 +73,16 @@ def load_flat_models(collection: ModelCollection) -> list[FlatModel]:
     return out
 
 
-def _render(tensor: WeightTensor, representation: str, size: int) -> np.ndarray:
-    return normalize(render(tensor, representation, size))
-
-
 def render_samples(
     flats, cfg: ExperimentConfig, lsb: int | None, payload: Payload | None
 ) -> list[LabeledSample]:
     """Benign samples when lsb is None, else fill-attacked at that severity."""
+    spec = None if lsb is None else AttackSpec(lsb, True, payload)
     samples = []
     for fm in flats:
-        tensor = fm.tensor if lsb is None else lsb_attack_fill(fm.tensor, lsb, payload)
-        samples.append(
-            LabeledSample(
-                _render(tensor, cfg.representation, cfg.image_size),
-                0 if lsb is None else 1,
-                fm.zoo,
-                path=fm.path,
-            )
-        )
+        tensor = fm.tensor if spec is None else spec.apply(fm.tensor)
+        image = normalize(render(tensor, cfg.representation, cfg.image_size))
+        samples.append(LabeledSample(image, 0 if lsb is None else 1, fm.zoo, path=fm.path))
     return samples
 
 
@@ -230,6 +221,10 @@ def run_report_sweep(
     if runs < 1:
         raise ValueError("need at least one run")
     flats = load_flat_models(collection)
+    # every severity is attacked under the mantissa rule; refuse before any run trains
+    for lsb in sorted(set(trained_lsbs) | set(cfg.severities)):
+        for fm in flats:
+            AttackSpec(lsb, True, payload).validate_for(fm.tensor.dtype)
     rows: list[ReportRow] = []
     results: list[RunResult] = []
     for lsb in trained_lsbs:

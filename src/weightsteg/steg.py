@@ -82,7 +82,7 @@ class AttackSpec:
         if self.mantissa_only and self.lsb > dtype.mantissa_bits:
             raise ValueError(
                 f"lsb={self.lsb} exceeds the {dtype.mantissa_bits}-bit mantissa of "
-                f"{dtype.value}; pass --allow-exponent to embed beyond it"
+                f"{dtype.value}; embed and build-dataset go beyond it only with --allow-exponent"
             )
 
     def apply(self, tensor: WeightTensor) -> WeightTensor:

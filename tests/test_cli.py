@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weightsteg.cli import main
 from weightsteg.dataset import attack_model, load_dataset, synth_collection
 from weightsteg.detect import build_detector, load_detector, save_detector
+from weightsteg.errors import FormatError
 from weightsteg.imagerep import grayscale_fourpart, read_pgm, resize
 from weightsteg.pipeline import ExperimentConfig, run_detection_run, select_train_pairs, load_flat_models
 from weightsteg.net import ConvBlock, ConvNetConfig, init_params
@@ -125,7 +130,7 @@ class TestEmbedExtract:
         model = load_model(model_path)
         payload = Payload.synthetic(32, 5)
         spec = AttackSpec(5, fill, payload)
-        assert load_model(out).metadata == attack_model(model, spec).metadata
+        assert load_model(out).metadata == attack_model(model, flatten(model), spec)[1].metadata
         # the bytes the inline embed composition wrote
         attack = lsb_attack_fill if fill else lsb_attack
         expected = unflatten(model, attack(flatten(model), 5, payload).bits)
@@ -240,6 +245,45 @@ class TestScanBadDetector:
         assert run("scan", "--detector", det_path, "--model", mc_dir / "zoo0") == 3
         err = capsys.readouterr().err
         assert err.startswith("error[data]:") and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    synth_collection(root / "mc", n_zoos=1, n_models=1, n_params=200, seed=4)
+    return tiny_detector_bytes(), root / "mc" / "zoo0" / "model000.safetensors", root / "det"
+
+
+@st.composite
+def detector_mutations(draw, data):
+    """1-3 byte overwrites, three in four of them inside the container header."""
+    (header_len,) = struct.unpack("<Q", data[:8])
+    mutated = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        end = 8 + header_len if draw(st.integers(0, 3)) < 3 else len(data)
+        mutated[draw(st.integers(0, end - 1))] = draw(st.integers(0, 255))
+    return bytes(mutated)
+
+
+class TestScanMutatedDetector:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_fails_closed(self, fuzz_files, data):
+        detector, model, det_path = fuzz_files
+        mutated = data.draw(detector_mutations(detector))
+        try:
+            load_detector(mutated)
+            loaded = True
+        except FormatError:
+            loaded = False
+        det_path.write_bytes(mutated)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("scan", "--detector", det_path, "--model", model)
+        if not loaded or code != 0:
+            assert code == 3
+            assert err.getvalue().startswith("error[data]:")
+        assert "Traceback" not in err.getvalue()
 
 
 class TestScanKeepsGoing:
@@ -378,6 +422,29 @@ class TestReportCommand:
         lines = csv_path.read_text().splitlines()[1:]
         oml = [l for l in lines if l.split(",")[3] == "oml_accuracy" and l.split(",")[0] == "0"]
         assert [l.split(",")[1] for l in oml] == ["2", "3", "4"]
+
+
+    @pytest.mark.parametrize(
+        "flags,lsb",
+        [(("--lsb", 26), 26), (("--lsb", 8, "--severities", "1-30"), 24)],
+        ids=["trained", "severities"],
+    )
+    def test_mantissa_rule_checked_before_training(
+        self, tmp_path, mc_dir, capsys, monkeypatch, flags, lsb
+    ):
+        from weightsteg import pipeline
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a run trained before every severity was checked")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        csv_path = tmp_path / "r.csv"
+        assert run("report", "--mc", mc_dir, *flags, "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28,
+                   "--train-per-class", 2, "--runs", 1, "--out-csv", csv_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[usage]: lsb={lsb} exceeds the 23-bit mantissa of F32")
+        assert not csv_path.exists()
 
 
 class TestPipeline:

@@ -19,14 +19,13 @@ from weightsteg.dataset import (
     build_dataset,
     load_collection,
     load_dataset,
-    model_image,
     split_by_zoo,
     synth_collection,
     synth_model,
     synth_zoo,
 )
 from weightsteg.errors import FormatError
-from weightsteg.imagerep import write_pgm
+from weightsteg.imagerep import render, write_pgm
 from weightsteg.steg import Payload, effective_fill_payload, extract_lsb, lsb_attack_fill
 from weightsteg.weights_io import flatten, load_model, save_model, unflatten, write_container
 
@@ -238,7 +237,7 @@ class TestSplit:
 class TestModelImage:
     def test_shape_contract(self, small_collection):
         model = load_model(small_collection.zoos[0].model_paths[0])
-        img = model_image(model, "grayscale-fourpart", 100)
+        img = render(flatten(model), "grayscale-fourpart", 100)
         assert img.shape == (100, 100)
 
     def test_shape_mismatch_on_load(self, tmp_path, small_collection):
@@ -290,7 +289,8 @@ def two_pass_dataset(benign, representation, size, out_dir, lsb, payload, train_
                                   (attacked_zoo.model_paths, 1, "attacked")):
             for path in paths:
                 rel = f"images/{zoo.zoo_id}/{path.stem}.{tag}.pgm"
-                write_pgm(model_image(load_model(path), representation, size), out_dir / rel)
+                img = render(flatten(load_model(path)), representation, size)
+                write_pgm(img, out_dir / rel)
                 manifest.samples.append(SampleRecord(rel, zoo.zoo_id, label))
     split_by_zoo(manifest, train_zoos)
     (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
@@ -344,6 +344,21 @@ class TestOnePass:
     def test_benign_only_source_digest(self, tmp_path, small_collection):
         manifest = build_dataset(small_collection, "grayscale-fourpart", 12, tmp_path / "ds")
         assert manifest.source_sha256 == collection_digest(small_collection)
+
+    def test_each_model_flattened_once(self, tmp_path, monkeypatch):
+        from weightsteg import dataset
+
+        collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=2, n_params=50, seed=9)
+        calls = []
+
+        def counting(model):
+            calls.append(model)
+            return flatten(model)
+
+        monkeypatch.setattr(dataset, "flatten", counting)
+        build_dataset(collection, "grayscale-fourpart", 12, tmp_path / "ds", lsb=8,
+                      payload=Payload.synthetic(5, seed=3))
+        assert len(calls) == 2
 
     def test_each_benign_file_read_once(self, tmp_path, small_collection, monkeypatch):
         reads = []

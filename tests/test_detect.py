@@ -7,17 +7,16 @@ from weightsteg.dataset import LabeledSample
 from weightsteg.detect import (
     ReportRow,
     TrainedDetector,
-    _centroid_label,
-    _knn_label,
+    _centroid_verdict,
+    _knn_verdict,
     accuracy,
     bootstrap_ci,
     build_detector,
-    centroid_classify,
-    centroid_distances,
     centroids_as_1nn_equivalence_check,
+    classify,
+    embed_samples,
     eval_al,
     eval_oml,
-    knn_classify,
     load_detector,
     render_report_csv,
     render_report_json,
@@ -60,26 +59,27 @@ def synthetic_detector(embeddings, labels):
 class TestCentroid:
     def test_distance_example(self):
         # query at 0.27 from the benign centroid, 0.56 from the malicious one
-        assert _centroid_label(np.array([0.27, 0.0]), np.zeros(2), np.array([0.83, 0.0])) == 0
+        verdict = _centroid_verdict(np.array([0.27, 0.0]), np.zeros(2), np.array([0.83, 0.0]))
+        assert verdict.label == 0
 
     def test_query_on_benign_sample(self):
         det = synthetic_detector([[0.0, 0.0], [1.0, 1.0]], [0, 1])
-        assert _centroid_label(np.array([0.0, 0.0]), det.centroid_benign, det.centroid_malicious) == 0
+        query = np.array([0.0, 0.0])
+        assert _centroid_verdict(query, det.centroid_benign, det.centroid_malicious).label == 0
 
     def test_tie_fails_closed(self):
-        assert _centroid_label(np.array([0.5]), np.array([0.0]), np.array([1.0])) == 1
-        assert _centroid_label(np.array([0.3]), np.array([0.3]), np.array([0.3])) == 1
+        assert _centroid_verdict(np.array([0.5]), np.array([0.0]), np.array([1.0])).label == 1
+        assert _centroid_verdict(np.array([0.3]), np.array([0.3]), np.array([0.3])).label == 1
 
     def test_classify_via_network(self):
         det = tiny_detector()
         img = np.random.default_rng(1).random((8, 8))
-        label = centroid_classify(det, img)
-        d0, d1 = centroid_distances(det, img)
+        label, d0, d1 = classify(det, img)
         assert label == (1 if d1 <= d0 else 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            centroid_classify(tiny_detector(), np.zeros((9, 9)))
+            classify(tiny_detector(), np.zeros((9, 9)))
 
     def test_centroids_recomputable(self):
         det = tiny_detector()
@@ -96,11 +96,11 @@ class TestCentroid:
 class TestKnn:
     def test_query_on_malicious_sample(self):
         emb = np.array([[0.0, 0.0], [5.0, 5.0]])
-        assert _knn_label(np.array([5.0, 5.0]), emb, [0, 1], k=1) == 1
+        assert _knn_verdict(np.array([5.0, 5.0]), emb, [0, 1], k=1).label == 1
 
     def test_balanced_vote_fails_closed(self):
         emb = np.array([[0.0], [2.0]])
-        assert _knn_label(np.array([1.0]), emb, [0, 1], k=2) == 1
+        assert _knn_verdict(np.array([1.0]), emb, [0, 1], k=2).label == 1
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
@@ -117,14 +117,14 @@ class TestKnn:
             order = sorted(range(n), key=lambda i: (dist[i], i))
             votes = [labels[i] for i in order[:k]]
             expected = 1 if votes.count(1) >= votes.count(0) else 0
-            assert _knn_label(query, emb, labels, k) == expected
+            assert _knn_verdict(query, emb, labels, k).label == expected
 
     def test_k_out_of_range(self):
         det = tiny_detector()
         with pytest.raises(ValueError):
-            knn_classify(det, np.zeros((8, 8)), k=0)
+            classify(det, np.zeros((8, 8)), "knn", k=0)
         with pytest.raises(ValueError):
-            knn_classify(det, np.zeros((8, 8)), k=7)
+            classify(det, np.zeros((8, 8)), "knn", k=7)
 
 
 class TestEquivalence:
@@ -141,8 +141,8 @@ class TestEquivalence:
         for _ in range(1000):
             c0, c1 = rng.standard_normal((2, 5))
             query = rng.standard_normal(5)
-            lhs = _centroid_label(query, c0, c1)
-            rhs = _knn_label(query, np.stack([c1, c0]), [1, 0], k=1)
+            lhs = _centroid_verdict(query, c0, c1).label
+            rhs = _knn_verdict(query, np.stack([c1, c0]), [1, 0], k=1).label
             assert lhs == rhs
 
 
@@ -160,11 +160,11 @@ class TestIsometryInvariance:
         for _ in range(200):
             q = rng.standard_normal(5)
             tq = q @ rotation.T + shift
-            assert _centroid_label(q, c0, c1) == _centroid_label(tq, t0, t1)
+            assert _centroid_verdict(q, c0, c1).label == _centroid_verdict(tq, t0, t1).label
             for k in (1, 3, 8):
-                assert _knn_label(q, emb, labels, k) == _knn_label(
+                assert _knn_verdict(q, emb, labels, k).label == _knn_verdict(
                     tq, emb @ rotation.T + shift, labels, k
-                )
+                ).label
 
     def test_translation_invariance_of_triplet_distances(self):
         rng = np.random.default_rng(5)
@@ -225,15 +225,15 @@ def make_samples(det, labels):
 class TestEval:
     def test_constant_benign_detector_oml(self):
         det = constant_benign_detector()
-        benign = make_samples(det, [0, 0, 0])
-        attacked = make_samples(det, [1, 1, 1])
+        benign = embed_samples(det, make_samples(det, [0, 0, 0]))
+        attacked = embed_samples(det, make_samples(det, [1, 1, 1]))
         oml = eval_oml(det, benign, attacked, mode="centroid")
         assert oml == pytest.approx(0.5)
 
     def test_constant_benign_detector_al(self):
         det = constant_benign_detector()
-        benign = make_samples(det, [0, 0])
-        by_sev = {x: make_samples(det, [1, 1]) for x in range(1, 5)}
+        benign = embed_samples(det, make_samples(det, [0, 0]))
+        by_sev = {x: embed_samples(det, make_samples(det, [1, 1])) for x in range(1, 5)}
         wm, a0, per = eval_al(det, benign, by_sev, mode="centroid")
         assert a0 == 1.0
         assert all(v == 0.0 for v in per.values())
@@ -245,24 +245,29 @@ class TestEval:
         benign, attacked = [], []
         for i in range(4):
             img = rng.random((8, 8))
-            label = centroid_classify(det, img)
+            label = classify(det, img).label
             (attacked if label else benign).append(LabeledSample(img, label, "z"))
         if benign and attacked:
+            benign, attacked = embed_samples(det, benign), embed_samples(det, attacked)
             assert eval_oml(det, benign, attacked, mode="centroid") == 1.0
 
     def test_al_requires_contiguous_severities(self):
         det = constant_benign_detector()
-        benign = make_samples(det, [0])
+        benign = embed_samples(det, make_samples(det, [0]))
         with pytest.raises(ValueError, match="contiguous"):
             eval_al(det, benign, {1: benign, 3: benign})
 
     def test_accuracy_empty(self):
+        det = constant_benign_detector()
+        empty = embed_samples(det, [])
         with pytest.raises(ValueError):
-            accuracy(constant_benign_detector(), [])
+            accuracy(det, empty)
 
     def test_unknown_mode(self):
+        det = constant_benign_detector()
+        embedded = embed_samples(det, make_samples(None, [0]))
         with pytest.raises(ValueError):
-            accuracy(constant_benign_detector(), make_samples(None, [0]), mode="svm")
+            accuracy(det, embedded, mode="svm")
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ import pytest
 
 from weightsteg import detect
 from weightsteg.dataset import synth_collection
-from weightsteg.detect import ReportRow, eval_al, eval_oml
+from weightsteg.detect import ReportRow, embed_samples, eval_al, eval_oml
 from weightsteg.pipeline import (
     ExperimentConfig,
     load_flat_models,
@@ -40,11 +40,16 @@ def forwards(monkeypatch):
 
 
 def sample_based_rows(detector, collection, cfg, seed):
-    """The rows the per-sample eval_oml/eval_al give for the run's detector."""
+    """The rows eval_oml/eval_al give for the run's detector when every image
+    set, the trained severity's included, is rendered and embedded on its own."""
     test_flats = [fm for fm in load_flat_models(collection) if fm.zoo not in cfg.train_zoos]
-    benign = render_samples(test_flats, cfg, None, None)
-    attacked = render_samples(test_flats, cfg, cfg.lsb, PAYLOAD)
-    per_x = {x: render_samples(test_flats, cfg, x, PAYLOAD) for x in cfg.severities}
+
+    def embedded(lsb, payload):
+        return embed_samples(detector, render_samples(test_flats, cfg, lsb, payload))
+
+    benign = embedded(None, None)
+    attacked = embedded(cfg.lsb, PAYLOAD)
+    per_x = {x: embedded(x, PAYLOAD) for x in cfg.severities}
     rows = []
     for mode in cfg.modes:
         oml = eval_oml(detector, benign, attacked, mode, cfg.knn_k)
