@@ -61,7 +61,8 @@ def build_detector(
     labels = np.asarray(labels, dtype=np.int64)
     if not ((labels == 0).any() and (labels == 1).any()):
         raise ValueError("detector needs at least one embedding per class")
-    emb = forward(config, params, np.asarray(images, dtype=np.float32)).astype(np.float32)
+    # one batch-1 forward per image, as embed runs: a batched forward differs in the last bits
+    emb = np.stack([forward(config, params, image) for image in images]).astype(np.float32)
     return TrainedDetector(
         config=config,
         params=params,

@@ -87,6 +87,12 @@ class TestCentroid:
         assert np.allclose(det.centroid_benign, emb[det.labels == 0].mean(axis=0), atol=1e-6)
         assert np.allclose(det.centroid_malicious, emb[det.labels == 1].mean(axis=0), atol=1e-6)
 
+    def test_stored_embeddings_are_batch_1(self):
+        images = np.random.default_rng(0).random((6, 8, 8))
+        det = build_detector(TINY, init_params(TINY), images, [0, 0, 0, 1, 1, 1])
+        for i, image in enumerate(images):
+            assert det.embeddings[i].tobytes() == det.embed(image).astype(np.float32).tobytes()
+
     def test_needs_both_classes(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):

@@ -83,8 +83,7 @@ def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, m
 
     n_test = 4  # zoo1 and zoo2 hold two models each
     attacked_sets = len(set(severities) | {lsb})
-    # one batch for the detector's training embeddings, then batch-1 forwards only
-    assert calls[0] == (2 * PER_CLASS,)
-    assert calls[1:] == [()] * (n_test * (1 + attacked_sets))
+    # batch-1 forwards only: the detector's training embeddings, then each evaluation image
+    assert calls == [()] * (2 * PER_CLASS + n_test * (1 + attacked_sets))
 
     assert res.rows == sample_based_rows(res.detector, collection, cfg, 3)
