@@ -67,6 +67,7 @@ from .weights_io import (
     WeightTensor,
     flatten,
     load_model,
+    open_words,
     parse_model,
     read_container,
     read_raw,

@@ -36,7 +36,7 @@ from .imagerep import REPRESENTATIONS, normalize, render, write_pgm
 from .net import TrainConfig, preset, train
 from .pipeline import ExperimentConfig, run_report_sweep
 from .steg import AttackSpec, Payload, extract_lsb
-from .weights_io import flatten, load_model, save_model, sha256_hex
+from .weights_io import flatten, load_model, open_words, save_model, sha256_hex
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -234,7 +234,8 @@ def cmd_scan(args) -> int:
     failed = False
     for target in _scan_targets(Path(args.model)):
         try:
-            image = normalize(render(flatten(load_model(target)), detector.representation, size))
+            with open_words(target) as words:
+                image = normalize(render(words, detector.representation, size))
         except (FormatError, OSError, ValueError) as exc:
             print(f"error[data]: {target}: {exc}", file=sys.stderr)
             failed = True

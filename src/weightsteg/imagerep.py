@@ -13,36 +13,37 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .weights_io import DType, WeightTensor
+from .weights_io import DType, FileWords, WeightTensor
 
 
-def _fourpart_source(tensor: WeightTensor):
+def _fourpart_source(source):
     """The four-part layout as a gather: (height, width, pixels(rows, cols)).
 
     Each 32-bit weight splits into bytes p1..p4 from most to least
     significant. Every plane is zero-padded to the next square, reshaped
     row-major, and the planes are laid out [[p1, p2], [p3, p4]]. ``pixels``
-    returns the uint8 block at ``rows x cols`` and reads only the words it shows.
+    returns the uint8 block at ``rows x cols`` and reads only the words it
+    shows, through ``source.take(flat_indices)``: source is a WeightTensor,
+    or a weights_io.FileWords that reads them from the file.
     """
-    if tensor.dtype is not DType.F32:
+    if source.dtype is not DType.F32:
         raise FormatError(
-            f"grayscale-fourpart requires float32 weights, got {tensor.dtype.value}"
+            f"grayscale-fourpart requires float32 weights, got {source.dtype.value}"
         )
-    words, n = tensor.bits, tensor.n
+    n = source.n
     if n == 0:
         raise ValueError("cannot build an image from an empty tensor")
     side = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
 
-    full_rows = n // side  # >= 1; row full_rows is partial when side**2 > n
-    complete = words[: full_rows * side].reshape(full_rows, side)
-    last = np.zeros(side, dtype=words.dtype)
-    last[: n - full_rows * side] = words[full_rows * side :]
-
     def pixels(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        r, c = rows % side, cols % side
-        value = complete[np.minimum(r, full_rows - 1)[:, None], c]
-        value[r == full_rows] = last[c]
-        value[r > full_rows] = 0
+        # the four planes show the same words: gather each distinct one once
+        r, r_at = np.unique(rows % side, return_inverse=True)
+        c, c_at = np.unique(cols % side, return_inverse=True)
+        flat = r[:, None] * side + c[None, :]
+        padding = flat >= n
+        words = source.take(np.minimum(flat, n - 1, out=flat))
+        words[padding] = 0
+        value = words.take(r_at, axis=0).take(c_at, axis=1)
         # planes p1..p4 hold the bytes at shifts 24, 16, 8, 0
         value >>= np.where(rows < side, 16, 0).astype(np.uint32)[:, None]
         value >>= np.where(cols < side, 8, 0).astype(np.uint32)[None, :]
@@ -103,11 +104,13 @@ def resize(img: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     return _bilinear(*img.shape, target_h, target_w, lambda rows, cols: img[rows[:, None], cols])
 
 
-def render(tensor: WeightTensor, representation: str, size: int) -> np.ndarray:
+def render(tensor: WeightTensor | FileWords, representation: str, size: int) -> np.ndarray:
     """The model image resized to size x size, reading only the tapped words.
 
     Equal to ``resize(REPRESENTATIONS[representation](tensor), size, size)``
-    but reads 4 * size**2 words, whatever the number of weights.
+    but reads 4 * size**2 words, whatever the number of weights. tensor may
+    be a FileWords (weights_io.open_words), which reads those words from
+    the file.
     """
     source = _SOURCES.get(representation)
     if source is None:
@@ -121,14 +124,6 @@ def render(tensor: WeightTensor, representation: str, size: int) -> np.ndarray:
 def normalize(img: np.ndarray) -> np.ndarray:
     """Map 0-255 pixel values to real values in [0, 1]."""
     return _check_image(img).astype(np.float64) / 255.0
-
-
-def denormalize(img: np.ndarray) -> np.ndarray:
-    """Inverse of normalize: scale to 0-255 and round."""
-    img = np.asarray(img, dtype=np.float64)
-    if img.min() < 0.0 or img.max() > 1.0:
-        raise ValueError("normalized pixels must lie in [0, 1]")
-    return np.rint(img * 255.0).astype(np.uint8)
 
 
 def write_pgm(img: np.ndarray, path: str | Path) -> None:

@@ -172,13 +172,16 @@ def _conv_forward(x, w, b):
     return y, (cols, x.shape)
 
 
-def _conv_backward(dy, w, cache):
+def _conv_backward(dy, w, cache, input_grad=True):
+    """(dx, dw, db) of a convolution; dx is None unless input_grad."""
     cols, x_shape = cache
     batch, out_c, oh, ow = dy.shape
     k = w.shape[2]
     dmat = dy.reshape(batch, out_c, oh * ow).transpose(0, 2, 1)
     dw = np.tensordot(dmat, cols, axes=([0, 1], [0, 1])).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, dw, db
     dcols = (dmat @ w.reshape(out_c, -1)).reshape(batch, oh, ow, x_shape[1], k, k)
     dx = np.zeros(x_shape, dtype=dy.dtype)
     for i in range(k):
@@ -275,7 +278,10 @@ def _backward(config: ConvNetConfig, params: NetParams, cache, demb):
             dx = _pool_backward(dx, pool_cache)
         dx = dx * mask
         w = params.tensors[f"conv{i}.weight"]
-        dx, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = _conv_backward(dx, w, conv_cache)
+        # the images need no gradient, so block 0 skips its col2im
+        dx, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = _conv_backward(
+            dx, w, conv_cache, input_grad=i > 0
+        )
     return grads
 
 

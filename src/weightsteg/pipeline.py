@@ -25,7 +25,7 @@ from .detect import (
 from .imagerep import normalize, render
 from .net import TrainConfig, preset, train
 from .steg import AttackSpec, Payload
-from .weights_io import WeightTensor, flatten, load_model, sha256_hex
+from .weights_io import WeightTensor, flatten, parse_model, sha256_hex
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ class FlatModel:
     zoo: str
     path: str
     tensor: WeightTensor
+    sha256: str  # of the file's bytes, for provenance_digest
 
 
 @dataclass
@@ -66,10 +67,14 @@ class RunResult:
 
 
 def load_flat_models(collection: ModelCollection) -> list[FlatModel]:
+    """Every model of the collection, flattened; each file is read and hashed once."""
     out = []
     for zoo in collection.zoos:
         for path in zoo.model_paths:
-            out.append(FlatModel(zoo.zoo_id, str(path), flatten(load_model(path))))
+            data = path.read_bytes()
+            out.append(
+                FlatModel(zoo.zoo_id, str(path), flatten(parse_model(data, path)), sha256_hex(data))
+            )
     return out
 
 
@@ -109,12 +114,15 @@ def select_train_pairs(flats, train_zoos, per_class: int) -> list[FlatModel]:
     return picked
 
 
-def provenance_digest(collection: ModelCollection, payload: Payload, cfg: ExperimentConfig) -> str:
-    """Digest of everything a run consumes, minus the seed."""
+def provenance_digest(
+    collection: ModelCollection, flats: list[FlatModel], payload: Payload, cfg: ExperimentConfig
+) -> str:
+    """Digest of everything a run consumes, minus the seed; flats are
+    load_flat_models(collection), whose file digests it reuses."""
     doc = {
         "mc_id": collection.mc_id,
         "models": {
-            zoo.zoo_id: [sha256_hex(p.read_bytes()) for p in zoo.model_paths]
+            zoo.zoo_id: [fm.sha256 for fm in flats if fm.zoo == zoo.zoo_id]
             for zoo in collection.zoos
         },
         "payload_sha256": payload.sha256(),
@@ -173,7 +181,7 @@ def run_detection_run(
         train_images,
         train_labels,
         representation=cfg.representation,
-        manifest_sha256=digest or provenance_digest(collection, payload, cfg),
+        manifest_sha256=digest or provenance_digest(collection, flats, payload, cfg),
         seed=seed,
         strategy=cfg.strategy,
         trained_lsb=cfg.lsb,
@@ -229,7 +237,7 @@ def run_report_sweep(
     results: list[RunResult] = []
     for lsb in trained_lsbs:
         run_cfg = replace(cfg, lsb=lsb)
-        digest = provenance_digest(collection, payload, run_cfg)
+        digest = provenance_digest(collection, flats, payload, run_cfg)
         for i in range(runs):
             res = run_detection_run(collection, payload, run_cfg, base_seed + i, flats, digest)
             rows.extend(res.rows)

@@ -11,10 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import stat
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,6 +103,10 @@ class WeightTensor:
         """NaN/Inf words; they are legal cover words but worth surfacing."""
         return int(np.count_nonzero(~np.isfinite(self.values())))
 
+    def take(self, flat_indices) -> np.ndarray:
+        """The words at flat_indices, as FileWords.take reads them from a file."""
+        return self.bits[flat_indices]
+
     def with_bits(self, bits) -> "WeightTensor":
         return WeightTensor(self.name, self.dtype, self.shape, bits)
 
@@ -141,27 +149,36 @@ class ModelWeights:
         )
 
 
+def _raw_word_count(nbytes: int, dtype: DType) -> int:
+    if nbytes % dtype.word_bytes != 0:
+        raise FormatError(
+            f"byte length {nbytes} not divisible by word size {dtype.word_bytes}"
+        )
+    return nbytes // dtype.word_bytes
+
+
 def read_raw(data: bytes, dtype: DType) -> WeightTensor:
     """Parse consecutive little-endian words into one unnamed flat tensor."""
-    if len(data) % dtype.word_bytes != 0:
-        raise FormatError(
-            f"byte length {len(data)} not divisible by word size {dtype.word_bytes}"
-        )
+    n = _raw_word_count(len(data), dtype)
     words = np.frombuffer(data, dtype=dtype.word_dtype).copy()
-    return WeightTensor("", dtype, (len(words),), words)
+    return WeightTensor("", dtype, (n,), words)
 
 
 def write_raw(tensor: WeightTensor) -> bytes:
     return _tensor_buffer(tensor).tobytes()
 
 
-def _decode_header(data: bytes) -> tuple[dict, int]:
-    if len(data) < 8:
+def _header_length(prefix: bytes, size: int) -> int:
+    """The JSON header length from the first 8 bytes of a size-byte container."""
+    if len(prefix) < 8:
         raise FormatError("file too small for container header")
-    (header_len,) = struct.unpack("<Q", data[:8])
-    if 8 + header_len > len(data):
+    (header_len,) = struct.unpack("<Q", prefix[:8])
+    if 8 + header_len > size:
         raise FormatError("header extends beyond end of file")
+    return header_len
 
+
+def _decode_header(raw: bytes) -> dict:
     def reject_duplicates(pairs):
         out = {}
         for key, value in pairs:
@@ -171,29 +188,38 @@ def _decode_header(data: bytes) -> tuple[dict, int]:
         return out
 
     try:
-        header = json.loads(
-            data[8 : 8 + header_len].decode("utf-8"), object_pairs_hook=reject_duplicates
-        )
+        header = json.loads(raw.decode("utf-8"), object_pairs_hook=reject_duplicates)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"invalid header JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("container header is not a JSON object")
-    return header, 8 + header_len
+    return header
 
 
-def read_container(data: bytes, source_path: str = "") -> ModelWeights:
-    """Parse a safetensors-compatible container, preserving tensor order."""
-    header, buffer_start = _decode_header(data)
-    buffer = memoryview(data)[buffer_start:]  # slices are views; each tensor is copied once
+class _Entry(NamedTuple):
+    """One tensor of a container header; begin and end are offsets into the data buffer."""
 
+    name: str
+    dtype: DType
+    shape: tuple[int, ...]
+    begin: int
+    end: int
+
+
+def _layout(header: dict, buffer_len: int) -> tuple[dict[str, str], list[_Entry]]:
+    """Check a decoded header against a data buffer of buffer_len bytes.
+
+    Returns the metadata and the tensor entries in header order. Every
+    container check lives here, so a full parse and a header-only read of
+    the same bytes accept and refuse the same files.
+    """
     metadata = header.pop(_METADATA_KEY, {})
     if not isinstance(metadata, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
     ):
         raise FormatError("__metadata__ must map strings to strings")
 
-    tensors = []
-    spans = []
+    entries = []
     for name, meta in header.items():
         if not isinstance(meta, dict):
             raise FormatError(f"tensor {name!r}: metadata is not an object")
@@ -201,29 +227,43 @@ def read_container(data: bytes, source_path: str = "") -> ModelWeights:
             dtype = DType.parse(str(meta["dtype"]))
             shape = tuple(int(d) for d in meta["shape"])
             begin, end = (int(x) for x in meta["data_offsets"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: JSON admits Infinity and 1e999, which int() refuses
             raise FormatError(f"tensor {name!r}: bad header entry ({exc})") from exc
         if any(d < 0 for d in shape):
             raise FormatError(f"tensor {name!r}: negative dimension")
         nbytes = math.prod(shape) * dtype.word_bytes
         if begin < 0 or end - begin != nbytes:
             raise FormatError(f"tensor {name!r}: data_offsets do not match shape")
-        if end > len(buffer):
+        if end > buffer_len:
             raise FormatError(f"tensor {name!r}: data truncated")
-        spans.append((begin, end))
-        words = np.frombuffer(buffer[begin:end], dtype=dtype.word_dtype).copy()
-        tensors.append(WeightTensor(name, dtype, shape, words))
+        entries.append(_Entry(name, dtype, shape, begin, end))
 
     # tensors must tile the buffer: no gaps, no overlap
     cursor = 0
-    for begin, end in sorted(spans):
+    for begin, end in sorted((e.begin, e.end) for e in entries):
         if begin != cursor:
             raise FormatError("tensor data_offsets overlap or leave a gap")
         cursor = end
-    if cursor != len(buffer):
+    if cursor != buffer_len:
         raise FormatError("trailing bytes after tensor data")
+    return dict(metadata), entries
 
-    return ModelWeights(tensors, source_path=source_path, metadata=dict(metadata))
+
+def read_container(data: bytes, source_path: str = "") -> ModelWeights:
+    """Parse a safetensors-compatible container, preserving tensor order."""
+    header_len = _header_length(data[:8], len(data))
+    buffer_start = 8 + header_len
+    metadata, entries = _layout(_decode_header(data[8:buffer_start]), len(data) - buffer_start)
+    buffer = memoryview(data)[buffer_start:]  # slices are views; each tensor is copied once
+    tensors = [
+        WeightTensor(
+            e.name, e.dtype, e.shape,
+            np.frombuffer(buffer[e.begin : e.end], dtype=e.dtype.word_dtype).copy(),
+        )
+        for e in entries
+    ]
+    return ModelWeights(tensors, source_path=source_path, metadata=metadata)
 
 
 def _tensor_buffer(tensor: WeightTensor) -> memoryview:
@@ -279,19 +319,19 @@ def flatten(model: ModelWeights) -> WeightTensor:
 
     This is the canonical cover sequence every attack operates on.
     """
-    dtype = _flat_dtype(model)
+    dtype = _flat_dtype(model.tensors)
     bits = np.concatenate([t.bits for t in model.tensors])
     return WeightTensor("", dtype, (len(bits),), bits)
 
 
-def _flat_dtype(model: ModelWeights) -> DType:
-    """The one dtype of a flattenable model."""
-    if not model.tensors:
+def _flat_dtype(tensors) -> DType:
+    """The one dtype of a flattenable model's tensors (or header entries)."""
+    if not tensors:
         raise ValueError("cannot flatten a model with no tensors")
-    dtypes = {t.dtype for t in model.tensors}
+    dtypes = {t.dtype for t in tensors}
     if len(dtypes) > 1:
         raise ValueError(f"mixed dtypes in model: {sorted(d.value for d in dtypes)}")
-    return model.tensors[0].dtype
+    return tensors[0].dtype
 
 
 def unflatten(model: ModelWeights, flat_bits: np.ndarray) -> ModelWeights:
@@ -327,6 +367,91 @@ def load_model(path: str | Path) -> ModelWeights:
     return parse_model(Path(path).read_bytes(), path)
 
 
+# Words at most this many bytes apart are read by one pread, the bytes between included.
+_RUN_GAP_BYTES = 4096
+
+
+class FileWords:
+    """The words of flatten(load_model(path)), read from an open regular file on demand.
+
+    Construction reads only the 8-byte length prefix and the JSON header
+    (nothing for a raw .f32/.f16 file) and makes every check that parse_model
+    and flatten make. ``take`` maps flat indices, which follow the header's
+    tensor order as flatten does, to file offsets and reads them with
+    os.pread: one call per run of words less than _RUN_GAP_BYTES apart in the
+    file. It never maps the file, so a file truncated while open raises
+    FormatError instead of faulting. The file descriptor stays the caller's.
+    """
+
+    def __init__(self, fd: int, size: int, path: Path):
+        self._fd = fd
+        raw_dtype = _raw_dtype_for_path(path)
+        if raw_dtype is not None:
+            self.dtype, self.n = raw_dtype, _raw_word_count(size, raw_dtype)
+            spans = [(0, self.n)]  # (file offset, words) per tensor, in flatten order
+        else:
+            header_len = _header_length(os.pread(fd, 8, 0), size)
+            data_start = 8 + header_len
+            _, entries = _layout(_decode_header(self._read(header_len, 8)), size - data_start)
+            self.dtype = _flat_dtype(entries)
+            word_bytes = self.dtype.word_bytes
+            spans = [(data_start + e.begin, (e.end - e.begin) // word_bytes) for e in entries]
+            self.n = sum(words for _, words in spans)
+        table = np.array([span for span in spans if span[1] > 0], dtype=np.int64).reshape(-1, 2)
+        self._offsets = table[:, 0]
+        self._starts = np.cumsum(table[:, 1]) - table[:, 1]  # first flat index of each tensor
+
+    def _read(self, nbytes: int, offset: int) -> bytes:
+        data = os.pread(self._fd, nbytes, offset)
+        if len(data) != nbytes:
+            raise FormatError(
+                f"file ends at byte {offset + len(data)}, short of byte {offset + nbytes} "
+                "that its layout promised (truncated while open?)"
+            )
+        return data
+
+    def take(self, flat_indices) -> np.ndarray:
+        """The words at flat_indices (any shape), in that shape."""
+        idx = np.asarray(flat_indices, dtype=np.int64)
+        wanted, at = np.unique(idx.reshape(-1), return_inverse=True)
+        if len(wanted) == 0:
+            return np.empty(idx.shape, dtype=self.dtype.word_dtype)
+        if wanted[0] < 0 or wanted[-1] >= self.n:
+            raise IndexError(f"flat index out of range for {self.n} words")
+        tensor = np.searchsorted(self._starts, wanted, side="right") - 1
+        word_bytes = self.dtype.word_bytes
+        pos = self._offsets[tensor] + (wanted - self._starts[tensor]) * word_bytes
+        # a run ends where the next word lies before it (header order is not
+        # offset order) or too far after it
+        step = np.diff(pos)
+        cuts = np.flatnonzero((step < 0) | (step > _RUN_GAP_BYTES)) + 1
+        bounds = [0, *cuts.tolist(), len(wanted)]
+        words = np.empty(len(wanted), dtype=self.dtype.word_dtype)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            first = int(pos[lo])
+            run = np.frombuffer(self._read(int(pos[hi - 1]) - first + word_bytes, first),
+                                dtype=self.dtype.word_dtype)
+            words[lo:hi] = run[(pos[lo:hi] - first) // word_bytes]
+        return words[at].reshape(idx.shape)
+
+
+@contextmanager
+def open_words(path: str | Path):
+    """Yield the words of flatten(load_model(path)) as a source with dtype, n and take().
+
+    A regular file gives a FileWords, which reads only what take() asks for;
+    the file is closed when the block exits. Anything else (a pipe, a
+    device) cannot be read at offsets, so it is read whole and flattened.
+    """
+    path = Path(path)
+    with open(path, "rb", buffering=0) as fh:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            yield FileWords(fh.fileno(), info.st_size, path)
+        else:
+            yield flatten(parse_model(fh.read(), path))
+
+
 def save_model(model: ModelWeights, path: str | Path) -> str:
     """Write model to path and return the sha256 hex digest of the bytes written.
 
@@ -337,7 +462,7 @@ def save_model(model: ModelWeights, path: str | Path) -> str:
     path = Path(path)
     raw_dtype = _raw_dtype_for_path(path)
     if raw_dtype is not None:
-        dtype = _flat_dtype(model)
+        dtype = _flat_dtype(model.tensors)
         if dtype is not raw_dtype:
             raise ValueError(f"model dtype {dtype.value} does not match {path.suffix}")
         parts = [_tensor_buffer(t) for t in model.tensors]

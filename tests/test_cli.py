@@ -2,17 +2,21 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from test_weights_io import scrambled_container
+from weightsteg import cli
 from weightsteg.cli import main
 from weightsteg.dataset import attack_model, load_dataset, synth_collection
-from weightsteg.detect import build_detector, load_detector, save_detector
+from weightsteg.detect import build_detector, classify, load_detector, save_detector
 from weightsteg.errors import FormatError
-from weightsteg.imagerep import grayscale_fourpart, read_pgm, resize
+from weightsteg.imagerep import grayscale_fourpart, normalize, read_pgm, render, resize
 from weightsteg.pipeline import ExperimentConfig, run_detection_run, select_train_pairs, load_flat_models
 from weightsteg.net import ConvBlock, ConvNetConfig, init_params
 from weightsteg.steg import AttackSpec, Payload, extract_lsb, lsb_attack, lsb_attack_fill
@@ -20,6 +24,7 @@ from weightsteg.weights_io import (
     WeightTensor,
     flatten,
     load_model,
+    open_words,
     read_container,
     unflatten,
     write_container,
@@ -314,6 +319,115 @@ class TestScanKeepsGoing:
         assert "Traceback" not in captured.err
 
 
+def scan_lines_by_full_read(detector_bytes, targets):
+    """scan's verdict lines computed from a full read, parse and flatten of each file."""
+    detector = load_detector(detector_bytes)
+    lines = []
+    for target in targets:
+        flat = flatten(load_model(target))
+        image = normalize(render(flat, detector.representation, detector.config.input_size))
+        label, benign, malicious = classify(detector, image)
+        lines.append(f"{target},{label},{benign!r},{malicious!r}\n")
+    return "".join(lines)
+
+
+class TestScanReadsWords:
+    """scan renders from open_words: the same verdicts as a full read, and a
+    file that shrinks mid-scan is a data error for that file alone."""
+
+    @pytest.fixture
+    def zoo(self, tmp_path, mc_dir):
+        zoo = tmp_path / "zoo"
+        zoo.mkdir()
+        for i, path in enumerate(sorted(mc_dir.rglob("*.safetensors"))):
+            model = load_model(path)
+            if i % 3 == 0:
+                (zoo / f"m{i}.f32").write_bytes(write_raw(flatten(model)))
+            elif i % 3 == 1:
+                order = list(range(len(model.tensors)))[::-1]
+                (zoo / f"m{i}.safetensors").write_bytes(scrambled_container(model.tensors, order))
+            else:
+                (zoo / f"m{i}.safetensors").write_bytes(path.read_bytes())
+        return zoo
+
+    @pytest.mark.parametrize("input_size", [8, 28])
+    def test_stdout_equals_full_read(self, tmp_path, zoo, capsys, monkeypatch, input_size):
+        config = ConvNetConfig(input_size=input_size, blocks=(ConvBlock(2, 3, pool=True),),
+                               embedding_dim=4)
+        images = np.random.default_rng(0).random((2, input_size, input_size))
+        detector = save_detector(build_detector(config, init_params(config), images, [0, 1]))
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(detector)
+        targets = sorted(zoo.iterdir())
+        assert {t.suffix for t in targets} == {".f32", ".safetensors"}
+        expected = scan_lines_by_full_read(detector, targets)
+
+        def no_full_read(*args, **kwargs):
+            raise AssertionError("scan read a whole regular file")
+
+        monkeypatch.setattr(cli, "load_model", no_full_read)
+        monkeypatch.setattr(cli, "flatten", no_full_read)
+        capsys.readouterr()
+        assert run("scan", "--detector", det_path, "--model", zoo) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_file_truncated_after_open(self, tmp_path, zoo, capsys, monkeypatch):
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        targets = sorted(zoo.iterdir())
+        victim = targets[1]
+
+        @contextlib.contextmanager
+        def shrinking(path):
+            with open_words(path) as words:
+                if path == victim:
+                    os.truncate(path, path.stat().st_size // 2)
+                yield words
+
+        monkeypatch.setattr(cli, "open_words", shrinking)
+        capsys.readouterr()
+        assert run("scan", "--detector", det_path, "--model", zoo) == 3
+        captured = capsys.readouterr()
+        assert [line.split(",")[0] for line in captured.out.splitlines()] == [
+            str(t) for t in targets if t != victim
+        ]
+        errors = captured.err.splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error[data]: {victim}: ")
+        assert "truncated while open" in errors[0]
+
+    @pytest.mark.parametrize("suffix", [".safetensors", ".f32"])
+    def test_fifo_is_read_whole(self, tmp_path, zoo, capsys, monkeypatch, suffix):
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        source = next(t for t in sorted(zoo.iterdir()) if t.suffix == suffix)
+        fifo = tmp_path / f"pipe{suffix}"
+        os.mkfifo(fifo)
+        sources = []
+
+        @contextlib.contextmanager
+        def recording(path):
+            with open_words(path) as words:
+                sources.append(type(words))
+                yield words
+
+        monkeypatch.setattr(cli, "open_words", recording)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(source.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        capsys.readouterr()
+        assert run("scan", "--detector", det_path, "--model", fifo) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert sources == [WeightTensor]  # the flattened full read, not a FileWords
+        expected = scan_lines_by_full_read(tiny_detector_bytes(), [source])
+        assert capsys.readouterr().out == expected.replace(str(source), str(fifo))
+
+
 class TestTrainManifestPaths:
     @pytest.mark.parametrize("escape", ["absolute", "parent"])
     def test_escaping_sample_path_exit_3(self, tmp_path, mc_dir, capsys, escape):
@@ -424,6 +538,31 @@ class TestReportCommand:
         lines = csv_path.read_text().splitlines()[1:]
         oml = [l for l in lines if l.split(",")[3] == "oml_accuracy" and l.split(",")[0] == "0"]
         assert [l.split(",")[1] for l in oml] == ["2", "3", "4"]
+
+    def test_sweep_reads_each_model_once(self, tmp_path, monkeypatch):
+        mc = tmp_path / "mc"
+        synth_collection(mc, n_zoos=2, n_models=2, n_params=200, seed=4)
+        models = sorted(mc.rglob("*.safetensors"))
+        reads = []
+        read_bytes = type(mc).read_bytes
+
+        def counting(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(type(mc), "read_bytes", counting)
+        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
+        assert run("report", "--mc", mc, "--lsb", "2-4", "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28,
+                   "--train-per-class", 2, "--runs", 2, "--seed", 0, "--severities", "1-3",
+                   "--out-csv", csv_path, "--out-json", json_path) == 0
+        monkeypatch.undo()
+        assert sorted(p for p in reads if p.suffix == ".safetensors") == models
+        # the bytes written when every trained severity re-read and re-hashed each file
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "c6d5e93b95513229ec206ac8db314672976b2e2d64b568d827f0679009c21435")
+        assert hashlib.sha256(json_path.read_bytes()).hexdigest() == (
+            "96837f93e8f9d485ab4dd8670d5813bde606d5f9aac10ba3230a7d21b6671b95")
 
     @pytest.mark.parametrize(
         "flags,lsb",

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import (
-    denormalize,
     grayscale_fourpart,
     normalize,
     read_pgm,
@@ -32,6 +31,14 @@ def fourpart_oracle(words):
     top = [planes[0][r] + planes[1][r] for r in range(side)]
     bottom = [planes[2][r] + planes[3][r] for r in range(side)]
     return np.array(top + bottom, dtype=np.uint8)
+
+
+def denormalize(img):
+    """Inverse of normalize: scale to 0-255 and round."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.min() < 0.0 or img.max() > 1.0:
+        raise ValueError("normalized pixels must lie in [0, 1]")
+    return np.rint(img * 255.0).astype(np.uint8)
 
 
 def f32_tensor(words):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from weightsteg import net
 from weightsteg.net import (
     _pool_backward,
     _pool_forward,
@@ -272,6 +273,49 @@ class TestBackward:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             backward(SMALL, init_params(SMALL), np.zeros((2, 8, 8)), [], 1.0)
+
+
+def reference_conv_backward(dy, w, cache, input_grad=True):
+    """The convolution backward pass that always computes the input gradient,
+    by im2col transpose and a k*k col2im loop."""
+    cols, x_shape = cache
+    batch, out_c, oh, ow = dy.shape
+    k = w.shape[2]
+    dmat = dy.reshape(batch, out_c, oh * ow).transpose(0, 2, 1)
+    dw = np.tensordot(dmat, cols, axes=([0, 1], [0, 1])).reshape(w.shape)
+    db = dy.sum(axis=(0, 2, 3))
+    dcols = (dmat @ w.reshape(out_c, -1)).reshape(batch, oh, ow, x_shape[1], k, k)
+    dx = np.zeros(x_shape, dtype=dy.dtype)
+    for i in range(k):
+        for j in range(k):
+            dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    return dx, dw, db
+
+
+@pytest.mark.parametrize("arch,size", [("tiny", 28), ("osl-small", 100)])
+def test_backward_bit_identical_to_reference(monkeypatch, arch, size):
+    """Skipping block 0's input gradient leaves every gradient bit for bit the same."""
+    config = preset(arch, input_size=size)
+    params = init_params(config)
+    images = np.random.default_rng(5).random((6, size, size))
+    triplets = make_triplets([0, 0, 0, 1, 1, 1])
+    input_grads = []
+    conv_backward = net._conv_backward
+
+    def counting(dy, w, cache, input_grad=True):
+        input_grads.append(input_grad)
+        return conv_backward(dy, w, cache, input_grad)
+
+    monkeypatch.setattr(net, "_conv_backward", counting)
+    grads, loss = backward(config, params, images, triplets, 1.0)
+    assert input_grads == [True] * (len(config.blocks) - 1) + [False]
+    monkeypatch.setattr(net, "_conv_backward", reference_conv_backward)
+    want, want_loss = backward(config, params, images, triplets, 1.0)
+    assert loss == want_loss > 0.0
+    assert grads.keys() == want.keys()
+    for name in want:
+        assert grads[name].dtype == want[name].dtype == np.float32
+        assert np.array_equal(grads[name].view(np.uint32), want[name].view(np.uint32)), name
 
 
 class TestAdam:

@@ -1,20 +1,24 @@
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weightsteg.errors import FormatError
+from weightsteg.imagerep import render
 from weightsteg.weights_io import (
     DType,
+    FileWords,
     ModelWeights,
     WeightTensor,
     flatten,
     is_canonical,
     load_model,
     model_digest,
+    open_words,
     parse_model,
     read_container,
     read_raw,
@@ -116,6 +120,16 @@ class TestContainer:
         ).encode()
         data = struct.pack("<Q", len(header)) + header + b"\x00" * 12
         with pytest.raises(FormatError, match="overlap|gap"):
+            read_container(data)
+
+    @pytest.mark.parametrize("field,value", [("shape", "[1e400]"), ("shape", "[Infinity]"),
+                                             ("data_offsets", "[0,-Infinity]")])
+    def test_infinite_number_in_header(self, field, value):
+        # JSON admits these; int() overflows on them
+        entry = {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}
+        header = json.dumps({"w": entry}).replace(json.dumps(entry[field]), value, 1).encode()
+        data = struct.pack("<Q", len(header)) + header + b"\x00" * 4
+        with pytest.raises(FormatError, match="bad header entry"):
             read_container(data)
 
     def test_malformed_header(self):
@@ -279,3 +293,186 @@ def test_noncanonical_bytes_recognized():
     parsed = parse_model(raw, "m.f32")
     assert write_container(parsed).startswith(header)
     assert not is_canonical(parsed, raw)
+
+
+def scrambled_container(tensors, data_order, metadata=None) -> bytes:
+    """A container whose header lists tensors in their order but whose data
+    section stores them in data_order, so header order is not offset order."""
+    offsets, chunks, cursor = {}, [], 0
+    for i in data_order:
+        buf = tensors[i].bits.tobytes()
+        offsets[tensors[i].name] = [cursor, cursor + len(buf)]
+        chunks.append(buf)
+        cursor += len(buf)
+    header = {"__metadata__": metadata} if metadata else {}
+    for t in tensors:
+        header[t.name] = {"dtype": t.dtype.value, "shape": list(t.shape),
+                          "data_offsets": offsets[t.name]}
+    header_bytes = json.dumps(header, separators=(",", ":")).encode()
+    return struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(chunks)
+
+
+def random_tensors(dtype, shapes, seed=0):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i, shape in enumerate(shapes):
+        words = rng.integers(0, 2**dtype.word_bits, size=int(np.prod(shape)), dtype=np.uint64)
+        out.append(WeightTensor(f"t{i}", dtype, shape, words.astype(dtype.word_dtype)))
+    return out
+
+
+def via_parse(data, path, size):
+    return render(flatten(parse_model(data, path)), "grayscale-fourpart", size)
+
+
+def via_reader(path, size):
+    with open_words(path) as words:
+        return render(words, "grayscale-fourpart", size)
+
+
+def outcome(call):
+    """The image a call returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (FormatError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(a, b):
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    else:
+        assert a == b
+
+
+class TestFileWords:
+    """open_words gives the words of flatten(load_model(path)) without reading them all."""
+
+    @pytest.mark.parametrize(
+        "shapes,order",
+        [
+            ([(3, 4), (0, 2), (5,)], [2, 0, 1]),  # a zero-length tensor, scrambled offsets
+            ([(0,), (7,), (0, 3)], [1, 2, 0]),  # zero-length first and last
+            ([(1,)], [0]),  # a 1-word model
+            ([(4, 4)], [0]),  # n = side**2
+            ([(16,), (1,)], [1, 0]),  # n = side**2 + 1
+            ([(30,), (20,), (50,)], [2, 0, 1]),
+        ],
+    )
+    def test_take_equals_flatten(self, tmp_path, shapes, order):
+        tensors = random_tensors(DType.F32, shapes)
+        path = tmp_path / "m.safetensors"
+        path.write_bytes(scrambled_container(tensors, order, {"k": "v"}))
+        flat = flatten(load_model(path))
+        with open_words(path) as words:
+            assert isinstance(words, FileWords)
+            assert (words.dtype, words.n) == (flat.dtype, flat.n)
+            everything = np.arange(flat.n)
+            assert np.array_equal(words.take(everything), flat.bits)
+            shuffled = np.random.default_rng(1).permutation(everything)[::-1].reshape(-1, 1)
+            assert np.array_equal(words.take(shuffled), flat.bits[shuffled])
+            assert words.take(np.zeros((0, 3), dtype=np.intp)).shape == (0, 3)
+            with pytest.raises(IndexError):
+                words.take([flat.n])
+            for size in (1, 3, 2 * flat.n + 1):
+                assert np.array_equal(render(words, "grayscale-fourpart", size),
+                                      render(flat, "grayscale-fourpart", size))
+
+    @pytest.mark.parametrize("dtype,suffix", [(DType.F32, ".f32"), (DType.F16, ".f16")])
+    def test_raw_file(self, tmp_path, dtype, suffix):
+        tensor = random_tensors(dtype, [(17,)])[0]
+        path = tmp_path / f"m{suffix}"
+        path.write_bytes(write_raw(tensor))
+        with open_words(path) as words:
+            assert (words.dtype, words.n) == (dtype, 17)
+            assert np.array_equal(words.take(np.arange(17)), tensor.bits)
+        path.write_bytes(write_raw(tensor)[:-1])
+        with pytest.raises(FormatError, match="not divisible"), open_words(path):
+            pass
+
+    @pytest.mark.parametrize(
+        "data,suffix,error",
+        [
+            (b"\x00" * 7, ".safetensors", "too small"),
+            (write_container(ModelWeights([])), ".safetensors", "no tensors"),
+            (scrambled_container([f32_tensor([1], "a"), WeightTensor("b", DType.F16, (1,), [2])],
+                                 [0, 1]), ".safetensors", "mixed dtypes"),
+            (write_container(ModelWeights([f32_tensor([1, 2], "a")]))[:-1], ".safetensors",
+             "truncated"),
+            (write_container(ModelWeights([f32_tensor([1, 2], "a")])) + b"\x00", ".safetensors",
+             "trailing"),
+            (b"", ".f32", "empty tensor"),
+        ],
+        ids=["short", "empty-model", "mixed", "truncated", "trailing", "empty-raw"],
+    )
+    def test_refuses_what_parse_and_flatten_refuse(self, tmp_path, data, suffix, error):
+        path = tmp_path / f"m{suffix}"
+        path.write_bytes(data)
+        got = outcome(lambda: via_reader(path, 4))
+        assert got == outcome(lambda: via_parse(data, path, 4))
+        assert error in got[1]
+
+    def test_reads_rows_not_the_file(self, tmp_path, monkeypatch):
+        n, size = 250_000, 16  # a 1 MB file of 500 x 500 words per plane
+        tensor = random_tensors(DType.F32, [(n,)])[0]
+        path = tmp_path / "m.safetensors"
+        save_model(ModelWeights([tensor]), path)
+        reads = []
+        pread = os.pread
+
+        def counting(fd, nbytes, offset):
+            reads.append(nbytes)
+            return pread(fd, nbytes, offset)
+
+        monkeypatch.setattr(os, "pread", counting)
+        image = via_reader(path, size)
+        assert np.array_equal(image, render(tensor, "grayscale-fourpart", size))
+        # the length prefix, the header, then at most one run per tapped row
+        assert len(reads) <= 2 + 2 * size
+        assert sum(reads) < path.stat().st_size // 10
+
+    def test_truncated_while_open(self, tmp_path):
+        tensor = random_tensors(DType.F32, [(100,)])[0]
+        path = tmp_path / "m.safetensors"
+        save_model(ModelWeights([tensor]), path)
+        with open_words(path) as words:
+            os.truncate(path, path.stat().st_size - 4 * 50)
+            with pytest.raises(FormatError, match="truncated while open"):
+                render(words, "grayscale-fourpart", 8)
+
+
+@st.composite
+def container_mutations(draw, data):
+    """1-3 byte overwrites, each in the length prefix and header or in the
+    tensor data with equal odds, half of them JSON characters; then, one time
+    in four, a cut or an extension of the tail."""
+    data_start = 8 + struct.unpack("<Q", data[:8])[0]
+    mutated = bytearray(data)
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b'0123456789-.e"{}[],: FI'))
+    for _ in range(draw(st.integers(1, 3))):
+        in_header = draw(st.booleans())
+        at = st.integers(0, data_start - 1) if in_header else st.integers(data_start, len(data) - 1)
+        mutated[draw(at)] = draw(byte)
+    tail = draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, -4, 4]))
+    return bytes(mutated[:tail] if tail < 0 else mutated + bytes(tail))
+
+
+FUZZ_CONTAINERS = {
+    dtype: scrambled_container(random_tensors(dtype, [(3, 4), (0, 2), (5,), (2,)], seed=7),
+                               [2, 3, 0, 1], {"origin": "fuzz"})
+    for dtype in (DType.F32, DType.F16)
+}
+
+
+@pytest.mark.parametrize("dtype", list(FUZZ_CONTAINERS), ids=lambda d: d.value)
+@settings(max_examples=250)
+@given(data=st.data())
+def test_reader_agrees_with_parse_on_mutated_containers(tmp_path_factory, dtype, data):
+    """A mutated container either fails both ways with the same error, or both
+    ways render the same image; no other exception escapes."""
+    mutated = data.draw(container_mutations(FUZZ_CONTAINERS[dtype]))
+    size = data.draw(st.integers(1, 12))
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{dtype.value}.safetensors"
+    path.write_bytes(mutated)
+    assert_same_outcome(outcome(lambda: via_reader(path, size)),
+                        outcome(lambda: via_parse(mutated, path, size)))
