@@ -137,12 +137,15 @@ def cmd_extract(args) -> int:
 
 
 def cmd_imagify(args) -> int:
-    model = load_model(args.infile)
+    """Write the model's image; a --size render reads only the words it taps."""
     rep = REPRESENTATIONS.get(args.rep)
     if rep is None:
         raise ValueError(f"unknown representation {args.rep!r}; known: {sorted(REPRESENTATIONS)}")
-    flat = flatten(model)
-    img = render(flat, args.rep, args.size) if args.size else rep(flat)
+    if args.size:
+        with open_words(args.infile) as words:
+            img = render(words, args.rep, args.size)
+    else:
+        img = rep(flatten(load_model(args.infile)))
     out = _out_path(args.out, Path(args.infile).stem + ".pgm")
     write_pgm(img, out)
     print(out)

@@ -161,32 +161,53 @@ def init_params(config: ConvNetConfig, rng: np.random.Generator | None = None) -
     return NetParams(tensors)
 
 
-def _conv_forward(x, w, b):
-    batch, _, _, _ = x.shape
-    out_c, _, k, _ = w.shape
+def _im2col(x, k):
+    """(B, OH*OW, C*k*k) rows of the k x k patches of a (B, C, H, W) batch."""
     win = sliding_window_view(x, (k, k), axis=(2, 3))  # (B, C, OH, OW, k, k)
-    oh, ow = win.shape[2], win.shape[3]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, oh * ow, -1)
-    out = cols @ w.reshape(out_c, -1).T + b
-    y = out.transpose(0, 2, 1).reshape(batch, out_c, oh, ow)
-    return y, (cols, x.shape)
+    batch, _, oh, ow = win.shape[:4]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, oh * ow, -1)
 
 
-def _conv_backward(dy, w, cache, input_grad=True):
-    """(dx, dw, db) of a convolution; dx is None unless input_grad."""
-    cols, x_shape = cache
+def _conv_forward(x, w, b):
+    """Valid convolution that builds one image's patches at a time.
+
+    Each image's gemm is the one a stacked ``matmul`` over the whole batch
+    runs for that image, so the output bits are the batched product's.
+    """
+    batch, _, h, width = x.shape
+    out_c, _, k, _ = w.shape
+    oh, ow = h - k + 1, width - k + 1
+    wt = w.reshape(out_c, -1).T
+    out = np.empty((batch, oh * ow, out_c), dtype=np.result_type(x, w, b))
+    for n in range(batch):
+        np.matmul(_im2col(x[n : n + 1], k), wt, out=out[n : n + 1])
+    out += b
+    return out.transpose(0, 2, 1).reshape(batch, out_c, oh, ow)
+
+
+def _conv_backward(dy, w, x, input_grad=True):
+    """(dx, dw, db) of a convolution of the block input x; dx is None unless input_grad.
+
+    dw takes one gemm over the whole batch's patches, rebuilt here and freed
+    before dx, which is summed one image at a time in (i, j) tap order.
+    """
     batch, out_c, oh, ow = dy.shape
     k = w.shape[2]
     dmat = dy.reshape(batch, out_c, oh * ow).transpose(0, 2, 1)
-    dw = np.tensordot(dmat, cols, axes=([0, 1], [0, 1])).reshape(w.shape)
+    dw = np.tensordot(dmat, _im2col(x, k), axes=([0, 1], [0, 1])).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
     if not input_grad:
         return None, dw, db
-    dcols = (dmat @ w.reshape(out_c, -1)).reshape(batch, oh, ow, x_shape[1], k, k)
-    dx = np.zeros(x_shape, dtype=dy.dtype)
-    for i in range(k):
-        for j in range(k):
-            dx[:, :, i : i + oh, j : j + ow] += dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+    w2 = w.reshape(out_c, -1)
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    for n in range(batch):
+        # (C, k, k, OH, OW), so that each tap adds one contiguous slice
+        taps = np.ascontiguousarray(
+            (dmat[n] @ w2).reshape(oh, ow, x.shape[1], k, k).transpose(2, 3, 4, 0, 1)
+        )
+        for i in range(k):
+            for j in range(k):
+                dx[n, :, i : i + oh, j : j + ow] += taps[:, i, j]
     return dx, dw, db
 
 
@@ -235,13 +256,15 @@ def _forward(config: ConvNetConfig, params: NetParams, x, with_cache=False):
     caches = []
     for i, block in enumerate(config.blocks):
         w, b = params.tensors[f"conv{i}.weight"], params.tensors[f"conv{i}.bias"]
-        x, conv_cache = _conv_forward(x, w, b)
-        mask = x > 0
-        x = x * mask
+        y = _conv_forward(x, w, b)
+        mask = y > 0
+        y *= mask  # ReLU, in place on the fresh conv output
         pool_cache = None
         if block.pool:
-            x, pool_cache = _pool_forward(x)
-        caches.append((conv_cache, mask, pool_cache))
+            y, pool_cache = _pool_forward(y)
+        if with_cache:
+            caches.append((x, mask, pool_cache))
+        x = y
     flat = x.reshape(x.shape[0], -1)
     z = flat @ params.tensors["embed.weight"].T + params.tensors["embed.bias"]
     if config.sigmoid_head:
@@ -273,14 +296,14 @@ def _backward(config: ConvNetConfig, params: NetParams, cache, demb):
     grads["embed.bias"] = demb.sum(axis=0)
     dx = (demb @ params.tensors["embed.weight"]).reshape(last_shape)
     for i in range(len(config.blocks) - 1, -1, -1):
-        conv_cache, mask, pool_cache = caches[i]
+        block_input, mask, pool_cache = caches[i]
         if pool_cache is not None:
             dx = _pool_backward(dx, pool_cache)
         dx = dx * mask
         w = params.tensors[f"conv{i}.weight"]
         # the images need no gradient, so block 0 skips its col2im
         dx, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = _conv_backward(
-            dx, w, conv_cache, input_grad=i > 0
+            dx, w, block_input, input_grad=i > 0
         )
     return grads
 

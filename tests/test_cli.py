@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from test_weights_io import scrambled_container
+from test_weights_io import random_tensors, scrambled_container
 from weightsteg import cli
 from weightsteg.cli import main
 from weightsteg.dataset import attack_model, load_dataset, synth_collection
 from weightsteg.detect import build_detector, classify, load_detector, save_detector
 from weightsteg.errors import FormatError
-from weightsteg.imagerep import grayscale_fourpart, normalize, read_pgm, render, resize
+from weightsteg.imagerep import grayscale_fourpart, normalize, read_pgm, render, resize, write_pgm
 from weightsteg.pipeline import ExperimentConfig, run_detection_run, select_train_pairs, load_flat_models
 from weightsteg.net import ConvBlock, ConvNetConfig, init_params
 from weightsteg.steg import AttackSpec, Payload, extract_lsb, lsb_attack, lsb_attack_fill
 from weightsteg.weights_io import (
+    DType,
+    ModelWeights,
     WeightTensor,
     flatten,
     load_model,
@@ -166,6 +168,38 @@ class TestImagify:
     def test_unknown_rep(self, tmp_path, mc_dir):
         model = mc_dir / "zoo1" / "model000.safetensors"
         assert run("imagify", "--in", model, "--rep", "nope", "--out", tmp_path / "x.pgm") == 2
+        # checked before the file is opened
+        missing = tmp_path / "missing.safetensors"
+        assert run("imagify", "--in", missing, "--rep", "nope", "--out", tmp_path / "x.pgm") == 2
+
+    @pytest.mark.parametrize("layout", ["container", "raw", "scrambled"])
+    def test_size_reads_tapped_words(self, tmp_path, monkeypatch, layout):
+        tensors = random_tensors(DType.F32, [(100_000,), (3,), (150_000,)])
+        path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
+        if layout == "raw":
+            path.write_bytes(write_raw(flatten(ModelWeights(tensors))))
+        elif layout == "scrambled":
+            path.write_bytes(scrambled_container(tensors, [2, 0, 1]))
+        else:
+            path.write_bytes(write_container(ModelWeights(tensors)))
+        want = tmp_path / "want.pgm"
+        write_pgm(render(flatten(load_model(path)), "grayscale-fourpart", 24), want)
+        reads = []
+        pread = os.pread
+
+        def counting(fd, nbytes, offset):
+            reads.append(nbytes)
+            return pread(fd, nbytes, offset)
+
+        def no_full_read(*args, **kwargs):
+            raise AssertionError("imagify --size read a whole regular file")
+
+        monkeypatch.setattr(os, "pread", counting)
+        monkeypatch.setattr(cli, "load_model", no_full_read)
+        out = tmp_path / "img.pgm"
+        assert run("imagify", "--in", path, "--size", 24, "--out", out) == 0
+        assert out.read_bytes() == want.read_bytes()
+        assert 0 < sum(reads) < path.stat().st_size // 10
 
 
 class TestSynthMc:

@@ -1,7 +1,11 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
+from numpy.lib.stride_tricks import sliding_window_view
 
 from weightsteg import net
 from weightsteg.net import (
@@ -275,12 +279,19 @@ class TestBackward:
             backward(SMALL, init_params(SMALL), np.zeros((2, 8, 8)), [], 1.0)
 
 
-def reference_conv_backward(dy, w, cache, input_grad=True):
+def reference_im2col(x, k):
+    """(B, OH*OW, C*k*k) patch rows by one transpose-reshape of the whole batch."""
+    win = sliding_window_view(x, (k, k), axis=(2, 3))  # (B, C, OH, OW, k, k)
+    batch, _, oh, ow = win.shape[:4]
+    return win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, oh * ow, -1)
+
+
+def reference_conv_backward(dy, w, x, input_grad=True):
     """The convolution backward pass that always computes the input gradient,
-    by im2col transpose and a k*k col2im loop."""
-    cols, x_shape = cache
+    by im2col transpose and a k*k col2im loop over the whole batch's dcols."""
     batch, out_c, oh, ow = dy.shape
     k = w.shape[2]
+    cols, x_shape = reference_im2col(x, k), x.shape
     dmat = dy.reshape(batch, out_c, oh * ow).transpose(0, 2, 1)
     dw = np.tensordot(dmat, cols, axes=([0, 1], [0, 1])).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
@@ -302,9 +313,9 @@ def test_backward_bit_identical_to_reference(monkeypatch, arch, size):
     input_grads = []
     conv_backward = net._conv_backward
 
-    def counting(dy, w, cache, input_grad=True):
+    def counting(dy, w, x, input_grad=True):
         input_grads.append(input_grad)
-        return conv_backward(dy, w, cache, input_grad)
+        return conv_backward(dy, w, x, input_grad)
 
     monkeypatch.setattr(net, "_conv_backward", counting)
     grads, loss = backward(config, params, images, triplets, 1.0)
@@ -316,6 +327,109 @@ def test_backward_bit_identical_to_reference(monkeypatch, arch, size):
     for name in want:
         assert grads[name].dtype == want[name].dtype == np.float32
         assert np.array_equal(grads[name].view(np.uint32), want[name].view(np.uint32)), name
+
+
+def reference_conv_forward(x, w, b):
+    """The convolution forward pass as one stacked matmul over the whole batch's patches."""
+    out_c, _, k, _ = w.shape
+    oh, ow = x.shape[2] - k + 1, x.shape[3] - k + 1
+    out = reference_im2col(x, k) @ w.reshape(out_c, -1).T + b
+    return out.transpose(0, 2, 1).reshape(x.shape[0], out_c, oh, ow)
+
+
+def bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+FLOAT_TYPES = st.sampled_from([np.float32, np.float64])  # float64 is the shadow mode
+
+
+class TestConvOracle:
+    """The conv layer, one image's patches at a time, against the batched reference."""
+
+    @given(
+        batch=st.integers(1, 4),
+        channels=st.integers(1, 3),
+        out_c=st.integers(1, 3),
+        k=st.integers(1, 5),
+        extra=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+        dtype=FLOAT_TYPES,
+        seed=st.integers(0, 2**16),
+    )
+    def test_layer_bitwise(self, batch, channels, out_c, k, extra, dtype, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((batch, channels, k + extra[0], k + extra[1])).astype(dtype)
+        w = rng.standard_normal((out_c, channels, k, k)).astype(dtype)
+        b = rng.standard_normal(out_c).astype(dtype)
+        y = net._conv_forward(x, w, b)
+        want_y = reference_conv_forward(x, w, b)
+        assert y.shape == want_y.shape and y.dtype == want_y.dtype == dtype
+        assert np.array_equal(bits(y), bits(want_y))
+        dy = rng.standard_normal(y.shape).astype(dtype)
+        for got, want in zip(net._conv_backward(dy, w, x), reference_conv_backward(dy, w, x)):
+            assert got.shape == want.shape and got.dtype == want.dtype == dtype
+            assert np.array_equal(bits(got), bits(want))
+        assert net._conv_backward(dy, w, x, input_grad=False)[0] is None
+
+    @given(
+        blocks=st.lists(
+            st.builds(ConvBlock, st.integers(1, 3), st.integers(1, 5), st.booleans()),
+            min_size=1,
+            max_size=2,
+        ),
+        extra=st.integers(0, 5),
+        batch=st.integers(1, 4),
+        sigmoid_head=st.booleans(),
+        dtype=FLOAT_TYPES,
+        seed=st.integers(0, 2**16),
+    )
+    def test_net_bitwise(self, blocks, extra, batch, sigmoid_head, dtype, seed):
+        size = 1  # the smallest input that leaves the last map 1x1, then 0-5 more
+        for block in reversed(blocks):
+            size = (2 * size if block.pool else size) + block.kernel - 1
+        config = ConvNetConfig(
+            input_size=size + extra, blocks=blocks, embedding_dim=3, sigmoid_head=sigmoid_head
+        )
+        rng = np.random.default_rng(seed)
+        params = init_params(config, rng).astype(dtype)
+        for name, tensor in params.tensors.items():
+            if name.endswith(".bias"):
+                tensor[...] = rng.standard_normal(tensor.shape)
+        images = rng.random((batch, config.input_size, config.input_size)).astype(dtype)
+        demb = rng.standard_normal((batch, 3)).astype(dtype)
+
+        def run():
+            x, _ = net._prepare_batch(config, images, dtype)
+            _, cache = net._forward(config, params, x, with_cache=True)
+            return forward(config, params, images), net._backward(config, params, cache, demb)
+
+        emb, grads = run()
+        with mock.patch.object(net, "_conv_forward", reference_conv_forward), mock.patch.object(
+            net, "_conv_backward", reference_conv_backward
+        ):
+            want_emb, want = run()
+        assert emb.dtype == want_emb.dtype == dtype
+        assert np.array_equal(bits(emb), bits(want_emb))
+        assert grads.keys() == want.keys()
+        for name in want:
+            assert grads[name].dtype == want[name].dtype == dtype
+            assert np.array_equal(bits(grads[name]), bits(want[name])), name
+
+
+def test_backward_peak_memory():
+    """One osl-small training step holds one block's patches and one image's
+    dcols at a time, so a backward on 6 images stays under 45 MB traced."""
+    config = preset("osl-small", input_size=100)
+    params = init_params(config)
+    images = np.random.default_rng(5).random((6, 100, 100)).astype(np.float32)
+    triplets = make_triplets([0, 0, 0, 1, 1, 1])
+    tracemalloc.start()
+    try:
+        backward(config, params, images, triplets, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45e6, peak / 1e6
 
 
 class TestAdam:
