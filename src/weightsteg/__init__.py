@@ -54,6 +54,7 @@ from .net import (
 )
 from .steg import (
     AttackSpec,
+    FillWords,
     Payload,
     embedding_rate,
     embedding_rate_general,

@@ -36,7 +36,7 @@ from .imagerep import REPRESENTATIONS, normalize, render, write_pgm
 from .net import TrainConfig, preset, train
 from .pipeline import ExperimentConfig, run_report_sweep
 from .steg import AttackSpec, Payload, extract_lsb
-from .weights_io import flatten, load_model, open_words, save_model, sha256_hex
+from .weights_io import flatten, load_model, open_words, sha256_hex
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,9 +120,8 @@ def _parse_int_spec(text: str) -> tuple[int, ...]:
 def cmd_embed(args) -> int:
     spec = AttackSpec(args.lsb, args.fill, _payload_from_args(args), args.mantissa_only)
     model = load_model(args.infile)
-    _, out_model = attack_model(model, flatten(model), spec)
     out = _out_path(args.out, Path(args.infile).stem + f".lsb{args.lsb}" + Path(args.infile).suffix)
-    save_model(out_model, out)
+    attack_model(model, flatten(model), spec).save(out)
     print(out)
     return EXIT_OK
 

@@ -13,12 +13,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, FormatError
 from .imagerep import normalize, read_pgm, render, write_pgm
-from .steg import AttackSpec, Payload
+from .steg import AttackSpec, FillWords, LsbWords, Payload
 from .weights_io import (
     DType,
     ModelWeights,
@@ -28,7 +29,6 @@ from .weights_io import (
     model_digest,
     parse_model,
     save_model,
-    unflatten,
 )
 
 logger = logging.getLogger(__name__)
@@ -149,35 +149,54 @@ def load_collection(mc_dir: str | Path, mc_id: str | None = None) -> ModelCollec
     return ModelCollection(mc_id or mc_dir.name, zoos)
 
 
+class AttackedModel(NamedTuple):
+    """An attacked model held as its cover and the attack, never as a copy.
+
+    words gives the attacked words on demand (spec.words of the cover's flat
+    words); layout is the cover's tensors under the attacked model's
+    metadata. Only save() writes the attacked words, one chunk at a time.
+    """
+
+    words: FillWords | LsbWords
+    layout: ModelWeights
+
+    def save(self, path: str | Path) -> str:
+        """Write the attacked model to path; return the sha256 hex digest written."""
+        return save_model(self.layout, path, self.words.rewrite)
+
+
 def attack_model(
     model: ModelWeights, flat: WeightTensor, spec: AttackSpec, source_sha256: str | None = None
-) -> tuple[WeightTensor, ModelWeights]:
-    """Attack flat, the flatten(model) words, and return the attacked words
-    with the attacked model: model's structure holding them.
+) -> AttackedModel:
+    """Attack flat, the flatten(model) words, and return the attacked model:
+    model's structure under its provenance metadata, with its words computed
+    on demand (rendered through .words, written by .save).
 
     The attacked model's metadata records the provenance: the attack
     ("lsb-fill" or "lsb", after spec.fill), X, the payload digest and
     source_sha256, the model_digest of model (computed when not given).
     """
-    attacked = spec.apply(flat)
-    out = unflatten(model, attacked.bits)
-    out.metadata.update(
-        {
-            "attack": "lsb-fill" if spec.fill else "lsb",
-            "lsb": str(spec.lsb),
-            "payload_sha256": spec.payload.sha256(),
-            "source_sha256": source_sha256 or model_digest(model),
-        }
-    )
-    return attacked, out
+    words = spec.words(flat)
+    metadata = {
+        **model.metadata,
+        "attack": "lsb-fill" if spec.fill else "lsb",
+        "lsb": str(spec.lsb),
+        "payload_sha256": spec.payload.sha256(),
+        "source_sha256": source_sha256 or model_digest(model),
+    }
+    return AttackedModel(words, ModelWeights(list(model.tensors), model.source_path, metadata))
 
 
 def _model_pass(
     path: Path, spec: AttackSpec | None, representation: str, size: int, attacked_dir: Path
 ) -> list[tuple[np.ndarray, bytes]]:
     """One benign model's share of build_dataset: (image, file sha256) for the
-    benign file and, given spec, for the attacked file it writes. The model is
-    flattened once; both images are rendered from flat words."""
+    benign file and, given spec, for the attacked file it writes.
+
+    The file's bytes are the one copy of the model held: parsing and
+    flattening view them, the attacked file is written one chunk at a time,
+    and both images are rendered from the words they tap.
+    """
     data = path.read_bytes()
     benign_sha256 = hashlib.sha256(data).digest()
     model = parse_model(data, path)
@@ -185,10 +204,9 @@ def _model_pass(
     passed = [(render(flat, representation, size), benign_sha256)]
     if spec is not None:
         source_sha256 = benign_sha256.hex() if is_canonical(model, data) else None
-        del data  # parsing copied the words out; free the file bytes before the attack
-        attacked, attacked_model = attack_model(model, flat, spec, source_sha256)
-        written = save_model(attacked_model, attacked_dir / path.name)
-        passed.append((render(attacked, representation, size), bytes.fromhex(written)))
+        attacked = attack_model(model, flat, spec, source_sha256)
+        written = attacked.save(attacked_dir / path.name)
+        passed.append((render(attacked.words, representation, size), bytes.fromhex(written)))
     return passed
 
 

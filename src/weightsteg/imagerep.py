@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .weights_io import DType, FileWords, WeightTensor
+from .weights_io import CHUNK_WORDS, DType, FileWords, WeightTensor
 
 
 def _fourpart_source(source):
@@ -24,7 +24,8 @@ def _fourpart_source(source):
     row-major, and the planes are laid out [[p1, p2], [p3, p4]]. ``pixels``
     returns the uint8 block at ``rows x cols`` and reads only the words it
     shows, through ``source.take(flat_indices)``: source is a WeightTensor,
-    or a weights_io.FileWords that reads them from the file.
+    a weights_io.FileWords that reads them from the file, or anything else
+    with dtype, n and take (such as steg.FillWords).
     """
     if source.dtype is not DType.F32:
         raise FormatError(
@@ -39,6 +40,8 @@ def _fourpart_source(source):
         # the four planes show the same words: gather each distinct one once
         r, r_at = np.unique(rows % side, return_inverse=True)
         c, c_at = np.unique(cols % side, return_inverse=True)
+        if len(r) == side and len(c) == side:
+            return every_word().take(rows, axis=0).take(cols, axis=1)
         flat = r[:, None] * side + c[None, :]
         padding = flat >= n
         words = source.take(np.minimum(flat, n - 1, out=flat))
@@ -48,6 +51,20 @@ def _fourpart_source(source):
         value >>= np.where(rows < side, 16, 0).astype(np.uint32)[:, None]
         value >>= np.where(cols < side, 8, 0).astype(np.uint32)[None, :]
         return value.astype(np.uint8)
+
+    def every_word():
+        # the full image when every word is shown: zero-pad the words, a chunk
+        # at a time, and copy each plane's bytes out of them, with no per-pixel
+        # word or index
+        words = np.zeros(side * side, dtype=source.dtype.word_dtype)
+        for lo in range(0, n, CHUNK_WORDS):
+            hi = min(n, lo + CHUNK_WORDS)
+            words[lo:hi] = source.take(np.arange(lo, hi))
+        planes = words.view(np.uint8).reshape(side, side, 4)  # little-endian: p1 is byte 3
+        image = np.empty((2 * side, 2 * side), dtype=np.uint8)
+        for byte, (top, left) in zip((3, 2, 1, 0), ((0, 0), (0, side), (side, 0), (side, side))):
+            image[top : top + side, left : left + side] = planes[:, :, byte]
+        return image
 
     return 2 * side, 2 * side, pixels
 

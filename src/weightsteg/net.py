@@ -146,6 +146,9 @@ def param_shapes(config: ConvNetConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+_INIT_BLOCK_VALUES = 1 << 18  # float64 draws held at once by init_params
+
+
 def init_params(config: ConvNetConfig, rng: np.random.Generator | None = None) -> NetParams:
     """He-uniform weights, zero biases, float32."""
     if rng is None:
@@ -157,7 +160,14 @@ def init_params(config: ConvNetConfig, rng: np.random.Generator | None = None) -
         else:
             fan_in = math.prod(shape[1:])
             limit = math.sqrt(6.0 / fan_in)
-            tensors[name] = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+            # drawn in row blocks, each cast to float32 as drawn: the same
+            # stream as one draw of the whole tensor, without its float64 copy
+            weights = np.empty(shape, dtype=np.float32)
+            rows = max(1, _INIT_BLOCK_VALUES // fan_in)
+            for lo in range(0, shape[0], rows):
+                block = weights[lo : lo + rows]
+                block[...] = rng.uniform(-limit, limit, size=block.shape)
+            tensors[name] = weights
     return NetParams(tensors)
 
 
@@ -406,17 +416,32 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[AdamState, NetParams]:
-    """One standard Adam update with bias correction."""
+    """One standard Adam update with bias correction.
+
+    Each tensor's update is computed as
+    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
+    ``p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps)``, operation by
+    operation in that order, into the three new arrays and one scratch array.
+    """
     t = state.step + 1
     new_m, new_v, new_p = {}, {}, {}
     for name, p in params.tensors.items():
         g = grads[name]
-        m = beta1 * state.m[name] + (1.0 - beta1) * g
-        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        new_m[name], new_v[name] = m, v
-        new_p[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        scratch = np.multiply(g, 1.0 - beta1)
+        m = np.multiply(state.m[name], beta1)
+        m += scratch
+        np.multiply(g, 1.0 - beta2, out=scratch)
+        scratch *= g
+        v = np.multiply(state.v[name], beta2)
+        v += scratch
+        step = np.divide(v, 1.0 - beta2**t)  # v_hat, then sqrt(v_hat) + eps, then new p
+        np.sqrt(step, out=step)
+        step += eps
+        np.divide(m, 1.0 - beta1**t, out=scratch)  # m_hat
+        scratch *= lr
+        scratch /= step
+        np.subtract(p, scratch, out=step)
+        new_m[name], new_v[name], new_p[name] = m, v, step
     return AdamState(new_m, new_v, t), NetParams(new_p)
 
 

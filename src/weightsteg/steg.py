@@ -90,6 +90,11 @@ class AttackSpec:
         attack = lsb_attack_fill if self.fill else lsb_attack
         return attack(tensor, self.lsb, self.payload)
 
+    def words(self, source) -> "FillWords | LsbWords":
+        """The attacked words of source, a flat cover, computed on demand."""
+        self.validate_for(source.dtype)
+        return (FillWords if self.fill else LsbWords)(source, self.lsb, self.payload)
+
 
 def _check_lsb(lsb: int, word_bits: int) -> None:
     if not 1 <= lsb <= word_bits:
@@ -102,8 +107,116 @@ def _payload_bits(payload) -> np.ndarray:
 
 def _chunk_values(bits: np.ndarray, lsb: int) -> np.ndarray:
     """Fold a bit matrix of full chunks into integer field values, MSB first."""
-    weights = np.uint64(1) << np.arange(lsb, dtype=np.uint64)[::-1]
-    return (bits.reshape(-1, lsb).astype(np.uint64) * weights).sum(axis=1)
+    chunks = bits.reshape(-1, lsb)
+    values = np.zeros(len(chunks), dtype=np.uint64)
+    for t in range(lsb):
+        values <<= np.uint64(1)
+        values |= chunks[:, t]
+    return values
+
+
+def _keep_mask(dtype: DType, field_mask: int) -> np.ndarray:
+    """The word mask that clears field_mask's bits, as a dtype word."""
+    return np.array(((1 << dtype.word_bits) - 1) ^ field_mask, dtype=dtype.word_dtype)
+
+
+class LsbWords:
+    """Plain LSB substitution of the payload into a flat cover, word by word.
+
+    Word i < ceil(k / lsb) gets payload chunk i in its low lsb bits, most
+    significant bit first; a short final chunk fills only the top of its
+    field. Later words are left bit-identical. source, the cover, is
+    anything with dtype and n (a WeightTensor or a weights_io.FileWords).
+    Raises CapacityError when the payload cannot fully fit.
+    """
+
+    def __init__(self, source, lsb: int, payload):
+        self.dtype, self.lsb, n = source.dtype, lsb, source.n
+        _check_lsb(lsb, self.dtype.word_bits)
+        self.bits = _payload_bits(payload)
+        k = len(self.bits)
+        if k > n * lsb:
+            raise CapacityError(f"payload of {k} bits exceeds capacity {n}*{lsb}={n * lsb}")
+        self.n_chunks = math.ceil(k / lsb)
+        self.tail = k - (self.n_chunks - 1) * lsb  # length of the final chunk, in [1, lsb]
+        self.n_full = self.n_chunks if self.tail == lsb else self.n_chunks - 1
+
+    def rewrite(self, words: np.ndarray, first: int) -> np.ndarray:
+        """The attacked words of a run of consecutive cover words, the first at flat index first."""
+        lsb, word_dtype = self.lsb, self.dtype.word_dtype
+        hi = first + len(words)
+        if first >= self.n_chunks:
+            return words
+        words = words.copy()
+        full_hi = min(hi, self.n_full)
+        if first < full_hi:
+            values = _chunk_values(self.bits[first * lsb : full_hi * lsb], lsb).astype(word_dtype)
+            head = words[: full_hi - first]
+            head &= _keep_mask(self.dtype, (1 << lsb) - 1)
+            head |= values
+        last = self.n_chunks - 1
+        if self.tail != lsb and first <= last < hi:
+            # partial chunk lands in the topmost bits of the low field
+            tail = self.tail
+            value = int(_chunk_values(self.bits[self.n_full * lsb :], tail)[0]) << (lsb - tail)
+            keep = _keep_mask(self.dtype, ((1 << tail) - 1) << (lsb - tail))
+            words[last - first] = (words[last - first] & keep) | np.array(value, dtype=word_dtype)
+        return words
+
+
+class FillWords:
+    """The fill attack of a flat cover, word by word: every word's low lsb
+    bits carry the payload, repeated or truncated to the cover's capacity.
+
+    Word i holds stream bits ``(i*lsb + t) mod k``, t < lsb, so its attacked
+    value is ``(w_i & keep) | fields[i mod period]``, where the field values
+    repeat every ``period = k / gcd(k, lsb)`` words (at most n). One period
+    is built; ``take`` gives the attacked words at any flat indices, reading
+    only those cover words (what render taps), and ``rewrite`` lays the
+    period over a run of consecutive cover words in place (what save_model
+    writes). The attacked cover is never held whole. source, the cover, is
+    a WeightTensor or a weights_io.FileWords.
+    """
+
+    def __init__(self, source, lsb: int, payload):
+        self.source, self.dtype, self.n = source, source.dtype, source.n
+        _check_lsb(lsb, self.dtype.word_bits)
+        bits = _payload_bits(payload)
+        k = len(bits)
+        if k == 0:
+            raise ValueError("fill attack requires a non-empty payload")
+        if self.n == 0:
+            raise ValueError("fill attack requires at least one weight")
+        period = min(self.n, k // math.gcd(k, lsb))
+        starts = np.arange(period, dtype=np.int64) * lsb % k
+        self.fields = np.zeros(period, dtype=self.dtype.word_dtype)
+        for t in range(lsb):  # MSB of the field first
+            self.fields <<= 1
+            self.fields |= np.take(bits, starts + t, mode="wrap")
+        self.keep = _keep_mask(self.dtype, (1 << lsb) - 1)
+
+    def take(self, flat_indices) -> np.ndarray:
+        """The attacked words at flat_indices (any shape), in that shape."""
+        idx = np.asarray(flat_indices, dtype=np.int64)
+        return (self.source.take(idx) & self.keep) | self.fields[idx % len(self.fields)]
+
+    def rewrite(self, words: np.ndarray, first: int) -> np.ndarray:
+        """The attacked words of a run of consecutive cover words, the first at flat index first.
+
+        Equal to take(range(first, first + len(words))) for words read from
+        the cover, but the period is or-ed into the masked words in place.
+        """
+        fields, period = self.fields, len(self.fields)
+        out = words & self.keep
+        phase = first % period
+        head = min(len(out), period - phase)
+        out[:head] |= fields[phase : phase + head]
+        rest = out[head:]  # starts at phase 0
+        whole = len(rest) - len(rest) % period
+        periods = rest[:whole].reshape(-1, period)
+        np.bitwise_or(periods, fields, out=periods)
+        rest[whole:] |= fields[: len(rest) - whole]
+        return out
 
 
 def lsb_attack(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
@@ -112,65 +225,16 @@ def lsb_attack(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
     Weights beyond the last chunk are left bit-identical. Raises
     CapacityError when the payload cannot fully fit.
     """
-    word_bits = tensor.dtype.word_bits
-    _check_lsb(lsb, word_bits)
-    bits = _payload_bits(payload)
-    k, n = len(bits), tensor.n
-    if k > n * lsb:
-        raise CapacityError(f"payload of {k} bits exceeds capacity {n}*{lsb}={n * lsb}")
-    if k == 0:
-        return tensor
-
-    n_chunks = math.ceil(k / lsb)
-    tail = k - (n_chunks - 1) * lsb  # length of the final chunk, in [1, lsb]
-    n_full = n_chunks if tail == lsb else n_chunks - 1
-
-    word_dtype = tensor.dtype.word_dtype
-    word_mask = (1 << word_bits) - 1
-    field_mask = (1 << lsb) - 1
-    words = tensor.bits.copy()
-    if n_full:
-        values = _chunk_values(bits[: n_full * lsb], lsb).astype(word_dtype)
-        keep = np.array((word_mask ^ field_mask) & word_mask, dtype=word_dtype)
-        words[:n_full] = (words[:n_full] & keep) | values
-    if tail != lsb:
-        # partial chunk lands in the topmost bits of the low field
-        value = int(_chunk_values(bits[n_full * lsb :], tail)[0]) << (lsb - tail)
-        mask = ((1 << tail) - 1) << (lsb - tail)
-        keep = np.array((word_mask ^ mask) & word_mask, dtype=word_dtype)
-        words[n_chunks - 1] = (words[n_chunks - 1] & keep) | np.array(value, dtype=word_dtype)
-    return tensor.with_bits(words)
+    return tensor.with_bits(LsbWords(tensor, lsb, payload).rewrite(tensor.bits, 0))
 
 
 def lsb_attack_fill(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
     """Fill every weight's low field by repeating or truncating the payload.
 
-    Equal to ``lsb_attack(tensor, lsb, effective_fill_payload(bits, n, lsb))``.
-    Word i's field holds stream bits ``(i*lsb + t) mod k`` for t < lsb, so the
-    field values repeat every ``k / gcd(k, lsb)`` words: one period is built,
-    then laid over all words, costing O(n) word operations and no per-bit work.
+    Equal to ``lsb_attack(tensor, lsb, effective_fill_payload(bits, n, lsb))``;
+    see FillWords, which costs O(n) word operations and no per-bit work.
     """
-    word_bits = tensor.dtype.word_bits
-    _check_lsb(lsb, word_bits)
-    bits = _payload_bits(payload)
-    k, n = len(bits), tensor.n
-    if k == 0:
-        raise ValueError("fill attack requires a non-empty payload")
-    if n == 0:
-        raise ValueError("fill attack requires at least one weight")
-
-    word_dtype = tensor.dtype.word_dtype
-    period = min(n, k // math.gcd(k, lsb))
-    starts = np.arange(period, dtype=np.int64) * lsb % k
-    fields = np.zeros(period, dtype=word_dtype)
-    for t in range(lsb):  # MSB of the field first
-        fields <<= 1
-        fields |= np.take(bits, starts + t, mode="wrap")
-
-    keep = ((1 << word_bits) - 1) ^ ((1 << lsb) - 1)
-    words = tensor.bits & np.array(keep, dtype=word_dtype)
-    words |= np.resize(fields, n)
-    return tensor.with_bits(words)
+    return tensor.with_bits(FillWords(tensor, lsb, payload).rewrite(tensor.bits, 0))
 
 
 def effective_fill_payload(bits: np.ndarray, n_weights: int, lsb: int) -> np.ndarray:

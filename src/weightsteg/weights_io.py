@@ -3,12 +3,14 @@
 Weights are kept as raw unsigned words (uint32 for float32, uint16 for
 float16) so that every transformation downstream is defined on bits, not on
 decimal values. Decimal interpretation is a view; serializing a parsed file
-reproduces the input bytes.
+reproduces the input bytes. Parsing copies nothing: a parsed tensor's words
+are a read-only view of the bytes it was parsed from.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -26,6 +28,9 @@ from .errors import FormatError
 
 CONTAINER_SUFFIX = ".safetensors"
 _METADATA_KEY = "__metadata__"
+# Words per chunk wherever words are computed on the way out instead of held:
+# save_model's rewritten words, the full-image gather. 256 KiB of float32.
+CHUNK_WORDS = 1 << 16
 
 
 class DType(Enum):
@@ -68,6 +73,13 @@ def _as_words(bits, dtype: DType) -> np.ndarray:
     if arr.dtype != dtype.word_dtype:
         arr = arr.astype(dtype.word_dtype)
     return np.ascontiguousarray(arr).reshape(-1)
+
+
+def _frombuffer(data, dtype: DType, count: int = -1, offset: int = 0) -> np.ndarray:
+    """count words of data from byte offset on, as a read-only view (no copy)."""
+    words = np.frombuffer(data, dtype=dtype.word_dtype, count=count, offset=offset)
+    words.flags.writeable = False
+    return words
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,10 +170,10 @@ def _raw_word_count(nbytes: int, dtype: DType) -> int:
 
 
 def read_raw(data: bytes, dtype: DType) -> WeightTensor:
-    """Parse consecutive little-endian words into one unnamed flat tensor."""
+    """Parse consecutive little-endian words into one unnamed flat tensor,
+    a read-only view of data."""
     n = _raw_word_count(len(data), dtype)
-    words = np.frombuffer(data, dtype=dtype.word_dtype).copy()
-    return WeightTensor("", dtype, (n,), words)
+    return WeightTensor("", dtype, (n,), _frombuffer(data, dtype))
 
 
 def write_raw(tensor: WeightTensor) -> bytes:
@@ -251,15 +263,18 @@ def _layout(header: dict, buffer_len: int) -> tuple[dict[str, str], list[_Entry]
 
 
 def read_container(data: bytes, source_path: str = "") -> ModelWeights:
-    """Parse a safetensors-compatible container, preserving tensor order."""
+    """Parse a safetensors-compatible container, preserving tensor order.
+
+    Each tensor's words are a read-only view of data, which they keep alive.
+    """
     header_len = _header_length(data[:8], len(data))
     buffer_start = 8 + header_len
     metadata, entries = _layout(_decode_header(data[8:buffer_start]), len(data) - buffer_start)
-    buffer = memoryview(data)[buffer_start:]  # slices are views; each tensor is copied once
     tensors = [
         WeightTensor(
             e.name, e.dtype, e.shape,
-            np.frombuffer(buffer[e.begin : e.end], dtype=e.dtype.word_dtype).copy(),
+            _frombuffer(data, e.dtype, (e.end - e.begin) // e.dtype.word_bytes,
+                        buffer_start + e.begin),
         )
         for e in entries
     ]
@@ -271,27 +286,31 @@ def _tensor_buffer(tensor: WeightTensor) -> memoryview:
     return memoryview(tensor.bits).cast("B")
 
 
-def _container_parts(model: ModelWeights) -> list[bytes | memoryview]:
-    """The canonical container encoding as pieces: the length-prefixed compact
-    JSON header, then one zero-copy buffer per tensor, in tensor order."""
+def _container_header(model: ModelWeights) -> bytes:
+    """The length-prefixed compact JSON header of the canonical container
+    encoding; the tensors' words follow it in tensor order."""
     header: dict = {}
     if model.metadata:
         header[_METADATA_KEY] = dict(model.metadata)
     offset = 0
-    buffers = []
     for tensor in model.tensors:
         if tensor.name == _METADATA_KEY:
             raise ValueError(f"{_METADATA_KEY!r} is reserved and cannot name a tensor")
-        buffer = _tensor_buffer(tensor)
+        nbytes = tensor.n * tensor.dtype.word_bytes
         header[tensor.name] = {
             "dtype": tensor.dtype.value,
             "shape": list(tensor.shape),
-            "data_offsets": [offset, offset + len(buffer)],
+            "data_offsets": [offset, offset + nbytes],
         }
-        offset += len(buffer)
-        buffers.append(buffer)
+        offset += nbytes
     header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    return [struct.pack("<Q", len(header_bytes)) + header_bytes, *buffers]
+    return struct.pack("<Q", len(header_bytes)) + header_bytes
+
+
+def _container_parts(model: ModelWeights) -> list[bytes | memoryview]:
+    """The canonical container encoding as pieces: the header, then one
+    zero-copy buffer per tensor, in tensor order."""
+    return [_container_header(model), *(_tensor_buffer(t) for t in model.tensors)]
 
 
 def write_container(model: ModelWeights) -> bytes:
@@ -317,11 +336,36 @@ def is_canonical(model: ModelWeights, data: bytes) -> bool:
 def flatten(model: ModelWeights) -> WeightTensor:
     """Concatenate all tensors' bits in file order into one flat tensor.
 
-    This is the canonical cover sequence every attack operates on.
+    This is the canonical cover sequence every attack operates on. When the
+    tensors lie back to back in tensor order in one buffer, as those parsed
+    from a raw file or from a container whose header lists them in offset
+    order do, the result is a read-only view of that buffer, not a copy.
     """
     dtype = _flat_dtype(model.tensors)
-    bits = np.concatenate([t.bits for t in model.tensors])
+    bits = _joined([t.bits for t in model.tensors])
     return WeightTensor("", dtype, (len(bits),), bits)
+
+
+def _owner(arr: np.ndarray):
+    """The object whose memory arr views (arr itself when it owns its data)."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr if arr.base is None else arr.base
+
+
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The 1-D contiguous arrays end to end: a view of their common buffer
+    when each starts where the one before ends in it, else a new array."""
+    words = [a for a in arrays if len(a)]
+    starts = [a.__array_interface__["data"][0] for a in words]
+    back_to_back = all(
+        start + a.nbytes == next_start for a, start, next_start in zip(words, starts, starts[1:])
+    )
+    if words and back_to_back and len({id(_owner(a)) for a in words}) == 1:
+        # one owner and no gaps, so every word of the span lies in its memory
+        n = sum(len(a) for a in words)
+        return np.lib.stride_tricks.as_strided(words[0], shape=(n,), writeable=False)
+    return np.concatenate(arrays)
 
 
 def _flat_dtype(tensors) -> DType:
@@ -452,12 +496,18 @@ def open_words(path: str | Path):
             yield flatten(parse_model(fh.read(), path))
 
 
-def save_model(model: ModelWeights, path: str | Path) -> str:
+def save_model(model: ModelWeights, path: str | Path, rewrite=None) -> str:
     """Write model to path and return the sha256 hex digest of the bytes written.
 
     A .f32/.f16 path gets write_raw(flatten(model)), any other path
     write_container(model); the pieces are written and hashed as they are,
     never joined into one copy.
+
+    rewrite(words, first), when given, returns the words to write in place of
+    words, a run of at most CHUNK_WORDS consecutive words of one tensor whose
+    first word has flat index first (in flatten order). So a model derived
+    word by word from this one, such as an attacked copy, is written one
+    chunk at a time and never held whole.
     """
     path = Path(path)
     raw_dtype = _raw_dtype_for_path(path)
@@ -465,15 +515,28 @@ def save_model(model: ModelWeights, path: str | Path) -> str:
         dtype = _flat_dtype(model.tensors)
         if dtype is not raw_dtype:
             raise ValueError(f"model dtype {dtype.value} does not match {path.suffix}")
-        parts = [_tensor_buffer(t) for t in model.tensors]
+        parts = []
     else:
-        parts = _container_parts(model)
+        parts = [_container_header(model)]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for part in parts:
+        for part in itertools.chain(parts, _word_buffers(model.tensors, rewrite)):
             fh.write(part)
             digest.update(part)
     return digest.hexdigest()
+
+
+def _word_buffers(tensors, rewrite):
+    """The bytes of the tensors' words in tensor order; see save_model for rewrite."""
+    first = 0
+    for tensor in tensors:
+        if rewrite is None:
+            yield _tensor_buffer(tensor)
+        else:
+            for lo in range(0, tensor.n, CHUNK_WORDS):
+                words = rewrite(tensor.bits[lo : lo + CHUNK_WORDS], first + lo)
+                yield memoryview(_as_words(words, tensor.dtype)).cast("B")
+        first += tensor.n
 
 
 def sha256_hex(data: bytes) -> str:

@@ -4,15 +4,20 @@ import io
 import json
 import logging
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_weights_io import scrambled_container
+from weightsteg import dataset
 from weightsteg.cli import main
 
 from weightsteg.dataset import (
     DatasetManifest,
+    attack_model,
     ModelCollection,
     ModelZoo,
     SampleRecord,
@@ -26,8 +31,27 @@ from weightsteg.dataset import (
 )
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import render, write_pgm
-from weightsteg.steg import Payload, effective_fill_payload, extract_lsb, lsb_attack_fill
-from weightsteg.weights_io import flatten, load_model, save_model, unflatten, write_container
+from weightsteg.steg import (
+    AttackSpec,
+    FillWords,
+    Payload,
+    effective_fill_payload,
+    extract_lsb,
+    lsb_attack,
+    lsb_attack_fill,
+)
+from weightsteg.weights_io import (
+    CHUNK_WORDS,
+    DType,
+    ModelWeights,
+    WeightTensor,
+    flatten,
+    load_model,
+    parse_model,
+    save_model,
+    unflatten,
+    write_container,
+)
 
 
 @pytest.fixture
@@ -380,3 +404,131 @@ class TestOnePass:
         assert sorted(model_reads) == sorted(benign)
         assert not [p for p in reads if (out / "attacked").resolve() in p.parents]
         assert len(list((out / "attacked").rglob("*.safetensors"))) == len(benign)
+
+
+def reference_fill(words, word_bits, lsb, bits):
+    """The fill attack straight from its definition: word i's low field holds
+    effective-stream bits i*lsb .. i*lsb + lsb - 1, most significant first."""
+    n = len(words)
+    stream = effective_fill_payload(bits, n, lsb).reshape(n, lsb).astype(np.uint64)
+    fields = (stream << np.arange(lsb, dtype=np.uint64)[::-1]).sum(axis=1)
+    keep = ((1 << word_bits) - 1) ^ ((1 << lsb) - 1)
+    return ((words.astype(np.uint64) & keep) | fields).astype(words.dtype)
+
+
+def layout_bytes(tensors, layout, metadata):
+    if layout == "raw":
+        return b"".join(t.bits.tobytes() for t in tensors)
+    if layout == "scrambled":
+        return scrambled_container(tensors, list(range(len(tensors)))[::-1], metadata)
+    data = write_container(ModelWeights(tensors, metadata=metadata))
+    if layout == "spaced":
+        (header_len,) = struct.unpack("<Q", data[:8])
+        header = json.dumps(json.loads(data[8 : 8 + header_len]), indent=1).encode()
+        data = struct.pack("<Q", len(header)) + header + data[8 + header_len :]
+    return data
+
+
+@st.composite
+def chunked_cases(draw):
+    dtype = draw(st.sampled_from([DType.F32, DType.F16]))
+    layout = draw(st.sampled_from(["container", "spaced", "scrambled", "raw"]))
+    chunk = CHUNK_WORDS
+    n = draw(st.one_of(st.integers(1, 200), st.sampled_from([chunk - 1, chunk, chunk + 1]),
+                       st.integers(2 * chunk - 3, 2 * chunk + 40)))
+    cuts = [] if layout == "raw" else draw(st.lists(st.integers(0, n), max_size=4))
+    sizes = np.diff([0, *sorted(cuts), n]).tolist()  # zero-length tensors included
+    lsb = draw(st.integers(1, dtype.mantissa_bits))
+    payload = Payload.synthetic(draw(st.integers(1, 40)), draw(st.integers(0, 99)))
+    return dtype, layout, sizes, lsb, payload, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunked_cases(), st.booleans())
+def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, fill):
+    """attack_model(...).save writes, chunk by chunk, the bytes of attacking the
+    whole flattened model and saving it; for a fill attack its words render the
+    image the attacked model renders, and _model_pass writes and renders the same."""
+    dtype, layout, sizes, lsb, payload, seed = case
+    rng = np.random.default_rng(seed)
+    tensors = [WeightTensor(f"t{i}", dtype, (size,),
+                            rng.integers(0, 2**dtype.word_bits, size, dtype=np.uint64))
+               for i, size in enumerate(sizes)]
+    suffix = {"raw": ".f32" if dtype is DType.F32 else ".f16"}.get(layout, ".safetensors")
+    root = tmp_path_factory.mktemp("chunked")
+    path = root / f"m{suffix}"
+    data = layout_bytes(tensors, layout, {"origin": "test"})
+    path.write_bytes(data)
+
+    cover = np.concatenate([t.bits for t in tensors])
+    if fill:
+        attacked = reference_fill(cover, dtype.word_bits, lsb, payload.bits)
+    elif len(payload.bits) > len(cover) * lsb:
+        return
+    else:
+        attacked = lsb_attack(WeightTensor("", dtype, (len(cover),), cover.copy()), lsb,
+                              payload).bits
+    model = parse_model(data, path)
+    if layout == "raw":
+        want = attacked.tobytes()
+    else:
+        expected = unflatten(model, attacked)
+        expected.metadata.update({
+            "attack": "lsb-fill" if fill else "lsb",
+            "lsb": str(lsb),
+            "payload_sha256": payload.sha256(),
+            "source_sha256": hashlib.sha256(write_container(model)).hexdigest(),
+        })
+        want = write_container(expected)
+
+    spec = AttackSpec(lsb, fill, payload)
+    result = attack_model(model, flatten(model), spec)
+    assert result.save(root / f"out{suffix}") == hashlib.sha256(want).hexdigest()
+    assert (root / f"out{suffix}").read_bytes() == want
+    assert path.read_bytes() == data  # the cover bytes are never written to
+    if not fill:
+        return
+    flat_attacked = WeightTensor("", dtype, (len(attacked),), attacked)
+    idx = rng.integers(0, len(attacked), size=(3, 5))
+    assert np.array_equal(result.words.take(idx), attacked[idx])
+    if dtype is DType.F32:
+        (root / "attacked").mkdir()
+        passed = dataset._model_pass(path, spec, "grayscale-fourpart", 9, root / "attacked")
+        assert (root / "attacked" / path.name).read_bytes() == want
+        assert passed[1][1] == hashlib.sha256(want).digest()
+        assert np.array_equal(passed[1][0], render(flat_attacked, "grayscale-fourpart", 9))
+        assert np.array_equal(passed[0][0], render(WeightTensor("", dtype, (len(cover),), cover),
+                                                   "grayscale-fourpart", 9))
+
+
+@pytest.mark.parametrize("offset", [0, 1, CHUNK_WORDS - 5])
+def test_fill_rewrite_period_straddles_chunks(offset):
+    """A period (24 words) that does not divide the chunk size, applied to a run
+    starting at any flat index, equals the closed form at those indices."""
+    rng = np.random.default_rng(offset)
+    n = 3 * CHUNK_WORDS + 7
+    cover = WeightTensor("", DType.F32, (n,), rng.integers(0, 2**32, n, dtype=np.uint64))
+    words = FillWords(cover, 5, Payload.synthetic(3, 1))
+    assert len(words.fields) == 24
+    run = cover.bits[offset : offset + CHUNK_WORDS + 11]
+    assert np.array_equal(words.rewrite(run, offset),
+                          words.take(np.arange(offset, offset + len(run))))
+    assert np.array_equal(lsb_attack_fill(cover, 5, Payload.synthetic(3, 1)).bits,
+                          reference_fill(cover.bits, 32, 5, Payload.synthetic(3, 1).bits))
+
+
+def test_model_pass_holds_one_copy_of_the_model(tmp_path):
+    """One 1M-param model's pass (parse, flatten, attack, write, hash, render)
+    peaks under 1.5x the model file's size in traced allocations."""
+    path = tmp_path / "m.safetensors"
+    save_model(synth_model(1_000_000, np.random.default_rng(4)), path)
+    spec = AttackSpec(8, True, Payload.synthetic(64, 7))
+    (tmp_path / "out").mkdir()
+    tracemalloc.start()
+    try:
+        dataset._model_pass(path, spec, "grayscale-fourpart", 100, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 1.5 * size, peak / size

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from weightsteg.imagerep import (
     write_pgm,
 )
 from weightsteg.steg import Payload, lsb_attack_fill
-from weightsteg.weights_io import DType, WeightTensor
+from weightsteg.weights_io import CHUNK_WORDS, DType, WeightTensor
 
 
 def fourpart_oracle(words):
@@ -110,6 +111,42 @@ class TestGrayscaleFourpart:
                 assert np.array_equal(before, after)
             for before, after in quads[clean_quadrants:]:
                 assert not np.array_equal(before, after)
+
+
+def padded_planes(words):
+    """The four-part image from whole-array numpy operations."""
+    n = len(words)
+    side = math.isqrt(n - 1) + 1
+    padded = np.zeros(side * side, dtype=np.uint32)
+    padded[:n] = words
+    p1, p2, p3, p4 = (((padded >> s) & 0xFF).astype(np.uint8).reshape(side, side)
+                      for s in (24, 16, 8, 0))
+    return np.block([[p1, p2], [p3, p4]])
+
+
+class TestFullImage:
+    @pytest.mark.parametrize("n", [CHUNK_WORDS - 1, CHUNK_WORDS + 1, 3 * CHUNK_WORDS + 17])
+    def test_chunked_gather_matches_whole_array_planes(self, n):
+        words = np.random.default_rng(n).integers(0, 2**32, size=n, dtype=np.uint64)
+        tensor = f32_tensor(words)
+        full = grayscale_fourpart(tensor)
+        assert np.array_equal(full, padded_planes(words.astype(np.uint32)))
+        # a render that taps every row and column takes the same gather
+        side = full.shape[0]
+        assert np.array_equal(render(tensor, "grayscale-fourpart", side), full)
+
+    def test_peak_memory(self):
+        """A 4M-param full image gathers the zero-padded words by slicing,
+        with no index grid over them: it peaks well under 100 MB traced."""
+        words = np.random.default_rng(0).integers(0, 2**32, size=4_000_000, dtype=np.uint32)
+        tensor = f32_tensor(words)
+        tracemalloc.start()
+        try:
+            grayscale_fourpart(tensor)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6, peak / 1e6
 
 
 @st.composite

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -457,6 +457,79 @@ class TestAdam:
             g = float(rng.standard_normal())
             state, params = adam_step(state, params, {"w": np.array([g, g])}, lr=0.05)
         assert params.tensors["w"][0] == params.tensors["w"][1]
+
+
+def reference_adam_step(state, params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """adam_step as one expression per quantity, each allocating its temporaries."""
+    t = state.step + 1
+    new_m, new_v, new_p = {}, {}, {}
+    for name, p in params.tensors.items():
+        g = grads[name]
+        m = beta1 * state.m[name] + (1.0 - beta1) * g
+        v = beta2 * state.v[name] + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        new_m[name], new_v[name] = m, v
+        new_p[name] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return AdamState(new_m, new_v, t), NetParams(new_p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([np.float32, np.float64]), st.integers(0, 40), st.integers(1, 4),
+       st.floats(1e-6, 1.0), st.integers(0, 2**16))
+def test_adam_step_bit_identical_to_reference(dtype, size, steps, lr, seed):
+    rng = np.random.default_rng(seed)
+    params = NetParams({"w": rng.standard_normal((size, 3)).astype(dtype),
+                        "b": rng.standard_normal(size).astype(dtype)})
+    state = want_state = AdamState.zeros_like(params)
+    got = want = params
+    for _ in range(steps):
+        # gradients spanning many magnitudes, zeros included
+        grads = {k: (rng.standard_normal(v.shape) * 10.0 ** rng.integers(-12, 4, v.shape)
+                     * (rng.random(v.shape) < 0.9)).astype(dtype)
+                 for k, v in params.tensors.items()}
+        state, got = adam_step(state, got, grads, lr)
+        want_state, want = reference_adam_step(want_state, want, grads, lr)
+    assert state.step == want_state.step == steps
+    for name in params.tensors:
+        for a, b in ((got.tensors[name], want.tensors[name]),
+                     (state.m[name], want_state.m[name]), (state.v[name], want_state.v[name])):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(bits(a), bits(b)), name
+
+
+def test_adam_step_peak_memory():
+    """adam_step allocates the new m, v and parameters plus one scratch array."""
+    n = 1 << 20
+    params = NetParams({"w": np.ones(n, dtype=np.float32)})
+    state = AdamState.zeros_like(params)
+    grads = {"w": np.full(n, 0.5, dtype=np.float32)}
+    tracemalloc.start()
+    try:
+        adam_step(state, params, grads, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 4 * n, peak / (4 * n)
+
+
+@pytest.mark.parametrize("arch", ["koch", "osl-small"])
+def test_init_params_bit_identical_to_one_draw(arch):
+    """Drawing each weight tensor in row blocks gives the bits of one float64
+    draw of the whole tensor cast to float32."""
+    config = preset(arch, input_size=100, init_seed=3)
+    params = init_params(config)
+    rng = np.random.default_rng(3)
+    for name, shape in net.param_shapes(config).items():
+        got = params.tensors[name]
+        assert got.dtype == np.float32 and got.shape == shape
+        if name.endswith(".bias"):
+            assert not got.any()
+            continue
+        limit = np.sqrt(6.0 / np.prod(shape[1:]))
+        want = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), name
+        del want
 
 
 class TestTrain:

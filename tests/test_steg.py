@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from weightsteg.errors import CapacityError
 from weightsteg.steg import (
     AttackSpec,
+    FillWords,
+    LsbWords,
     Payload,
     effective_fill_payload,
     embedding_rate,
@@ -295,3 +297,22 @@ def test_fill_equals_attack_on_effective_payload(case):
     expected = lsb_attack(cover, lsb, effective_fill_payload(bits, n, lsb))
     assert filled.dtype is dtype
     assert np.array_equal(filled.bits, expected.bits)
+
+
+@given(attack_cases(), st.lists(st.integers(0, 24), max_size=5), st.booleans())
+def test_rewrite_of_runs_equals_whole_attack(case, cuts, fill):
+    """Rewriting the cover run by run, each run at its flat offset, gives the
+    words of attacking it whole: chunks may split a field period or the
+    partial final chunk anywhere."""
+    dtype, n, lsb, k, seed = case
+    rng = np.random.default_rng(seed)
+    cover = random_tensor(rng, n, dtype)
+    payload = Payload(rng.integers(0, 2, size=max(k, 1) if fill else k, dtype=np.uint8))
+    words = (FillWords if fill else LsbWords)(cover, lsb, payload)
+    whole = (lsb_attack_fill if fill else lsb_attack)(cover, lsb, payload)
+    bounds = sorted({0, n, *(c for c in cuts if c <= n)})
+    runs = [words.rewrite(cover.bits[lo:hi], lo) for lo, hi in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(runs), whole.bits)
+    if fill:
+        idx = rng.integers(0, n, size=(2, 3))
+        assert np.array_equal(words.take(idx), whole.bits[idx])

@@ -197,6 +197,72 @@ class TestFlatten:
             unflatten(model, np.array([1, 2, 3], dtype=np.uint32))
 
 
+class TestZeroCopy:
+    def test_parsed_words_are_read_only_views(self):
+        model = ModelWeights([f32_tensor(range(5), "a"), f32_tensor(range(3), "b")])
+        data = write_container(model)
+        data_words = np.frombuffer(data, dtype=np.uint8)
+        tensors = [*read_container(data).tensors, read_raw(data[-12:], DType.F32)]
+        tensors.append(read_raw(bytearray(8), DType.F16))  # writable bytes, read-only view
+        for tensor in tensors:
+            assert not tensor.bits.flags.writeable
+            with pytest.raises(ValueError):
+                tensor.bits[:1] = 7
+        assert all(np.shares_memory(t.bits, data_words) for t in tensors[:2])
+
+    @pytest.mark.parametrize("sizes", [[3, 0, 4], [0, 5], [2, 2, 0]])
+    def test_flatten_views_tensors_stored_back_to_back(self, sizes):
+        tensors = random_tensors(DType.F32, [(n,) for n in sizes])
+        data = write_container(ModelWeights(tensors))
+        flat = flatten(read_container(data))
+        assert np.array_equal(flat.bits, np.concatenate([t.bits for t in tensors]))
+        assert np.shares_memory(flat.bits, np.frombuffer(data, dtype=np.uint8))
+        assert not flat.bits.flags.writeable
+        raw = parse_model(write_raw(flat), "m.f32")
+        assert np.shares_memory(flatten(raw).bits, raw.tensors[0].bits)
+
+    def test_flatten_copies_any_other_layout(self):
+        tensors = random_tensors(DType.F32, [(3,), (2,), (4,)])
+        want = np.concatenate([t.bits for t in tensors])
+        data = scrambled_container(tensors, [2, 0, 1])
+        flat = flatten(read_container(data))
+        assert np.array_equal(flat.bits, want)
+        assert not np.shares_memory(flat.bits, np.frombuffer(data, dtype=np.uint8))
+        # tensors in separate arrays, even adjacent ones, are joined by a copy
+        assert np.array_equal(flatten(ModelWeights(tensors)).bits, want)
+        whole = np.arange(9, dtype=np.uint32)
+        split = ModelWeights([WeightTensor("a", DType.F32, (4,), whole[:4]),
+                              WeightTensor("b", DType.F32, (5,), whole[4:])])
+        assert np.shares_memory(flatten(split).bits, whole)
+        backwards = ModelWeights([WeightTensor("a", DType.F32, (5,), whole[4:]),
+                                  WeightTensor("b", DType.F32, (4,), whole[:4])])
+        assert not np.shares_memory(flatten(backwards).bits, whole)
+        # abutting words reached through different objects are copied: only a
+        # single owner vouches that the span between them is all its memory
+        other = np.frombuffer(memoryview(whole).cast("B")[16:], dtype=np.uint32)
+        mixed = ModelWeights([WeightTensor("a", DType.F32, (4,), whole[:4]),
+                              WeightTensor("b", DType.F32, (5,), other)])
+        assert np.array_equal(flatten(mixed).bits, whole)
+        assert not np.shares_memory(flatten(mixed).bits, whole)
+
+    @pytest.mark.parametrize("fill", [True, False])
+    def test_attacks_never_write_their_input(self, tmp_path, fill):
+        from weightsteg.dataset import attack_model
+        from weightsteg.steg import AttackSpec, Payload
+
+        tensors = random_tensors(DType.F32, [(40,), (0,), (25,)], seed=3)
+        data = write_container(ModelWeights(tensors))
+        model = read_container(data)
+        flat = flatten(model)
+        before = flat.bits.copy()
+        spec = AttackSpec(7, fill, Payload.synthetic(9, 2))
+        attacked = spec.apply(flat)
+        assert not np.array_equal(attacked.bits, before)
+        attack_model(model, flat, spec).save(tmp_path / "out.safetensors")
+        assert np.array_equal(flat.bits, before)
+        assert read_container(data) == ModelWeights(tensors)
+
+
 class TestValidation:
     def test_shape_product_mismatch(self):
         with pytest.raises(ValueError):
