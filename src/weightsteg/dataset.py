@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CapacityError, FormatError
-from .imagerep import normalize, read_pgm, render, write_pgm
+from .imagerep import REPRESENTATIONS, normalize, read_pgm, render, write_pgm
 from .steg import AttackSpec, FillWords, LsbWords, Payload
 from .weights_io import (
     DType,
@@ -73,8 +73,10 @@ class SampleRecord:
     split: str = "train"
 
     def __post_init__(self):
-        if self.label not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.label}")
+        if not isinstance(self.path, str) or not isinstance(self.zoo, str):
+            raise ValueError(f"sample path and zoo must be strings: {self.path!r}, {self.zoo!r}")
+        if not _is_int(self.label) or self.label not in (0, 1):
+            raise ValueError(f"label must be 0 or 1, got {self.label!r}")
         if self.split not in ("train", "test"):
             raise ValueError(f"split must be train or test, got {self.split}")
 
@@ -107,9 +109,13 @@ class DatasetManifest:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
+    def from_json(cls, text: str | bytes) -> "DatasetManifest":
+        """Parse a manifest; a missing or mistyped field raises FormatError."""
         try:
-            doc = json.loads(text)
+            doc = {"source_sha256": None, **json.loads(text)}
+            for key, (valid, expected) in _MANIFEST_FIELDS.items():
+                if not valid(doc[key]):
+                    raise TypeError(f"{key} must be {expected}, got {doc[key]!r}")
             return cls(
                 mc_id=doc["mc_id"],
                 lsb=doc["X"],
@@ -117,10 +123,31 @@ class DatasetManifest:
                 representation=doc["representation"],
                 shape=tuple(doc["shape"]),
                 samples=[SampleRecord(**s) for s in doc["samples"]],
-                source_sha256=doc.get("source_sha256"),
+                source_sha256=doc["source_sha256"],
             )
-        except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad manifest: {exc}") from exc
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# manifest.json's top-level fields: the check each value must pass, and what it asks for
+_MANIFEST_FIELDS = {
+    "mc_id": (lambda v: isinstance(v, str), "a string"),
+    "X": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "payload_sha256": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "source_sha256": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "representation": (
+        lambda v: isinstance(v, str) and v in REPRESENTATIONS, "a known representation"
+    ),
+    "shape": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(_is_int(d) and d > 0 for d in v),
+        "two positive integers",
+    ),
+    "samples": (lambda v: isinstance(v, list), "a list"),
+}
 
 
 @dataclass
@@ -296,14 +323,17 @@ def load_dataset(manifest_path: str | Path) -> tuple[DatasetManifest, list[Label
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    manifest = DatasetManifest.from_json(manifest_path.read_text(encoding="utf-8"))
+    manifest = DatasetManifest.from_json(manifest_path.read_bytes())
     base = manifest_path.parent
     samples = []
     for rec in manifest.samples:
         rel = Path(rec.path)
         if rel.is_absolute() or ".." in rel.parts:
             raise FormatError(f"{rec.path}: sample path escapes the dataset directory")
-        img = read_pgm(base / rel)
+        try:
+            img = read_pgm(base / rel)
+        except (OSError, ValueError) as exc:  # missing, unreadable or an unusable name
+            raise FormatError(f"{rec.path}: cannot read sample image: {exc}") from exc
         if img.shape != manifest.shape:
             raise FormatError(
                 f"{rec.path}: image shape {img.shape} != manifest shape {manifest.shape}"

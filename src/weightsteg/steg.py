@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .weights_io import DType, WeightTensor, sha256_hex
+from .weights_io import CHUNK_WORDS, DType, WeightTensor, sha256_hex
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,11 +84,6 @@ class AttackSpec:
                 f"lsb={self.lsb} exceeds the {dtype.mantissa_bits}-bit mantissa of "
                 f"{dtype.value}; embed and build-dataset go beyond it only with --allow-exponent"
             )
-
-    def apply(self, tensor: WeightTensor) -> WeightTensor:
-        self.validate_for(tensor.dtype)
-        attack = lsb_attack_fill if self.fill else lsb_attack
-        return attack(tensor, self.lsb, self.payload)
 
     def words(self, source) -> "FillWords | LsbWords":
         """The attacked words of source, a flat cover, computed on demand."""
@@ -188,11 +183,16 @@ class FillWords:
         if self.n == 0:
             raise ValueError("fill attack requires at least one weight")
         period = min(self.n, k // math.gcd(k, lsb))
-        starts = np.arange(period, dtype=np.int64) * lsb % k
         self.fields = np.zeros(period, dtype=self.dtype.word_dtype)
-        for t in range(lsb):  # MSB of the field first
-            self.fields <<= 1
-            self.fields |= np.take(bits, starts + t, mode="wrap")
+        for lo in range(0, period, CHUNK_WORDS):  # index temporaries stay chunk-sized
+            block = self.fields[lo : lo + CHUNK_WORDS]
+            at = np.arange(lo, lo + len(block), dtype=np.int64)
+            at *= lsb
+            at %= k
+            for _ in range(lsb):  # MSB of the field first
+                block <<= 1
+                block |= np.take(bits, at, mode="wrap")
+                at += 1
         self.keep = _keep_mask(self.dtype, (1 << lsb) - 1)
 
     def take(self, flat_indices) -> np.ndarray:

@@ -481,6 +481,69 @@ class TestTrainManifestPaths:
         assert not (tmp_path / "d.safetensors").exists()
 
 
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small-dataset")
+    synth_collection(root / "mc", n_zoos=2, n_models=2, n_params=200, seed=4)
+    assert run("build-dataset", "--mc", root / "mc", "--lsb", 8, "--synthetic-payload", "16,2",
+               "--size", 28, "--train-zoos", "zoo0", "--out", root / "ds") == 0
+    return root / "ds"
+
+
+def _set_field(key, value):
+    def edit(doc):
+        doc[key] = value
+    return edit
+
+
+def _set_sample_field(key, value):
+    def edit(doc):
+        doc["samples"][0][key] = value
+    return edit
+
+
+class TestTrainMistypedManifest:
+    """A manifest field of the wrong type is a data error (exit 3) before training."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _set_field("mc_id", 7),
+            _set_field("X", 8.5),
+            _set_field("X", True),
+            _set_field("payload_sha256", 5),
+            _set_field("source_sha256", ["ab"]),
+            _set_field("representation", 5),
+            _set_field("representation", "foo"),
+            _set_field("shape", [8]),
+            _set_field("shape", [8, 0]),
+            _set_field("shape", [8.0, 8]),
+            _set_sample_field("path", 1),
+            _set_sample_field("path", None),
+            _set_sample_field("zoo", 3),
+            _set_sample_field("split", 1),
+            _set_sample_field("label", 2),
+            _set_sample_field("label", True),
+            _set_sample_field("label", 1.0),
+        ],
+        ids=["mc_id-int", "X-float", "X-bool", "payload_sha256-int", "source_sha256-list",
+             "representation-int", "representation-unknown", "shape-one", "shape-zero",
+             "shape-float", "path-int", "path-null", "zoo-int", "split-int", "label-2",
+             "label-bool", "label-float"],
+    )
+    def test_exit_3(self, tmp_path, small_dataset, capsys, edit):
+        doc = json.loads((small_dataset / "manifest.json").read_text())
+        edit(doc)
+        manifest = small_dataset / f"{tmp_path.name}.json"
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        det = tmp_path / "d.safetensors"
+        assert run("train", "--dataset", manifest, "--arch", "tiny", "--out", det) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[data]: bad manifest:") and "Traceback" not in err
+        assert not det.exists()
+
+
 class TestBuildDatasetTrainScan:
     def test_full_pipeline(self, tmp_path, mc_dir, capsys):
         ds = tmp_path / "ds"
@@ -642,7 +705,8 @@ class TestPipeline:
         collection = load_collection(mc_dir)
         cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), image_size=28, arch="tiny",
                                train_per_class=2, severities=(1, 2), modes=("centroid", "1nn"))
-        res = run_detection_run(collection, Payload.synthetic(16, 2), cfg, seed=0)
+        res = run_detection_run(collection, Payload.synthetic(16, 2), cfg, 0,
+                                load_flat_models(collection))
         metrics = {(r.eval_type, r.metric) for r in res.rows}
         assert ("centroid", "oml_accuracy") in metrics
         assert ("1nn", "weighted_metric") in metrics
@@ -656,4 +720,5 @@ class TestPipeline:
         cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0", "zoo1"), image_size=28,
                                arch="tiny", train_per_class=2)
         with pytest.raises(ValueError, match="zoos"):
-            run_detection_run(collection, Payload.synthetic(16, 2), cfg, seed=0)
+            run_detection_run(collection, Payload.synthetic(16, 2), cfg, 0,
+                              load_flat_models(collection))

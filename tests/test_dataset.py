@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import struct
 import tracemalloc
 from pathlib import Path
@@ -30,7 +31,7 @@ from weightsteg.dataset import (
     synth_zoo,
 )
 from weightsteg.errors import FormatError
-from weightsteg.imagerep import render, write_pgm
+from weightsteg.imagerep import REPRESENTATIONS, read_pgm, render, write_pgm
 from weightsteg.steg import (
     AttackSpec,
     FillWords,
@@ -216,6 +217,67 @@ class TestBuildDataset:
                 flat = lsb_attack_fill(flat, manifest.lsb, payload)
             recomputed = resize(grayscale_fourpart(flat), *manifest.shape)
             assert np.array_equal(read_pgm(tmp_path / "ds" / record.path), recomputed)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz-dataset")
+    collection = synth_collection(root / "mc", n_zoos=2, n_models=1, n_params=50, seed=9)
+    build_dataset(collection, "grayscale-fourpart", 8, root / "ds", lsb=8,
+                  payload=Payload.synthetic(8, seed=1), train_zoos=["zoo0"])
+    return root / "ds"
+
+
+@st.composite
+def byte_mutations(draw, data, hot):
+    """1-3 byte overwrites, three in four of them in the first hot bytes; half
+    the new bytes are JSON or PGM header characters, so some still parse."""
+    mutated = bytearray(data)
+    byte = st.one_of(st.integers(0, 255), st.sampled_from(b'0123456789-.e"{}[],:#P \n'))
+    for _ in range(draw(st.integers(1, 3))):
+        end = hot if draw(st.integers(0, 3)) < 3 else len(data)
+        mutated[draw(st.integers(0, end - 1))] = draw(byte)
+    return bytes(mutated)
+
+
+def is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+class TestMutatedDatasetInputs:
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_manifest_fails_closed(self, fuzz_dataset, data):
+        text = (fuzz_dataset / "manifest.json").read_bytes()
+        path = fuzz_dataset / "mutated.json"
+        path.write_bytes(data.draw(byte_mutations(text, len(text))))
+        try:
+            manifest, samples = load_dataset(path)
+        except FormatError:
+            return
+        assert isinstance(manifest.mc_id, str)
+        assert manifest.lsb is None or is_int(manifest.lsb)
+        assert all(v is None or isinstance(v, str)
+                   for v in (manifest.payload_sha256, manifest.source_sha256))
+        assert manifest.representation in REPRESENTATIONS
+        assert len(manifest.shape) == 2 and all(is_int(d) and d > 0 for d in manifest.shape)
+        for record in manifest.samples:
+            assert all(isinstance(v, str) for v in (record.path, record.zoo, record.split))
+            assert is_int(record.label) and record.label in (0, 1)
+        assert [s.image.shape for s in samples] == [manifest.shape] * len(manifest.samples)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_pgm_fails_closed(self, fuzz_dataset, data):
+        image = (fuzz_dataset / "images/zoo0/model000.benign.pgm").read_bytes()
+        header = image.index(b"255\n") + 4
+        path = fuzz_dataset / "mutated.pgm"
+        path.write_bytes(data.draw(byte_mutations(image, header)))
+        try:
+            pixels = read_pgm(path)
+        except FormatError:
+            return
+        assert pixels.dtype == np.uint8 and pixels.ndim == 2 and pixels.size >= 1
 
 
 class TestSplit:
@@ -444,11 +506,12 @@ def chunked_cases(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(chunked_cases(), st.booleans())
-def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, fill):
+@given(chunked_cases(), st.booleans(), st.data())
+def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, fill, draws):
     """attack_model(...).save writes, chunk by chunk, the bytes of attacking the
-    whole flattened model and saving it; for a fill attack its words render the
-    image the attacked model renders, and _model_pass writes and renders the same."""
+    whole flattened model and saving it; for a fill attack its words render, at
+    any size, the image the attacked model renders, and _model_pass writes and
+    renders the same."""
     dtype, layout, sizes, lsb, payload, seed = case
     rng = np.random.default_rng(seed)
     tensors = [WeightTensor(f"t{i}", dtype, (size,),
@@ -492,13 +555,20 @@ def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, f
     idx = rng.integers(0, len(attacked), size=(3, 5))
     assert np.array_equal(result.words.take(idx), attacked[idx])
     if dtype is DType.F32:
+        side = math.isqrt(len(cover) - 1) + 1  # the fourpart image is 2*side square
+        size = draws.draw(st.integers(1, 2 * side + 3), label="size")
+        flat = flatten(model)
+        image = render(spec.words(flat), "grayscale-fourpart", size)
+        assert np.array_equal(image, render(lsb_attack_fill(flat, lsb, payload),
+                                            "grayscale-fourpart", size))
+        assert np.array_equal(image, render(flat_attacked, "grayscale-fourpart", size))
         (root / "attacked").mkdir()
-        passed = dataset._model_pass(path, spec, "grayscale-fourpart", 9, root / "attacked")
+        passed = dataset._model_pass(path, spec, "grayscale-fourpart", size, root / "attacked")
         assert (root / "attacked" / path.name).read_bytes() == want
         assert passed[1][1] == hashlib.sha256(want).digest()
-        assert np.array_equal(passed[1][0], render(flat_attacked, "grayscale-fourpart", 9))
+        assert np.array_equal(passed[1][0], image)
         assert np.array_equal(passed[0][0], render(WeightTensor("", dtype, (len(cover),), cover),
-                                                   "grayscale-fourpart", 9))
+                                                   "grayscale-fourpart", size))
 
 
 @pytest.mark.parametrize("offset", [0, 1, CHUNK_WORDS - 5])

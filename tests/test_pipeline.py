@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weightsteg import detect
+from weightsteg import detect, pipeline, steg
 from weightsteg.dataset import synth_collection
 from weightsteg.detect import ReportRow, embed_samples, eval_al, eval_oml
 from weightsteg.pipeline import (
@@ -13,6 +13,7 @@ from weightsteg.pipeline import (
     run_detection_run,
 )
 from weightsteg.steg import Payload
+from weightsteg.weights_io import WeightTensor
 
 PAYLOAD = Payload.synthetic(16, 2)
 PER_CLASS = 2
@@ -78,7 +79,7 @@ def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, m
         lsb=lsb, train_zoos=("zoo0",), image_size=28, arch="tiny", strategy="ES",
         train_per_class=PER_CLASS, severities=severities, modes=modes, knn_k=k,
     )
-    res = run_detection_run(collection, PAYLOAD, cfg, seed=3)
+    res = run_detection_run(collection, PAYLOAD, cfg, 3, load_flat_models(collection))
     calls = list(forwards)
 
     n_test = 4  # zoo1 and zoo2 hold two models each
@@ -87,3 +88,38 @@ def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, m
     assert calls == [()] * (2 * PER_CLASS + n_test * (1 + attacked_sets))
 
     assert res.rows == sample_based_rows(res.detector, collection, cfg, 3)
+
+
+def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
+    """A detection run attacks no whole model: each image it renders, benign or
+    at any severity, reads at most the 4*size**2 cover words the resize taps."""
+    collection = synth_collection(tmp_path / "mc", n_zoos=2, n_models=2, n_params=250_000, seed=5)
+    flats = load_flat_models(collection)
+
+    def whole_model_attack(*args, **kwargs):
+        raise AssertionError("a detection run attacked every word of a model")
+
+    monkeypatch.setattr(steg, "lsb_attack_fill", whole_model_attack)
+    monkeypatch.setattr(steg.FillWords, "rewrite", whole_model_attack)
+    reads = []  # cover words read, per rendered image
+    take, render = WeightTensor.take, pipeline.render
+
+    def counting_take(self, flat_indices):
+        reads[-1] += np.size(flat_indices)
+        return take(self, flat_indices)
+
+    def counting_render(source, representation, size):
+        reads.append(0)
+        return render(source, representation, size)
+
+    monkeypatch.setattr(WeightTensor, "take", counting_take)
+    monkeypatch.setattr(pipeline, "render", counting_render)
+    size = 28
+    cfg = ExperimentConfig(
+        lsb=8, train_zoos=("zoo0",), image_size=size, arch="tiny", strategy="ES",
+        train_per_class=PER_CLASS, severities=(1, 2, 3), modes=("centroid",),
+    )
+    run_detection_run(collection, PAYLOAD, cfg, 0, flats)
+    # training: 2 benign + 2 attacked; zoo1's 2 models: benign, then X = 1, 2, 3 and 8
+    assert len(reads) == 2 * PER_CLASS + 2 * 5
+    assert 0 < max(reads) <= 4 * size**2

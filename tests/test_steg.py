@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from weightsteg.steg import (
     lsb_attack,
     lsb_attack_fill,
 )
-from weightsteg.weights_io import DType, WeightTensor
+from weightsteg.weights_io import CHUNK_WORDS, DType, WeightTensor
 
 
 def splice_oracle(words, word_bits, lsb, bitstring):
@@ -232,10 +233,10 @@ class TestAttackSpec:
     def test_apply_dispatch(self):
         cover = make_tensor([0, 0, 0])
         payload = Payload.from_bitstring("11")
-        plain = AttackSpec(1, False, payload).apply(cover)
-        filled = AttackSpec(1, True, payload).apply(cover)
-        assert [int(w) & 1 for w in plain.bits] == [1, 1, 0]
-        assert [int(w) & 1 for w in filled.bits] == [1, 1, 1]
+        plain = AttackSpec(1, False, payload).words(cover).rewrite(cover.bits, 0)
+        filled = AttackSpec(1, True, payload).words(cover).rewrite(cover.bits, 0)
+        assert [int(w) & 1 for w in plain] == [1, 1, 0]
+        assert [int(w) & 1 for w in filled] == [1, 1, 1]
 
 
 @st.composite
@@ -297,6 +298,36 @@ def test_fill_equals_attack_on_effective_payload(case):
     expected = lsb_attack(cover, lsb, effective_fill_payload(bits, n, lsb))
     assert filled.dtype is dtype
     assert np.array_equal(filled.bits, expected.bits)
+
+
+@pytest.mark.parametrize("lsb,k", [(2, 2 * CHUNK_WORDS + 1), (3, CHUNK_WORDS + 1)])
+def test_fill_period_longer_than_a_block(lsb, k):
+    """A period of more than CHUNK_WORDS words is built block by block and
+    still equals the plain attack on the effective stream."""
+    rng = np.random.default_rng(k)
+    n = 3 * CHUNK_WORDS + 7
+    cover = random_tensor(rng, n)
+    bits = rng.integers(0, 2, size=k, dtype=np.uint8)
+    words = FillWords(cover, lsb, Payload(bits))
+    assert len(words.fields) == k > CHUNK_WORDS
+    expected = lsb_attack(cover, lsb, effective_fill_payload(bits, n, lsb))
+    assert np.array_equal(lsb_attack_fill(cover, lsb, Payload(bits)).bits, expected.bits)
+
+
+def test_fill_period_table_peak_memory():
+    """Building one period of field values allocates little beyond the table:
+    a 1M-word cover at X = 8 under a 4 MB payload (a 1M-word period)."""
+    rng = np.random.default_rng(6)
+    cover = random_tensor(rng, 1_000_000)
+    payload = Payload.synthetic(4_000_000, 6)
+    tracemalloc.start()
+    try:
+        words = FillWords(cover, 8, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words.fields) == cover.n
+    assert peak < 1.5 * words.fields.nbytes, peak / words.fields.nbytes
 
 
 @given(attack_cases(), st.lists(st.integers(0, 24), max_size=5), st.booleans())

@@ -256,8 +256,8 @@ class TestZeroCopy:
         flat = flatten(model)
         before = flat.bits.copy()
         spec = AttackSpec(7, fill, Payload.synthetic(9, 2))
-        attacked = spec.apply(flat)
-        assert not np.array_equal(attacked.bits, before)
+        attacked = spec.words(flat).rewrite(flat.bits, 0)
+        assert not np.array_equal(attacked, before)
         attack_model(model, flat, spec).save(tmp_path / "out.safetensors")
         assert np.array_equal(flat.bits, before)
         assert read_container(data) == ModelWeights(tensors)
