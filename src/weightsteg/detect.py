@@ -293,7 +293,7 @@ def _check_shapes(config: ConvNetConfig, tensors: dict[str, np.ndarray]) -> None
 
 
 def load_detector(data: bytes) -> TrainedDetector:
-    """Parse a detector file; a missing or undecodable field raises FormatError."""
+    """Parse a detector file; a missing, undecodable or non-finite field raises FormatError."""
     model = read_container(data)
     meta = model.metadata
     if meta.get("kind") != "weightsteg-detector":
@@ -307,6 +307,10 @@ def load_detector(data: bytes) -> TrainedDetector:
     try:
         config = ConvNetConfig.from_dict(json.loads(meta["config"]))
         _check_shapes(config, by_name)
+        # a NaN or inf would turn every distance into nan, and nan labels benign
+        bad = sorted(name for name, value in by_name.items() if not np.isfinite(value).all())
+        if bad:
+            raise FormatError(f"detector tensors hold non-finite values: {', '.join(bad)}")
         params = NetParams(
             {
                 name[len("net.") :]: by_name.pop(name)

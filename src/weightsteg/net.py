@@ -172,10 +172,36 @@ def init_params(config: ConvNetConfig, rng: np.random.Generator | None = None) -
 
 
 def _im2col(x, k):
-    """(B, OH*OW, C*k*k) rows of the k x k patches of a (B, C, H, W) batch."""
+    """(B, OH*OW, C*k*k) rows of the k x k patches of a (B, C, H, W) batch.
+
+    Built one image at a time in two copies of whole runs. Each k-float run
+    x[n, c, h, ow : ow + k] goes, as one ``V{k*itemsize}`` item, to
+    rows[c, ow, h], so rows[c, ow, oh : oh + k] is a patch's k*k floats in
+    one run; those go, as one ``V{k*k*itemsize}`` item each, to the patch
+    rows. Where the patch rows are a view of x that needs no copy (k = 1, or
+    a 1-wide output of one channel), the view is returned as it is: matmul
+    picks its loop by the operand's layout (its non-BLAS loop on a 1-wide
+    view), and a copy could change the bits.
+    """
     win = sliding_window_view(x, (k, k), axis=(2, 3))  # (B, C, OH, OW, k, k)
-    batch, _, oh, ow = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, oh * ow, -1)
+    batch, c, oh, ow = win.shape[:4]
+    try:
+        return win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, oh * ow, -1, copy=False)
+    except ValueError:  # the rows need a copy
+        pass
+    h, w, s = x.shape[2], x.shape[3], x.itemsize
+    run, patch = np.dtype(f"V{k * s}"), np.dtype(f"V{k * k * s}")
+    rows = np.empty((c, ow, h, k), dtype=x.dtype)
+    cols = np.empty((batch, oh * ow, c * k * k), dtype=x.dtype)
+    for n in range(batch):
+        image = np.ascontiguousarray(x[n])
+        rows.view(run)[..., 0] = np.ndarray(
+            (c, ow, h), dtype=run, buffer=image, strides=(h * w * s, s, w * s)
+        )
+        cols[n].view(patch).reshape(oh, ow, c)[...] = np.ndarray(
+            (oh, ow, c), dtype=patch, buffer=rows, strides=(k * s, h * k * s, ow * h * k * s)
+        )
+    return cols
 
 
 def _conv_forward(x, w, b):
@@ -231,20 +257,33 @@ def _pool_views(x):
 
 
 def _pool_forward(x):
-    """2x2 max pool; on ties the first view in window order wins, as argmax does."""
+    """2x2 max pool; on ties the first view in window order wins, as argmax does.
+
+    A later view replaces the running max only where it is greater, by
+    blending bits, so a NaN never wins and a (-0, +0) tie keeps the first,
+    as ``np.where(v > y, v, y)`` does. y keeps the memory order of x.
+    """
     views = _pool_views(x)
-    y = views[0]
+    y = views[0].copy(order="K")
+    y_bits = y.view(f"u{y.itemsize}")
+    wins = np.empty_like(y, dtype=bool)
+    diff = np.empty_like(y_bits)
     for v in views[1:]:
-        y = np.where(v > y, v, y)
+        np.greater(v, y, out=wins)
+        np.bitwise_xor(v.view(y_bits.dtype), y_bits, out=diff)
+        diff *= wins
+        y_bits ^= diff
     return y, (x, y)
 
 
 def _pool_backward(dy, cache):
     x, y = cache
     dx = np.zeros(x.shape, dtype=dy.dtype)
-    taken = np.zeros(y.shape, dtype=bool)
+    taken = np.zeros_like(y, dtype=bool)
+    winner = np.empty_like(taken)
     for view, dview in zip(_pool_views(x), _pool_views(dx)):
-        winner = (view == y) & ~taken
+        np.equal(view, y, out=winner)
+        np.greater(winner, taken, out=winner)  # equal and not taken yet
         np.copyto(dview, dy, where=winner)
         taken |= winner
     return dx

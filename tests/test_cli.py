@@ -244,6 +244,16 @@ def _set_config(key, value):
     return edit
 
 
+def _set_first_value(name, value):
+    def edit(model):
+        model.tensors = [
+            t.with_bits(np.concatenate([np.float32([value]).view(t.bits.dtype), t.bits[1:]]))
+            if t.name == name else t
+            for t in model.tensors
+        ]
+    return edit
+
+
 def _set_meta(key, value):
     def edit(model):
         if value is None:
@@ -270,11 +280,13 @@ class TestScanBadDetector:
             _set_config("embedding_dim", 5),
             _drop_last_row("train.labels"),
             _drop_last_row("centroid.benign"),
+            _set_first_value("net.conv0.weight", np.nan),
+            _set_first_value("net.embed.weight", np.inf),
         ],
         ids=["no-embeddings", "no-centroid", "config-not-json", "no-config",
              "config-incomplete", "seed-not-int", "unknown-representation",
              "config-input-size", "config-embedding-dim", "labels-short",
-             "centroid-short"],
+             "centroid-short", "nan-conv-weight", "inf-embed-weight"],
     )
     def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
         model = read_container(tiny_detector_bytes())

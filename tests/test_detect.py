@@ -303,6 +303,23 @@ class TestSerialization:
         with pytest.raises(FormatError, match="format_version"):
             load_detector(tampered)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [("net.conv0.weight", np.nan), ("net.embed.weight", np.inf), ("net.embed.bias", -np.inf),
+         ("train.embeddings", np.nan), ("centroid.benign", np.inf), ("centroid.malicious", np.nan)],
+    )
+    def test_non_finite_tensor_rejected(self, name, value):
+        from weightsteg.weights_io import read_container, write_container
+
+        model = read_container(save_detector(tiny_detector()))
+        model.tensors = [
+            t.with_bits(np.concatenate([np.float32([value]).view(t.bits.dtype), t.bits[1:]]))
+            if t.name == name else t
+            for t in model.tensors
+        ]
+        with pytest.raises(FormatError, match=f"non-finite values: {name}$"):
+            load_detector(write_container(model))
+
 
 class TestReporting:
     def test_bootstrap_constant_values(self):

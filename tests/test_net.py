@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -157,6 +157,16 @@ class TestPool:
         assert np.signbit(y).all()
         dx = _pool_backward(np.ones((1, 1, 1, 1), dtype=np.float32), cache)
         assert dx.tolist() == [[[[1.0, 0.0], [0.0, 0.0]]]]
+
+    def test_nan_wins_only_as_first_view(self):
+        """A NaN never beats the running max; a NaN first view is kept, and no
+        view of its window takes the gradient."""
+        nan = np.nan
+        x = np.array([[[[1.0, nan, nan, 5.0], [2.0, 0.0, 3.0, nan]]]], dtype=np.float32)
+        y, cache = _pool_forward(x)
+        assert y[0, 0, 0, 0] == 2.0 and np.isnan(y[0, 0, 0, 1])
+        dx = _pool_backward(np.ones((1, 1, 1, 2), dtype=np.float32), cache)
+        assert dx.tolist() == [[[[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]]]
 
 
 class TestTripletLoss:
@@ -337,6 +347,37 @@ def reference_conv_forward(x, w, b):
     return out.transpose(0, 2, 1).reshape(x.shape[0], out_c, oh, ow)
 
 
+def reference_pool_forward(x):
+    """2x2 max pool by np.where over the four strided views, the first winning ties."""
+    views = net._pool_views(x)
+    y = views[0]
+    for v in views[1:]:
+        y = np.where(v > y, v, y)
+    return y, (x, y)
+
+
+def reference_pool_backward(dy, cache):
+    x, y = cache
+    dx = np.zeros(x.shape, dtype=dy.dtype)
+    taken = np.zeros(y.shape, dtype=bool)
+    for view, dview in zip(net._pool_views(x), net._pool_views(dx)):
+        winner = (view == y) & ~taken
+        np.copyto(dview, dy, where=winner)
+        taken |= winner
+    return dx
+
+
+def reference_layers():
+    """Run the net on the reference conv and pool layers inside this context."""
+    return mock.patch.multiple(
+        net,
+        _conv_forward=reference_conv_forward,
+        _conv_backward=reference_conv_backward,
+        _pool_forward=reference_pool_forward,
+        _pool_backward=reference_pool_backward,
+    )
+
+
 def bits(a):
     return a.view(f"u{a.itemsize}")
 
@@ -356,6 +397,8 @@ class TestConvOracle:
         dtype=FLOAT_TYPES,
         seed=st.integers(0, 2**16),
     )
+    # OW = 1: the patch rows are a view of x, and matmul takes its non-BLAS loop
+    @example(batch=1, channels=1, out_c=1, k=2, extra=(3, 0), dtype=np.float32, seed=1)
     def test_layer_bitwise(self, batch, channels, out_c, k, extra, dtype, seed):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((batch, channels, k + extra[0], k + extra[1])).astype(dtype)
@@ -404,9 +447,7 @@ class TestConvOracle:
             return forward(config, params, images), net._backward(config, params, cache, demb)
 
         emb, grads = run()
-        with mock.patch.object(net, "_conv_forward", reference_conv_forward), mock.patch.object(
-            net, "_conv_backward", reference_conv_backward
-        ):
+        with reference_layers():
             want_emb, want = run()
         assert emb.dtype == want_emb.dtype == dtype
         assert np.array_equal(bits(emb), bits(want_emb))
@@ -414,6 +455,38 @@ class TestConvOracle:
         for name in want:
             assert grads[name].dtype == want[name].dtype == dtype
             assert np.array_equal(bits(grads[name]), bits(want[name])), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])  # float64 is the shadow mode
+def test_osl_small_bitwise(dtype):
+    """The osl-small preset at 100x100 (k = 10 and 7, C = 16 and 32, beyond the
+    hypothesis oracle's reach) against the reference layers: batch-1
+    embeddings and the gradients of one 6-image backward."""
+    config = preset("osl-small", input_size=100)
+    rng = np.random.default_rng(11)
+    params = init_params(config, rng).astype(dtype)
+    for name, tensor in params.tensors.items():
+        if name.endswith(".bias"):
+            tensor[...] = 0.1 * rng.standard_normal(tensor.shape)
+    images = rng.random((6, 100, 100)).astype(dtype)
+    images[0, 60:] = 0.0  # zero rows, as a small model renders
+    triplets = make_triplets([0, 0, 0, 1, 1, 1])
+
+    def run():
+        embs = [forward(config, params, image) for image in images[:3]]
+        return embs, backward(config, params, images, triplets, 1.0)
+
+    embs, (grads, loss) = run()
+    with reference_layers():
+        want_embs, (want, want_loss) = run()
+    for emb, want_emb in zip(embs, want_embs):
+        assert emb.dtype == want_emb.dtype == dtype
+        assert np.array_equal(bits(emb), bits(want_emb))
+    assert loss == want_loss > 0.0
+    assert grads.keys() == want.keys()
+    for name in want:
+        assert grads[name].dtype == want[name].dtype == dtype
+        assert np.array_equal(bits(grads[name]), bits(want[name])), name
 
 
 def test_backward_peak_memory():
