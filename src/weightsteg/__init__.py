@@ -54,10 +54,8 @@ from .net import (
 )
 from .steg import (
     AttackSpec,
-    FillWords,
+    LsbWords,
     Payload,
-    embedding_rate,
-    embedding_rate_general,
     extract_lsb,
     lsb_attack,
     lsb_attack_fill,

@@ -127,8 +127,9 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    flat = flatten(load_model(args.infile))
-    payload = extract_lsb(flat, args.lsb, args.bits)
+    """Write the payload bits read back from the file's first words, reading only those."""
+    with open_words(args.infile) as words:
+        payload = extract_lsb(words, args.lsb, args.bits)
     out = _out_path(args.out, Path(args.infile).stem + ".payload.bin")
     out.write_bytes(payload.to_bytes())
     print(out)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATIONS, normalize, read_pgm, render, write_pgm
-from .steg import AttackSpec, FillWords, LsbWords, Payload
+from .steg import AttackSpec, LsbWords, Payload
 from .weights_io import (
     DType,
     ModelWeights,
@@ -179,12 +179,14 @@ def load_collection(mc_dir: str | Path, mc_id: str | None = None) -> ModelCollec
 class AttackedModel(NamedTuple):
     """An attacked model held as its cover and the attack, never as a copy.
 
-    words gives the attacked words on demand (spec.words of the cover's flat
-    words); layout is the cover's tensors under the attacked model's
-    metadata. Only save() writes the attacked words, one chunk at a time.
+    words, spec.words of the cover's flat words, is a steg.LsbWords for a
+    plain or a fill attack alike: its take gives the attacked words at the
+    indices a render taps. layout is the cover's tensors under the attacked
+    model's metadata. Only save() writes the attacked words, one chunk at a
+    time, through words.rewrite.
     """
 
-    words: FillWords | LsbWords
+    words: LsbWords
     layout: ModelWeights
 
     def save(self, path: str | Path) -> str:

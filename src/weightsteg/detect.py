@@ -115,8 +115,9 @@ def label_embeddings(
 ) -> list[Verdict]:
     """Verdict for each embedding row: the one rule every classifier goes through.
 
-    mode "centroid" picks the nearer training centroid; "1nn" and "knn" take
-    the majority of the k nearest training embeddings. Both under l2.
+    mode "centroid" picks the nearer training centroid; "knn" takes the
+    majority of the k nearest training embeddings, and "1nn" the nearest
+    one, whatever k is. Both under l2.
     """
     if mode == "centroid":
         c0 = detector.centroid_benign.astype(np.float64)
@@ -124,6 +125,7 @@ def label_embeddings(
         return [_centroid_verdict(e, c0, c1) for e in embeddings]
     if mode in ("1nn", "knn"):
         train = detector.embeddings.astype(np.float64)
+        k = 1 if mode == "1nn" else k
         return [_knn_verdict(e, train, detector.labels, k) for e in embeddings]
     raise ValueError(f"unknown evaluation mode {mode!r}")
 

@@ -25,7 +25,8 @@ def _fourpart_source(source):
     returns the uint8 block at ``rows x cols`` and reads only the words it
     shows, through ``source.take(flat_indices)``: source is a WeightTensor,
     a weights_io.FileWords that reads them from the file, or anything else
-    with dtype, n and take (such as steg.FillWords).
+    with dtype, n and take (such as steg.LsbWords, the attacked words of a
+    plain or a fill attack).
     """
     if source.dtype is not DType.F32:
         raise FormatError(

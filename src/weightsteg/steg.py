@@ -85,10 +85,10 @@ class AttackSpec:
                 f"{dtype.value}; embed and build-dataset go beyond it only with --allow-exponent"
             )
 
-    def words(self, source) -> "FillWords | LsbWords":
+    def words(self, source) -> "LsbWords":
         """The attacked words of source, a flat cover, computed on demand."""
         self.validate_for(source.dtype)
-        return (FillWords if self.fill else LsbWords)(source, self.lsb, self.payload)
+        return LsbWords(source, self.lsb, self.payload, self.fill)
 
 
 def _check_lsb(lsb: int, word_bits: int) -> None:
@@ -96,93 +96,47 @@ def _check_lsb(lsb: int, word_bits: int) -> None:
         raise ValueError(f"lsb must be in [1, {word_bits}], got {lsb}")
 
 
-def _payload_bits(payload) -> np.ndarray:
-    return payload.bits if isinstance(payload, Payload) else Payload(payload).bits
-
-
-def _chunk_values(bits: np.ndarray, lsb: int) -> np.ndarray:
-    """Fold a bit matrix of full chunks into integer field values, MSB first."""
-    chunks = bits.reshape(-1, lsb)
-    values = np.zeros(len(chunks), dtype=np.uint64)
-    for t in range(lsb):
-        values <<= np.uint64(1)
-        values |= chunks[:, t]
-    return values
-
-
-def _keep_mask(dtype: DType, field_mask: int) -> np.ndarray:
-    """The word mask that clears field_mask's bits, as a dtype word."""
-    return np.array(((1 << dtype.word_bits) - 1) ^ field_mask, dtype=dtype.word_dtype)
-
-
 class LsbWords:
-    """Plain LSB substitution of the payload into a flat cover, word by word.
+    """An LSB attack of a flat cover, word by word.
 
-    Word i < ceil(k / lsb) gets payload chunk i in its low lsb bits, most
-    significant bit first; a short final chunk fills only the top of its
-    field. Later words are left bit-identical. source, the cover, is
-    anything with dtype and n (a WeightTensor or a weights_io.FileWords).
-    Raises CapacityError when the payload cannot fully fit.
-    """
+    Word i < limit becomes ``(w_i & keep) | fields[i mod period]``, where
+    keep clears the low lsb bits; later words are left bit-identical. Field
+    i holds stream bits ``(i*lsb + t) mod k``, t < lsb, most significant
+    first.
 
-    def __init__(self, source, lsb: int, payload):
-        self.dtype, self.lsb, n = source.dtype, lsb, source.n
-        _check_lsb(lsb, self.dtype.word_bits)
-        self.bits = _payload_bits(payload)
-        k = len(self.bits)
-        if k > n * lsb:
-            raise CapacityError(f"payload of {k} bits exceeds capacity {n}*{lsb}={n * lsb}")
-        self.n_chunks = math.ceil(k / lsb)
-        self.tail = k - (self.n_chunks - 1) * lsb  # length of the final chunk, in [1, lsb]
-        self.n_full = self.n_chunks if self.tail == lsb else self.n_chunks - 1
+    - The plain attack (fill False) writes the payload once:
+      ``limit = period = ceil(k / lsb)``. A short final chunk fills only the
+      top of its field; the field's low bits are the cover's, read once
+      here. Raises CapacityError when the payload cannot fully fit.
+    - The fill attack (fill True) repeats or truncates the payload to every
+      word: ``limit = n`` and ``period = k / gcd(k, lsb)``, at most n.
 
-    def rewrite(self, words: np.ndarray, first: int) -> np.ndarray:
-        """The attacked words of a run of consecutive cover words, the first at flat index first."""
-        lsb, word_dtype = self.lsb, self.dtype.word_dtype
-        hi = first + len(words)
-        if first >= self.n_chunks:
-            return words
-        words = words.copy()
-        full_hi = min(hi, self.n_full)
-        if first < full_hi:
-            values = _chunk_values(self.bits[first * lsb : full_hi * lsb], lsb).astype(word_dtype)
-            head = words[: full_hi - first]
-            head &= _keep_mask(self.dtype, (1 << lsb) - 1)
-            head |= values
-        last = self.n_chunks - 1
-        if self.tail != lsb and first <= last < hi:
-            # partial chunk lands in the topmost bits of the low field
-            tail = self.tail
-            value = int(_chunk_values(self.bits[self.n_full * lsb :], tail)[0]) << (lsb - tail)
-            keep = _keep_mask(self.dtype, ((1 << tail) - 1) << (lsb - tail))
-            words[last - first] = (words[last - first] & keep) | np.array(value, dtype=word_dtype)
-        return words
-
-
-class FillWords:
-    """The fill attack of a flat cover, word by word: every word's low lsb
-    bits carry the payload, repeated or truncated to the cover's capacity.
-
-    Word i holds stream bits ``(i*lsb + t) mod k``, t < lsb, so its attacked
-    value is ``(w_i & keep) | fields[i mod period]``, where the field values
-    repeat every ``period = k / gcd(k, lsb)`` words (at most n). One period
-    is built; ``take`` gives the attacked words at any flat indices, reading
-    only those cover words (what render taps), and ``rewrite`` lays the
-    period over a run of consecutive cover words in place (what save_model
-    writes). The attacked cover is never held whole. source, the cover, is
+    One period is built, on blocks of CHUNK_WORDS entries. ``take`` gives
+    the attacked words at any flat indices, reading only those cover words
+    (what render taps), and ``rewrite`` lays the period over a run of
+    consecutive cover words (what save_model writes). The attacked cover is
+    never held whole. source, the cover, is anything with dtype, n and take:
     a WeightTensor or a weights_io.FileWords.
     """
 
-    def __init__(self, source, lsb: int, payload):
+    def __init__(self, source, lsb: int, payload, fill: bool = False):
         self.source, self.dtype, self.n = source, source.dtype, source.n
         _check_lsb(lsb, self.dtype.word_bits)
-        bits = _payload_bits(payload)
+        bits = (payload if isinstance(payload, Payload) else Payload(payload)).bits
         k = len(bits)
-        if k == 0:
-            raise ValueError("fill attack requires a non-empty payload")
-        if self.n == 0:
-            raise ValueError("fill attack requires at least one weight")
-        period = min(self.n, k // math.gcd(k, lsb))
+        if fill:
+            if k == 0:
+                raise ValueError("fill attack requires a non-empty payload")
+            if self.n == 0:
+                raise ValueError("fill attack requires at least one weight")
+            self.limit = self.n
+            period = min(self.n, k // math.gcd(k, lsb))
+        else:
+            if k > self.n * lsb:
+                raise CapacityError(
+                    f"payload of {k} bits exceeds capacity {self.n}*{lsb}={self.n * lsb}"
+                )
+            self.limit = period = math.ceil(k / lsb)
         self.fields = np.zeros(period, dtype=self.dtype.word_dtype)
         for lo in range(0, period, CHUNK_WORDS):  # index temporaries stay chunk-sized
             block = self.fields[lo : lo + CHUNK_WORDS]
@@ -193,25 +147,45 @@ class FillWords:
                 block <<= 1
                 block |= np.take(bits, at, mode="wrap")
                 at += 1
-        self.keep = _keep_mask(self.dtype, (1 << lsb) - 1)
+        short = period * lsb - k
+        if not fill and short:
+            # the final chunk's field ends in cover bits, not in wrapped payload
+            cover = self.source.take(np.array([period - 1]))
+            self.fields[-1:] ^= (self.fields[-1:] ^ cover) & ((1 << short) - 1)
+        # the word mask that clears the low lsb bits
+        self.keep = np.array((1 << self.dtype.word_bits) - (1 << lsb), dtype=self.dtype.word_dtype)
 
     def take(self, flat_indices) -> np.ndarray:
         """The attacked words at flat_indices (any shape), in that shape."""
         idx = np.asarray(flat_indices, dtype=np.int64)
-        return (self.source.take(idx) & self.keep) | self.fields[idx % len(self.fields)]
+        words = self.source.take(idx)
+        if self.limit == self.n:
+            return (words & self.keep) | self.fields[idx % len(self.fields)]
+        hit = idx < self.limit  # a plain attack: period == limit
+        words[hit] = (words[hit] & self.keep) | self.fields[idx[hit]]
+        return words
 
     def rewrite(self, words: np.ndarray, first: int) -> np.ndarray:
         """The attacked words of a run of consecutive cover words, the first at flat index first.
 
         Equal to take(range(first, first + len(words))) for words read from
-        the cover, but the period is or-ed into the masked words in place.
+        the cover, but the period is or-ed into the masked words in place. A
+        run wholly at or past limit is returned as it is.
         """
         fields, period = self.fields, len(self.fields)
-        out = words & self.keep
+        carried = min(len(words), self.limit - first)  # words of the run below limit
+        if carried <= 0:
+            return words
+        if carried == len(words):
+            out = words & self.keep
+        else:
+            out = words.copy()
+            out[:carried] &= self.keep
+        run = out[:carried]
         phase = first % period
-        head = min(len(out), period - phase)
-        out[:head] |= fields[phase : phase + head]
-        rest = out[head:]  # starts at phase 0
+        head = min(carried, period - phase)
+        run[:head] |= fields[phase : phase + head]
+        rest = run[head:]  # starts at phase 0
         whole = len(rest) - len(rest) % period
         periods = rest[:whole].reshape(-1, period)
         np.bitwise_or(periods, fields, out=periods)
@@ -232,9 +206,9 @@ def lsb_attack_fill(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
     """Fill every weight's low field by repeating or truncating the payload.
 
     Equal to ``lsb_attack(tensor, lsb, effective_fill_payload(bits, n, lsb))``;
-    see FillWords, which costs O(n) word operations and no per-bit work.
+    see LsbWords, which costs O(n) word operations and no per-bit work.
     """
-    return tensor.with_bits(FillWords(tensor, lsb, payload).rewrite(tensor.bits, 0))
+    return tensor.with_bits(LsbWords(tensor, lsb, payload, fill=True).rewrite(tensor.bits, 0))
 
 
 def effective_fill_payload(bits: np.ndarray, n_weights: int, lsb: int) -> np.ndarray:
@@ -247,45 +221,22 @@ def effective_fill_payload(bits: np.ndarray, n_weights: int, lsb: int) -> np.nda
     return np.tile(bits, reps)[:capacity]
 
 
-def extract_lsb(tensor: WeightTensor, lsb: int, n_bits: int) -> Payload:
-    """Read back the first ``n_bits`` payload bits using the embedding convention."""
-    word_bits = tensor.dtype.word_bits
-    _check_lsb(lsb, word_bits)
+def extract_lsb(source, lsb: int, n_bits: int) -> Payload:
+    """Read back the first ``n_bits`` payload bits using the embedding convention.
+
+    source, the flat words, is anything with dtype, n and take (a
+    WeightTensor or a weights_io.FileWords); only the ceil(n_bits / lsb)
+    words that carry those bits are read.
+    """
+    _check_lsb(lsb, source.dtype.word_bits)
     if n_bits < 0:
         raise ValueError("cannot extract a negative number of bits")
-    if n_bits > tensor.n * lsb:
+    if n_bits > source.n * lsb:
         raise ValueError(
-            f"requested {n_bits} bits but capacity is {tensor.n}*{lsb}={tensor.n * lsb}"
+            f"requested {n_bits} bits but capacity is {source.n}*{lsb}={source.n * lsb}"
         )
-    if n_bits == 0:
-        return Payload(np.zeros(0, dtype=np.uint8), "extracted")
-
-    n_chunks = math.ceil(n_bits / lsb)
-    tail = n_bits - (n_chunks - 1) * lsb
-    n_full = n_chunks if tail == lsb else n_chunks - 1
-
-    fields = tensor.bits[:n_chunks].astype(np.uint64) & ((1 << lsb) - 1)
-    pieces = []
-    if n_full:
-        shifts = np.arange(lsb, dtype=np.uint64)[::-1]
-        pieces.append(((fields[:n_full, None] >> shifts) & 1).astype(np.uint8).reshape(-1))
-    if tail != lsb:
-        shifts = np.arange(lsb - tail, lsb, dtype=np.uint64)[::-1]
-        pieces.append(((fields[-1] >> shifts) & 1).astype(np.uint8))
-    return Payload(np.concatenate(pieces), "extracted")
-
-
-def embedding_rate(lsb: int, word_bits: int) -> float:
-    """Fraction of cover bits carrying payload under a fill attack."""
-    _check_lsb(lsb, word_bits)
-    return lsb / word_bits
-
-
-def embedding_rate_general(n_payload_bits: int, n_weights: int, word_bits: int) -> float:
-    if n_weights < 1:
-        raise ValueError("cover model has no weights")
-    if not 1 <= n_payload_bits <= n_weights * word_bits:
-        raise ValueError(
-            f"payload bits must be in [1, {n_weights * word_bits}], got {n_payload_bits}"
-        )
-    return n_payload_bits / (n_weights * word_bits)
+    # each field's bits MSB first; a short final chunk is the top of its field
+    fields = source.take(np.arange(math.ceil(n_bits / lsb))).astype(np.uint64)
+    shifts = np.arange(lsb - 1, -1, -1, dtype=np.uint64)
+    bits = ((fields[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    return Payload(bits[:n_bits], "extracted")

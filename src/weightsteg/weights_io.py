@@ -110,11 +110,6 @@ class WeightTensor:
         """Decimal view of the stored bit patterns (no copy)."""
         return self.bits.view(self.dtype.float_dtype)
 
-    @property
-    def non_finite_count(self) -> int:
-        """NaN/Inf words; they are legal cover words but worth surfacing."""
-        return int(np.count_nonzero(~np.isfinite(self.values())))
-
     def take(self, flat_indices) -> np.ndarray:
         """The words at flat_indices, as FileWords.take reads them from a file."""
         return self.bits[flat_indices]
@@ -148,10 +143,6 @@ class ModelWeights:
     @property
     def n(self) -> int:
         return sum(t.n for t in self.tensors)
-
-    @property
-    def non_finite_count(self) -> int:
-        return sum(t.non_finite_count for t in self.tensors)
 
     def __eq__(self, other):
         return (

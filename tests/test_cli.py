@@ -150,6 +150,73 @@ class TestEmbedExtract:
         assert out.read_bytes() == write_container(expected)
 
 
+class TestExtractReads:
+    """extract reads through open_words: only the words that carry the bits."""
+
+    LSB, BITS = 8, 8 * 1_010 - 3  # 1,010 words, the last one short, across all three tensors
+
+    def write_model(self, path, layout):
+        tensors = random_tensors(DType.F32, [(1_000,), (3,), (250_000,)])
+        if layout == "raw":
+            path.write_bytes(write_raw(flatten(ModelWeights(tensors))))
+        elif layout == "scrambled":
+            path.write_bytes(scrambled_container(tensors, [2, 0, 1]))
+        else:
+            path.write_bytes(write_container(ModelWeights(tensors)))
+        return extract_lsb(flatten(load_model(path)), self.LSB, self.BITS).to_bytes()
+
+    @pytest.mark.parametrize("layout", ["container", "raw", "scrambled"])
+    def test_reads_payload_words(self, tmp_path, monkeypatch, layout):
+        path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
+        want = self.write_model(path, layout)
+        reads = []
+        pread = os.pread
+
+        def counting(fd, nbytes, offset):
+            reads.append(nbytes)
+            return pread(fd, nbytes, offset)
+
+        def no_full_read(*args, **kwargs):
+            raise AssertionError("extract read a whole regular file")
+
+        monkeypatch.setattr(os, "pread", counting)
+        monkeypatch.setattr(cli, "load_model", no_full_read)
+        out = tmp_path / "p.bin"
+        assert run("extract", "--in", path, "--lsb", self.LSB, "--bits", self.BITS,
+                   "--out", out) == 0
+        assert out.read_bytes() == want
+        assert 0 < sum(reads) < path.stat().st_size // 10
+
+    def test_fifo_is_read_whole(self, tmp_path, monkeypatch):
+        source = tmp_path / "m.safetensors"
+        want = self.write_model(source, "container")
+        fifo = tmp_path / "pipe.safetensors"
+        os.mkfifo(fifo)
+        sources = []
+
+        @contextlib.contextmanager
+        def recording(path):
+            with open_words(path) as words:
+                sources.append(type(words))
+                yield words
+
+        monkeypatch.setattr(cli, "open_words", recording)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(source.read_bytes())
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        out = tmp_path / "p.bin"
+        assert run("extract", "--in", fifo, "--lsb", self.LSB, "--bits", self.BITS,
+                   "--out", out) == 0
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert sources == [WeightTensor]  # the flattened full read, not a FileWords
+        assert out.read_bytes() == want
+
+
 class TestImagify:
     def test_matches_library(self, tmp_path, mc_dir):
         model = mc_dir / "zoo1" / "model002.safetensors"

@@ -34,7 +34,7 @@ from weightsteg.errors import FormatError
 from weightsteg.imagerep import REPRESENTATIONS, read_pgm, render, write_pgm
 from weightsteg.steg import (
     AttackSpec,
-    FillWords,
+    LsbWords,
     Payload,
     effective_fill_payload,
     extract_lsb,
@@ -578,7 +578,7 @@ def test_fill_rewrite_period_straddles_chunks(offset):
     rng = np.random.default_rng(offset)
     n = 3 * CHUNK_WORDS + 7
     cover = WeightTensor("", DType.F32, (n,), rng.integers(0, 2**32, n, dtype=np.uint64))
-    words = FillWords(cover, 5, Payload.synthetic(3, 1))
+    words = LsbWords(cover, 5, Payload.synthetic(3, 1), fill=True)
     assert len(words.fields) == 24
     run = cover.bits[offset : offset + CHUNK_WORDS + 11]
     assert np.array_equal(words.rewrite(run, offset),

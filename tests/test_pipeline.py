@@ -90,6 +90,19 @@ def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, m
     assert res.rows == sample_based_rows(res.detector, collection, cfg, 3)
 
 
+def test_1nn_rows_ignore_knn_k(collection):
+    """1nn rows score the nearest training embedding whatever knn_k is; the
+    k applies to knn rows only."""
+    def rows(k):
+        cfg = ExperimentConfig(
+            lsb=2, train_zoos=("zoo0",), image_size=28, arch="tiny", strategy="ES",
+            train_per_class=PER_CLASS, severities=(1, 2, 3), modes=("1nn",), knn_k=k,
+        )
+        return run_detection_run(collection, PAYLOAD, cfg, 3, load_flat_models(collection)).rows
+
+    assert rows(3) == rows(1)
+
+
 def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
     """A detection run attacks no whole model: each image it renders, benign or
     at any severity, reads at most the 4*size**2 cover words the resize taps."""
@@ -100,7 +113,7 @@ def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
         raise AssertionError("a detection run attacked every word of a model")
 
     monkeypatch.setattr(steg, "lsb_attack_fill", whole_model_attack)
-    monkeypatch.setattr(steg.FillWords, "rewrite", whole_model_attack)
+    monkeypatch.setattr(steg.LsbWords, "rewrite", whole_model_attack)
     reads = []  # cover words read, per rendered image
     take, render = WeightTensor.take, pipeline.render
 

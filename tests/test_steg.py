@@ -3,21 +3,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from weightsteg.errors import CapacityError
 from weightsteg.steg import (
     AttackSpec,
-    FillWords,
     LsbWords,
     Payload,
     effective_fill_payload,
-    embedding_rate,
-    embedding_rate_general,
     extract_lsb,
     lsb_attack,
     lsb_attack_fill,
 )
+from weightsteg.imagerep import render
 from weightsteg.weights_io import CHUNK_WORDS, DType, WeightTensor
 
 
@@ -174,32 +172,6 @@ class TestPreservation:
             assert np.array_equal(cover.bits & mask, out.bits & mask)
 
 
-class TestEmbeddingRate:
-    def test_half(self):
-        assert embedding_rate(16, 32) == 0.5
-
-    def test_quarter(self):
-        assert embedding_rate(8, 32) == 0.25
-
-    def test_full(self):
-        assert embedding_rate(32, 32) == 1.0
-
-    def test_general_matches_fill_form(self):
-        for n in (1, 3, 17):
-            for lsb in (1, 5, 32):
-                assert embedding_rate(lsb, 32) == embedding_rate_general(n * lsb, n, 32)
-
-    def test_zero_weights_rejected(self):
-        with pytest.raises(ValueError):
-            embedding_rate_general(1, 0, 32)
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            embedding_rate(0, 32)
-        with pytest.raises(ValueError):
-            embedding_rate_general(65, 2, 32)
-
-
 class TestPayload:
     def test_bytes_roundtrip(self):
         payload = Payload.from_bytes(b"\xa5\x01")
@@ -308,7 +280,7 @@ def test_fill_period_longer_than_a_block(lsb, k):
     n = 3 * CHUNK_WORDS + 7
     cover = random_tensor(rng, n)
     bits = rng.integers(0, 2, size=k, dtype=np.uint8)
-    words = FillWords(cover, lsb, Payload(bits))
+    words = LsbWords(cover, lsb, Payload(bits), fill=True)
     assert len(words.fields) == k > CHUNK_WORDS
     expected = lsb_attack(cover, lsb, effective_fill_payload(bits, n, lsb))
     assert np.array_equal(lsb_attack_fill(cover, lsb, Payload(bits)).bits, expected.bits)
@@ -322,7 +294,7 @@ def test_fill_period_table_peak_memory():
     payload = Payload.synthetic(4_000_000, 6)
     tracemalloc.start()
     try:
-        words = FillWords(cover, 8, payload)
+        words = LsbWords(cover, 8, payload, fill=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -339,11 +311,64 @@ def test_rewrite_of_runs_equals_whole_attack(case, cuts, fill):
     rng = np.random.default_rng(seed)
     cover = random_tensor(rng, n, dtype)
     payload = Payload(rng.integers(0, 2, size=max(k, 1) if fill else k, dtype=np.uint8))
-    words = (FillWords if fill else LsbWords)(cover, lsb, payload)
+    words = LsbWords(cover, lsb, payload, fill)
     whole = (lsb_attack_fill if fill else lsb_attack)(cover, lsb, payload)
     bounds = sorted({0, n, *(c for c in cuts if c <= n)})
     runs = [words.rewrite(cover.bits[lo:hi], lo) for lo, hi in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(runs), whole.bits)
-    if fill:
-        idx = rng.integers(0, n, size=(2, 3))
-        assert np.array_equal(words.take(idx), whole.bits[idx])
+    idx = rng.integers(0, n, size=(2, 3))
+    assert np.array_equal(words.take(idx), whole.bits[idx])
+
+
+def test_plain_field_table_peak_memory():
+    """The plain attack's table holds one field per payload chunk and its
+    build allocates little beyond it: a 1M-word cover at X = 7 under a 0.8 MB
+    payload (914,286 chunks, the last one short)."""
+    rng = np.random.default_rng(6)
+    cover = random_tensor(rng, 1_000_000)
+    payload = Payload.synthetic(800_000, 6)
+    tracemalloc.start()
+    try:
+        words = LsbWords(cover, 7, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words.fields) == math.ceil(payload.k / 7) == 914_286
+    assert peak < 1.5 * words.fields.nbytes, peak / words.fields.nbytes
+
+
+words_cases = st.one_of(
+    st.tuples(st.just(False), attack_cases()), st.tuples(st.just(True), fill_cases())
+)
+
+
+@given(words_cases)
+@example((False, (DType.F16, 3, 5, 7, 1)))  # a short final chunk: 3 field bits stay the cover's
+@example((False, (DType.F32, 4, 3, 0, 2)))  # an empty plain payload
+def test_words_match_string_oracle(case):
+    """Both kinds of LsbWords, through rewrite and through take, give the
+    splice oracle's words for the stream each embeds."""
+    fill, (dtype, n, lsb, k, seed) = case
+    rng = np.random.default_rng(seed)
+    cover = random_tensor(rng, n, dtype)
+    bits = rng.integers(0, 2, size=k, dtype=np.uint8)
+    stream = effective_fill_payload(bits, n, lsb) if fill else bits
+    expected = splice_oracle(cover.bits, dtype.word_bits, lsb, "".join(map(str, stream)))
+    words = LsbWords(cover, lsb, Payload(bits), fill)
+    assert (words.dtype, words.n) == (dtype, n)
+    assert list(words.rewrite(cover.bits, 0)) == expected
+    assert list(words.take(np.arange(n)[::-1])) == expected[::-1]
+
+
+@pytest.mark.parametrize("lsb,k", [(8, 8 * 3000 - 3), (23, 1001), (2, 0)])
+def test_plain_words_render_as_the_attacked_model(lsb, k):
+    """AttackSpec.words of a plain attack renders the image of lsb_attack's
+    words, at the native size and resized."""
+    rng = np.random.default_rng(lsb)
+    cover = random_tensor(rng, 5000)  # a 142 x 142 fourpart image
+    payload = Payload(rng.integers(0, 2, size=k, dtype=np.uint8))
+    words = AttackSpec(lsb, False, payload).words(cover)
+    attacked = lsb_attack(cover, lsb, payload)
+    for size in (142, 50, 9):
+        assert np.array_equal(render(words, "grayscale-fourpart", size),
+                              render(attacked, "grayscale-fourpart", size))

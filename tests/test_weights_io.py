@@ -79,7 +79,6 @@ class TestContainer:
         model = ModelWeights([f32_tensor([nan_word], "w")])
         parsed = read_container(write_container(model))
         assert int(parsed.tensors[0].bits[0]) == nan_word
-        assert parsed.non_finite_count == 1
 
     def test_tensor_order_preserved(self):
         model = ModelWeights([f32_tensor([1], "zzz"), f32_tensor([2], "aaa")])
