@@ -52,6 +52,7 @@ from .net import (
     train,
     triplet_loss,
 )
+from .pipeline import train_detector
 from .steg import (
     AttackSpec,
     LsbWords,

@@ -13,8 +13,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .dataset import (
     MODEL_SUFFIXES,
     attack_model,
@@ -24,7 +22,6 @@ from .dataset import (
     synth_collection,
 )
 from .detect import (
-    build_detector,
     classify,
     load_detector,
     render_report_csv,
@@ -33,8 +30,8 @@ from .detect import (
 )
 from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATIONS, normalize, render, write_pgm
-from .net import TrainConfig, preset, train
-from .pipeline import ExperimentConfig, run_report_sweep
+from .net import TrainConfig
+from .pipeline import ExperimentConfig, run_report_sweep, train_detector
 from .steg import AttackSpec, Payload, extract_lsb
 from .weights_io import flatten, load_model, open_words, sha256_hex
 
@@ -191,10 +188,6 @@ def cmd_train(args) -> int:
     train_samples = [s for s in samples if s.split == "train"]
     if not train_samples:
         raise ValueError("dataset has no train-split samples")
-    images = np.stack([s.image for s in train_samples])
-    labels = [s.label for s in train_samples]
-
-    config = preset(args.arch, input_size=manifest.shape[0])
     train_config = TrainConfig(
         strategy=args.strategy,
         learning_rate=args.lr,
@@ -204,17 +197,9 @@ def cmd_train(args) -> int:
         ub_low=args.ub_lo,
         ub_high=args.ub_hi,
     )
-    result = train(images, labels, config, train_config)
-    detector = build_detector(
-        config,
-        result.params,
-        images,
-        labels,
-        representation=manifest.representation,
-        manifest_sha256=sha256_hex(manifest_path.read_bytes()),
-        seed=args.seed,
-        strategy=args.strategy,
-        trained_lsb=manifest.lsb or 0,
+    detector, result = train_detector(
+        train_samples, args.arch, train_config, manifest.representation,
+        sha256_hex(manifest_path.read_bytes()), trained_lsb=manifest.lsb or 0,
     )
     out = _out_path(args.out, "detector.safetensors")
     out.write_bytes(save_detector(detector))

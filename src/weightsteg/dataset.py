@@ -41,8 +41,6 @@ class ModelZoo:
     """Models sharing one architecture and task."""
 
     zoo_id: str
-    architecture: str
-    task: str
     model_paths: list[Path]
 
     def __post_init__(self):
@@ -156,10 +154,9 @@ class LabeledSample:
     label: int
     zoo: str
     split: str = "train"
-    path: str = ""
 
 
-def load_collection(mc_dir: str | Path, mc_id: str | None = None) -> ModelCollection:
+def load_collection(mc_dir: str | Path) -> ModelCollection:
     """Scan a collection directory: one subdirectory per zoo, sorted order."""
     mc_dir = Path(mc_dir)
     if not mc_dir.is_dir():
@@ -170,10 +167,10 @@ def load_collection(mc_dir: str | Path, mc_id: str | None = None) -> ModelCollec
             p for p in zoo_dir.iterdir() if p.suffix.lower() in MODEL_SUFFIXES
         )
         if paths:
-            zoos.append(ModelZoo(zoo_dir.name, architecture=zoo_dir.name, task="", model_paths=paths))
+            zoos.append(ModelZoo(zoo_dir.name, paths))
     if not zoos:
         raise FormatError(f"{mc_dir}: no zoos with model files found")
-    return ModelCollection(mc_id or mc_dir.name, zoos)
+    return ModelCollection(mc_dir.name, zoos)
 
 
 class AttackedModel(NamedTuple):
@@ -213,7 +210,7 @@ def attack_model(
         "payload_sha256": spec.payload.sha256(),
         "source_sha256": source_sha256 or model_digest(model),
     }
-    return AttackedModel(words, ModelWeights(list(model.tensors), model.source_path, metadata))
+    return AttackedModel(words, ModelWeights(list(model.tensors), metadata))
 
 
 def _model_pass(
@@ -340,7 +337,7 @@ def load_dataset(manifest_path: str | Path) -> tuple[DatasetManifest, list[Label
             raise FormatError(
                 f"{rec.path}: image shape {img.shape} != manifest shape {manifest.shape}"
             )
-        samples.append(LabeledSample(normalize(img), rec.label, rec.zoo, rec.split, rec.path))
+        samples.append(LabeledSample(normalize(img), rec.label, rec.zoo, rec.split))
     return manifest, samples
 
 
@@ -374,8 +371,6 @@ def synth_zoo(
     n_models: int,
     n_params: int,
     seed: int,
-    architecture: str = "synth-gaussian",
-    task: str = "synthetic",
 ) -> ModelZoo:
     """Write a deterministic synthetic zoo of n_models container files."""
     if n_models < 1:
@@ -395,7 +390,7 @@ def synth_zoo(
         path = zoo_dir / f"model{i:03d}.safetensors"
         save_model(model, path)
         paths.append(path)
-    return ModelZoo(zoo_id, architecture, task, paths)
+    return ModelZoo(zoo_id, paths)
 
 
 def synth_collection(
@@ -411,14 +406,7 @@ def synth_collection(
         raise ValueError("n_zoos must be >= 1")
     zoo_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_zoos)
     zoos = [
-        synth_zoo(
-            out_dir,
-            f"zoo{i}",
-            n_models,
-            n_params,
-            int(zoo_seeds[i]),
-            architecture=f"synth-gaussian-{i}",
-        )
+        synth_zoo(out_dir, f"zoo{i}", n_models, n_params, int(zoo_seeds[i]))
         for i in range(n_zoos)
     ]
     return ModelCollection(mc_id, zoos)

@@ -24,22 +24,24 @@ class ConvBlock:
     pool: bool = False
 
 
+# Detector format v1 records these settings, which every net has: no l2-normalised
+# head, He-uniform initialisation drawn from the run seed (init_params with no rng
+# draws from seed 0). They are written so that v1 files stay byte-identical, and a
+# file with any other value is refused rather than run as a net it does not describe.
+_FIXED_FIELDS = {"l2_normalize": False, "init_scheme": "he_uniform", "init_seed": 0}
+
+
 @dataclass(frozen=True)
 class ConvNetConfig:
     input_size: int
     blocks: tuple[ConvBlock, ...]
     embedding_dim: int = 128
     sigmoid_head: bool = True
-    l2_normalize: bool = False
-    init_scheme: str = "he_uniform"
-    init_seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if self.embedding_dim < 2:
             raise ValueError("embedding_dim must be >= 2")
-        if self.init_scheme != "he_uniform":
-            raise ValueError(f"unknown init scheme {self.init_scheme!r}")
         self.feature_shapes()  # raises if any map collapses below 1x1
 
     def feature_shapes(self) -> list[tuple[int, int, int]]:
@@ -66,21 +68,19 @@ class ConvNetConfig:
             "blocks": [[b.channels, b.kernel, b.pool] for b in self.blocks],
             "embedding_dim": self.embedding_dim,
             "sigmoid_head": self.sigmoid_head,
-            "l2_normalize": self.l2_normalize,
-            "init_scheme": self.init_scheme,
-            "init_seed": self.init_seed,
+            **_FIXED_FIELDS,
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConvNetConfig":
+        for key, value in _FIXED_FIELDS.items():
+            if doc[key] != value or type(doc[key]) is not type(value):
+                raise ValueError(f"config {key} must be {value!r}, got {doc[key]!r}")
         return cls(
             input_size=int(doc["input_size"]),
             blocks=tuple(ConvBlock(int(c), int(k), bool(p)) for c, k, p in doc["blocks"]),
             embedding_dim=int(doc["embedding_dim"]),
             sigmoid_head=bool(doc["sigmoid_head"]),
-            l2_normalize=bool(doc["l2_normalize"]),
-            init_scheme=str(doc["init_scheme"]),
-            init_seed=int(doc["init_seed"]),
         )
 
 
@@ -94,7 +94,7 @@ _PRESETS = {
 }
 
 
-def preset(name: str, input_size: int = 100, init_seed: int = 0) -> ConvNetConfig:
+def preset(name: str, input_size: int = 100) -> ConvNetConfig:
     try:
         blocks, dim = _PRESETS[name]
     except KeyError:
@@ -103,7 +103,6 @@ def preset(name: str, input_size: int = 100, init_seed: int = 0) -> ConvNetConfi
         input_size=input_size,
         blocks=tuple(ConvBlock(*b) for b in blocks),
         embedding_dim=dim,
-        init_seed=init_seed,
     )
 
 
@@ -152,7 +151,7 @@ _INIT_BLOCK_VALUES = 1 << 18  # float64 draws held at once by init_params
 def init_params(config: ConvNetConfig, rng: np.random.Generator | None = None) -> NetParams:
     """He-uniform weights, zero biases, float32."""
     if rng is None:
-        rng = np.random.default_rng(config.init_seed)
+        rng = np.random.default_rng(0)
     tensors: dict[str, np.ndarray] = {}
     for name, shape in param_shapes(config).items():
         if name.endswith(".bias"):
@@ -321,25 +320,15 @@ def _forward(config: ConvNetConfig, params: NetParams, x, with_cache=False):
             emb = 1.0 / (1.0 + np.exp(-z))
     else:
         emb = z
-    norms = None
-    if config.l2_normalize:
-        norms = np.sqrt((emb * emb).sum(axis=1, keepdims=True))
-        norms = np.maximum(norms, np.asarray(1e-12, dtype=emb.dtype))
-        emb = emb / norms
     if not with_cache:
         return emb, None
-    return emb, (caches, flat, emb, norms, x.shape)
+    return emb, (caches, flat, emb, x.shape)
 
 
 def _backward(config: ConvNetConfig, params: NetParams, cache, demb):
-    caches, flat, emb, norms, last_shape = cache
-    if config.l2_normalize:
-        # emb holds the normalized output; undo the projection
-        dot = (demb * emb).sum(axis=1, keepdims=True)
-        demb = (demb - emb * dot) / norms
+    caches, flat, emb, last_shape = cache
     if config.sigmoid_head:
-        raw = emb * norms if config.l2_normalize else emb
-        demb = demb * raw * (1.0 - raw)
+        demb = demb * emb * (1.0 - emb)
     grads: dict[str, np.ndarray] = {}
     grads["embed.weight"] = demb.T @ flat
     grads["embed.bias"] = demb.sum(axis=0)

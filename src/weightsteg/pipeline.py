@@ -23,7 +23,7 @@ from .detect import (
     summarize_rows,
 )
 from .imagerep import normalize, render
-from .net import TrainConfig, preset, train
+from .net import TrainConfig, TrainResult, preset, train
 from .steg import AttackSpec, Payload
 from .weights_io import WeightTensor, flatten, parse_model, sha256_hex
 
@@ -40,7 +40,6 @@ class ExperimentConfig:
     batch_size: int | None = None
     ub_low: float = 0.5
     ub_high: float = 1.25
-    max_epochs: int = 100
     train_per_class: int = 3
     severities: tuple[int, ...] = ()  # extra severities to score for the weighted metric
     modes: tuple[str, ...] = ("centroid", "1nn")
@@ -51,7 +50,6 @@ class ExperimentConfig:
 @dataclass
 class FlatModel:
     zoo: str
-    path: str
     tensor: WeightTensor
     sha256: str  # of the file's bytes, for provenance_digest
 
@@ -77,7 +75,7 @@ def load_flat_models(collection: ModelCollection) -> list[FlatModel]:
             # parsed words view the file's bytes at the header's offset, and
             # numpy gathers from an unaligned view about 5x slower
             flat = flat.with_bits(flat.bits.copy())
-            out.append(FlatModel(zoo.zoo_id, str(path), flat, sha256_hex(data)))
+            out.append(FlatModel(zoo.zoo_id, flat, sha256_hex(data)))
     return out
 
 
@@ -90,7 +88,7 @@ def render_samples(
     for fm in flats:
         source = fm.tensor if spec is None else spec.words(fm.tensor)
         image = normalize(render(source, cfg.representation, cfg.image_size))
-        samples.append(LabeledSample(image, 0 if lsb is None else 1, fm.zoo, path=fm.path))
+        samples.append(LabeledSample(image, 0 if lsb is None else 1, fm.zoo))
     return samples
 
 
@@ -140,6 +138,23 @@ def provenance_digest(
     return sha256_hex(json.dumps(doc, sort_keys=True).encode("utf-8"))
 
 
+def train_detector(
+    samples: list[LabeledSample], arch: str, train_config: TrainConfig,
+    representation: str, manifest_sha256: str, trained_lsb: int,
+) -> tuple[TrainedDetector, TrainResult]:
+    """Train the arch preset on the samples' square images, in order, and embed them
+    into a detector recording train_config's seed and strategy."""
+    images = np.stack([s.image for s in samples])
+    labels = [s.label for s in samples]
+    net_config = preset(arch, input_size=images.shape[-1])
+    result = train(images, labels, net_config, train_config)
+    detector = build_detector(
+        net_config, result.params, images, labels, representation, manifest_sha256,
+        seed=train_config.seed, strategy=train_config.strategy, trained_lsb=trained_lsb,
+    )
+    return detector, result
+
+
 def run_detection_run(
     collection: ModelCollection,
     payload: Payload,
@@ -158,12 +173,6 @@ def run_detection_run(
 
     train_flats = select_train_pairs(flats, cfg.train_zoos, cfg.train_per_class)
 
-    train_benign = render_samples(train_flats, cfg, None, None)
-    train_attacked = render_samples(train_flats, cfg, cfg.lsb, payload)
-    train_images = np.stack([s.image for s in train_benign + train_attacked])
-    train_labels = [0] * len(train_benign) + [1] * len(train_attacked)
-
-    net_config = preset(cfg.arch, input_size=cfg.image_size)
     train_config = TrainConfig(
         strategy=cfg.strategy,
         learning_rate=cfg.learning_rate,
@@ -172,20 +181,12 @@ def run_detection_run(
         seed=seed,
         ub_low=cfg.ub_low,
         ub_high=cfg.ub_high,
-        max_epochs=cfg.max_epochs,
     )
-    result = train(train_images, train_labels, net_config, train_config)
-
-    detector = build_detector(
-        net_config,
-        result.params,
-        train_images,
-        train_labels,
-        representation=cfg.representation,
-        manifest_sha256=provenance_digest(collection, flats, payload, cfg),
-        seed=seed,
-        strategy=cfg.strategy,
-        trained_lsb=cfg.lsb,
+    train_samples = render_samples(train_flats, cfg, None, None)  # benign, then attacked
+    train_samples += render_samples(train_flats, cfg, cfg.lsb, payload)
+    detector, result = train_detector(
+        train_samples, cfg.arch, train_config, cfg.representation,
+        provenance_digest(collection, flats, payload, cfg), trained_lsb=cfg.lsb,
     )
 
     test_flats = [fm for fm in flats if fm.zoo in test_zoos]

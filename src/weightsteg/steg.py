@@ -23,7 +23,6 @@ class Payload:
     """A bit string destined for (or recovered from) cover weights."""
 
     bits: np.ndarray
-    provenance: str = "memory"
 
     def __post_init__(self):
         bits = np.ascontiguousarray(self.bits, dtype=np.uint8).reshape(-1)
@@ -36,17 +35,17 @@ class Payload:
         return len(self.bits)
 
     @classmethod
-    def from_bytes(cls, data: bytes, provenance: str = "bytes") -> "Payload":
-        return cls(np.unpackbits(np.frombuffer(data, dtype=np.uint8)), provenance)
+    def from_bytes(cls, data: bytes) -> "Payload":
+        return cls(np.unpackbits(np.frombuffer(data, dtype=np.uint8)))
 
     @classmethod
     def from_file(cls, path) -> "Payload":
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read(), provenance=f"file:{path}")
+            return cls.from_bytes(fh.read())
 
     @classmethod
     def from_bitstring(cls, text: str) -> "Payload":
-        return cls(np.array([int(c) for c in text], dtype=np.uint8), "bitstring")
+        return cls(np.array([int(c) for c in text], dtype=np.uint8))
 
     @classmethod
     def synthetic(cls, n_bytes: int, seed: int) -> "Payload":
@@ -55,7 +54,7 @@ class Payload:
             raise ValueError("synthetic payload needs at least one byte")
         rng = np.random.default_rng(seed)
         data = rng.integers(0, 256, size=n_bytes, dtype=np.uint8)
-        return cls(np.unpackbits(data), f"synthetic(bytes={n_bytes},seed={seed})")
+        return cls(np.unpackbits(data))
 
     def to_bytes(self) -> bytes:
         """Pack MSB-first per byte; a ragged tail is zero-padded."""
@@ -226,7 +225,8 @@ def extract_lsb(source, lsb: int, n_bits: int) -> Payload:
 
     source, the flat words, is anything with dtype, n and take (a
     WeightTensor or a weights_io.FileWords); only the ceil(n_bits / lsb)
-    words that carry those bits are read.
+    words that carry those bits are read, CHUNK_WORDS at a time, so the call
+    holds one byte per extracted bit plus one chunk.
     """
     _check_lsb(lsb, source.dtype.word_bits)
     if n_bits < 0:
@@ -236,7 +236,10 @@ def extract_lsb(source, lsb: int, n_bits: int) -> Payload:
             f"requested {n_bits} bits but capacity is {source.n}*{lsb}={source.n * lsb}"
         )
     # each field's bits MSB first; a short final chunk is the top of its field
-    fields = source.take(np.arange(math.ceil(n_bits / lsb))).astype(np.uint64)
-    shifts = np.arange(lsb - 1, -1, -1, dtype=np.uint64)
-    bits = ((fields[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    return Payload(bits[:n_bits], "extracted")
+    n_fields = math.ceil(n_bits / lsb)
+    bits = np.empty((n_fields, lsb), dtype=np.uint8)
+    for lo in range(0, n_fields, CHUNK_WORDS):  # temporaries stay chunk-sized
+        words = source.take(np.arange(lo, min(n_fields, lo + CHUNK_WORDS)))
+        for t in range(lsb):
+            bits[lo : lo + len(words), t] = (words >> (lsb - 1 - t)) & 1
+    return Payload(bits.reshape(-1)[:n_bits])

@@ -132,7 +132,6 @@ class ModelWeights:
     """Ordered tensors parsed from one weights file."""
 
     tensors: list[WeightTensor]
-    source_path: str = ""
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -253,7 +252,7 @@ def _layout(header: dict, buffer_len: int) -> tuple[dict[str, str], list[_Entry]
     return dict(metadata), entries
 
 
-def read_container(data: bytes, source_path: str = "") -> ModelWeights:
+def read_container(data: bytes) -> ModelWeights:
     """Parse a safetensors-compatible container, preserving tensor order.
 
     Each tensor's words are a read-only view of data, which they keep alive.
@@ -269,7 +268,7 @@ def read_container(data: bytes, source_path: str = "") -> ModelWeights:
         )
         for e in entries
     ]
-    return ModelWeights(tensors, source_path=source_path, metadata=metadata)
+    return ModelWeights(tensors, metadata=metadata)
 
 
 def _tensor_buffer(tensor: WeightTensor) -> memoryview:
@@ -380,7 +379,7 @@ def unflatten(model: ModelWeights, flat_bits: np.ndarray) -> ModelWeights:
     for t in model.tensors:
         tensors.append(t.with_bits(flat_bits[cursor : cursor + t.n]))
         cursor += t.n
-    return ModelWeights(tensors, source_path=model.source_path, metadata=dict(model.metadata))
+    return ModelWeights(tensors, metadata=dict(model.metadata))
 
 
 def _raw_dtype_for_path(path: Path) -> DType | None:
@@ -393,8 +392,8 @@ def parse_model(data: bytes, path: str | Path) -> ModelWeights:
     path = Path(path)
     raw_dtype = _raw_dtype_for_path(path)
     if raw_dtype is not None:
-        return ModelWeights([read_raw(data, raw_dtype)], source_path=str(path))
-    return read_container(data, source_path=str(path))
+        return ModelWeights([read_raw(data, raw_dtype)])
+    return read_container(data)
 
 
 def load_model(path: str | Path) -> ModelWeights:

@@ -345,6 +345,9 @@ class TestScanBadDetector:
             _set_meta("representation", "nope"),
             _set_config("input_size", 16),
             _set_config("embedding_dim", 5),
+            _set_config("l2_normalize", True),
+            _set_config("init_scheme", "xavier"),
+            _set_config("init_seed", 3),
             _drop_last_row("train.labels"),
             _drop_last_row("centroid.benign"),
             _set_first_value("net.conv0.weight", np.nan),
@@ -352,7 +355,8 @@ class TestScanBadDetector:
         ],
         ids=["no-embeddings", "no-centroid", "config-not-json", "no-config",
              "config-incomplete", "seed-not-int", "unknown-representation",
-             "config-input-size", "config-embedding-dim", "labels-short",
+             "config-input-size", "config-embedding-dim", "config-l2-normalize",
+             "config-init-scheme", "config-init-seed", "labels-short",
              "centroid-short", "nan-conv-weight", "inf-embed-weight"],
     )
     def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
@@ -669,6 +673,19 @@ class TestBuildDatasetTrainScan:
             assert run("train", "--dataset", ds, "--arch", "tiny", "--seed", 3,
                        "--out", tmp_path / f"{name}.safetensors") == 0
         assert (tmp_path / "d1.safetensors").read_bytes() == (tmp_path / "d2.safetensors").read_bytes()
+
+    def test_train_batch_size(self, tmp_path, mc_dir):
+        """--batch-size 10 on 6 train images (36 triplets) writes a detector
+        that loads and differs from the full-batch one."""
+        ds = tmp_path / "ds"
+        run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+            "--size", 28, "--train-zoos", "zoo0", "--out", ds)
+        for name, flags in (("full", ()), ("chunked", ("--batch-size", 10))):
+            assert run("train", "--dataset", ds, "--arch", "tiny", "--strategy", "ES",
+                       *flags, "--out", tmp_path / f"{name}.safetensors") == 0
+        chunked = (tmp_path / "chunked.safetensors").read_bytes()
+        assert load_detector(chunked).strategy == "ES"
+        assert chunked != (tmp_path / "full.safetensors").read_bytes()
 
     def test_dataset_determinism(self, tmp_path, mc_dir):
         for name in ("x", "y"):

@@ -105,7 +105,7 @@ class TestCollections:
 
     def test_zoo_requires_models(self):
         with pytest.raises(ValueError):
-            ModelZoo("z", "arch", "task", [])
+            ModelZoo("z", [])
 
     def test_duplicate_zoo_ids(self, small_collection):
         zoo = small_collection.zoos[0]
@@ -365,7 +365,7 @@ def two_pass_dataset(benign, representation, size, out_dir, lsb, payload, train_
             out = out_dir / "attacked" / zoo.zoo_id / path.name
             save_model(attacked, out)
             paths.append(out)
-        attacked_zoos.append(ModelZoo(zoo.zoo_id, zoo.architecture, zoo.task, paths))
+        attacked_zoos.append(ModelZoo(zoo.zoo_id, paths))
     attacked = ModelCollection("attacked", attacked_zoos)
     manifest = DatasetManifest(benign.mc_id, lsb, payload.sha256(), representation,
                                (size, size), [], collection_digest(benign, attacked))

@@ -241,32 +241,6 @@ class TestBackward:
                 worst = max(worst, abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-6))
         assert worst < 1e-4
 
-    def test_l2_normalized_head_gradients(self):
-        cfg = ConvNetConfig(
-            input_size=6,
-            blocks=(ConvBlock(2, 3, pool=False),),
-            embedding_dim=3,
-            l2_normalize=True,
-        )
-        rng = np.random.default_rng(7)
-        params = init_params(cfg, rng).astype(np.float64)
-        images = rng.random((4, 6, 6))
-        triplets = make_triplets([0, 0, 1, 1])
-        grads, _ = backward(cfg, params, images, triplets, margin=0.5)
-        h = 1e-6
-        name = "embed.weight"
-        flat = params.tensors[name].reshape(-1)
-        grad = grads[name].reshape(-1)
-        for i in range(0, flat.size, 7):
-            keep = flat[i]
-            flat[i] = keep + h
-            up = batch_loss(cfg, params, images, triplets, 0.5)
-            flat[i] = keep - h
-            down = batch_loss(cfg, params, images, triplets, 0.5)
-            flat[i] = keep
-            fd = (up - down) / (2 * h)
-            assert abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-6) < 1e-3
-
     def test_identical_filters_get_identical_gradients(self):
         cfg = ConvNetConfig(
             input_size=6, blocks=(ConvBlock(2, 3, pool=True),), embedding_dim=2
@@ -590,8 +564,8 @@ def test_adam_step_peak_memory():
 def test_init_params_bit_identical_to_one_draw(arch):
     """Drawing each weight tensor in row blocks gives the bits of one float64
     draw of the whole tensor cast to float32."""
-    config = preset(arch, input_size=100, init_seed=3)
-    params = init_params(config)
+    config = preset(arch, input_size=100)
+    params = init_params(config, np.random.default_rng(3))
     rng = np.random.default_rng(3)
     for name, shape in net.param_shapes(config).items():
         got = params.tensors[name]
@@ -663,3 +637,50 @@ class TestTrain:
             TrainConfig(margin=0.0)
         with pytest.raises(ValueError):
             TrainConfig(ub_low=2.0, ub_high=1.0)
+
+
+def tiny_data():
+    """Six 12x12 images, three per class: 36 triplets for the tiny preset."""
+    rng = np.random.default_rng(21)
+    return preset("tiny", input_size=12), rng.random((6, 12, 12)), [0, 0, 0, 1, 1, 1]
+
+
+class TestBatchSize:
+    @pytest.mark.parametrize("batch_size", [36, 37, 1000])
+    def test_one_chunk_equals_full_batch(self, batch_size):
+        config, images, labels = tiny_data()
+        full = train(images, labels, config, TrainConfig(strategy="ST", seed=4))
+        chunked = train(
+            images, labels, config, TrainConfig(strategy="ST", seed=4, batch_size=batch_size)
+        )
+        assert chunked.params == full.params
+        assert chunked.epoch_losses == full.epoch_losses
+
+    def test_adam_steps_per_epoch(self):
+        config, images, labels = tiny_data()
+        assert len(make_triplets(labels)) == 36
+        with mock.patch.object(net, "adam_step", wraps=net.adam_step) as step:
+            result = train(
+                images, labels, config, TrainConfig(strategy="ST", seed=0, batch_size=10)
+            )
+        assert result.epochs_run == 5
+        assert step.call_count == 4 * 5  # ceil(36 / 10) steps an epoch
+
+    def test_epoch_loss_is_triplet_weighted_mean_of_chunk_losses(self, monkeypatch):
+        config, images, labels = tiny_data()
+        chunks = []
+        original = net.backward
+
+        def recording(config, params, images, triplets, margin):
+            grads, loss = original(config, params, images, triplets, margin)
+            chunks.append((len(triplets), loss))
+            return grads, loss
+
+        monkeypatch.setattr(net, "backward", recording)
+        result = train(images, labels, config, TrainConfig(strategy="ES", seed=2, batch_size=10))
+        assert [size for size, _ in chunks] == [10, 10, 10, 6]
+        assert len({loss for _, loss in chunks}) > 1
+        total = 0.0
+        for size, loss in chunks:
+            total += loss * size
+        assert result.epoch_losses == [total / 36]

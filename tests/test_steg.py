@@ -16,7 +16,14 @@ from weightsteg.steg import (
     lsb_attack_fill,
 )
 from weightsteg.imagerep import render
-from weightsteg.weights_io import CHUNK_WORDS, DType, WeightTensor
+from weightsteg.weights_io import (
+    CHUNK_WORDS,
+    DType,
+    ModelWeights,
+    WeightTensor,
+    open_words,
+    write_container,
+)
 
 
 def splice_oracle(words, word_bits, lsb, bitstring):
@@ -154,6 +161,58 @@ class TestExtract:
     def test_request_beyond_capacity(self):
         with pytest.raises(ValueError):
             extract_lsb(make_tensor([1, 2]), 2, 5)
+
+
+def broadcast_extract(words, lsb, n_bits):
+    """Reference: every field's bits at once, through (fields, lsb) uint64 arrays."""
+    fields = np.asarray(words[: math.ceil(n_bits / lsb)]).astype(np.uint64)
+    shifts = np.arange(lsb - 1, -1, -1, dtype=np.uint64)
+    return ((fields[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)[:n_bits]
+
+
+@pytest.mark.parametrize("dtype", [DType.F32, DType.F16])
+@pytest.mark.parametrize(
+    "lsb,n_bits",
+    [(1, 1), (3, 3 * CHUNK_WORDS + 2), (8, 8 * CHUNK_WORDS), (7, 7 * (CHUNK_WORDS + 40) - 5)],
+)
+def test_extract_equals_broadcast_formula(dtype, lsb, n_bits):
+    """Chunked extraction gives the reference's bits, also for a short final
+    field and for fields on both sides of a CHUNK_WORDS boundary."""
+    cover = random_tensor(np.random.default_rng(lsb), CHUNK_WORDS + 100, dtype)
+    got = extract_lsb(cover, lsb, n_bits)
+    assert np.array_equal(got.bits, broadcast_extract(cover.bits, lsb, n_bits))
+
+
+def test_extract_from_file_words_across_a_chunk(tmp_path):
+    """A FileWords source over two tensors, read across a CHUNK_WORDS
+    boundary, gives the reference's bits of the flat words."""
+    rng = np.random.default_rng(9)
+    words = random_tensor(rng, CHUNK_WORDS + 500).bits
+    head = CHUNK_WORDS - 3
+    path = tmp_path / "m.safetensors"
+    path.write_bytes(write_container(ModelWeights([
+        WeightTensor("a", DType.F32, (head,), words[:head]),
+        WeightTensor("b", DType.F32, (len(words) - head,), words[head:]),
+    ])))
+    n_bits = 5 * (CHUNK_WORDS + 200) - 2
+    with open_words(path) as source:
+        got = extract_lsb(source, 5, n_bits)
+    assert np.array_equal(got.bits, broadcast_extract(words, 5, n_bits))
+
+
+def test_extract_peak_memory():
+    """Extracting holds about one byte per extracted bit: the whole X = 8
+    capacity of a 1M-word cover (8M bits) peaks below 2 bytes a bit traced."""
+    cover = random_tensor(np.random.default_rng(4), 1_000_000)
+    n_bits = 8 * cover.n
+    tracemalloc.start()
+    try:
+        payload = extract_lsb(cover, 8, n_bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload.k == n_bits
+    assert peak < 2 * n_bits, peak / n_bits
 
 
 class TestPreservation:
