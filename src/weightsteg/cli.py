@@ -30,7 +30,7 @@ from .detect import (
 )
 from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATIONS, normalize, render, write_pgm
-from .net import TrainConfig
+from .net import STRATEGIES, TrainConfig
 from .pipeline import ExperimentConfig, run_report_sweep, train_detector
 from .steg import AttackSpec, Payload, extract_lsb
 from .weights_io import flatten, load_model, open_words, sha256_hex
@@ -88,12 +88,18 @@ def _add_mantissa_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", default="UB", choices=["ES", "ST", "UB"])
-    parser.add_argument("--ub-lo", type=float, default=0.5)
-    parser.add_argument("--ub-hi", type=float, default=1.25)
-    parser.add_argument("--lr", type=float, default=1e-4)
-    parser.add_argument("--margin", type=float, default=1.0)
-    parser.add_argument("--batch-size", type=int, default=None)
+    parser.add_argument("--strategy", default=TrainConfig.strategy, choices=STRATEGIES)
+    parser.add_argument("--ub-lo", type=float, default=TrainConfig.ub_low)
+    parser.add_argument("--ub-hi", type=float, default=TrainConfig.ub_high)
+    parser.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    parser.add_argument("--margin", type=float, default=TrainConfig.margin)
+    parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+
+
+def _training_settings(args) -> dict:
+    """The training flags as TrainConfig and ExperimentConfig keywords."""
+    return dict(strategy=args.strategy, learning_rate=args.lr, margin=args.margin,
+                batch_size=args.batch_size, ub_low=args.ub_lo, ub_high=args.ub_hi)
 
 
 def _parse_zoos(text: str) -> list[str]:
@@ -179,6 +185,7 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
+    train_config = TrainConfig(seed=args.seed, **_training_settings(args))  # before any read
     manifest_path = Path(args.dataset)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
@@ -188,15 +195,6 @@ def cmd_train(args) -> int:
     train_samples = [s for s in samples if s.split == "train"]
     if not train_samples:
         raise ValueError("dataset has no train-split samples")
-    train_config = TrainConfig(
-        strategy=args.strategy,
-        learning_rate=args.lr,
-        margin=args.margin,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        ub_low=args.ub_lo,
-        ub_high=args.ub_hi,
-    )
     detector, result = train_detector(
         train_samples, args.arch, train_config, manifest.representation,
         sha256_hex(manifest_path.read_bytes()), trained_lsb=manifest.lsb or 0,
@@ -235,27 +233,22 @@ def cmd_scan(args) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = _payload_from_args(args)
-    collection = load_collection(args.mc)
     trained_lsbs = _parse_int_spec(args.lsb)
     if not trained_lsbs:
         raise ValueError("--lsb needs at least one trained severity")
-    cfg = ExperimentConfig(
+    cfg = ExperimentConfig(  # checks the training flags before any file is read
         lsb=trained_lsbs[0],
         train_zoos=tuple(_parse_zoos(args.train_zoos)),
         image_size=args.size,
         arch=args.arch,
-        strategy=args.strategy,
-        learning_rate=args.lr,
-        margin=args.margin,
-        batch_size=args.batch_size,
-        ub_low=args.ub_lo,
-        ub_high=args.ub_hi,
         train_per_class=args.train_per_class,
         severities=_parse_int_spec(args.severities),
         modes=tuple(args.modes.split(",")),
         knn_k=args.k,
+        **_training_settings(args),
     )
+    payload = _payload_from_args(args)
+    collection = load_collection(args.mc)
     rows, results = run_report_sweep(
         collection, payload, cfg, trained_lsbs, args.runs, args.seed
     )

@@ -73,15 +73,17 @@ class ConvNetConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ConvNetConfig":
+        """The config a JSON document describes; a value of another JSON type raises ValueError."""
         for key, value in _FIXED_FIELDS.items():
             if doc[key] != value or type(doc[key]) is not type(value):
                 raise ValueError(f"config {key} must be {value!r}, got {doc[key]!r}")
-        return cls(
-            input_size=int(doc["input_size"]),
-            blocks=tuple(ConvBlock(int(c), int(k), bool(p)) for c, k, p in doc["blocks"]),
-            embedding_dim=int(doc["embedding_dim"]),
-            sigmoid_head=bool(doc["sigmoid_head"]),
-        )
+        blocks = tuple(ConvBlock(c, k, p) for c, k, p in doc["blocks"])
+        sizes = [doc["input_size"], doc["embedding_dim"], *(b.channels for b in blocks),
+                 *(b.kernel for b in blocks)]
+        flags = [doc["sigmoid_head"], *(b.pool for b in blocks)]
+        if any(type(v) is not int for v in sizes) or any(type(v) is not bool for v in flags):
+            raise ValueError(f"config sizes {sizes} must be JSON integers, flags {flags} booleans")
+        return cls(doc["input_size"], blocks, doc["embedding_dim"], doc["sigmoid_head"])
 
 
 _PRESETS = {
@@ -473,9 +475,13 @@ def adam_step(
     return AdamState(new_m, new_v, t), NetParams(new_p)
 
 
+STRATEGIES = ("ES", "ST", "UB")
+ES, ST, UB = STRATEGIES
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    strategy: str = "UB"
+    strategy: str = UB
     learning_rate: float = 1e-4
     margin: float = 1.0
     batch_size: int | None = None  # None = all triplets per step
@@ -485,18 +491,14 @@ class TrainConfig:
     max_epochs: int = 100
 
     def __post_init__(self):
-        if self.strategy not in ("ES", "ST", "UB"):
-            raise ValueError(f"strategy must be ES, ST or UB, got {self.strategy!r}")
-        if self.learning_rate <= 0 or self.margin <= 0:
-            raise ValueError("learning rate and margin must be positive")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}, got {self.strategy!r}")
+        if not (0 < self.learning_rate < math.inf and 0 < self.margin < math.inf):
+            raise ValueError("learning rate and margin must be positive and finite")
         if not self.ub_low < self.ub_high:
             raise ValueError("UB interval must satisfy low < high")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
-
-    @property
-    def epochs(self) -> int:
-        return {"ES": 1, "ST": 5, "UB": self.max_epochs}[self.strategy]
 
 
 @dataclass
@@ -526,7 +528,7 @@ def train(images, labels, config: ConvNetConfig, train_config: TrainConfig) -> T
     batch = train_config.batch_size or len(triplets)
 
     losses: list[float] = []
-    for _ in range(train_config.epochs):
+    for _ in range({ES: 1, ST: 5, UB: train_config.max_epochs}[train_config.strategy]):
         order = rng.permutation(len(triplets))
         total = 0.0
         for start in range(0, len(triplets), batch):
@@ -536,6 +538,6 @@ def train(images, labels, config: ConvNetConfig, train_config: TrainConfig) -> T
             total += loss * len(chunk)
         epoch_loss = total / len(triplets)
         losses.append(epoch_loss)
-        if train_config.strategy == "UB" and train_config.ub_low <= epoch_loss <= train_config.ub_high:
+        if train_config.strategy == UB and train_config.ub_low <= epoch_loss <= train_config.ub_high:
             break
     return TrainResult(params, losses)

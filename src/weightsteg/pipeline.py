@@ -34,17 +34,28 @@ class ExperimentConfig:
     train_zoos: tuple[str, ...]
     image_size: int = 100
     arch: str = "osl-small"
-    strategy: str = "UB"
-    learning_rate: float = 1e-4
-    margin: float = 1.0
-    batch_size: int | None = None
-    ub_low: float = 0.5
-    ub_high: float = 1.25
+    # the training settings, with TrainConfig's defaults and checks; see train_config
+    strategy: str = TrainConfig.strategy
+    learning_rate: float = TrainConfig.learning_rate
+    margin: float = TrainConfig.margin
+    batch_size: int | None = TrainConfig.batch_size
+    ub_low: float = TrainConfig.ub_low
+    ub_high: float = TrainConfig.ub_high
     train_per_class: int = 3
     severities: tuple[int, ...] = ()  # extra severities to score for the weighted metric
     modes: tuple[str, ...] = ("centroid", "1nn")
     knn_k: int = 1
     representation: str = "grayscale-fourpart"
+
+    def __post_init__(self):
+        self.train_config(0)  # a bad training setting raises ValueError before any run
+
+    def train_config(self, seed: int) -> TrainConfig:
+        """The training settings of the run with this seed."""
+        return TrainConfig(
+            strategy=self.strategy, learning_rate=self.learning_rate, margin=self.margin,
+            batch_size=self.batch_size, seed=seed, ub_low=self.ub_low, ub_high=self.ub_high,
+        )
 
 
 @dataclass
@@ -172,20 +183,10 @@ def run_detection_run(
         raise ValueError("no zoos left for evaluation; shrink --train-zoos")
 
     train_flats = select_train_pairs(flats, cfg.train_zoos, cfg.train_per_class)
-
-    train_config = TrainConfig(
-        strategy=cfg.strategy,
-        learning_rate=cfg.learning_rate,
-        margin=cfg.margin,
-        batch_size=cfg.batch_size,
-        seed=seed,
-        ub_low=cfg.ub_low,
-        ub_high=cfg.ub_high,
-    )
     train_samples = render_samples(train_flats, cfg, None, None)  # benign, then attacked
     train_samples += render_samples(train_flats, cfg, cfg.lsb, payload)
     detector, result = train_detector(
-        train_samples, cfg.arch, train_config, cfg.representation,
+        train_samples, cfg.arch, cfg.train_config(seed), cfg.representation,
         provenance_digest(collection, flats, payload, cfg), trained_lsb=cfg.lsb,
     )
 

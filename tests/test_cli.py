@@ -18,7 +18,7 @@ from weightsteg.detect import build_detector, classify, load_detector, save_dete
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import grayscale_fourpart, normalize, read_pgm, render, resize, write_pgm
 from weightsteg.pipeline import ExperimentConfig, run_detection_run, select_train_pairs, load_flat_models
-from weightsteg.net import ConvBlock, ConvNetConfig, init_params
+from weightsteg.net import ConvBlock, ConvNetConfig, TrainConfig, init_params
 from weightsteg.steg import AttackSpec, Payload, extract_lsb, lsb_attack, lsb_attack_fill
 from weightsteg.weights_io import (
     DType,
@@ -348,6 +348,14 @@ class TestScanBadDetector:
             _set_config("l2_normalize", True),
             _set_config("init_scheme", "xavier"),
             _set_config("init_seed", 3),
+            _set_config("sigmoid_head", "no"),
+            _set_config("sigmoid_head", 1),
+            _set_config("input_size", 8.0),
+            _set_config("input_size", "8"),
+            _set_config("embedding_dim", 4.0),
+            _set_config("blocks", [[2, 3, 1]]),
+            _set_config("blocks", [[2.0, 3, True]]),
+            _set_config("blocks", [[2, True, True]]),
             _drop_last_row("train.labels"),
             _drop_last_row("centroid.benign"),
             _set_first_value("net.conv0.weight", np.nan),
@@ -356,7 +364,10 @@ class TestScanBadDetector:
         ids=["no-embeddings", "no-centroid", "config-not-json", "no-config",
              "config-incomplete", "seed-not-int", "unknown-representation",
              "config-input-size", "config-embedding-dim", "config-l2-normalize",
-             "config-init-scheme", "config-init-seed", "labels-short",
+             "config-init-scheme", "config-init-seed", "config-sigmoid-string",
+             "config-sigmoid-int", "config-input-size-float", "config-input-size-string",
+             "config-embedding-dim-float", "config-pool-int", "config-channels-float",
+             "config-kernel-bool", "labels-short",
              "centroid-short", "nan-conv-weight", "inf-embed-weight"],
     )
     def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
@@ -625,6 +636,111 @@ class TestTrainMistypedManifest:
         err = capsys.readouterr().err
         assert err.startswith("error[data]: bad manifest:") and "Traceback" not in err
         assert not det.exists()
+
+
+def _manifest_edits(n_samples):
+    """One edit of a manifest document: a field's value or type, a sample's path
+    or label, a sample dropped or repeated. Sample paths name an image of
+    the other split, a missing or escaping path, a directory or a non-PGM."""
+    value = st.one_of(
+        st.none(), st.booleans(), st.integers(-2, 40), st.floats(allow_nan=True),
+        st.text(max_size=6), st.lists(st.integers(0, 40), max_size=3),
+        st.just("train"), st.just("test"), st.just("zoo0"),
+    )
+    path = st.sampled_from([
+        "images/zoo1/model000.attacked.pgm", "images/zoo0/model009.benign.pgm",
+        "../images/zoo0/model000.benign.pgm", "/images/zoo0/model000.benign.pgm",
+        "images", "", "manifest.json", "images/zoo0/./model001.benign.pgm",
+    ])
+    index = st.integers(0, n_samples - 1)
+    top = st.sampled_from(["mc_id", "X", "payload_sha256", "source_sha256",
+                           "representation", "shape", "samples", "extra"])
+    field = st.sampled_from(["path", "zoo", "label", "split", "extra"])
+
+    def set_top(key, v):
+        return lambda doc: doc.__setitem__(key, v)
+
+    def set_sample(i, key, v):
+        return lambda doc: doc["samples"][i % len(doc["samples"])].__setitem__(key, v)
+
+    def drop_top(key):
+        return lambda doc: doc.pop(key, None)
+
+    def drop_sample(i):
+        return lambda doc: doc["samples"].pop(i % len(doc["samples"]))
+
+    def repeat_sample(i):
+        return lambda doc: doc["samples"].append(dict(doc["samples"][i % len(doc["samples"])]))
+
+    return st.one_of(
+        st.builds(set_top, top, value),
+        st.builds(drop_top, top),
+        st.builds(set_sample, index, field, value),
+        st.builds(set_sample, index, st.just("path"), path),
+        st.builds(set_sample, index, st.just("label"), st.sampled_from([0, 1])),
+        st.builds(drop_sample, index),
+        st.builds(repeat_sample, index),
+    )
+
+
+class TestTrainMutatedManifest:
+    """train on any mutation of a valid manifest exits 0, 2 or 3, never with a traceback."""
+
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_fails_closed(self, small_dataset, data):
+        doc = json.loads((small_dataset / "manifest.json").read_text())
+        edits = st.lists(_manifest_edits(len(doc["samples"])), min_size=1, max_size=3)
+        for edit in data.draw(edits):
+            # an earlier edit may have taken away the samples this one changes
+            with contextlib.suppress(AttributeError, KeyError, TypeError, ZeroDivisionError):
+                edit(doc)
+        manifest, det = small_dataset / "fuzz.json", small_dataset / "fuzz-det.safetensors"
+        manifest.write_text(json.dumps(doc))
+        det.unlink(missing_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("train", "--dataset", manifest, "--arch", "tiny", "--strategy", "ES",
+                       "--out", det)
+        assert code in (0, 2, 3) and "Traceback" not in err.getvalue()
+        if code == 0:
+            assert load_detector(det.read_bytes()).strategy == "ES"
+        else:
+            assert err.getvalue().startswith("error[") and not det.exists()
+
+
+# Each is refused by TrainConfig's checks; a command given one exits 2 before it reads a file.
+BAD_TRAINING_FLAGS = [("--lr", 0), ("--lr", "nan"), ("--margin", -1),
+                      ("--ub-lo", 2, "--ub-hi", 1), ("--batch-size", 0)]
+BAD_TRAINING_IDS = ["lr-zero", "lr-nan", "margin-negative", "ub-band-reversed", "batch-zero"]
+
+
+class TestTrainingFlagsCheckedFirst:
+    @pytest.mark.parametrize("flags", BAD_TRAINING_FLAGS, ids=BAD_TRAINING_IDS)
+    def test_report_opens_no_file(self, tmp_path, mc_dir, capsys, monkeypatch, flags):
+        reads = []
+        read_bytes = type(mc_dir).read_bytes
+        monkeypatch.setattr(type(mc_dir), "read_bytes",
+                            lambda path: reads.append(path) or read_bytes(path))
+        csv_path = tmp_path / "r.csv"
+        assert run("report", "--mc", mc_dir, "--lsb", 8, "--payload", tmp_path / "missing.bin",
+                   "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, *flags,
+                   "--out-csv", csv_path) == 2
+        assert reads == [] and not csv_path.exists()
+        assert capsys.readouterr().err.startswith("error[usage]:")
+
+    @pytest.mark.parametrize("flags", BAD_TRAINING_FLAGS, ids=BAD_TRAINING_IDS)
+    def test_train_missing_dataset(self, tmp_path, capsys, flags):
+        assert run("train", "--dataset", tmp_path / "missing", *flags,
+                   "--out", tmp_path / "d.safetensors") == 2
+        assert capsys.readouterr().err.startswith("error[usage]:")
+
+    def test_defaults_are_train_configs(self):
+        for command in (["train", "--dataset", "ds"],
+                        ["report", "--mc", "mc", "--lsb", "8", "--synthetic-payload", "1,1",
+                         "--train-zoos", "zoo0"]):
+            args = cli.build_parser().parse_args(command)
+            assert TrainConfig(**cli._training_settings(args)) == TrainConfig()
 
 
 class TestBuildDatasetTrainScan:

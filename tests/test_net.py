@@ -636,6 +636,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(margin=0.0)
         with pytest.raises(ValueError):
+            TrainConfig(learning_rate=float("nan"))
+        with pytest.raises(ValueError):
+            TrainConfig(margin=float("inf"))
+        with pytest.raises(ValueError):
             TrainConfig(ub_low=2.0, ub_high=1.0)
 
 

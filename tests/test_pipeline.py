@@ -6,6 +6,7 @@ import pytest
 from weightsteg import detect, pipeline, steg
 from weightsteg.dataset import synth_collection
 from weightsteg.detect import ReportRow, embed_samples, eval_al, eval_oml
+from weightsteg.net import TrainConfig
 from weightsteg.pipeline import (
     ExperimentConfig,
     load_flat_models,
@@ -136,3 +137,16 @@ def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
     # training: 2 benign + 2 attacked; zoo1's 2 models: benign, then X = 1, 2, 3 and 8
     assert len(reads) == 2 * PER_CLASS + 2 * 5
     assert 0 < max(reads) <= 4 * size**2
+
+
+def test_train_config_carries_the_training_settings():
+    """An ExperimentConfig's training settings default to TrainConfig's, are
+    checked as it checks them, and reach each run's TrainConfig with its seed."""
+    assert ExperimentConfig(lsb=8, train_zoos=("zoo0",)).train_config(0) == TrainConfig()
+    cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), strategy="ST", learning_rate=1e-3,
+                           margin=0.5, batch_size=10, ub_low=0.1, ub_high=0.2)
+    assert cfg.train_config(7) == TrainConfig(strategy="ST", learning_rate=1e-3, margin=0.5,
+                                              batch_size=10, seed=7, ub_low=0.1, ub_high=0.2)
+    for bad in ({"strategy": "XX"}, {"learning_rate": 0.0}, {"ub_low": 2.0, "ub_high": 1.0}):
+        with pytest.raises(ValueError):
+            ExperimentConfig(lsb=8, train_zoos=("zoo0",), **bad)
