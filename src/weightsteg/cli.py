@@ -189,7 +189,8 @@ def cmd_train(args) -> int:
     manifest_path = Path(args.dataset)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    manifest, samples = load_dataset(manifest_path)
+    data = manifest_path.read_bytes()  # the bytes parsed are the bytes hashed
+    manifest, samples = load_dataset(manifest_path, data)
     if manifest.shape[0] != manifest.shape[1]:
         raise ValueError("training requires square images")
     train_samples = [s for s in samples if s.split == "train"]
@@ -197,7 +198,7 @@ def cmd_train(args) -> int:
         raise ValueError("dataset has no train-split samples")
     detector, result = train_detector(
         train_samples, args.arch, train_config, manifest.representation,
-        sha256_hex(manifest_path.read_bytes()), trained_lsb=manifest.lsb or 0,
+        sha256_hex(data), trained_lsb=manifest.lsb or 0,
     )
     out = _out_path(args.out, "detector.safetensors")
     out.write_bytes(save_detector(detector))

@@ -317,12 +317,18 @@ def split_by_zoo(
     return train, test
 
 
-def load_dataset(manifest_path: str | Path) -> tuple[DatasetManifest, list[LabeledSample]]:
-    """Read a manifest and its images back as normalized labeled samples."""
+def load_dataset(
+    manifest_path: str | Path, data: bytes | None = None
+) -> tuple[DatasetManifest, list[LabeledSample]]:
+    """Read a manifest and its images back as normalized labeled samples.
+
+    data, when given, is the manifest's bytes, already read from manifest_path;
+    they are parsed instead of a second read, which could see another file.
+    """
     manifest_path = Path(manifest_path)
     if manifest_path.is_dir():
         manifest_path = manifest_path / "manifest.json"
-    manifest = DatasetManifest.from_json(manifest_path.read_bytes())
+    manifest = DatasetManifest.from_json(manifest_path.read_bytes() if data is None else data)
     base = manifest_path.parent
     samples = []
     for rec in manifest.samples:

@@ -110,6 +110,9 @@ def _knn_verdict(embedding, embeddings, labels, k: int) -> Verdict:
     return Verdict(1 if v1 >= v0 else 0, v0, v1)  # a balanced vote fails closed
 
 
+_MODES = ("centroid", "1nn", "knn")  # the modes label_embeddings knows
+
+
 def label_embeddings(
     detector: TrainedDetector, embeddings, mode: str = "centroid", k: int = 1
 ) -> list[Verdict]:
@@ -127,7 +130,7 @@ def label_embeddings(
         train = detector.embeddings.astype(np.float64)
         k = 1 if mode == "1nn" else k
         return [_knn_verdict(e, train, detector.labels, k) for e in embeddings]
-    raise ValueError(f"unknown evaluation mode {mode!r}")
+    raise ValueError(f"unknown evaluation mode {mode!r}; known: {_MODES}")
 
 
 def classify(detector: TrainedDetector, image, mode: str = "centroid", k: int = 1) -> Verdict:

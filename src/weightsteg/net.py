@@ -262,31 +262,40 @@ def _pool_forward(x):
 
     A later view replaces the running max only where it is greater, by
     blending bits, so a NaN never wins and a (-0, +0) tie keeps the first,
-    as ``np.where(v > y, v, y)`` does. y keeps the memory order of x.
+    as ``np.where(v > y, v, y)`` does. y keeps the memory order of x. The
+    cache holds x's shape, the blend's "greater" mask of each later view and
+    y, not x: the last view whose mask is set won its window.
     """
     views = _pool_views(x)
     y = views[0].copy(order="K")
     y_bits = y.view(f"u{y.itemsize}")
-    wins = np.empty_like(y, dtype=bool)
     diff = np.empty_like(y_bits)
+    greater = []
     for v in views[1:]:
-        np.greater(v, y, out=wins)
+        wins = np.greater(v, y, out=np.empty_like(y, dtype=bool))
         np.bitwise_xor(v.view(y_bits.dtype), y_bits, out=diff)
         diff *= wins
         y_bits ^= diff
-    return y, (x, y)
+        greater.append(wins)
+    return y, (x.shape, greater, y)
 
 
 def _pool_backward(dy, cache):
-    x, y = cache
-    dx = np.zeros(x.shape, dtype=dy.dtype)
+    """dy goes to each window's winner: the last view that beat the running
+    max, else the first view, unless y is NaN (a NaN first view that no
+    view beat), which takes no gradient, as no view equals it."""
+    shape, greater, y = cache
+    dx = np.zeros(shape, dtype=dy.dtype)
+    dviews = _pool_views(dx)
     taken = np.zeros_like(y, dtype=bool)
     winner = np.empty_like(taken)
-    for view, dview in zip(_pool_views(x), _pool_views(dx)):
-        np.equal(view, y, out=winner)
-        np.greater(winner, taken, out=winner)  # equal and not taken yet
+    for wins, dview in zip(reversed(greater), reversed(dviews[1:])):
+        np.greater(wins, taken, out=winner)  # won, and no later view did
         np.copyto(dview, dy, where=winner)
-        taken |= winner
+        taken |= wins
+    np.equal(y, y, out=winner)  # not NaN
+    np.greater(winner, taken, out=winner)
+    np.copyto(dviews[0], dy, where=winner)
     return dx
 
 
@@ -307,13 +316,12 @@ def _forward(config: ConvNetConfig, params: NetParams, x, with_cache=False):
     for i, block in enumerate(config.blocks):
         w, b = params.tensors[f"conv{i}.weight"], params.tensors[f"conv{i}.bias"]
         y = _conv_forward(x, w, b)
-        mask = y > 0
-        y *= mask  # ReLU, in place on the fresh conv output
+        y *= y > 0  # ReLU, in place on the fresh conv output
         pool_cache = None
         if block.pool:
             y, pool_cache = _pool_forward(y)
         if with_cache:
-            caches.append((x, mask, pool_cache))
+            caches.append((x, pool_cache))
         x = y
     flat = x.reshape(x.shape[0], -1)
     z = flat @ params.tensors["embed.weight"].T + params.tensors["embed.bias"]
@@ -335,16 +343,21 @@ def _backward(config: ConvNetConfig, params: NetParams, cache, demb):
     grads["embed.weight"] = demb.T @ flat
     grads["embed.bias"] = demb.sum(axis=0)
     dx = (demb @ params.tensors["embed.weight"]).reshape(last_shape)
+    out = flat.reshape(last_shape)
     for i in range(len(config.blocks) - 1, -1, -1):
-        block_input, mask, pool_cache = caches[i]
+        block_input, pool_cache = caches[i]
+        # ReLU, applied to the gradient of the block's output (the next block's
+        # input): the pool routes each window's gradient to its winner, whose
+        # conv output is > 0 exactly where the pooled output is.
+        dx *= out > 0
         if pool_cache is not None:
             dx = _pool_backward(dx, pool_cache)
-        dx = dx * mask
         w = params.tensors[f"conv{i}.weight"]
         # the images need no gradient, so block 0 skips its col2im
         dx, grads[f"conv{i}.weight"], grads[f"conv{i}.bias"] = _conv_backward(
             dx, w, block_input, input_grad=i > 0
         )
+        out = block_input
     return grads
 
 
@@ -437,6 +450,9 @@ class AdamState:
         )
 
 
+_ADAM_CHUNK = 1 << 16  # elements of a tensor that adam_step updates at a time
+
+
 def adam_step(
     state: AdamState,
     params: NetParams,
@@ -446,33 +462,43 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> tuple[AdamState, NetParams]:
-    """One standard Adam update with bias correction.
+    """One standard Adam update with bias correction, in place.
 
-    Each tensor's update is computed as
-    ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g`` and
-    ``p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps)``, operation by
-    operation in that order, into the three new arrays and one scratch array.
+    Each tensor's ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``
+    and ``p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps)`` are computed
+    operation by operation in that order, _ADAM_CHUNK elements at a time
+    through two scratch arrays of that size, into state.m, state.v and the
+    parameter tensors themselves. grads are only read. Returns the state,
+    its step advanced, and params: the objects it was given.
     """
     t = state.step + 1
-    new_m, new_v, new_p = {}, {}, {}
     for name, p in params.tensors.items():
-        g = grads[name]
-        scratch = np.multiply(g, 1.0 - beta1)
-        m = np.multiply(state.m[name], beta1)
-        m += scratch
-        np.multiply(g, 1.0 - beta2, out=scratch)
-        scratch *= g
-        v = np.multiply(state.v[name], beta2)
-        v += scratch
-        step = np.divide(v, 1.0 - beta2**t)  # v_hat, then sqrt(v_hat) + eps, then new p
-        np.sqrt(step, out=step)
-        step += eps
-        np.divide(m, 1.0 - beta1**t, out=scratch)  # m_hat
-        scratch *= lr
-        scratch /= step
-        np.subtract(p, scratch, out=step)
-        new_m[name], new_v[name], new_p[name] = m, v, step
-    return AdamState(new_m, new_v, t), NetParams(new_p)
+        g = grads[name].reshape(-1)
+        # copy=False: a tensor that has no flat view raises rather than
+        # having a copy of it updated
+        m, v, p = (a.reshape(-1, copy=False) for a in (state.m[name], state.v[name], p))
+        scratch = np.empty(min(g.size, _ADAM_CHUNK), dtype=g.dtype)
+        step = np.empty(scratch.size, dtype=v.dtype)
+        for lo in range(0, g.size, _ADAM_CHUNK):
+            hi = lo + _ADAM_CHUNK
+            gs, ms, vs = g[lo:hi], m[lo:hi], v[lo:hi]
+            a, s = scratch[: gs.size], step[: gs.size]
+            np.multiply(gs, 1.0 - beta1, out=a)
+            ms *= beta1
+            ms += a
+            np.multiply(gs, 1.0 - beta2, out=a)
+            a *= gs
+            vs *= beta2
+            vs += a
+            np.divide(vs, 1.0 - beta2**t, out=s)  # v_hat, then sqrt(v_hat) + eps
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(ms, 1.0 - beta1**t, out=a)  # m_hat, then the step
+            a *= lr
+            a /= s
+            p[lo:hi] -= a
+    state.step = t
+    return state, params
 
 
 STRATEGIES = ("ES", "ST", "UB")

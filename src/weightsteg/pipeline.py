@@ -14,6 +14,7 @@ import numpy as np
 
 from .dataset import LabeledSample, ModelCollection
 from .detect import (
+    _MODES,
     ReportRow,
     TrainedDetector,
     build_detector,
@@ -48,7 +49,14 @@ class ExperimentConfig:
     representation: str = "grayscale-fourpart"
 
     def __post_init__(self):
-        self.train_config(0)  # a bad training setting raises ValueError before any run
+        # a bad training or scoring setting raises ValueError before any run;
+        # _knn_verdict bounds k above by the number of training embeddings
+        self.train_config(0)
+        unknown = [mode for mode in self.modes if mode not in _MODES]
+        if unknown:
+            raise ValueError(f"unknown evaluation modes {unknown}; known: {_MODES}")
+        if self.knn_k < 1:
+            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
 
     def train_config(self, seed: int) -> TrainConfig:
         """The training settings of the run with this seed."""

@@ -735,6 +735,16 @@ class TestTrainingFlagsCheckedFirst:
                    "--out", tmp_path / "d.safetensors") == 2
         assert capsys.readouterr().err.startswith("error[usage]:")
 
+    @pytest.mark.parametrize("flags", [("--modes", "centroid,bogus"), ("--k", 0, "--modes", "knn")],
+                             ids=["mode-unknown", "k-zero"])
+    def test_report_scoring_flags_before_the_collection(self, tmp_path, capsys, flags):
+        """A bad --modes or --k is a usage error found before the collection is
+        opened, so a missing --mc does not turn it into a data error."""
+        csv_path = tmp_path / "r.csv"
+        assert run("report", "--mc", tmp_path / "missing", "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0", *flags, "--out-csv", csv_path) == 2
+        assert capsys.readouterr().err.startswith("error[usage]:") and not csv_path.exists()
+
     def test_defaults_are_train_configs(self):
         for command in (["train", "--dataset", "ds"],
                         ["report", "--mc", "mc", "--lsb", "8", "--synthetic-payload", "1,1",
@@ -780,6 +790,28 @@ class TestBuildDatasetTrainScan:
         for line in lines:
             _, label, v0, v1 = line.split(",")
             assert int(v0) + int(v1) == 3
+
+    def test_train_reads_the_manifest_once(self, tmp_path, mc_dir, monkeypatch):
+        """The detector's manifest_sha256 hashes the manifest bytes train parsed."""
+        ds = tmp_path / "ds"
+        run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+            "--size", 28, "--train-zoos", "zoo0", "--out", ds)
+        reads = []
+        read_bytes = type(ds).read_bytes
+
+        def counting(path):
+            data = read_bytes(path)
+            if path.name == "manifest.json":
+                reads.append(data)
+            return data
+
+        monkeypatch.setattr(type(ds), "read_bytes", counting)
+        det_path = tmp_path / "det.safetensors"
+        assert run("train", "--dataset", ds, "--arch", "tiny", "--strategy", "ES",
+                   "--out", det_path) == 0
+        assert len(reads) == 1
+        manifest_sha256 = load_detector(read_bytes(det_path)).manifest_sha256
+        assert manifest_sha256 == hashlib.sha256(reads[0]).hexdigest()
 
     def test_train_deterministic_files(self, tmp_path, mc_dir):
         ds = tmp_path / "ds"
