@@ -208,8 +208,13 @@ def cmd_train(args) -> int:
 
 
 def _scan_targets(path: Path) -> list[Path]:
+    """The model files under a directory, or path itself. A subdirectory whose
+    name ends in a model suffix is not a file; anything else with such a name,
+    a dangling symlink included, is scanned and fails closed if unreadable."""
     if path.is_dir():
-        return sorted(p for p in path.rglob("*") if p.suffix.lower() in MODEL_SUFFIXES)
+        return sorted(
+            p for p in path.rglob("*") if p.suffix.lower() in MODEL_SUFFIXES and not p.is_dir()
+        )
     return [path]
 
 

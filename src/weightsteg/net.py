@@ -180,17 +180,25 @@ def _im2col(x, k):
     rows[c, ow, h], so rows[c, ow, oh : oh + k] is a patch's k*k floats in
     one run; those go, as one ``V{k*k*itemsize}`` item each, to the patch
     rows. Where the patch rows are a view of x that needs no copy (k = 1, or
-    a 1-wide output of one channel), the view is returned as it is: matmul
-    picks its loop by the operand's layout (its non-BLAS loop on a 1-wide
-    view), and a copy could change the bits.
+    a 1-wide output of one channel, or a 1x1 output of a C-contiguous x),
+    the view is returned as it is: matmul picks its loop by the operand's
+    layout (its non-BLAS loop on a 1-wide view), and a copy could change the
+    bits.
+
+    The window view (B, OH, OW, C, k, k), with x's strides (sB, sH, sW, sC,
+    sH, sW), reshapes to the rows without a copy exactly when its OH and OW
+    axes merge and its C, k and k axes merge, axes of length 1 left out: a
+    merged axis's stride is the next one's times its length.
     """
-    win = sliding_window_view(x, (k, k), axis=(2, 3))  # (B, C, OH, OW, k, k)
-    batch, c, oh, ow = win.shape[:4]
-    try:
+    batch, c, h, w = x.shape
+    _, sc, sh, sw = x.strides
+    oh, ow = h - k + 1, w - k + 1
+    if (oh == 1 or ow == 1 or sh == ow * sw) and (
+        k == 1 or (sh == k * sw and (c == 1 or sc == k * sh))
+    ):
+        win = sliding_window_view(x, (k, k), axis=(2, 3))  # (B, C, OH, OW, k, k)
         return win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, oh * ow, -1, copy=False)
-    except ValueError:  # the rows need a copy
-        pass
-    h, w, s = x.shape[2], x.shape[3], x.itemsize
+    s = x.itemsize
     run, patch = np.dtype(f"V{k * s}"), np.dtype(f"V{k * k * s}")
     rows = np.empty((c, ow, h, k), dtype=x.dtype)
     cols = np.empty((batch, oh * ow, c * k * k), dtype=x.dtype)

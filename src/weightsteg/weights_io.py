@@ -413,8 +413,10 @@ class FileWords:
     and flatten make. ``take`` maps flat indices, which follow the header's
     tensor order as flatten does, to file offsets and reads them with
     os.pread: one call per run of words less than _RUN_GAP_BYTES apart in the
-    file. It never maps the file, so a file truncated while open raises
-    FormatError instead of faulting. The file descriptor stays the caller's.
+    file, into one buffer that holds the runs end to end, from which one
+    index array gathers every word. It never maps the file, so a file
+    truncated while open raises FormatError instead of faulting. The file
+    descriptor stays the caller's.
     """
 
     def __init__(self, fd: int, size: int, path: Path):
@@ -432,8 +434,9 @@ class FileWords:
             spans = [(data_start + e.begin, (e.end - e.begin) // word_bytes) for e in entries]
             self.n = sum(words for _, words in spans)
         table = np.array([span for span in spans if span[1] > 0], dtype=np.int64).reshape(-1, 2)
-        self._offsets = table[:, 0]
         self._starts = np.cumsum(table[:, 1]) - table[:, 1]  # first flat index of each tensor
+        # flat index i of a tensor lies at file byte i * word_bytes + its shift
+        self._shifts = table[:, 0] - self._starts * self.dtype.word_bytes
 
     def _read(self, nbytes: int, offset: int) -> bytes:
         data = os.pread(self._fd, nbytes, offset)
@@ -447,26 +450,33 @@ class FileWords:
     def take(self, flat_indices) -> np.ndarray:
         """The words at flat_indices (any shape), in that shape."""
         idx = np.asarray(flat_indices, dtype=np.int64)
-        wanted, at = np.unique(idx.reshape(-1), return_inverse=True)
+        flat = idx.reshape(-1)
+        if np.all(flat[1:] > flat[:-1]):  # already sorted and distinct, as a render's taps are
+            wanted, at = flat, None
+        else:
+            wanted, at = np.unique(flat, return_inverse=True)
         if len(wanted) == 0:
             return np.empty(idx.shape, dtype=self.dtype.word_dtype)
         if wanted[0] < 0 or wanted[-1] >= self.n:
             raise IndexError(f"flat index out of range for {self.n} words")
-        tensor = np.searchsorted(self._starts, wanted, side="right") - 1
         word_bytes = self.dtype.word_bytes
-        pos = self._offsets[tensor] + (wanted - self._starts[tensor]) * word_bytes
+        # wanted is sorted, so each tensor's words are one slice of it
+        per_tensor = np.diff(np.append(np.searchsorted(wanted, self._starts), len(wanted)))
+        pos = wanted * word_bytes + np.repeat(self._shifts, per_tensor)
         # a run ends where the next word lies before it (header order is not
         # offset order) or too far after it
         step = np.diff(pos)
         cuts = np.flatnonzero((step < 0) | (step > _RUN_GAP_BYTES)) + 1
-        bounds = [0, *cuts.tolist(), len(wanted)]
-        words = np.empty(len(wanted), dtype=self.dtype.word_dtype)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            first = int(pos[lo])
-            run = np.frombuffer(self._read(int(pos[hi - 1]) - first + word_bytes, first),
-                                dtype=self.dtype.word_dtype)
-            words[lo:hi] = run[(pos[lo:hi] - first) // word_bytes]
-        return words[at].reshape(idx.shape)
+        lo, hi = np.append(0, cuts), np.append(cuts, len(wanted))
+        first, nbytes = pos[lo], pos[hi - 1] + word_bytes - pos[lo]  # the bytes of each run
+        joined_first = np.cumsum(nbytes) - nbytes  # where each run starts in the joined buffer
+        runs = bytearray(int(nbytes.sum()))
+        for start, f, size in zip(joined_first.tolist(), first.tolist(), nbytes.tolist()):
+            runs[start : start + size] = self._read(size, f)
+        # every word lies a whole number of words into its run
+        at_word = (pos + np.repeat(joined_first - first, hi - lo)) // word_bytes
+        words = np.frombuffer(runs, dtype=self.dtype.word_dtype)[at_word]
+        return (words if at is None else words[at]).reshape(idx.shape)
 
 
 @contextmanager

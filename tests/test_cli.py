@@ -446,6 +446,37 @@ class TestScanKeepsGoing:
         assert errors[1].startswith(f"error[data]: {scan_dir / 'c_half.f16'}: ")
         assert "Traceback" not in captured.err
 
+    def test_directory_with_a_model_suffix_is_not_a_file(self, tmp_path, mc_dir, capsys):
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        scan_dir = tmp_path / "scan"
+        (scan_dir / "z" / "odd.safetensors").mkdir(parents=True)
+        (scan_dir / "z" / "odd.f32").mkdir()
+        good = scan_dir / "z" / "odd.safetensors" / "inner.safetensors"
+        good.write_bytes((mc_dir / "zoo0" / "model000.safetensors").read_bytes())
+        capsys.readouterr()
+        assert run("scan", "--detector", det_path, "--model", scan_dir) == 0
+        captured = capsys.readouterr()
+        assert [line.split(",")[0] for line in captured.out.splitlines()] == [str(good)]
+        assert captured.err == ""
+
+    def test_dangling_symlink_fails_closed(self, tmp_path, mc_dir, capsys):
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        scan_dir = tmp_path / "scan"
+        scan_dir.mkdir()
+        good = scan_dir / "a_good.safetensors"
+        good.write_bytes((mc_dir / "zoo0" / "model000.safetensors").read_bytes())
+        dangling = scan_dir / "b_gone.safetensors"
+        dangling.symlink_to(tmp_path / "missing.safetensors")
+        capsys.readouterr()
+        assert run("scan", "--detector", det_path, "--model", scan_dir) == 3
+        captured = capsys.readouterr()
+        assert [line.split(",")[0] for line in captured.out.splitlines()] == [str(good)]
+        errors = captured.err.splitlines()
+        assert len(errors) == 1 and errors[0].startswith(f"error[data]: {dangling}: ")
+        assert "Traceback" not in captured.err
+
 
 def scan_lines_by_full_read(detector_bytes, targets):
     """scan's verdict lines computed from a full read, parse and flatten of each file."""

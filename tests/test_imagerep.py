@@ -169,6 +169,44 @@ class TestRender:
         assert np.array_equal(full, fourpart_oracle(words))
         assert np.array_equal(render(tensor, "grayscale-fourpart", size), resize(full, size, size))
 
+    def test_alternating_geometries(self):
+        """Renders of interleaved (n, size) geometries in one process each equal
+        the resized full image, so no render uses taps worked out for another
+        geometry: n = side**2 and side**2 + 1, n = side**2 - 1 (the same side
+        as side**2 with other padding), a 1-word model, sizes 1, 3 and 100,
+        which tap every word of the small models and some of the large ones."""
+        rng = np.random.default_rng(7)
+        tensors = [f32_tensor(rng.integers(0, 2**32, size=n, dtype=np.uint64))
+                   for n in (1, 15, 16, 17, 2500, 2501, 40_000, 40_001)]
+        cases = [(tensor, size) for size in (1, 3, 100) for tensor in tensors]
+        wants = [resize(grayscale_fourpart(tensor), size, size) for tensor, size in cases]
+        for _ in range(2):  # the second pass in the reverse order
+            for (tensor, size), want in zip(cases, wants):
+                assert np.array_equal(render(tensor, "grayscale-fourpart", size), want)
+            cases, wants = cases[::-1], wants[::-1]
+
+    @pytest.mark.parametrize("n", [39_999, 40_000, 40_001])
+    def test_one_increasing_take_of_real_words(self, n):
+        """A render that taps some words asks its source once, for strictly
+        increasing indices below n, whether or not n is a square (at 40_001
+        the side is 201 and 99 tapped words lie past the last one):
+        FileWords.take then skips its sort."""
+        tensor = f32_tensor(np.random.default_rng(n).integers(0, 2**32, size=n, dtype=np.uint64))
+        asked = []
+
+        class Spy:
+            dtype, n = tensor.dtype, tensor.n
+
+            def take(self, flat_indices):
+                asked.append(np.asarray(flat_indices))
+                return tensor.take(flat_indices)
+
+        got = render(Spy(), "grayscale-fourpart", 100)
+        assert np.array_equal(got, resize(grayscale_fourpart(tensor), 100, 100))
+        assert len(asked) == 1
+        flat = asked[0]
+        assert flat.ndim == 1 and np.all(np.diff(flat) > 0) and 0 <= flat[0] and flat[-1] < n
+
     def test_rejects_what_the_full_image_rejects(self):
         f16 = WeightTensor("", DType.F16, (1,), np.array([1], dtype=np.uint16))
         with pytest.raises(FormatError):

@@ -270,6 +270,44 @@ def reference_im2col(x, k):
     return win.transpose(0, 2, 3, 1, 4, 5).reshape(batch, oh * ow, -1)
 
 
+@settings(max_examples=300)
+@given(
+    batch=st.integers(1, 3),
+    channels=st.integers(1, 3),
+    k=st.integers(1, 4),
+    extra=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    layout=st.sampled_from(["contiguous", "channels-last", "one-of-a-batch"]),
+    seed=st.integers(0, 2**16),
+)
+@example(batch=2, channels=3, k=1, extra=(2, 3), layout="contiguous", seed=0)  # k = 1
+@example(batch=1, channels=1, k=3, extra=(2, 0), layout="contiguous", seed=0)  # OW = 1, C = 1
+@example(batch=2, channels=3, k=2, extra=(0, 0), layout="contiguous", seed=0)  # 1x1, C > 1
+@example(batch=1, channels=2, k=3, extra=(0, 0), layout="channels-last", seed=0)  # 1x1, copied
+def test_im2col_view_exactly_where_reshape_needs_no_copy(batch, channels, k, extra, layout, seed):
+    """_im2col returns a view of x, with the strides reshape gives it, exactly
+    where the window view reshapes to the patch rows without a copy, and a
+    C-contiguous copy everywhere else; the rows are the reference's."""
+    rng = np.random.default_rng(seed)
+    h, w = k + extra[0], k + extra[1]
+    if layout == "contiguous":
+        x = rng.standard_normal((batch, channels, h, w))
+    elif layout == "channels-last":  # as a conv output or its pooled copy
+        x = rng.standard_normal((batch, h, w, channels)).transpose(0, 3, 1, 2)
+    else:  # one image of a batch, as _conv_forward passes it
+        x = rng.standard_normal((batch, channels, h, w))[-1:]
+    win = sliding_window_view(x, (k, k), axis=(2, 3)).transpose(0, 2, 3, 1, 4, 5)
+    try:
+        view = win.reshape(x.shape[0], -1, channels * k * k, copy=False)
+    except ValueError:
+        view = None
+    rows = net._im2col(x, k)
+    assert np.array_equal(rows, reference_im2col(x, k))
+    if view is not None:
+        assert np.shares_memory(rows, x) and rows.strides == view.strides
+    else:
+        assert rows.flags.c_contiguous and not np.shares_memory(rows, x)
+
+
 def reference_conv_backward(dy, w, x, input_grad=True):
     """The convolution backward pass that always computes the input gradient,
     by im2col transpose and a k*k col2im loop over the whole batch's dcols."""

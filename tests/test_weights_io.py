@@ -507,6 +507,56 @@ class TestFileWords:
 
 
 @st.composite
+def take_cases(draw):
+    """A container of 1-4 tensors (one may be empty) whose header order is not
+    its offset order, and indices into its flattened words: sorted,
+    reversed, shuffled or with duplicates, as a 0-d, 1-d, 2-d or empty array."""
+    dtype = draw(st.sampled_from([DType.F32, DType.F16]))
+    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4).filter(any))
+    order = draw(st.permutations(range(len(sizes))))
+    n = sum(sizes)
+    picked = draw(st.one_of(st.just(list(range(n))),
+                            st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    distinct = sorted(set(picked))
+    kind = draw(st.sampled_from(["sorted", "reversed", "shuffled", "duplicated"]))
+    idx = np.array({
+        "sorted": distinct,
+        "reversed": distinct[::-1],
+        "shuffled": draw(st.permutations(picked)),
+        "duplicated": sorted(picked + distinct[: draw(st.integers(1, len(distinct)))]),
+    }[kind], dtype=np.int64)
+    shape = draw(st.sampled_from(["0-d", "1-d", "2-d", "empty"]))
+    if shape == "0-d":
+        idx = idx[0].reshape(())
+    elif shape == "2-d":
+        idx = idx.reshape(-1, 2) if len(idx) % 2 == 0 else idx.reshape(1, -1)
+    elif shape == "empty":
+        idx = idx[:0].reshape(0, draw(st.integers(0, 3)))
+    return random_tensors(dtype, [(size,) for size in sizes], seed=len(sizes)), order, idx
+
+
+@settings(max_examples=60)
+@given(case=take_cases())
+def test_take_equals_flatten_property(tmp_path_factory, case):
+    """FileWords.take(idx) is flatten(load_model(path)).bits[idx] for any
+    index order and shape, runs across tensor boundaries included, and an
+    index of -1 or n raises IndexError whether or not the indices are sorted."""
+    tensors, order, idx = case
+    path = tmp_path_factory.getbasetemp() / "take.safetensors"
+    path.write_bytes(scrambled_container(tensors, order))
+    flat = flatten(load_model(path))
+    with open_words(path) as words:
+        got = words.take(idx)
+        want = flat.bits[idx]
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        n = flat.n
+        for bad in ([-1], [n], [0, n], [-1, 0], [n, 0], [0, -1], [n - 1, n, n]):
+            with pytest.raises(IndexError):
+                words.take(bad)
+
+
+@st.composite
 def container_mutations(draw, data):
     """1-3 byte overwrites, each in the length prefix and header or in the
     tensor data with equal odds, half of them JSON characters; then, one time
