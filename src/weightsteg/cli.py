@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .dataset import (
     MODEL_SUFFIXES,
-    attack_model,
     build_dataset,
     load_collection,
     load_dataset,
@@ -33,7 +32,7 @@ from .imagerep import REPRESENTATIONS, normalize, render, write_pgm
 from .net import STRATEGIES, TrainConfig
 from .pipeline import ExperimentConfig, run_report_sweep, train_detector
 from .steg import AttackSpec, Payload, extract_lsb
-from .weights_io import flatten, load_model, open_words, sha256_hex
+from .weights_io import open_words, sha256_hex
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -122,9 +121,9 @@ def _parse_int_spec(text: str) -> tuple[int, ...]:
 
 def cmd_embed(args) -> int:
     spec = AttackSpec(args.lsb, args.fill, _payload_from_args(args), args.mantissa_only)
-    model = load_model(args.infile)
     out = _out_path(args.out, Path(args.infile).stem + f".lsb{args.lsb}" + Path(args.infile).suffix)
-    attack_model(model, flatten(model), spec).save(out)
+    with open_words(args.infile) as source:
+        source.save(out, spec.words(source).rewrite, spec.provenance())
     print(out)
     return EXIT_OK
 
@@ -144,11 +143,8 @@ def cmd_imagify(args) -> int:
     rep = REPRESENTATIONS.get(args.rep)
     if rep is None:
         raise ValueError(f"unknown representation {args.rep!r}; known: {sorted(REPRESENTATIONS)}")
-    if args.size:
-        with open_words(args.infile) as words:
-            img = render(words, args.rep, args.size)
-    else:
-        img = rep(flatten(load_model(args.infile)))
+    with open_words(args.infile) as words:
+        img = render(words, args.rep, args.size) if args.size else rep(words)
     out = _out_path(args.out, Path(args.infile).stem + ".pgm")
     write_pgm(img, out)
     print(out)
@@ -210,7 +206,8 @@ def cmd_train(args) -> int:
 def _scan_targets(path: Path) -> list[Path]:
     """The model files under a directory, or path itself. A subdirectory whose
     name ends in a model suffix is not a file; anything else with such a name,
-    a dangling symlink included, is scanned and fails closed if unreadable."""
+    a dangling symlink or a pipe included, is scanned and fails closed if it
+    is not a regular file."""
     if path.is_dir():
         return sorted(
             p for p in path.rglob("*") if p.suffix.lower() in MODEL_SUFFIXES and not p.is_dir()
@@ -220,12 +217,17 @@ def _scan_targets(path: Path) -> list[Path]:
 
 def cmd_scan(args) -> int:
     """Print path,label,d0,d1 per model file; a file that cannot be read or
-    rendered gets an error[data] line on stderr, the scan goes on and exits 3."""
+    rendered, or that a directory walk found and is not a regular file, gets
+    an error[data] line on stderr, and the scan goes on and exits 3. A pipe
+    named as --model is read whole."""
     detector = load_detector(Path(args.detector).read_bytes())
     size = detector.config.input_size
     failed = False
+    walked = Path(args.model).is_dir()
     for target in _scan_targets(Path(args.model)):
         try:
+            if walked and not target.is_file():  # a pipe would block until a writer came
+                raise FormatError("not a regular file")
             with open_words(target) as words:
                 image = normalize(render(words, detector.representation, size))
         except (FormatError, OSError, ValueError) as exc:

@@ -13,23 +13,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATIONS, normalize, read_pgm, render, write_pgm
-from .steg import AttackSpec, LsbWords, Payload
-from .weights_io import (
-    DType,
-    ModelWeights,
-    WeightTensor,
-    flatten,
-    is_canonical,
-    model_digest,
-    parse_model,
-    save_model,
-)
+from .steg import AttackSpec, Payload
+from .weights_io import DType, ModelWeights, WeightTensor, open_words, save_model
 
 logger = logging.getLogger(__name__)
 
@@ -157,15 +147,19 @@ class LabeledSample:
 
 
 def load_collection(mc_dir: str | Path) -> ModelCollection:
-    """Scan a collection directory: one subdirectory per zoo, sorted order."""
+    """Scan a collection directory: one subdirectory per zoo, sorted order. A
+    model file (a non-directory with a model suffix) must be a regular file."""
     mc_dir = Path(mc_dir)
     if not mc_dir.is_dir():
         raise FormatError(f"{mc_dir} is not a directory")
     zoos = []
     for zoo_dir in sorted(p for p in mc_dir.iterdir() if p.is_dir()):
         paths = sorted(
-            p for p in zoo_dir.iterdir() if p.suffix.lower() in MODEL_SUFFIXES
+            p for p in zoo_dir.iterdir() if p.suffix.lower() in MODEL_SUFFIXES and not p.is_dir()
         )
+        for p in paths:
+            if not p.is_file():  # a pipe would block its read until a writer came
+                raise FormatError(f"{p}: not a regular file")
         if paths:
             zoos.append(ModelZoo(zoo_dir.name, paths))
     if not zoos:
@@ -173,67 +167,21 @@ def load_collection(mc_dir: str | Path) -> ModelCollection:
     return ModelCollection(mc_dir.name, zoos)
 
 
-class AttackedModel(NamedTuple):
-    """An attacked model held as its cover and the attack, never as a copy.
-
-    words, spec.words of the cover's flat words, is a steg.LsbWords for a
-    plain or a fill attack alike: its take gives the attacked words at the
-    indices a render taps. layout is the cover's tensors under the attacked
-    model's metadata. Only save() writes the attacked words, one chunk at a
-    time, through words.rewrite.
-    """
-
-    words: LsbWords
-    layout: ModelWeights
-
-    def save(self, path: str | Path) -> str:
-        """Write the attacked model to path; return the sha256 hex digest written."""
-        return save_model(self.layout, path, self.words.rewrite)
-
-
-def attack_model(
-    model: ModelWeights, flat: WeightTensor, spec: AttackSpec, source_sha256: str | None = None
-) -> AttackedModel:
-    """Attack flat, the flatten(model) words, and return the attacked model:
-    model's structure under its provenance metadata, with its words computed
-    on demand (rendered through .words, written by .save).
-
-    The attacked model's metadata records the provenance: the attack
-    ("lsb-fill" or "lsb", after spec.fill), X, the payload digest and
-    source_sha256, the model_digest of model (computed when not given).
-    """
-    words = spec.words(flat)
-    metadata = {
-        **model.metadata,
-        "attack": "lsb-fill" if spec.fill else "lsb",
-        "lsb": str(spec.lsb),
-        "payload_sha256": spec.payload.sha256(),
-        "source_sha256": source_sha256 or model_digest(model),
-    }
-    return AttackedModel(words, ModelWeights(list(model.tensors), metadata))
-
-
 def _model_pass(
     path: Path, spec: AttackSpec | None, representation: str, size: int, attacked_dir: Path
 ) -> list[tuple[np.ndarray, bytes]]:
     """One benign model's share of build_dataset: (image, file sha256) for the
-    benign file and, given spec, for the attacked file it writes.
-
-    The file's bytes are the one copy of the model held: parsing and
-    flattening view them, the attacked file is written one chunk at a time,
-    and both images are rendered from the words they tap.
-    """
-    data = path.read_bytes()
-    benign_sha256 = hashlib.sha256(data).digest()
-    model = parse_model(data, path)
-    flat = flatten(model)
-    passed = [(render(flat, representation, size), benign_sha256)]
-    if spec is not None:
-        source_sha256 = benign_sha256.hex() if is_canonical(model, data) else None
-        attacked = attack_model(model, flat, spec, source_sha256)
-        written = attacked.save(attacked_dir / path.name)
-        passed.append((render(attacked.words, representation, size), bytes.fromhex(written)))
-    return passed
+    benign file and, given spec, for the attacked file it writes. Both images
+    render from the words they tap; the file is hashed in one streamed pass
+    and the attacked copy written in a second (FileWords.save)."""
+    with open_words(path) as source:
+        passed = [(render(source, representation, size), source.sha256())]
+        if spec is not None:
+            words = spec.words(source)
+            image = render(words, representation, size)
+            passed.append((image, source.save(attacked_dir / path.name, words.rewrite,
+                                              spec.provenance())))
+    return [(image, bytes.fromhex(digest)) for image, digest in passed]
 
 
 def build_dataset(
@@ -249,10 +197,11 @@ def build_dataset(
     """Render benign models (label 0) and, given a payload, their fill-attacked
     copies (label 1) to a labeled image set.
 
-    One pass per benign model: read the file once, hash and parse those bytes,
-    fill-attack at lsb (mantissa bits only unless mantissa_only is False),
-    write the attacked model to out_dir/attacked/<zoo>/ while hashing what is
-    written, and render both images from memory. Nothing written is read back.
+    Per benign model: open the file once, render its image and the image of
+    its fill attack at lsb (mantissa bits only unless mantissa_only is False)
+    from the words they tap, hash the file in one streamed pass, and write the
+    attacked model to out_dir/attacked/<zoo>/ in a second, one chunk at a
+    time, hashing what is written. Nothing written is read back.
     Images are written as PGM files beside a manifest.json under out_dir; the
     manifest's source_sha256 folds the file digests of every benign model,
     then of every attacked model.

@@ -100,8 +100,9 @@ def _every_word(source, n: int, side: int) -> np.ndarray:
     return image
 
 
-def grayscale_fourpart(tensor: WeightTensor) -> np.ndarray:
-    """Tile the four byte planes of a float32 tensor into one square image."""
+def grayscale_fourpart(tensor: WeightTensor | FileWords) -> np.ndarray:
+    """Tile the four byte planes of a float32 tensor, or of any source with
+    dtype, n and take, into one square image."""
     return _every_word(tensor, *_fourpart_side(tensor))
 
 

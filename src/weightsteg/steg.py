@@ -84,6 +84,11 @@ class AttackSpec:
                 f"{dtype.value}; embed and build-dataset go beyond it only with --allow-exponent"
             )
 
+    def provenance(self) -> dict[str, str]:
+        """What an attacked copy's metadata records of the attack."""
+        return {"attack": "lsb-fill" if self.fill else "lsb", "lsb": str(self.lsb),
+                "payload_sha256": self.payload.sha256()}
+
     def words(self, source) -> "LsbWords":
         """The attacked words of source, a flat cover, computed on demand."""
         self.validate_for(source.dtype)
@@ -113,7 +118,7 @@ class LsbWords:
     One period is built, on blocks of CHUNK_WORDS entries. ``take`` gives
     the attacked words at any flat indices, reading only those cover words
     (what render taps), and ``rewrite`` lays the period over a run of
-    consecutive cover words (what save_model writes). The attacked cover is
+    consecutive cover words (what FileWords.save writes). The attacked cover is
     never held whole. source, the cover, is anything with dtype, n and take:
     a WeightTensor or a weights_io.FileWords.
     """
@@ -164,23 +169,23 @@ class LsbWords:
         words[hit] = (words[hit] & self.keep) | self.fields[idx[hit]]
         return words
 
-    def rewrite(self, words: np.ndarray, first: int) -> np.ndarray:
+    def rewrite(self, words: np.ndarray, first: int, out: np.ndarray | None = None) -> np.ndarray:
         """The attacked words of a run of consecutive cover words, the first at flat index first.
 
         Equal to take(range(first, first + len(words))) for words read from
-        the cover, but the period is or-ed into the masked words in place. A
-        run wholly at or past limit is returned as it is.
+        the cover, but the period is or-ed into the masked words in place:
+        in out, which may be words itself, or else in a new array, unless the
+        run lies wholly at or past limit and words is returned as it is.
         """
         fields, period = self.fields, len(self.fields)
-        carried = min(len(words), self.limit - first)  # words of the run below limit
-        if carried <= 0:
-            return words
-        if carried == len(words):
-            out = words & self.keep
-        else:
-            out = words.copy()
-            out[:carried] &= self.keep
-        run = out[:carried]
+        carried = max(0, min(len(words), self.limit - first))  # words of the run below limit
+        if out is None:
+            if carried == 0:
+                return words
+            out = np.empty_like(words)
+        if out is not words:
+            out[carried:] = words[carried:]
+        run = np.bitwise_and(words[:carried], self.keep, out=out[:carried])
         phase = first % period
         head = min(carried, period - phase)
         run[:head] |= fields[phase : phase + head]

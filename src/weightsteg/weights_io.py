@@ -14,8 +14,10 @@ import itertools
 import json
 import math
 import os
+import shutil
 import stat
 import struct
+import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,8 +30,8 @@ from .errors import FormatError
 
 CONTAINER_SUFFIX = ".safetensors"
 _METADATA_KEY = "__metadata__"
-# Words per chunk wherever words are computed on the way out instead of held:
-# save_model's rewritten words, the full-image gather. 256 KiB of float32.
+# Words per chunk wherever words are streamed instead of held: FileWords'
+# passes over a whole file, the full-image gather. 256 KiB of float32.
 CHUNK_WORDS = 1 << 16
 
 
@@ -276,17 +278,18 @@ def _tensor_buffer(tensor: WeightTensor) -> memoryview:
     return memoryview(tensor.bits).cast("B")
 
 
-def _container_header(model: ModelWeights) -> bytes:
+def _container_header(metadata: dict[str, str], tensors) -> bytes:
     """The length-prefixed compact JSON header of the canonical container
-    encoding; the tensors' words follow it in tensor order."""
+    encoding of tensors (anything with name, dtype and shape) under metadata;
+    the tensors' words follow it in tensor order."""
     header: dict = {}
-    if model.metadata:
-        header[_METADATA_KEY] = dict(model.metadata)
+    if metadata:
+        header[_METADATA_KEY] = dict(metadata)
     offset = 0
-    for tensor in model.tensors:
+    for tensor in tensors:
         if tensor.name == _METADATA_KEY:
             raise ValueError(f"{_METADATA_KEY!r} is reserved and cannot name a tensor")
-        nbytes = tensor.n * tensor.dtype.word_bytes
+        nbytes = math.prod(tensor.shape) * tensor.dtype.word_bytes
         header[tensor.name] = {
             "dtype": tensor.dtype.value,
             "shape": list(tensor.shape),
@@ -297,30 +300,14 @@ def _container_header(model: ModelWeights) -> bytes:
     return struct.pack("<Q", len(header_bytes)) + header_bytes
 
 
-def _container_parts(model: ModelWeights) -> list[bytes | memoryview]:
-    """The canonical container encoding as pieces: the header, then one
-    zero-copy buffer per tensor, in tensor order."""
-    return [_container_header(model), *(_tensor_buffer(t) for t in model.tensors)]
-
-
 def write_container(model: ModelWeights) -> bytes:
     """Serialize to the canonical container encoding (compact JSON header).
 
     read_container(write_container(m)) == m bit for bit; re-serializing a
     model parsed from canonical bytes reproduces those bytes.
     """
-    return b"".join(_container_parts(model))
-
-
-def is_canonical(model: ModelWeights, data: bytes) -> bool:
-    """Whether data, the bytes model was parsed from, equal write_container(model).
-
-    Parsing checked that the tensors tile the buffer at the header's offsets,
-    so equal lengths and an equal header mean equal bytes.
-    """
-    parts = _container_parts(model)
-    header = parts[0]
-    return len(data) == sum(len(p) for p in parts) and data[: len(header)] == header
+    return b"".join([_container_header(model.metadata, model.tensors),
+                     *map(_tensor_buffer, model.tensors)])
 
 
 def flatten(model: ModelWeights) -> WeightTensor:
@@ -414,37 +401,43 @@ class FileWords:
     tensor order as flatten does, to file offsets and reads them with
     os.pread: one call per run of words less than _RUN_GAP_BYTES apart in the
     file, into one buffer that holds the runs end to end, from which one
-    index array gathers every word. It never maps the file, so a file
-    truncated while open raises FormatError instead of faulting. The file
-    descriptor stays the caller's.
+    index array gathers every word. ``sha256``, ``canonical_sha256`` and
+    ``save`` stream the file a chunk at a time. It never maps the file, so a
+    file truncated while open raises FormatError instead of faulting, as does
+    a streamed pass that ends with the file's size or modification time not
+    what they were at open. The file descriptor stays the caller's.
     """
 
-    def __init__(self, fd: int, size: int, path: Path):
-        self._fd = fd
+    def __init__(self, fd: int, path: Path):
+        info = os.fstat(fd)
+        self._fd, self._stamp, self._sha256 = fd, (info.st_size, info.st_mtime_ns), None
+        size = info.st_size
         raw_dtype = _raw_dtype_for_path(path)
         if raw_dtype is not None:
             self.dtype, self.n = raw_dtype, _raw_word_count(size, raw_dtype)
+            self.metadata, self._header = {}, None
+            self.tensors = [_Entry("", raw_dtype, (self.n,), 0, size)]
             spans = [(0, self.n)]  # (file offset, words) per tensor, in flatten order
         else:
-            header_len = _header_length(os.pread(fd, 8, 0), size)
-            data_start = 8 + header_len
-            _, entries = _layout(_decode_header(self._read(header_len, 8)), size - data_start)
-            self.dtype = _flat_dtype(entries)
+            prefix = os.pread(fd, 8, 0)
+            data_start = 8 + _header_length(prefix, size)
+            self._header = prefix + self._read(data_start - 8, 8)
+            self.metadata, self.tensors = _layout(_decode_header(self._header[8:]),
+                                                  size - data_start)
+            self.dtype = _flat_dtype(self.tensors)
             word_bytes = self.dtype.word_bytes
-            spans = [(data_start + e.begin, (e.end - e.begin) // word_bytes) for e in entries]
+            spans = [(data_start + e.begin, (e.end - e.begin) // word_bytes) for e in self.tensors]
             self.n = sum(words for _, words in spans)
-        table = np.array([span for span in spans if span[1] > 0], dtype=np.int64).reshape(-1, 2)
-        self._starts = np.cumsum(table[:, 1]) - table[:, 1]  # first flat index of each tensor
+        self._spans = np.array([span for span in spans if span[1] > 0],
+                               dtype=np.int64).reshape(-1, 2)
+        counts = self._spans[:, 1]
+        self._starts = np.cumsum(counts) - counts  # first flat index of each tensor
         # flat index i of a tensor lies at file byte i * word_bytes + its shift
-        self._shifts = table[:, 0] - self._starts * self.dtype.word_bytes
+        self._shifts = self._spans[:, 0] - self._starts * self.dtype.word_bytes
 
     def _read(self, nbytes: int, offset: int) -> bytes:
         data = os.pread(self._fd, nbytes, offset)
-        if len(data) != nbytes:
-            raise FormatError(
-                f"file ends at byte {offset + len(data)}, short of byte {offset + nbytes} "
-                "that its layout promised (truncated while open?)"
-            )
+        _check_read(len(data), nbytes, offset)
         return data
 
     def take(self, flat_indices) -> np.ndarray:
@@ -478,74 +471,122 @@ class FileWords:
         words = np.frombuffer(runs, dtype=self.dtype.word_dtype)[at_word]
         return (words if at is None else words[at]).reshape(idx.shape)
 
+    def _stream(self, spans, dtype: np.dtype):
+        """Read each (file offset, count) span of dtype items in order, into
+        one aligned buffer of CHUNK_WORDS items reused for every block, and
+        yield (index of the block's first item across the spans, block); a
+        block is valid until the next is read. Ends by checking that the file
+        has not changed since it was opened."""
+        buffer = np.empty(CHUNK_WORDS, dtype=dtype)
+        first = 0
+        for offset, count in spans:
+            for lo in range(0, count, CHUNK_WORDS):
+                block, at = buffer[: min(CHUNK_WORDS, count - lo)], offset + lo * dtype.itemsize
+                _check_read(os.preadv(self._fd, [block], at), block.nbytes, at)
+                yield first + lo, block
+            first += count
+        info = os.fstat(self._fd)
+        if (info.st_size, info.st_mtime_ns) != self._stamp:
+            raise FormatError("file changed while it was read (size or modification time)")
+
+    def sha256(self) -> str:
+        """The sha256 hex digest of the file's bytes, read in one streamed pass on first call."""
+        if self._sha256 is None:
+            digest = hashlib.sha256()
+            for _, block in self._stream([(0, self._stamp[0])], np.dtype(np.uint8)):
+                digest.update(block)
+            self._sha256 = digest.hexdigest()
+        return self._sha256
+
+    @property
+    def canonical(self) -> bool:
+        """Whether the file is the canonical container encoding of its model.
+        The header decides: the checks made at open tie the rest to it."""
+        return self._header == _container_header(self.metadata, self.tensors)
+
+    def canonical_sha256(self) -> str:
+        """The sha256 of the canonical container encoding of the file's model:
+        the file's own when it is canonical, else one more streamed pass."""
+        if self.canonical:
+            return self.sha256()
+        digest = hashlib.sha256(_container_header(self.metadata, self.tensors))
+        for _, words in self._stream(self._spans.tolist(), self.dtype.word_dtype):
+            digest.update(words)
+        return digest.hexdigest()
+
+    def save(self, path: str | Path, rewrite, provenance: dict[str, str]) -> str:
+        """Write the file's model to path, each block of words (see _stream)
+        passed through rewrite(words, first, out=words), as steg.LsbWords'
+        does, and return the sha256 hex digest of the bytes written. A
+        .f32/.f16 path gets the words alone, any other path a container whose
+        metadata is this file's, then provenance, then source_sha256: the
+        canonical_sha256 of this file."""
+        path = Path(path)
+        if path.exists() and os.path.samestat(os.stat(path), os.fstat(self._fd)):
+            raise ValueError(f"{path} is the file being read; write the copy elsewhere")
+        metadata = {}
+        if _raw_dtype_for_path(path) is None:  # only a container records provenance
+            metadata = {**self.metadata, **provenance, "source_sha256": self.canonical_sha256()}
+        blocks = self._stream(self._spans.tolist(), self.dtype.word_dtype)
+        return _write(path, self.tensors, metadata,
+                      (rewrite(block, first, out=block) for first, block in blocks))
+
+
+def _check_read(got: int, nbytes: int, offset: int) -> None:
+    if got != nbytes:
+        raise FormatError(
+            f"file ends at byte {offset + got}, short of byte {offset + nbytes} "
+            "that its layout promised (truncated while open?)"
+        )
+
 
 @contextmanager
 def open_words(path: str | Path):
-    """Yield the words of flatten(load_model(path)) as a source with dtype, n and take().
+    """Yield the words of flatten(load_model(path)) as a FileWords.
 
-    A regular file gives a FileWords, which reads only what take() asks for;
-    the file is closed when the block exits. Anything else (a pipe, a
-    device) cannot be read at offsets, so it is read whole and flattened.
+    A regular file is read only where asked, and closed when the block
+    exits. Anything else (a pipe, a device) cannot be read at offsets, so it
+    is first copied whole, a chunk at a time, into an anonymous temporary
+    file, which the FileWords reads instead.
     """
     path = Path(path)
     with open(path, "rb", buffering=0) as fh:
-        info = os.fstat(fh.fileno())
-        if stat.S_ISREG(info.st_mode):
-            yield FileWords(fh.fileno(), info.st_size, path)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            yield FileWords(fh.fileno(), path)
         else:
-            yield flatten(parse_model(fh.read(), path))
+            with tempfile.TemporaryFile() as copy:
+                shutil.copyfileobj(fh, copy)
+                copy.flush()
+                yield FileWords(copy.fileno(), path)
 
 
-def save_model(model: ModelWeights, path: str | Path, rewrite=None) -> str:
-    """Write model to path and return the sha256 hex digest of the bytes written.
-
-    A .f32/.f16 path gets write_raw(flatten(model)), any other path
-    write_container(model); the pieces are written and hashed as they are,
-    never joined into one copy.
-
-    rewrite(words, first), when given, returns the words to write in place of
-    words, a run of at most CHUNK_WORDS consecutive words of one tensor whose
-    first word has flat index first (in flatten order). So a model derived
-    word by word from this one, such as an attacked copy, is written one
-    chunk at a time and never held whole.
-    """
-    path = Path(path)
+def _write(path: Path, tensors, metadata: dict[str, str], buffers) -> str:
+    """Write tensors (anything with name, dtype and shape) to path, their
+    words given as buffers in tensor order, and return the sha256 hex digest
+    of the bytes written. A .f32/.f16 path gets the words alone, any other
+    path the container header under metadata first; nothing is joined."""
     raw_dtype = _raw_dtype_for_path(path)
-    if raw_dtype is not None:
-        dtype = _flat_dtype(model.tensors)
-        if dtype is not raw_dtype:
-            raise ValueError(f"model dtype {dtype.value} does not match {path.suffix}")
-        parts = []
-    else:
-        parts = [_container_header(model)]
+    if raw_dtype is not None and _flat_dtype(tensors) is not raw_dtype:
+        raise ValueError(f"model dtype {_flat_dtype(tensors).value} does not match {path.suffix}")
+    parts = [] if raw_dtype else [_container_header(metadata, tensors)]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for part in itertools.chain(parts, _word_buffers(model.tensors, rewrite)):
+        for part in itertools.chain(parts, buffers):
             fh.write(part)
             digest.update(part)
     return digest.hexdigest()
 
 
-def _word_buffers(tensors, rewrite):
-    """The bytes of the tensors' words in tensor order; see save_model for rewrite."""
-    first = 0
-    for tensor in tensors:
-        if rewrite is None:
-            yield _tensor_buffer(tensor)
-        else:
-            for lo in range(0, tensor.n, CHUNK_WORDS):
-                words = rewrite(tensor.bits[lo : lo + CHUNK_WORDS], first + lo)
-                yield memoryview(_as_words(words, tensor.dtype)).cast("B")
-        first += tensor.n
+def save_model(model: ModelWeights, path: str | Path) -> str:
+    """Write model to path and return the sha256 hex digest of the bytes written.
+
+    A .f32/.f16 path gets write_raw(flatten(model)), any other path
+    write_container(model); the pieces are written and hashed as they are,
+    never joined into one copy.
+    """
+    return _write(Path(path), model.tensors, model.metadata,
+                  (_tensor_buffer(t) for t in model.tensors))
 
 
 def sha256_hex(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
-
-
-def model_digest(model: ModelWeights) -> str:
-    """Digest of the canonical serialization, for provenance records."""
-    digest = hashlib.sha256()
-    for part in _container_parts(model):
-        digest.update(part)
-    return digest.hexdigest()

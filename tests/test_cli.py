@@ -4,16 +4,19 @@ import io
 import json
 import os
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_weights_io import random_tensors, scrambled_container
-from weightsteg import cli
+from weightsteg import cli, weights_io
 from weightsteg.cli import main
-from weightsteg.dataset import attack_model, load_dataset, synth_collection
+from weightsteg.dataset import load_dataset, synth_collection
 from weightsteg.detect import build_detector, classify, load_detector, save_detector
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import grayscale_fourpart, normalize, read_pgm, render, resize, write_pgm
@@ -42,6 +45,43 @@ def mc_dir(tmp_path):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def run_with_timeout(*argv, timeout=120):
+    """Run the CLI in a child process, which a hang cannot outlive: a read
+    that blocks raises subprocess.TimeoutExpired instead."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "weightsteg.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def feed_fifo(fifo, data):
+    """A thread that writes data into fifo once a reader opens it."""
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    return writer
+
+
+def write_layout(path, tensors, layout):
+    """tensors in a raw file, a scrambled-offset container or a canonical one."""
+    if layout == "raw":
+        path.write_bytes(write_raw(flatten(ModelWeights(tensors))))
+    elif layout == "scrambled":
+        path.write_bytes(scrambled_container(tensors, [2, 0, 1]))
+    else:
+        path.write_bytes(write_container(ModelWeights(tensors)))
+
+
+def forbid_whole_reads(monkeypatch, command):
+    """Make load_model, parse_model and flatten fail, in weights_io and as
+    names in cli, which imports none of them."""
+    def no_full_read(*args, **kwargs):
+        raise AssertionError(f"{command} read a whole model")
+
+    for module in (weights_io, cli):
+        for name in ("load_model", "parse_model", "flatten"):
+            monkeypatch.setattr(module, name, no_full_read, raising=module is weights_io)
 
 
 class TestEmbedExtract:
@@ -129,7 +169,7 @@ class TestEmbedExtract:
         assert len(meta["source_sha256"]) == 64
 
     @pytest.mark.parametrize("fill", [True, False])
-    def test_output_equals_attack_model(self, tmp_path, mc_dir, fill):
+    def test_output_equals_library_attack(self, tmp_path, mc_dir, fill):
         model_path = mc_dir / "zoo0" / "model001.safetensors"
         out = tmp_path / "att.safetensors"
         assert run("embed", "--in", model_path, "--lsb", 5, *(["--fill"] if fill else []),
@@ -137,7 +177,10 @@ class TestEmbedExtract:
         model = load_model(model_path)
         payload = Payload.synthetic(32, 5)
         spec = AttackSpec(5, fill, payload)
-        assert load_model(out).metadata == attack_model(model, flatten(model), spec)[1].metadata
+        library = tmp_path / "library.safetensors"
+        with open_words(model_path) as source:
+            source.save(library, spec.words(source).rewrite, spec.provenance())
+        assert load_model(out).metadata == load_model(library).metadata
         # the bytes the inline embed composition wrote
         attack = lsb_attack_fill if fill else lsb_attack
         expected = unflatten(model, attack(flatten(model), 5, payload).bits)
@@ -149,6 +192,33 @@ class TestEmbedExtract:
         })
         assert out.read_bytes() == write_container(expected)
 
+    def test_output_onto_input_is_usage_error(self, tmp_path, mc_dir):
+        """The copy is written while the input is read, so it cannot replace it."""
+        model = tmp_path / "m.safetensors"
+        model.write_bytes((mc_dir / "zoo0" / "model000.safetensors").read_bytes())
+        before = model.read_bytes()
+        assert run("embed", "--in", model, "--out", model, "--lsb", 8, "--fill",
+                   "--synthetic-payload", "8,1") == 2
+        assert model.read_bytes() == before
+
+    @pytest.mark.parametrize("fill", [True, False])
+    @pytest.mark.parametrize("suffix", [".safetensors", ".f32"])
+    def test_fifo_input_writes_the_file_bytes(self, tmp_path, mc_dir, suffix, fill):
+        model = tmp_path / f"m{suffix}"
+        write_layout(model, load_model(mc_dir / "zoo0" / "model000.safetensors").tensors,
+                     "raw" if suffix == ".f32" else "container")
+        fifo = tmp_path / f"pipe{suffix}"
+        os.mkfifo(fifo)
+        flags = ["--lsb", 5, *(["--fill"] if fill else []), "--synthetic-payload", "32,5"]
+        from_file, from_pipe = tmp_path / f"file.out{suffix}", tmp_path / f"pipe.out{suffix}"
+        assert run("embed", "--in", model, "--out", from_file, *flags) == 0
+        writer = feed_fifo(fifo, model.read_bytes())
+        proc = run_with_timeout("embed", "--in", fifo, "--out", from_pipe, *flags)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+
 
 class TestExtractReads:
     """extract reads through open_words: only the words that carry the bits."""
@@ -156,13 +226,7 @@ class TestExtractReads:
     LSB, BITS = 8, 8 * 1_010 - 3  # 1,010 words, the last one short, across all three tensors
 
     def write_model(self, path, layout):
-        tensors = random_tensors(DType.F32, [(1_000,), (3,), (250_000,)])
-        if layout == "raw":
-            path.write_bytes(write_raw(flatten(ModelWeights(tensors))))
-        elif layout == "scrambled":
-            path.write_bytes(scrambled_container(tensors, [2, 0, 1]))
-        else:
-            path.write_bytes(write_container(ModelWeights(tensors)))
+        write_layout(path, random_tensors(DType.F32, [(1_000,), (3,), (250_000,)]), layout)
         return extract_lsb(flatten(load_model(path)), self.LSB, self.BITS).to_bytes()
 
     @pytest.mark.parametrize("layout", ["container", "raw", "scrambled"])
@@ -176,11 +240,8 @@ class TestExtractReads:
             reads.append(nbytes)
             return pread(fd, nbytes, offset)
 
-        def no_full_read(*args, **kwargs):
-            raise AssertionError("extract read a whole regular file")
-
         monkeypatch.setattr(os, "pread", counting)
-        monkeypatch.setattr(cli, "load_model", no_full_read)
+        forbid_whole_reads(monkeypatch, "extract")
         out = tmp_path / "p.bin"
         assert run("extract", "--in", path, "--lsb", self.LSB, "--bits", self.BITS,
                    "--out", out) == 0
@@ -197,7 +258,7 @@ class TestExtractReads:
         @contextlib.contextmanager
         def recording(path):
             with open_words(path) as words:
-                sources.append(type(words))
+                sources.append(words.sha256())
                 yield words
 
         monkeypatch.setattr(cli, "open_words", recording)
@@ -213,7 +274,7 @@ class TestExtractReads:
                    "--out", out) == 0
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert sources == [WeightTensor]  # the flattened full read, not a FileWords
+        assert sources == [hashlib.sha256(source.read_bytes()).hexdigest()]  # read whole
         assert out.read_bytes() == want
 
 
@@ -240,15 +301,21 @@ class TestImagify:
         assert run("imagify", "--in", missing, "--rep", "nope", "--out", tmp_path / "x.pgm") == 2
 
     @pytest.mark.parametrize("layout", ["container", "raw", "scrambled"])
+    def test_native_reads_through_open_words(self, tmp_path, monkeypatch, layout):
+        tensors = random_tensors(DType.F32, [(1_000,), (3,), (1_500,)])
+        path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
+        write_layout(path, tensors, layout)
+        want = grayscale_fourpart(flatten(load_model(path)))
+        forbid_whole_reads(monkeypatch, "imagify")
+        out = tmp_path / "img.pgm"
+        assert run("imagify", "--in", path, "--out", out) == 0
+        assert np.array_equal(read_pgm(out), want)
+
+    @pytest.mark.parametrize("layout", ["container", "raw", "scrambled"])
     def test_size_reads_tapped_words(self, tmp_path, monkeypatch, layout):
         tensors = random_tensors(DType.F32, [(100_000,), (3,), (150_000,)])
         path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
-        if layout == "raw":
-            path.write_bytes(write_raw(flatten(ModelWeights(tensors))))
-        elif layout == "scrambled":
-            path.write_bytes(scrambled_container(tensors, [2, 0, 1]))
-        else:
-            path.write_bytes(write_container(ModelWeights(tensors)))
+        write_layout(path, tensors, layout)
         want = tmp_path / "want.pgm"
         write_pgm(render(flatten(load_model(path)), "grayscale-fourpart", 24), want)
         reads = []
@@ -258,11 +325,8 @@ class TestImagify:
             reads.append(nbytes)
             return pread(fd, nbytes, offset)
 
-        def no_full_read(*args, **kwargs):
-            raise AssertionError("imagify --size read a whole regular file")
-
         monkeypatch.setattr(os, "pread", counting)
-        monkeypatch.setattr(cli, "load_model", no_full_read)
+        forbid_whole_reads(monkeypatch, "imagify --size")
         out = tmp_path / "img.pgm"
         assert run("imagify", "--in", path, "--size", 24, "--out", out) == 0
         assert out.read_bytes() == want.read_bytes()
@@ -478,6 +542,40 @@ class TestScanKeepsGoing:
         assert "Traceback" not in captured.err
 
 
+class TestWalksRefusePipes:
+    """A pipe that a directory walk finds is refused, not opened: opening it
+    would block until a writer came. Each command runs in a child process, so
+    a hang fails the test."""
+
+    def test_scan_reports_and_goes_on(self, tmp_path, mc_dir):
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        scan_dir = tmp_path / "scan"
+        scan_dir.mkdir()
+        good = scan_dir / "a_good.safetensors"
+        good.write_bytes((mc_dir / "zoo0" / "model000.safetensors").read_bytes())
+        os.mkfifo(scan_dir / "b_pipe.f32")
+        proc = run_with_timeout("scan", "--detector", det_path, "--model", scan_dir)
+        assert proc.returncode == 3
+        assert [line.split(",")[0] for line in proc.stdout.splitlines()] == [str(good)]
+        errors = proc.stderr.splitlines()
+        assert len(errors) == 1
+        assert errors[0] == f"error[data]: {scan_dir / 'b_pipe.f32'}: not a regular file"
+
+    @pytest.mark.parametrize("command", ["build-dataset", "report"])
+    def test_collection_fails_closed(self, tmp_path, mc_dir, command):
+        pipe = mc_dir / "zoo1" / "model009.safetensors"
+        os.mkfifo(pipe)
+        argv = {
+            "build-dataset": ["--lsb", 8, "--out", tmp_path / "ds"],
+            "report": ["--lsb", 8, "--train-zoos", "zoo0", "--out-csv", tmp_path / "r.csv"],
+        }[command]
+        proc = run_with_timeout(command, "--mc", mc_dir, "--synthetic-payload", "16,2", *argv)
+        assert proc.returncode == 3
+        assert proc.stderr == f"error[data]: {pipe}: not a regular file\n"
+        assert not (tmp_path / "ds").exists() and not (tmp_path / "r.csv").exists()
+
+
 def scan_lines_by_full_read(detector_bytes, targets):
     """scan's verdict lines computed from a full read, parse and flatten of each file."""
     detector = load_detector(detector_bytes)
@@ -521,11 +619,7 @@ class TestScanReadsWords:
         assert {t.suffix for t in targets} == {".f32", ".safetensors"}
         expected = scan_lines_by_full_read(detector, targets)
 
-        def no_full_read(*args, **kwargs):
-            raise AssertionError("scan read a whole regular file")
-
-        monkeypatch.setattr(cli, "load_model", no_full_read)
-        monkeypatch.setattr(cli, "flatten", no_full_read)
+        forbid_whole_reads(monkeypatch, "scan")
         capsys.readouterr()
         assert run("scan", "--detector", det_path, "--model", zoo) == 0
         assert capsys.readouterr().out == expected
@@ -567,7 +661,7 @@ class TestScanReadsWords:
         @contextlib.contextmanager
         def recording(path):
             with open_words(path) as words:
-                sources.append(type(words))
+                sources.append(words.sha256())
                 yield words
 
         monkeypatch.setattr(cli, "open_words", recording)
@@ -582,7 +676,7 @@ class TestScanReadsWords:
         assert run("scan", "--detector", det_path, "--model", fifo) == 0
         writer.join(timeout=10)
         assert not writer.is_alive()
-        assert sources == [WeightTensor]  # the flattened full read, not a FileWords
+        assert sources == [hashlib.sha256(source.read_bytes()).hexdigest()]  # read whole
         expected = scan_lines_by_full_read(tiny_detector_bytes(), [source])
         assert capsys.readouterr().out == expected.replace(str(source), str(fifo))
 

@@ -4,6 +4,7 @@ import io
 import json
 import logging
 import math
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -18,7 +19,6 @@ from weightsteg.cli import main
 
 from weightsteg.dataset import (
     DatasetManifest,
-    attack_model,
     ModelCollection,
     ModelZoo,
     SampleRecord,
@@ -48,6 +48,7 @@ from weightsteg.weights_io import (
     WeightTensor,
     flatten,
     load_model,
+    open_words,
     parse_model,
     save_model,
     unflatten,
@@ -431,20 +432,20 @@ class TestOnePass:
         manifest = build_dataset(small_collection, "grayscale-fourpart", 12, tmp_path / "ds")
         assert manifest.source_sha256 == collection_digest(small_collection)
 
-    def test_each_model_flattened_once(self, tmp_path, monkeypatch):
-        from weightsteg import dataset
+    def test_never_parses_or_flattens(self, tmp_path, monkeypatch):
+        from weightsteg import weights_io
 
         collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=2, n_params=50, seed=9)
-        calls = []
 
-        def counting(model):
-            calls.append(model)
-            return flatten(model)
+        def whole_model(*args, **kwargs):
+            raise AssertionError("build-dataset held a whole model")
 
-        monkeypatch.setattr(dataset, "flatten", counting)
-        build_dataset(collection, "grayscale-fourpart", 12, tmp_path / "ds", lsb=8,
-                      payload=Payload.synthetic(5, seed=3))
-        assert len(calls) == 2
+        for module in (weights_io, dataset):
+            for name in ("parse_model", "flatten", "load_model"):
+                monkeypatch.setattr(module, name, whole_model, raising=module is weights_io)
+        manifest = build_dataset(collection, "grayscale-fourpart", 12, tmp_path / "ds", lsb=8,
+                                 payload=Payload.synthetic(5, seed=3))
+        assert len(manifest.samples) == 4
 
     def test_each_benign_file_read_once(self, tmp_path, small_collection, monkeypatch):
         reads = []
@@ -508,8 +509,8 @@ def chunked_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(chunked_cases(), st.booleans(), st.data())
 def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, fill, draws):
-    """attack_model(...).save writes, chunk by chunk, the bytes of attacking the
-    whole flattened model and saving it; for a fill attack its words render, at
+    """FileWords.save through LsbWords.rewrite writes, chunk by chunk, the bytes
+    of attacking the whole flattened model and saving it; for a fill attack its words render, at
     any size, the image the attacked model renders, and _model_pass writes and
     renders the same."""
     dtype, layout, sizes, lsb, payload, seed = case
@@ -545,15 +546,17 @@ def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, f
         want = write_container(expected)
 
     spec = AttackSpec(lsb, fill, payload)
-    result = attack_model(model, flatten(model), spec)
-    assert result.save(root / f"out{suffix}") == hashlib.sha256(want).hexdigest()
-    assert (root / f"out{suffix}").read_bytes() == want
-    assert path.read_bytes() == data  # the cover bytes are never written to
-    if not fill:
-        return
-    flat_attacked = WeightTensor("", dtype, (len(attacked),), attacked)
-    idx = rng.integers(0, len(attacked), size=(3, 5))
-    assert np.array_equal(result.words.take(idx), attacked[idx])
+    with open_words(path) as source:
+        words = spec.words(source)
+        written = source.save(root / f"out{suffix}", words.rewrite, spec.provenance())
+        assert written == hashlib.sha256(want).hexdigest()
+        assert (root / f"out{suffix}").read_bytes() == want
+        assert path.read_bytes() == data  # the cover bytes are never written to
+        if not fill:
+            return
+        flat_attacked = WeightTensor("", dtype, (len(attacked),), attacked)
+        idx = rng.integers(0, len(attacked), size=(3, 5))
+        assert np.array_equal(words.take(idx), attacked[idx])
     if dtype is DType.F32:
         side = math.isqrt(len(cover) - 1) + 1  # the fourpart image is 2*side square
         size = draws.draw(st.integers(1, 2 * side + 3), label="size")
@@ -602,3 +605,54 @@ def test_model_pass_holds_one_copy_of_the_model(tmp_path):
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < 1.5 * size, peak / size
+
+
+@pytest.mark.parametrize("layout", ["container", "scrambled", "raw"])
+def test_model_pass_streams_the_model(tmp_path, layout):
+    """One 1M-param model's pass (hash, attack, write, and two renders at size
+    24) holds one chunk of words and the render's taps, never the model: under
+    0.1x the file in traced allocations, whatever the layout."""
+    model = synth_model(1_000_000, np.random.default_rng(4))
+    path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
+    path.write_bytes(layout_bytes(model.tensors, layout, {"origin": "test"}))
+    spec = AttackSpec(8, True, Payload.synthetic(64, 7))
+    (tmp_path / "out").mkdir()
+    tracemalloc.start()
+    try:
+        dataset._model_pass(path, spec, "grayscale-fourpart", 24, tmp_path / "out")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert peak < 0.1 * size, peak / size
+
+
+@pytest.mark.parametrize("change", ["rewritten", "truncated"])
+def test_source_changed_between_passes_fails_closed(tmp_path, monkeypatch, capsys, change):
+    """A model file changed after it was hashed and before its attacked copy
+    is written makes build-dataset exit 3 and write no manifest."""
+    synth_collection(tmp_path / "mc", n_zoos=1, n_models=2, n_params=500, seed=9)
+    victim = tmp_path / "mc" / "zoo0" / "model001.safetensors"
+    os.utime(victim, ns=(0, 0))  # an old file, so that changing it now moves its mtime
+    renders, real_render = [], dataset.render
+
+    def changing(source, representation, size):
+        renders.append(source)
+        if len(renders) == 4:  # model001's attacked image: after its hash, before its write
+            if change == "truncated":
+                os.truncate(victim, victim.stat().st_size - 40)
+            else:
+                with open(victim, "r+b") as fh:
+                    fh.seek(-40, os.SEEK_END)
+                    fh.write(bytes(40))
+        return real_render(source, representation, size)
+
+    monkeypatch.setattr(dataset, "render", changing)
+    out = tmp_path / "ds"
+    capsys.readouterr()
+    assert main(["build-dataset", "--mc", str(tmp_path / "mc"), "--lsb", "8",
+                 "--synthetic-payload", "16,2", "--size", "12", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[data]: {victim}: ")
+    assert len(renders) == 4
+    assert not (out / "manifest.json").exists()

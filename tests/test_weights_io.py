@@ -15,9 +15,7 @@ from weightsteg.weights_io import (
     ModelWeights,
     WeightTensor,
     flatten,
-    is_canonical,
     load_model,
-    model_digest,
     open_words,
     parse_model,
     read_container,
@@ -246,7 +244,6 @@ class TestZeroCopy:
 
     @pytest.mark.parametrize("fill", [True, False])
     def test_attacks_never_write_their_input(self, tmp_path, fill):
-        from weightsteg.dataset import attack_model
         from weightsteg.steg import AttackSpec, Payload
 
         tensors = random_tensors(DType.F32, [(40,), (0,), (25,)], seed=3)
@@ -257,9 +254,14 @@ class TestZeroCopy:
         spec = AttackSpec(7, fill, Payload.synthetic(9, 2))
         attacked = spec.words(flat).rewrite(flat.bits, 0)
         assert not np.array_equal(attacked, before)
-        attack_model(model, flat, spec).save(tmp_path / "out.safetensors")
+        path = tmp_path / "m.safetensors"
+        path.write_bytes(data)
+        with open_words(path) as source:
+            source.save(tmp_path / "out.safetensors", spec.words(source).rewrite,
+                        spec.provenance())
         assert np.array_equal(flat.bits, before)
         assert read_container(data) == ModelWeights(tensors)
+        assert path.read_bytes() == data
 
 
 class TestValidation:
@@ -329,18 +331,27 @@ def test_save_model_streams_canonical_bytes(tmp_path_factory, model, meta, raw):
     data = path.read_bytes()
     assert digest == hashlib.sha256(data).hexdigest()
     assert data == (write_raw(flatten(model)) if raw else write_container(model))
-    assert model_digest(model) == hashlib.sha256(write_container(model)).hexdigest()
+    with open_words(path) as words:  # the digest a derived copy records as its source
+        canonical = write_container(ModelWeights([flatten(model)]) if raw else model)
+        assert words.canonical_sha256() == hashlib.sha256(canonical).hexdigest()
     assert parse_model(data, path) == load_model(path)
 
 
-@given(models(), metadata)
-def test_canonical_bytes_recognized(model, meta):
+def canonical_on_open(path, data) -> bool:
+    """The header-only canonical check of the file holding data at path."""
+    path.write_bytes(data)
+    with open_words(path) as words:
+        return words.canonical
+
+
+@given(models(min_tensors=1), metadata)
+def test_canonical_bytes_recognized(tmp_path_factory, model, meta):
     model.metadata = meta
     data = write_container(model)
-    assert is_canonical(read_container(data), data)
+    assert canonical_on_open(tmp_path_factory.mktemp("canon") / "m.safetensors", data)
 
 
-def test_noncanonical_bytes_recognized():
+def test_noncanonical_bytes_recognized(tmp_path):
     model = ModelWeights([f32_tensor([1, 2], "w"), f32_tensor([3], "b")])
     header = json.dumps(
         {"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
@@ -349,15 +360,15 @@ def test_noncanonical_bytes_recognized():
     data = struct.pack("<Q", len(header)) + header + write_container(model)[-12:]
     parsed = read_container(data)
     assert parsed == model
-    assert not is_canonical(parsed, data)
+    assert not canonical_on_open(tmp_path / "m.safetensors", data)
     raw = write_raw(flatten(model))
-    assert not is_canonical(parse_model(raw, "m.f32"), raw)
+    assert not canonical_on_open(tmp_path / "m.f32", raw)
     # a raw file that starts with the canonical header of its own parse
     header = write_container(ModelWeights([f32_tensor([0] * 64)]))[:-256]
     raw = header + bytes(256 - len(header))
     parsed = parse_model(raw, "m.f32")
     assert write_container(parsed).startswith(header)
-    assert not is_canonical(parsed, raw)
+    assert not canonical_on_open(tmp_path / "m.f32", raw)
 
 
 def scrambled_container(tensors, data_order, metadata=None) -> bytes:
