@@ -28,7 +28,7 @@ from .detect import (
     save_detector,
 )
 from .errors import CapacityError, FormatError
-from .imagerep import REPRESENTATIONS, normalize, render, write_pgm
+from .imagerep import grayscale_fourpart, normalize, render, write_pgm
 from .net import STRATEGIES, TrainConfig
 from .pipeline import ExperimentConfig, run_report_sweep, train_detector
 from .steg import AttackSpec, Payload, extract_lsb
@@ -115,6 +115,8 @@ def _parse_int_spec(text: str) -> tuple[int, ...]:
         return ()
     if "-" in text and "," not in text:
         lo, hi = (int(p) for p in text.split("-"))
+        if lo > hi:
+            raise ValueError(f"reversed range {text!r}: write LO-HI with LO <= HI")
         return tuple(range(lo, hi + 1))
     return tuple(int(p) for p in text.split(","))
 
@@ -140,11 +142,8 @@ def cmd_extract(args) -> int:
 
 def cmd_imagify(args) -> int:
     """Write the model's image; a --size render reads only the words it taps."""
-    rep = REPRESENTATIONS.get(args.rep)
-    if rep is None:
-        raise ValueError(f"unknown representation {args.rep!r}; known: {sorted(REPRESENTATIONS)}")
     with open_words(args.infile) as words:
-        img = render(words, args.rep, args.size) if args.size else rep(words)
+        img = render(words, args.size) if args.size else grayscale_fourpart(words)
     out = _out_path(args.out, Path(args.infile).stem + ".pgm")
     write_pgm(img, out)
     print(out)
@@ -167,7 +166,6 @@ def cmd_build_dataset(args) -> int:
     out = _out_path(args.out, "dataset")
     manifest = build_dataset(
         load_collection(args.mc),
-        args.rep,
         args.size,
         out,
         lsb=args.lsb,
@@ -193,8 +191,8 @@ def cmd_train(args) -> int:
     if not train_samples:
         raise ValueError("dataset has no train-split samples")
     detector, result = train_detector(
-        train_samples, args.arch, train_config, manifest.representation,
-        sha256_hex(data), trained_lsb=manifest.lsb or 0,
+        train_samples, args.arch, train_config, sha256_hex(data),
+        trained_lsb=manifest.lsb or 0,
     )
     out = _out_path(args.out, "detector.safetensors")
     out.write_bytes(save_detector(detector))
@@ -229,7 +227,7 @@ def cmd_scan(args) -> int:
             if walked and not target.is_file():  # a pipe would block until a writer came
                 raise FormatError("not a regular file")
             with open_words(target) as words:
-                image = normalize(render(words, detector.representation, size))
+                image = normalize(render(words, size))
         except (FormatError, OSError, ValueError) as exc:
             print(f"error[data]: {target}: {exc}", file=sys.stderr)
             failed = True
@@ -317,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("imagify", help="render a weights file to a PGM image")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.add_argument("--rep", default="grayscale-fourpart")
     p.add_argument("--size", type=int, default=0, help="resize to size x size (0 = native)")
     p.set_defaults(func=cmd_imagify)
 
@@ -336,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lsb", type=int, required=True)
     _add_payload_flags(p)
     _add_mantissa_flags(p)
-    p.add_argument("--rep", default="grayscale-fourpart")
     p.add_argument("--size", type=int, default=100)
     p.add_argument("--train-zoos", help="comma-separated zoo ids for the train split")
     p.set_defaults(func=cmd_build_dataset)

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CapacityError, FormatError
-from .imagerep import REPRESENTATIONS, normalize, read_pgm, render, write_pgm
+from .imagerep import REPRESENTATION, normalize, read_pgm, render, write_pgm
 from .steg import AttackSpec, Payload
 from .weights_io import DType, ModelWeights, WeightTensor, open_words, save_model
 
@@ -76,7 +76,6 @@ class DatasetManifest:
     mc_id: str
     lsb: int | None
     payload_sha256: str | None
-    representation: str
     shape: tuple[int, int]
     samples: list[SampleRecord] = field(default_factory=list)
     source_sha256: str | None = None
@@ -86,7 +85,7 @@ class DatasetManifest:
             "mc_id": self.mc_id,
             "X": self.lsb,
             "payload_sha256": self.payload_sha256,
-            "representation": self.representation,
+            "representation": REPRESENTATION,
             "shape": list(self.shape),
             "source_sha256": self.source_sha256,
             "samples": [
@@ -108,7 +107,6 @@ class DatasetManifest:
                 mc_id=doc["mc_id"],
                 lsb=doc["X"],
                 payload_sha256=doc["payload_sha256"],
-                representation=doc["representation"],
                 shape=tuple(doc["shape"]),
                 samples=[SampleRecord(**s) for s in doc["samples"]],
                 source_sha256=doc["source_sha256"],
@@ -127,9 +125,7 @@ _MANIFEST_FIELDS = {
     "X": (lambda v: v is None or _is_int(v), "an integer or null"),
     "payload_sha256": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "source_sha256": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "representation": (
-        lambda v: isinstance(v, str) and v in REPRESENTATIONS, "a known representation"
-    ),
+    "representation": (lambda v: v == REPRESENTATION, repr(REPRESENTATION)),
     "shape": (
         lambda v: isinstance(v, list) and len(v) == 2 and all(_is_int(d) and d > 0 for d in v),
         "two positive integers",
@@ -168,17 +164,17 @@ def load_collection(mc_dir: str | Path) -> ModelCollection:
 
 
 def _model_pass(
-    path: Path, spec: AttackSpec | None, representation: str, size: int, attacked_dir: Path
+    path: Path, spec: AttackSpec | None, size: int, attacked_dir: Path
 ) -> list[tuple[np.ndarray, bytes]]:
     """One benign model's share of build_dataset: (image, file sha256) for the
     benign file and, given spec, for the attacked file it writes. Both images
     render from the words they tap; the file is hashed in one streamed pass
     and the attacked copy written in a second (FileWords.save)."""
     with open_words(path) as source:
-        passed = [(render(source, representation, size), source.sha256())]
+        passed = [(render(source, size), source.sha256())]
         if spec is not None:
             words = spec.words(source)
-            image = render(words, representation, size)
+            image = render(words, size)
             passed.append((image, source.save(attacked_dir / path.name, words.rewrite,
                                               spec.provenance())))
     return [(image, bytes.fromhex(digest)) for image, digest in passed]
@@ -186,7 +182,6 @@ def _model_pass(
 
 def build_dataset(
     benign: ModelCollection,
-    representation: str,
     size: int,
     out_dir: str | Path,
     lsb: int | None = None,
@@ -216,7 +211,6 @@ def build_dataset(
         mc_id=benign.mc_id,
         lsb=lsb,
         payload_sha256=None if payload is None else payload.sha256(),
-        representation=representation,
         shape=(size, size),
     )
     file_digests: tuple[list[bytes], list[bytes]] = ([], [])  # benign, attacked
@@ -228,7 +222,7 @@ def build_dataset(
         zoo_samples: tuple[list[SampleRecord], list[SampleRecord]] = ([], [])
         for path in zoo.model_paths:
             try:
-                passed = _model_pass(path, spec, representation, size, attacked_dir)
+                passed = _model_pass(path, spec, size, attacked_dir)
             except (ValueError, CapacityError, FormatError) as exc:
                 raise type(exc)(f"{path}: {exc}") from exc
             for label, (img, file_digest) in enumerate(passed):

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import FormatError
-from .imagerep import REPRESENTATIONS
+from .imagerep import REPRESENTATION
 from .net import ConvNetConfig, NetParams, forward, param_shapes
 from .weights_io import DType, ModelWeights, WeightTensor, read_container, write_container
 
@@ -31,7 +31,6 @@ class TrainedDetector:
     labels: np.ndarray  # (n,) 0/1
     centroid_benign: np.ndarray
     centroid_malicious: np.ndarray
-    representation: str = "grayscale-fourpart"
     manifest_sha256: str = ""
     seed: int = 0
     strategy: str = ""
@@ -52,7 +51,6 @@ def build_detector(
     params: NetParams,
     images,
     labels,
-    representation: str = "grayscale-fourpart",
     manifest_sha256: str = "",
     seed: int = 0,
     strategy: str = "",
@@ -70,7 +68,6 @@ def build_detector(
         labels=labels,
         centroid_benign=emb[labels == 0].mean(axis=0),
         centroid_malicious=emb[labels == 1].mean(axis=0),
-        representation=representation,
         manifest_sha256=manifest_sha256,
         seed=seed,
         strategy=strategy,
@@ -251,7 +248,7 @@ def save_detector(detector: TrainedDetector) -> bytes:
         "format_version": DETECTOR_FORMAT_VERSION,
         "kind": "weightsteg-detector",
         "config": json.dumps(detector.config.to_dict(), sort_keys=True),
-        "representation": detector.representation,
+        "representation": REPRESENTATION,
         "manifest_sha256": detector.manifest_sha256,
         "seed": str(detector.seed),
         "strategy": detector.strategy,
@@ -305,8 +302,8 @@ def load_detector(data: bytes) -> TrainedDetector:
         raise FormatError("not a detector file")
     if meta.get("format_version") != DETECTOR_FORMAT_VERSION:
         raise FormatError(f"unsupported detector format_version {meta.get('format_version')!r}")
-    representation = meta.get("representation", "grayscale-fourpart")
-    if representation not in REPRESENTATIONS:
+    representation = meta.get("representation", REPRESENTATION)
+    if representation != REPRESENTATION:
         raise FormatError(f"detector uses unknown representation {representation!r}")
     by_name = {t.name: t.values().reshape(t.shape).copy() for t in model.tensors}
     try:
@@ -330,7 +327,6 @@ def load_detector(data: bytes) -> TrainedDetector:
             labels=by_name["train.labels"].astype(np.int64),
             centroid_benign=by_name["centroid.benign"],
             centroid_malicious=by_name["centroid.malicious"],
-            representation=representation,
             manifest_sha256=meta.get("manifest_sha256", ""),
             seed=int(meta.get("seed", "0")),
             strategy=meta.get("strategy", ""),

@@ -1,4 +1,4 @@
-"""Grayscale image representations of weight bits, plus resize/normalize/PGM io.
+"""The grayscale-fourpart image of weight bits, plus resize/normalize/PGM io.
 
 Images are plain numpy arrays: uint8 (h, w) before normalization, float64 in
 [0, 1] after.
@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import FormatError
 from .weights_io import CHUNK_WORDS, DType, FileWords, WeightTensor
+
+# the one image of a model, as manifests and detectors name it
+REPRESENTATION = "grayscale-fourpart"
 
 
 def _taps(src_h: int, src_w: int, target_h: int, target_w: int):
@@ -106,7 +109,15 @@ def grayscale_fourpart(tensor: WeightTensor | FileWords) -> np.ndarray:
     return _every_word(tensor, *_fourpart_side(tensor))
 
 
-def _render_fourpart(source, size: int) -> np.ndarray:
+def render(source: WeightTensor | FileWords, size: int) -> np.ndarray:
+    """The model image resized to size x size, reading only the tapped words.
+
+    Equal to ``resize(grayscale_fourpart(source), size, size)`` but reads at
+    most 4 * size**2 words, whatever the number of weights. source may be a
+    WeightTensor, a FileWords (weights_io.open_words), which reads those words
+    from the file, or anything else with dtype, n and take(flat_indices) (such
+    as steg.LsbWords, the attacked words of a plain or a fill attack).
+    """
     n, side = _fourpart_side(source)
     rows, cols, wy, wx = _taps(2 * side, 2 * side, size, size)
     # the four planes show the same words: gather each distinct one once
@@ -126,28 +137,6 @@ def _render_fourpart(source, size: int) -> np.ndarray:
     value >>= np.where(rows < side, 16, 0).astype(np.uint32)[:, None]
     value >>= np.where(cols < side, 8, 0).astype(np.uint32)[None, :]
     return _blend(value.astype(np.uint8), wy, wx)
-
-
-REPRESENTATIONS = {"grayscale-fourpart": grayscale_fourpart}
-_RENDERERS = {"grayscale-fourpart": _render_fourpart}
-
-
-def render(tensor: WeightTensor | FileWords, representation: str, size: int) -> np.ndarray:
-    """The model image resized to size x size, reading only the tapped words.
-
-    Equal to ``resize(REPRESENTATIONS[representation](tensor), size, size)``
-    but reads at most 4 * size**2 words, whatever the number of weights.
-    tensor may be a WeightTensor, a FileWords (weights_io.open_words), which
-    reads those words from the file, or anything else with dtype, n and
-    take(flat_indices) (such as steg.LsbWords, the attacked words of a plain
-    or a fill attack).
-    """
-    renderer = _RENDERERS.get(representation)
-    if renderer is None:
-        raise ValueError(
-            f"unsupported representation {representation!r}; known: {sorted(_RENDERERS)}"
-        )
-    return renderer(tensor, size)
 
 
 def normalize(img: np.ndarray) -> np.ndarray:

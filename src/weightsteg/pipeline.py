@@ -23,7 +23,7 @@ from .detect import (
     eval_oml,
     summarize_rows,
 )
-from .imagerep import normalize, render
+from .imagerep import REPRESENTATION, normalize, render
 from .net import TrainConfig, TrainResult, preset, train
 from .steg import AttackSpec, Payload
 from .weights_io import WeightTensor, flatten, parse_model, sha256_hex
@@ -46,17 +46,22 @@ class ExperimentConfig:
     severities: tuple[int, ...] = ()  # extra severities to score for the weighted metric
     modes: tuple[str, ...] = ("centroid", "1nn")
     knn_k: int = 1
-    representation: str = "grayscale-fourpart"
 
     def __post_init__(self):
-        # a bad training or scoring setting raises ValueError before any run;
-        # _knn_verdict bounds k above by the number of training embeddings
+        # a setting that a run would refuse raises ValueError before any file is read
         self.train_config(0)
+        if self.train_per_class < 2:
+            raise ValueError("need at least 2 training models per class to form triplets")
+        if self.severities and set(self.severities) != set(range(1, max(self.severities) + 1)):
+            raise ValueError(f"severities must cover 1..s contiguously, got {list(self.severities)}")
         unknown = [mode for mode in self.modes if mode not in _MODES]
         if unknown:
             raise ValueError(f"unknown evaluation modes {unknown}; known: {_MODES}")
-        if self.knn_k < 1:
-            raise ValueError(f"knn_k must be >= 1, got {self.knn_k}")
+        # knn votes among the 2 * train_per_class training embeddings
+        if self.knn_k < 1 or ("knn" in self.modes and self.knn_k > 2 * self.train_per_class):
+            raise ValueError(
+                f"knn_k must be in [1, {2 * self.train_per_class}], got {self.knn_k}"
+            )
 
     def train_config(self, seed: int) -> TrainConfig:
         """The training settings of the run with this seed."""
@@ -106,7 +111,7 @@ def render_samples(
     samples = []
     for fm in flats:
         source = fm.tensor if spec is None else spec.words(fm.tensor)
-        image = normalize(render(source, cfg.representation, cfg.image_size))
+        image = normalize(render(source, cfg.image_size))
         samples.append(LabeledSample(image, 0 if lsb is None else 1, fm.zoo))
     return samples
 
@@ -147,7 +152,7 @@ def provenance_digest(
         },
         "payload_sha256": payload.sha256(),
         "lsb": cfg.lsb,
-        "representation": cfg.representation,
+        "representation": REPRESENTATION,
         "image_size": cfg.image_size,
         "arch": cfg.arch,
         "strategy": cfg.strategy,
@@ -159,7 +164,7 @@ def provenance_digest(
 
 def train_detector(
     samples: list[LabeledSample], arch: str, train_config: TrainConfig,
-    representation: str, manifest_sha256: str, trained_lsb: int,
+    manifest_sha256: str, trained_lsb: int,
 ) -> tuple[TrainedDetector, TrainResult]:
     """Train the arch preset on the samples' square images, in order, and embed them
     into a detector recording train_config's seed and strategy."""
@@ -168,7 +173,7 @@ def train_detector(
     net_config = preset(arch, input_size=images.shape[-1])
     result = train(images, labels, net_config, train_config)
     detector = build_detector(
-        net_config, result.params, images, labels, representation, manifest_sha256,
+        net_config, result.params, images, labels, manifest_sha256,
         seed=train_config.seed, strategy=train_config.strategy, trained_lsb=trained_lsb,
     )
     return detector, result
@@ -194,7 +199,7 @@ def run_detection_run(
     train_samples = render_samples(train_flats, cfg, None, None)  # benign, then attacked
     train_samples += render_samples(train_flats, cfg, cfg.lsb, payload)
     detector, result = train_detector(
-        train_samples, cfg.arch, cfg.train_config(seed), cfg.representation,
+        train_samples, cfg.arch, cfg.train_config(seed),
         provenance_digest(collection, flats, payload, cfg), trained_lsb=cfg.lsb,
     )
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_weights_io import random_tensors, scrambled_container
-from weightsteg import cli, weights_io
+from weightsteg import cli, pipeline, weights_io
 from weightsteg.cli import main
 from weightsteg.dataset import load_dataset, synth_collection
 from weightsteg.detect import build_detector, classify, load_detector, save_detector
@@ -71,6 +71,14 @@ def write_layout(path, tensors, layout):
         path.write_bytes(scrambled_container(tensors, [2, 0, 1]))
     else:
         path.write_bytes(write_container(ModelWeights(tensors)))
+
+
+def assert_rep_flag_refused(capsys, *argv):
+    """The parser refuses the command line's --rep, a removed flag: exit 2."""
+    with pytest.raises(SystemExit) as refused:
+        run(*argv)
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --rep" in capsys.readouterr().err
 
 
 def forbid_whole_reads(monkeypatch, command):
@@ -282,8 +290,7 @@ class TestImagify:
     def test_matches_library(self, tmp_path, mc_dir):
         model = mc_dir / "zoo1" / "model002.safetensors"
         out = tmp_path / "img.pgm"
-        assert run("imagify", "--in", model, "--rep", "grayscale-fourpart",
-                   "--size", 24, "--out", out) == 0
+        assert run("imagify", "--in", model, "--size", 24, "--out", out) == 0
         expected = resize(grayscale_fourpart(flatten(load_model(model))), 24, 24)
         assert np.array_equal(read_pgm(out), expected)
 
@@ -293,12 +300,13 @@ class TestImagify:
         assert run("imagify", "--in", model, "--out", out) == 0
         assert read_pgm(out).shape == (30, 30)  # 2 * ceil(sqrt(200))
 
-    def test_unknown_rep(self, tmp_path, mc_dir):
-        model = mc_dir / "zoo1" / "model000.safetensors"
-        assert run("imagify", "--in", model, "--rep", "nope", "--out", tmp_path / "x.pgm") == 2
-        # checked before the file is opened
-        missing = tmp_path / "missing.safetensors"
-        assert run("imagify", "--in", missing, "--rep", "nope", "--out", tmp_path / "x.pgm") == 2
+    def test_unknown_rep(self, tmp_path, mc_dir, capsys):
+        """imagify has one image and no --rep flag: any --rep is a usage error
+        (exit 2), found before the file is opened."""
+        for model in (mc_dir / "zoo1" / "model000.safetensors", tmp_path / "missing.safetensors"):
+            assert_rep_flag_refused(capsys, "imagify", "--in", model,
+                                    "--rep", "grayscale-fourpart", "--out", tmp_path / "x.pgm")
+        assert not (tmp_path / "x.pgm").exists()
 
     @pytest.mark.parametrize("layout", ["container", "raw", "scrambled"])
     def test_native_reads_through_open_words(self, tmp_path, monkeypatch, layout):
@@ -317,7 +325,7 @@ class TestImagify:
         path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
         write_layout(path, tensors, layout)
         want = tmp_path / "want.pgm"
-        write_pgm(render(flatten(load_model(path)), "grayscale-fourpart", 24), want)
+        write_pgm(render(flatten(load_model(path)), 24), want)
         reads = []
         pread = os.pread
 
@@ -582,7 +590,7 @@ def scan_lines_by_full_read(detector_bytes, targets):
     lines = []
     for target in targets:
         flat = flatten(load_model(target))
-        image = normalize(render(flat, detector.representation, detector.config.input_size))
+        image = normalize(render(flat, detector.config.input_size))
         label, benign, malicious = classify(detector, image)
         lines.append(f"{target},{label},{benign!r},{malicious!r}\n")
     return "".join(lines)
@@ -860,15 +868,46 @@ class TestTrainingFlagsCheckedFirst:
                    "--out", tmp_path / "d.safetensors") == 2
         assert capsys.readouterr().err.startswith("error[usage]:")
 
-    @pytest.mark.parametrize("flags", [("--modes", "centroid,bogus"), ("--k", 0, "--modes", "knn")],
-                             ids=["mode-unknown", "k-zero"])
-    def test_report_scoring_flags_before_the_collection(self, tmp_path, capsys, flags):
-        """A bad --modes or --k is a usage error found before the collection is
-        opened, so a missing --mc does not turn it into a data error."""
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--modes", "centroid,bogus"), "unknown evaluation modes"),
+            (("--k", 0, "--modes", "knn"), "knn_k must be in [1, 6], got 0"),
+            (("--k", 7, "--modes", "centroid,knn"), "knn_k must be in [1, 6], got 7"),
+            (("--train-per-class", 1), "need at least 2 training models per class"),
+            (("--severities", "2-5"), "severities must cover 1..s contiguously"),
+            (("--severities", "1,3"), "severities must cover 1..s contiguously"),
+            (("--severities", "5-3"), "reversed range '5-3'"),
+            (("--lsb", "5-3"), "reversed range '5-3'"),
+        ],
+        ids=["mode-unknown", "k-zero", "k-above-train-embeddings", "train-per-class-one",
+             "severities-from-two", "severities-gap", "severities-reversed", "lsb-reversed"],
+    )
+    def test_report_scoring_flags_before_the_collection(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        """A bad scoring, training-count or severity flag is a usage error found
+        before the collection is opened, so a missing --mc does not turn it into
+        a data error, and no model is read."""
+        def no_read(*args, **kwargs):
+            raise AssertionError("report read the collection before it checked its flags")
+
+        monkeypatch.setattr(cli, "load_collection", no_read)
+        for module in (weights_io, pipeline):
+            monkeypatch.setattr(module, "parse_model", no_read)
         csv_path = tmp_path / "r.csv"
         assert run("report", "--mc", tmp_path / "missing", "--lsb", 8, "--synthetic-payload", "16,2",
                    "--train-zoos", "zoo0", *flags, "--out-csv", csv_path) == 2
-        assert capsys.readouterr().err.startswith("error[usage]:") and not csv_path.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error[usage]:") and message in err and not csv_path.exists()
+
+    @pytest.mark.parametrize("flags", [("--k", 50, "--modes", "centroid,1nn"),
+                                       ("--severities", "2,1,2")], ids=["k-unused", "severities-unsorted"])
+    def test_report_accepts_what_a_run_accepts(self, tmp_path, mc_dir, flags):
+        """k bounds only knn mode, and severities are a set that covers 1..s."""
+        assert run("report", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--train-per-class", 2,
+                   "--runs", 1, *flags, "--out-csv", tmp_path / "r.csv") == 0
 
     def test_defaults_are_train_configs(self):
         for command in (["train", "--dataset", "ds"],
@@ -881,8 +920,7 @@ class TestTrainingFlagsCheckedFirst:
 class TestBuildDatasetTrainScan:
     def test_full_pipeline(self, tmp_path, mc_dir, capsys):
         ds = tmp_path / "ds"
-        assert run("build-dataset", "--mc", mc_dir, "--lsb", 8,
-                   "--synthetic-payload", "16,2", "--rep", "grayscale-fourpart",
+        assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
                    "--size", 28, "--train-zoos", "zoo0", "--out", ds) == 0
         manifest, samples = load_dataset(ds)
         assert manifest.lsb == 8
@@ -959,6 +997,40 @@ class TestBuildDatasetTrainScan:
         chunked = (tmp_path / "chunked.safetensors").read_bytes()
         assert load_detector(chunked).strategy == "ES"
         assert chunked != (tmp_path / "full.safetensors").read_bytes()
+
+    def test_chain_formats_pinned(self, tmp_path, mc_dir):
+        """The manifest's bytes and the detector's metadata, key order included,
+        of a synth-mc -> build-dataset -> train chain. Neither depends on the
+        BLAS kernel; the detector's tensors do, so they are left out."""
+        ds, det_path = tmp_path / "ds", tmp_path / "det.safetensors"
+        assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--size", 28, "--train-zoos", "zoo0", "--out", ds) == 0
+        assert run("train", "--dataset", ds, "--arch", "tiny", "--strategy", "ST", "--seed", 7,
+                   "--out", det_path) == 0
+        manifest_sha256 = "3aa09147fccb9f9efd104e5902b5178c3eb7769e77cd34f0b24459bf7da16ec5"
+        assert hashlib.sha256((ds / "manifest.json").read_bytes()).hexdigest() == manifest_sha256
+        config = {"blocks": [[4, 5, True], [8, 3, True]], "embedding_dim": 16,
+                  "init_scheme": "he_uniform", "init_seed": 0, "input_size": 28,
+                  "l2_normalize": False, "sigmoid_head": True}
+        assert list(read_container(det_path.read_bytes()).metadata.items()) == [
+            ("format_version", "1"),
+            ("kind", "weightsteg-detector"),
+            ("config", json.dumps(config, sort_keys=True)),
+            ("representation", "grayscale-fourpart"),
+            ("manifest_sha256", manifest_sha256),
+            ("seed", "7"),
+            ("strategy", "ST"),
+            ("trained_lsb", "8"),
+        ]
+
+    def test_rep_flag_refused(self, tmp_path, mc_dir, capsys, monkeypatch):
+        """build-dataset has one image and no --rep flag: an old command line
+        that names one exits 2 before it reads the collection."""
+        monkeypatch.setattr(cli, "load_collection", lambda path: pytest.fail("read the collection"))
+        assert_rep_flag_refused(capsys, "build-dataset", "--mc", mc_dir, "--lsb", 8,
+                                "--synthetic-payload", "16,2", "--rep", "grayscale-fourpart",
+                                "--out", tmp_path / "ds")
+        assert not (tmp_path / "ds").exists()
 
     def test_dataset_determinism(self, tmp_path, mc_dir):
         for name in ("x", "y"):
@@ -1038,8 +1110,6 @@ class TestReportCommand:
     def test_mantissa_rule_checked_before_training(
         self, tmp_path, mc_dir, capsys, monkeypatch, flags, lsb
     ):
-        from weightsteg import pipeline
-
         def no_training(*args, **kwargs):
             raise AssertionError("a run trained before every severity was checked")
 

@@ -31,7 +31,7 @@ from weightsteg.dataset import (
     synth_zoo,
 )
 from weightsteg.errors import FormatError
-from weightsteg.imagerep import REPRESENTATIONS, read_pgm, render, write_pgm
+from weightsteg.imagerep import REPRESENTATION, read_pgm, render, write_pgm
 from weightsteg.steg import (
     AttackSpec,
     LsbWords,
@@ -116,7 +116,7 @@ class TestCollections:
 
 def build_attacked(collection, lsb, payload, out_dir):
     """Build a dataset with an attack and return its attacked collection."""
-    build_dataset(collection, "grayscale-fourpart", 16, out_dir, lsb=lsb, payload=payload)
+    build_dataset(collection, 16, out_dir, lsb=lsb, payload=payload)
     return load_collection(out_dir / "attacked")
 
 
@@ -153,7 +153,6 @@ class TestBuildDataset:
         payload = Payload.synthetic(8, seed=1)
         manifest = build_dataset(
             small_collection,
-            "grayscale-fourpart",
             16,
             tmp_path / "ds",
             lsb=8,
@@ -167,16 +166,12 @@ class TestBuildDataset:
         assert all(0.0 <= s.image.min() and s.image.max() <= 1.0 for s in samples)
 
     def test_benign_only_dataset(self, tmp_path, small_collection):
-        manifest = build_dataset(small_collection, "grayscale-fourpart", 16, tmp_path / "ds")
+        manifest = build_dataset(small_collection, 16, tmp_path / "ds")
         assert len(manifest.samples) == 6
         assert all(s.label == 0 for s in manifest.samples)
 
-    def test_unsupported_representation(self, tmp_path, small_collection):
-        with pytest.raises(ValueError, match="representation"):
-            build_dataset(small_collection, "spectrogram", 16, tmp_path / "ds")
-
     def test_manifest_json_schema(self, tmp_path, small_collection):
-        manifest = build_dataset(small_collection, "grayscale-fourpart", 16, tmp_path / "ds")
+        manifest = build_dataset(small_collection, 16, tmp_path / "ds")
         doc = json.loads((tmp_path / "ds/manifest.json").read_text())
         assert set(doc) == {
             "mc_id",
@@ -187,6 +182,7 @@ class TestBuildDataset:
             "source_sha256",
             "samples",
         }
+        assert doc["representation"] == "grayscale-fourpart"
         assert doc["shape"] == [16, 16]
         assert set(doc["samples"][0]) == {"path", "zoo", "label", "split"}
         parsed = DatasetManifest.from_json((tmp_path / "ds/manifest.json").read_text())
@@ -195,7 +191,7 @@ class TestBuildDataset:
     def test_parallel_label_balance(self, tmp_path, small_collection):
         payload = Payload.synthetic(8, seed=1)
         manifest = build_dataset(
-            small_collection, "grayscale-fourpart", 16, tmp_path / "ds", lsb=8, payload=payload
+            small_collection, 16, tmp_path / "ds", lsb=8, payload=payload
         )
         benign = sum(1 for s in manifest.samples if s.label == 0)
         assert benign == len(manifest.samples) - benign
@@ -208,7 +204,7 @@ class TestBuildDataset:
 
         payload = Payload.synthetic(8, seed=1)
         manifest = build_dataset(
-            small_collection, "grayscale-fourpart", 16, tmp_path / "ds", lsb=8, payload=payload
+            small_collection, 16, tmp_path / "ds", lsb=8, payload=payload
         )
         assert manifest.payload_sha256 == payload.sha256()
         for record in (manifest.samples[0], manifest.samples[-1]):
@@ -224,7 +220,7 @@ class TestBuildDataset:
 def fuzz_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz-dataset")
     collection = synth_collection(root / "mc", n_zoos=2, n_models=1, n_params=50, seed=9)
-    build_dataset(collection, "grayscale-fourpart", 8, root / "ds", lsb=8,
+    build_dataset(collection, 8, root / "ds", lsb=8,
                   payload=Payload.synthetic(8, seed=1), train_zoos=["zoo0"])
     return root / "ds"
 
@@ -260,7 +256,7 @@ class TestMutatedDatasetInputs:
         assert manifest.lsb is None or is_int(manifest.lsb)
         assert all(v is None or isinstance(v, str)
                    for v in (manifest.payload_sha256, manifest.source_sha256))
-        assert manifest.representation in REPRESENTATIONS
+        assert json.loads(path.read_bytes())["representation"] == REPRESENTATION
         assert len(manifest.shape) == 2 and all(is_int(d) and d > 0 for d in manifest.shape)
         for record in manifest.samples:
             assert all(isinstance(v, str) for v in (record.path, record.zoo, record.split))
@@ -288,7 +284,7 @@ class TestSplit:
             for zoo in ("A", "B", "C")
             for i in range(2)
         ]
-        return DatasetManifest("mc", 8, None, "grayscale-fourpart", (16, 16), samples)
+        return DatasetManifest("mc", 8, None, (16, 16), samples)
 
     def test_set_difference(self):
         manifest = self._manifest()
@@ -324,11 +320,11 @@ class TestSplit:
 class TestModelImage:
     def test_shape_contract(self, small_collection):
         model = load_model(small_collection.zoos[0].model_paths[0])
-        img = render(flatten(model), "grayscale-fourpart", 100)
+        img = render(flatten(model), 100)
         assert img.shape == (100, 100)
 
     def test_shape_mismatch_on_load(self, tmp_path, small_collection):
-        build_dataset(small_collection, "grayscale-fourpart", 16, tmp_path / "ds")
+        build_dataset(small_collection, 16, tmp_path / "ds")
         doc = json.loads((tmp_path / "ds/manifest.json").read_text())
         doc["shape"] = [32, 32]
         (tmp_path / "ds/manifest.json").write_text(json.dumps(doc))
@@ -346,7 +342,7 @@ def collection_digest(*collections):
     return digest.hexdigest()
 
 
-def two_pass_dataset(benign, representation, size, out_dir, lsb, payload, train_zoos):
+def two_pass_dataset(benign, size, out_dir, lsb, payload, train_zoos):
     """build_dataset as a composition of separate passes: attack every model to
     out_dir/attacked, then load every benign and attacked file to render it."""
     out_dir = Path(out_dir)
@@ -368,15 +364,15 @@ def two_pass_dataset(benign, representation, size, out_dir, lsb, payload, train_
             paths.append(out)
         attacked_zoos.append(ModelZoo(zoo.zoo_id, paths))
     attacked = ModelCollection("attacked", attacked_zoos)
-    manifest = DatasetManifest(benign.mc_id, lsb, payload.sha256(), representation,
-                               (size, size), [], collection_digest(benign, attacked))
+    manifest = DatasetManifest(benign.mc_id, lsb, payload.sha256(), (size, size), [],
+                               collection_digest(benign, attacked))
     for zoo, attacked_zoo in zip(benign.zoos, attacked.zoos):
         (out_dir / "images" / zoo.zoo_id).mkdir(parents=True)
         for paths, label, tag in ((zoo.model_paths, 0, "benign"),
                                   (attacked_zoo.model_paths, 1, "attacked")):
             for path in paths:
                 rel = f"images/{zoo.zoo_id}/{path.stem}.{tag}.pgm"
-                img = render(flatten(load_model(path)), representation, size)
+                img = render(flatten(load_model(path)), size)
                 write_pgm(img, out_dir / rel)
                 manifest.samples.append(SampleRecord(rel, zoo.zoo_id, label))
     split_by_zoo(manifest, train_zoos)
@@ -420,16 +416,15 @@ class TestOnePass:
             "spaced": lambda: spaced_collection(small_collection, tmp_path / "spaced"),
         }[layout]()
         payload = Payload.synthetic(5, seed=3)
-        build_dataset(collection, "grayscale-fourpart", 12, tmp_path / "one", lsb=lsb,
+        build_dataset(collection, 12, tmp_path / "one", lsb=lsb,
                       payload=payload, train_zoos=["zoo1"])
-        two_pass_dataset(collection, "grayscale-fourpart", 12, tmp_path / "two", lsb,
-                         payload, ["zoo1"])
+        two_pass_dataset(collection, 12, tmp_path / "two", lsb, payload, ["zoo1"])
         one, two = tree(tmp_path / "one"), tree(tmp_path / "two")
         assert len(one) == 1 + 2 * 6 + 6  # manifest, images, attacked models
         assert one == two
 
     def test_benign_only_source_digest(self, tmp_path, small_collection):
-        manifest = build_dataset(small_collection, "grayscale-fourpart", 12, tmp_path / "ds")
+        manifest = build_dataset(small_collection, 12, tmp_path / "ds")
         assert manifest.source_sha256 == collection_digest(small_collection)
 
     def test_never_parses_or_flattens(self, tmp_path, monkeypatch):
@@ -443,7 +438,7 @@ class TestOnePass:
         for module in (weights_io, dataset):
             for name in ("parse_model", "flatten", "load_model"):
                 monkeypatch.setattr(module, name, whole_model, raising=module is weights_io)
-        manifest = build_dataset(collection, "grayscale-fourpart", 12, tmp_path / "ds", lsb=8,
+        manifest = build_dataset(collection, 12, tmp_path / "ds", lsb=8,
                                  payload=Payload.synthetic(5, seed=3))
         assert len(manifest.samples) == 4
 
@@ -561,17 +556,15 @@ def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, f
         side = math.isqrt(len(cover) - 1) + 1  # the fourpart image is 2*side square
         size = draws.draw(st.integers(1, 2 * side + 3), label="size")
         flat = flatten(model)
-        image = render(spec.words(flat), "grayscale-fourpart", size)
-        assert np.array_equal(image, render(lsb_attack_fill(flat, lsb, payload),
-                                            "grayscale-fourpart", size))
-        assert np.array_equal(image, render(flat_attacked, "grayscale-fourpart", size))
+        image = render(spec.words(flat), size)
+        assert np.array_equal(image, render(lsb_attack_fill(flat, lsb, payload), size))
+        assert np.array_equal(image, render(flat_attacked, size))
         (root / "attacked").mkdir()
-        passed = dataset._model_pass(path, spec, "grayscale-fourpart", size, root / "attacked")
+        passed = dataset._model_pass(path, spec, size, root / "attacked")
         assert (root / "attacked" / path.name).read_bytes() == want
         assert passed[1][1] == hashlib.sha256(want).digest()
         assert np.array_equal(passed[1][0], image)
-        assert np.array_equal(passed[0][0], render(WeightTensor("", dtype, (len(cover),), cover),
-                                                   "grayscale-fourpart", size))
+        assert np.array_equal(passed[0][0], render(WeightTensor("", dtype, (len(cover),), cover), size))
 
 
 @pytest.mark.parametrize("offset", [0, 1, CHUNK_WORDS - 5])
@@ -599,7 +592,7 @@ def test_model_pass_holds_one_copy_of_the_model(tmp_path):
     (tmp_path / "out").mkdir()
     tracemalloc.start()
     try:
-        dataset._model_pass(path, spec, "grayscale-fourpart", 100, tmp_path / "out")
+        dataset._model_pass(path, spec, 100, tmp_path / "out")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -619,7 +612,7 @@ def test_model_pass_streams_the_model(tmp_path, layout):
     (tmp_path / "out").mkdir()
     tracemalloc.start()
     try:
-        dataset._model_pass(path, spec, "grayscale-fourpart", 24, tmp_path / "out")
+        dataset._model_pass(path, spec, 24, tmp_path / "out")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -636,7 +629,7 @@ def test_source_changed_between_passes_fails_closed(tmp_path, monkeypatch, capsy
     os.utime(victim, ns=(0, 0))  # an old file, so that changing it now moves its mtime
     renders, real_render = [], dataset.render
 
-    def changing(source, representation, size):
+    def changing(source, size):
         renders.append(source)
         if len(renders) == 4:  # model001's attacked image: after its hash, before its write
             if change == "truncated":
@@ -645,7 +638,7 @@ def test_source_changed_between_passes_fails_closed(tmp_path, monkeypatch, capsy
                 with open(victim, "r+b") as fh:
                     fh.seek(-40, os.SEEK_END)
                     fh.write(bytes(40))
-        return real_render(source, representation, size)
+        return real_render(source, size)
 
     monkeypatch.setattr(dataset, "render", changing)
     out = tmp_path / "ds"

@@ -133,7 +133,7 @@ class TestFullImage:
         assert np.array_equal(full, padded_planes(words.astype(np.uint32)))
         # a render that taps every row and column takes the same gather
         side = full.shape[0]
-        assert np.array_equal(render(tensor, "grayscale-fourpart", side), full)
+        assert np.array_equal(render(tensor, side), full)
 
     def test_peak_memory(self):
         """A 4M-param full image gathers the zero-padded words by slicing,
@@ -167,7 +167,7 @@ class TestRender:
         tensor = f32_tensor(words)
         full = grayscale_fourpart(tensor)
         assert np.array_equal(full, fourpart_oracle(words))
-        assert np.array_equal(render(tensor, "grayscale-fourpart", size), resize(full, size, size))
+        assert np.array_equal(render(tensor, size), resize(full, size, size))
 
     def test_alternating_geometries(self):
         """Renders of interleaved (n, size) geometries in one process each equal
@@ -182,7 +182,7 @@ class TestRender:
         wants = [resize(grayscale_fourpart(tensor), size, size) for tensor, size in cases]
         for _ in range(2):  # the second pass in the reverse order
             for (tensor, size), want in zip(cases, wants):
-                assert np.array_equal(render(tensor, "grayscale-fourpart", size), want)
+                assert np.array_equal(render(tensor, size), want)
             cases, wants = cases[::-1], wants[::-1]
 
     @pytest.mark.parametrize("n", [39_999, 40_000, 40_001])
@@ -201,7 +201,7 @@ class TestRender:
                 asked.append(np.asarray(flat_indices))
                 return tensor.take(flat_indices)
 
-        got = render(Spy(), "grayscale-fourpart", 100)
+        got = render(Spy(), 100)
         assert np.array_equal(got, resize(grayscale_fourpart(tensor), 100, 100))
         assert len(asked) == 1
         flat = asked[0]
@@ -210,13 +210,11 @@ class TestRender:
     def test_rejects_what_the_full_image_rejects(self):
         f16 = WeightTensor("", DType.F16, (1,), np.array([1], dtype=np.uint16))
         with pytest.raises(FormatError):
-            render(f16, "grayscale-fourpart", 4)
+            render(f16, 4)
         with pytest.raises(ValueError):
-            render(f32_tensor([]), "grayscale-fourpart", 4)
+            render(f32_tensor([]), 4)
         with pytest.raises(ValueError):
-            render(f32_tensor([1]), "grayscale-fourpart", 0)
-        with pytest.raises(ValueError, match="unsupported representation"):
-            render(f32_tensor([1]), "nope", 4)
+            render(f32_tensor([1]), 0)
 
 
 class TestResize:

@@ -122,9 +122,9 @@ def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
         reads[-1] += np.size(flat_indices)
         return take(self, flat_indices)
 
-    def counting_render(source, representation, size):
+    def counting_render(source, size):
         reads.append(0)
-        return render(source, representation, size)
+        return render(source, size)
 
     monkeypatch.setattr(WeightTensor, "take", counting_take)
     monkeypatch.setattr(pipeline, "render", counting_render)

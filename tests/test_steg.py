@@ -429,5 +429,5 @@ def test_plain_words_render_as_the_attacked_model(lsb, k):
     words = AttackSpec(lsb, False, payload).words(cover)
     attacked = lsb_attack(cover, lsb, payload)
     for size in (142, 50, 9):
-        assert np.array_equal(render(words, "grayscale-fourpart", size),
-                              render(attacked, "grayscale-fourpart", size))
+        assert np.array_equal(render(words, size),
+                              render(attacked, size))

@@ -398,12 +398,12 @@ def random_tensors(dtype, shapes, seed=0):
 
 
 def via_parse(data, path, size):
-    return render(flatten(parse_model(data, path)), "grayscale-fourpart", size)
+    return render(flatten(parse_model(data, path)), size)
 
 
 def via_reader(path, size):
     with open_words(path) as words:
-        return render(words, "grayscale-fourpart", size)
+        return render(words, size)
 
 
 def outcome(call):
@@ -451,8 +451,8 @@ class TestFileWords:
             with pytest.raises(IndexError):
                 words.take([flat.n])
             for size in (1, 3, 2 * flat.n + 1):
-                assert np.array_equal(render(words, "grayscale-fourpart", size),
-                                      render(flat, "grayscale-fourpart", size))
+                assert np.array_equal(render(words, size),
+                                      render(flat, size))
 
     @pytest.mark.parametrize("dtype,suffix", [(DType.F32, ".f32"), (DType.F16, ".f16")])
     def test_raw_file(self, tmp_path, dtype, suffix):
@@ -502,7 +502,7 @@ class TestFileWords:
 
         monkeypatch.setattr(os, "pread", counting)
         image = via_reader(path, size)
-        assert np.array_equal(image, render(tensor, "grayscale-fourpart", size))
+        assert np.array_equal(image, render(tensor, size))
         # the length prefix, the header, then at most one run per tapped row
         assert len(reads) <= 2 + 2 * size
         assert sum(reads) < path.stat().st_size // 10
@@ -514,7 +514,7 @@ class TestFileWords:
         with open_words(path) as words:
             os.truncate(path, path.stat().st_size - 4 * 50)
             with pytest.raises(FormatError, match="truncated while open"):
-                render(words, "grayscale-fourpart", 8)
+                render(words, 8)
 
 
 @st.composite
