@@ -69,21 +69,19 @@ def _add_payload_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_mantissa_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument(
-        "--mantissa-only",
-        dest="mantissa_only",
-        action="store_true",
-        default=True,
-        help="restrict the attack to mantissa bits (default)",
-    )
-    group.add_argument(
+def _add_attack_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--lsb", type=int, required=True, help="number of low bits to overwrite")
+    _add_payload_flags(parser)
+    parser.add_argument(
         "--allow-exponent",
         dest="mantissa_only",
         action="store_false",
-        help="permit overwriting sign/exponent bits",
+        help="permit overwriting sign/exponent bits (by default only mantissa bits)",
     )
+
+
+def _attack_from_args(args, fill: bool) -> AttackSpec:
+    return AttackSpec(args.lsb, fill, _payload_from_args(args), args.mantissa_only)
 
 
 def _add_training_flags(parser: argparse.ArgumentParser) -> None:
@@ -122,7 +120,7 @@ def _parse_int_spec(text: str) -> tuple[int, ...]:
 
 
 def cmd_embed(args) -> int:
-    spec = AttackSpec(args.lsb, args.fill, _payload_from_args(args), args.mantissa_only)
+    spec = _attack_from_args(args, args.fill)
     out = _out_path(args.out, Path(args.infile).stem + f".lsb{args.lsb}" + Path(args.infile).suffix)
     with open_words(args.infile) as source:
         source.save(out, spec.words(source).rewrite, spec.provenance())
@@ -152,9 +150,7 @@ def cmd_imagify(args) -> int:
 
 def cmd_synth_mc(args) -> int:
     out = _out_path(args.out, "synth-mc")
-    collection = synth_collection(
-        out, args.zoos, args.models, args.params, args.seed, mc_id=args.mc_id
-    )
+    collection = synth_collection(out, args.zoos, args.models, args.params, args.seed)
     for zoo in collection.zoos:
         for path in zoo.model_paths:
             print(path)
@@ -162,16 +158,14 @@ def cmd_synth_mc(args) -> int:
 
 
 def cmd_build_dataset(args) -> int:
-    payload = _payload_from_args(args)
+    attack = _attack_from_args(args, fill=True)
     out = _out_path(args.out, "dataset")
     manifest = build_dataset(
         load_collection(args.mc),
         args.size,
         out,
-        lsb=args.lsb,
-        payload=payload,
+        attack,
         train_zoos=_parse_zoos(args.train_zoos) if args.train_zoos else None,
-        mantissa_only=args.mantissa_only,
     )
     print(out / "manifest.json")
     logger.info("wrote %d samples", len(manifest.samples))
@@ -243,7 +237,7 @@ def cmd_report(args) -> int:
     if not trained_lsbs:
         raise ValueError("--lsb needs at least one trained severity")
     cfg = ExperimentConfig(  # checks the training flags before any file is read
-        lsb=trained_lsbs[0],
+        lsb=min(trained_lsbs),  # so that every trained severity is checked
         train_zoos=tuple(_parse_zoos(args.train_zoos)),
         image_size=args.size,
         arch=args.arch,
@@ -299,10 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="embed a payload into a weights file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.add_argument("--lsb", type=int, required=True, help="number of low bits to overwrite")
+    _add_attack_flags(p)
     p.add_argument("--fill", action="store_true", help="repeat/truncate payload to fill all weights")
-    _add_payload_flags(p)
-    _add_mantissa_flags(p)
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("extract", help="read an embedded payload back out")
@@ -324,15 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", type=int, default=4)
     p.add_argument("--params", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mc-id", default="synth-mc")
     p.set_defaults(func=cmd_synth_mc)
 
     p = sub.add_parser("build-dataset", help="attack a collection and render labeled images")
     p.add_argument("--mc", required=True, help="model collection directory (one subdir per zoo)")
     p.add_argument("--out")
-    p.add_argument("--lsb", type=int, required=True)
-    _add_payload_flags(p)
-    _add_mantissa_flags(p)
+    _add_attack_flags(p)
     p.add_argument("--size", type=int, default=100)
     p.add_argument("--train-zoos", help="comma-separated zoo ids for the train split")
     p.set_defaults(func=cmd_build_dataset)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATION, normalize, read_pgm, render, write_pgm
-from .steg import AttackSpec, Payload
+from .steg import AttackSpec
 from .weights_io import DType, ModelWeights, WeightTensor, open_words, save_model
 
 logger = logging.getLogger(__name__)
@@ -164,19 +164,19 @@ def load_collection(mc_dir: str | Path) -> ModelCollection:
 
 
 def _model_pass(
-    path: Path, spec: AttackSpec | None, size: int, attacked_dir: Path
+    path: Path, attack: AttackSpec | None, size: int, attacked_dir: Path
 ) -> list[tuple[np.ndarray, bytes]]:
     """One benign model's share of build_dataset: (image, file sha256) for the
-    benign file and, given spec, for the attacked file it writes. Both images
+    benign file and, given attack, for the attacked file it writes. Both images
     render from the words they tap; the file is hashed in one streamed pass
     and the attacked copy written in a second (FileWords.save)."""
     with open_words(path) as source:
         passed = [(render(source, size), source.sha256())]
-        if spec is not None:
-            words = spec.words(source)
+        if attack is not None:
+            words = attack.words(source)
             image = render(words, size)
             passed.append((image, source.save(attacked_dir / path.name, words.rewrite,
-                                              spec.provenance())))
+                                              attack.provenance())))
     return [(image, bytes.fromhex(digest)) for image, digest in passed]
 
 
@@ -184,45 +184,40 @@ def build_dataset(
     benign: ModelCollection,
     size: int,
     out_dir: str | Path,
-    lsb: int | None = None,
-    payload: Payload | None = None,
+    attack: AttackSpec | None = None,
     train_zoos: list[str] | None = None,
-    mantissa_only: bool = True,
 ) -> DatasetManifest:
-    """Render benign models (label 0) and, given a payload, their fill-attacked
+    """Render benign models (label 0) and, given a fill attack, their attacked
     copies (label 1) to a labeled image set.
 
     Per benign model: open the file once, render its image and the image of
-    its fill attack at lsb (mantissa bits only unless mantissa_only is False)
-    from the words they tap, hash the file in one streamed pass, and write the
-    attacked model to out_dir/attacked/<zoo>/ in a second, one chunk at a
-    time, hashing what is written. Nothing written is read back.
+    its attack from the words they tap, hash the file in one streamed pass,
+    and write the attacked model to out_dir/attacked/<zoo>/ in a second, one
+    chunk at a time, hashing what is written. Nothing written is read back.
     Images are written as PGM files beside a manifest.json under out_dir; the
     manifest's source_sha256 folds the file digests of every benign model,
-    then of every attacked model.
+    then of every attacked model. A plain attack is refused before anything
+    is written: the manifest records no fill flag.
     """
+    if attack is not None and not attack.fill:
+        raise ValueError("build_dataset attacks with fill only; the manifest records no fill flag")
     out_dir = Path(out_dir)
-    spec = None
-    if payload is not None:
-        if lsb is None:
-            raise ValueError("attacking a collection needs lsb")
-        spec = AttackSpec(lsb, True, payload, mantissa_only)
     manifest = DatasetManifest(
         mc_id=benign.mc_id,
-        lsb=lsb,
-        payload_sha256=None if payload is None else payload.sha256(),
+        lsb=None if attack is None else attack.lsb,
+        payload_sha256=None if attack is None else attack.payload.sha256(),
         shape=(size, size),
     )
     file_digests: tuple[list[bytes], list[bytes]] = ([], [])  # benign, attacked
     for zoo in benign.zoos:
         (out_dir / "images" / zoo.zoo_id).mkdir(parents=True, exist_ok=True)
         attacked_dir = out_dir / "attacked" / zoo.zoo_id
-        if spec is not None:
+        if attack is not None:
             attacked_dir.mkdir(parents=True, exist_ok=True)
         zoo_samples: tuple[list[SampleRecord], list[SampleRecord]] = ([], [])
         for path in zoo.model_paths:
             try:
-                passed = _model_pass(path, spec, size, attacked_dir)
+                passed = _model_pass(path, attack, size, attacked_dir)
             except (ValueError, CapacityError, FormatError) as exc:
                 raise type(exc)(f"{path}: {exc}") from exc
             for label, (img, file_digest) in enumerate(passed):
@@ -348,7 +343,6 @@ def synth_collection(
     n_models: int,
     n_params: int,
     seed: int,
-    mc_id: str = "synth-mc",
 ) -> ModelCollection:
     """A collection of synthetic zoos with per-zoo derived seeds."""
     if n_zoos < 1:
@@ -358,4 +352,4 @@ def synth_collection(
         synth_zoo(out_dir, f"zoo{i}", n_models, n_params, int(zoo_seeds[i]))
         for i in range(n_zoos)
     ]
-    return ModelCollection(mc_id, zoos)
+    return ModelCollection("synth-mc", zoos)

@@ -50,6 +50,8 @@ class ExperimentConfig:
     def __post_init__(self):
         # a setting that a run would refuse raises ValueError before any file is read
         self.train_config(0)
+        if self.lsb < 1:  # the upper bound depends on the models' dtype
+            raise ValueError(f"lsb must be at least 1, got {self.lsb}")
         if self.train_per_class < 2:
             raise ValueError("need at least 2 training models per class to form triplets")
         if self.severities and set(self.severities) != set(range(1, max(self.severities) + 1)):
@@ -103,16 +105,13 @@ def load_flat_models(collection: ModelCollection) -> list[FlatModel]:
     return out
 
 
-def render_samples(
-    flats, cfg: ExperimentConfig, lsb: int | None, payload: Payload | None
-) -> list[LabeledSample]:
-    """Benign samples when lsb is None, else fill-attacked at that severity."""
-    spec = None if lsb is None else AttackSpec(lsb, True, payload)
+def render_samples(flats, cfg: ExperimentConfig, attack: AttackSpec | None) -> list[LabeledSample]:
+    """Benign samples when attack is None, else attacked samples."""
     samples = []
     for fm in flats:
-        source = fm.tensor if spec is None else spec.words(fm.tensor)
+        source = fm.tensor if attack is None else attack.words(fm.tensor)
         image = normalize(render(source, cfg.image_size))
-        samples.append(LabeledSample(image, 0 if lsb is None else 1, fm.zoo))
+        samples.append(LabeledSample(image, 0 if attack is None else 1, fm.zoo))
     return samples
 
 
@@ -140,7 +139,7 @@ def select_train_pairs(flats, train_zoos, per_class: int) -> list[FlatModel]:
 
 
 def provenance_digest(
-    collection: ModelCollection, flats: list[FlatModel], payload: Payload, cfg: ExperimentConfig
+    collection: ModelCollection, flats: list[FlatModel], attack: AttackSpec, cfg: ExperimentConfig
 ) -> str:
     """Digest of everything a run consumes, minus the seed; flats are
     load_flat_models(collection), whose file digests it reuses."""
@@ -150,8 +149,8 @@ def provenance_digest(
             zoo.zoo_id: [fm.sha256 for fm in flats if fm.zoo == zoo.zoo_id]
             for zoo in collection.zoos
         },
-        "payload_sha256": payload.sha256(),
-        "lsb": cfg.lsb,
+        "payload_sha256": attack.payload.sha256(),
+        "lsb": attack.lsb,
         "representation": REPRESENTATION,
         "image_size": cfg.image_size,
         "arch": cfg.arch,
@@ -195,23 +194,24 @@ def run_detection_run(
     if not test_zoos:
         raise ValueError("no zoos left for evaluation; shrink --train-zoos")
 
+    attack = AttackSpec(cfg.lsb, True, payload)
     train_flats = select_train_pairs(flats, cfg.train_zoos, cfg.train_per_class)
-    train_samples = render_samples(train_flats, cfg, None, None)  # benign, then attacked
-    train_samples += render_samples(train_flats, cfg, cfg.lsb, payload)
+    train_samples = render_samples(train_flats, cfg, None)  # benign, then attacked
+    train_samples += render_samples(train_flats, cfg, attack)
     detector, result = train_detector(
         train_samples, cfg.arch, cfg.train_config(seed),
-        provenance_digest(collection, flats, payload, cfg), trained_lsb=cfg.lsb,
+        provenance_digest(collection, flats, attack, cfg), trained_lsb=cfg.lsb,
     )
 
     test_flats = [fm for fm in flats if fm.zoo in test_zoos]
 
-    def embedded(lsb):
+    def embedded(spec):
         # Images are embedded once and dropped; every mode scores the embeddings.
-        return embed_samples(detector, render_samples(test_flats, cfg, lsb, payload))
+        return embed_samples(detector, render_samples(test_flats, cfg, spec))
 
     test_benign = embedded(None)
-    per_x = {x: embedded(x) for x in cfg.severities}
-    test_attacked = per_x[cfg.lsb] if cfg.lsb in per_x else embedded(cfg.lsb)
+    per_x = {x: embedded(replace(attack, lsb=x)) for x in cfg.severities}
+    test_attacked = per_x[cfg.lsb] if cfg.lsb in per_x else embedded(attack)
 
     rows: list[ReportRow] = []
     oml: dict[str, float] = {}

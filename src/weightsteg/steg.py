@@ -69,7 +69,7 @@ class Payload:
 
 @dataclass(frozen=True)
 class AttackSpec:
-    """One embedding configuration, as driven from the CLI."""
+    """One attack, from the command line down; where an attack is optional, None is benign."""
 
     lsb: int
     fill: bool

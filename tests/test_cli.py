@@ -73,12 +73,12 @@ def write_layout(path, tensors, layout):
         path.write_bytes(write_container(ModelWeights(tensors)))
 
 
-def assert_rep_flag_refused(capsys, *argv):
-    """The parser refuses the command line's --rep, a removed flag: exit 2."""
+def assert_flag_refused(capsys, flag, *argv):
+    """The parser refuses the command line's flag, a removed one: exit 2."""
     with pytest.raises(SystemExit) as refused:
         run(*argv)
     assert refused.value.code == 2
-    assert "unrecognized arguments: --rep" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def forbid_whole_reads(monkeypatch, command):
@@ -304,8 +304,8 @@ class TestImagify:
         """imagify has one image and no --rep flag: any --rep is a usage error
         (exit 2), found before the file is opened."""
         for model in (mc_dir / "zoo1" / "model000.safetensors", tmp_path / "missing.safetensors"):
-            assert_rep_flag_refused(capsys, "imagify", "--in", model,
-                                    "--rep", "grayscale-fourpart", "--out", tmp_path / "x.pgm")
+            assert_flag_refused(capsys, "--rep", "imagify", "--in", model,
+                                "--rep", "grayscale-fourpart", "--out", tmp_path / "x.pgm")
         assert not (tmp_path / "x.pgm").exists()
 
     @pytest.mark.parametrize("layout", ["container", "raw", "scrambled"])
@@ -349,6 +349,14 @@ class TestSynthMc:
                    "--params", 64, "--seed", 9) == 0
         for rel in ("zoo0/model000.safetensors", "zoo1/model001.safetensors"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    def test_mc_id_flag_refused(self, tmp_path, capsys, monkeypatch):
+        """A collection is named after its directory, so synth-mc has no --mc-id
+        flag: an old command line that names one exits 2 before it writes a file."""
+        monkeypatch.setattr(cli, "synth_collection", lambda *a: pytest.fail("wrote a collection"))
+        assert_flag_refused(capsys, "--mc-id", "synth-mc", "--out", tmp_path / "mc",
+                            "--mc-id", "x")
+        assert not (tmp_path / "mc").exists()
 
 
 def tiny_detector_bytes():
@@ -879,16 +887,20 @@ class TestTrainingFlagsCheckedFirst:
             (("--severities", "1,3"), "severities must cover 1..s contiguously"),
             (("--severities", "5-3"), "reversed range '5-3'"),
             (("--lsb", "5-3"), "reversed range '5-3'"),
+            (("--lsb", "0"), "lsb must be at least 1, got 0"),
+            (("--lsb", "8,0"), "lsb must be at least 1, got 0"),
         ],
         ids=["mode-unknown", "k-zero", "k-above-train-embeddings", "train-per-class-one",
-             "severities-from-two", "severities-gap", "severities-reversed", "lsb-reversed"],
+             "severities-from-two", "severities-gap", "severities-reversed", "lsb-reversed",
+             "lsb-zero", "lsb-zero-after-eight"],
     )
     def test_report_scoring_flags_before_the_collection(
         self, tmp_path, capsys, monkeypatch, flags, message
     ):
-        """A bad scoring, training-count or severity flag is a usage error found
-        before the collection is opened, so a missing --mc does not turn it into
-        a data error, and no model is read."""
+        """A bad scoring, training-count or severity flag, a trained severity
+        below 1 among them, is a usage error found before the collection is
+        opened, so a missing --mc does not turn it into a data error, and no
+        model is read."""
         def no_read(*args, **kwargs):
             raise AssertionError("report read the collection before it checked its flags")
 
@@ -1027,10 +1039,24 @@ class TestBuildDatasetTrainScan:
         """build-dataset has one image and no --rep flag: an old command line
         that names one exits 2 before it reads the collection."""
         monkeypatch.setattr(cli, "load_collection", lambda path: pytest.fail("read the collection"))
-        assert_rep_flag_refused(capsys, "build-dataset", "--mc", mc_dir, "--lsb", 8,
-                                "--synthetic-payload", "16,2", "--rep", "grayscale-fourpart",
-                                "--out", tmp_path / "ds")
+        assert_flag_refused(capsys, "--rep", "build-dataset", "--mc", mc_dir, "--lsb", 8,
+                            "--synthetic-payload", "16,2", "--rep", "grayscale-fourpart",
+                            "--out", tmp_path / "ds")
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("command", ["embed", "build-dataset"])
+    def test_mantissa_only_flag_refused(self, tmp_path, mc_dir, capsys, monkeypatch, command):
+        """Mantissa bits only is the default, so there is no --mantissa-only
+        flag: an old command line that names one exits 2 before it reads a
+        model or writes a file."""
+        for name in ("load_collection", "open_words"):
+            monkeypatch.setattr(cli, name, lambda path: pytest.fail(f"{command} read {path}"))
+        source = (("--in", mc_dir / "zoo0" / "model000.safetensors") if command == "embed"
+                  else ("--mc", mc_dir))
+        assert_flag_refused(capsys, "--mantissa-only", command, *source, "--lsb", 8,
+                            "--synthetic-payload", "16,2", "--mantissa-only",
+                            "--out", tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_dataset_determinism(self, tmp_path, mc_dir):
         for name in ("x", "y"):

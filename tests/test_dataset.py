@@ -86,6 +86,9 @@ class TestSynth:
             scale = float(np.std(tensor.values().astype(np.float64)))
             assert 1e-4 < scale < 1.0
 
+    def test_collection_id(self, small_collection):
+        assert small_collection.mc_id == "synth-mc"
+
     def test_models_within_zoo_differ(self, small_collection):
         zoo = small_collection.zoos[0]
         a = zoo.model_paths[0].read_bytes()
@@ -116,7 +119,7 @@ class TestCollections:
 
 def build_attacked(collection, lsb, payload, out_dir):
     """Build a dataset with an attack and return its attacked collection."""
-    build_dataset(collection, 16, out_dir, lsb=lsb, payload=payload)
+    build_dataset(collection, 16, out_dir, AttackSpec(lsb, True, payload))
     return load_collection(out_dir / "attacked")
 
 
@@ -155,8 +158,7 @@ class TestBuildDataset:
             small_collection,
             16,
             tmp_path / "ds",
-            lsb=8,
-            payload=payload,
+            AttackSpec(8, True, payload),
             train_zoos=["zoo0"],
         )
         assert len(manifest.samples) == 12
@@ -169,6 +171,15 @@ class TestBuildDataset:
         manifest = build_dataset(small_collection, 16, tmp_path / "ds")
         assert len(manifest.samples) == 6
         assert all(s.label == 0 for s in manifest.samples)
+        assert manifest.lsb is None and manifest.payload_sha256 is None
+
+    def test_plain_attack_refused(self, tmp_path, small_collection):
+        """A manifest records no fill flag, so a plain attack is refused before
+        anything is written."""
+        with pytest.raises(ValueError, match="fill"):
+            build_dataset(small_collection, 16, tmp_path / "ds",
+                          AttackSpec(8, False, Payload.synthetic(8, seed=1)))
+        assert not (tmp_path / "ds").exists()
 
     def test_manifest_json_schema(self, tmp_path, small_collection):
         manifest = build_dataset(small_collection, 16, tmp_path / "ds")
@@ -191,7 +202,7 @@ class TestBuildDataset:
     def test_parallel_label_balance(self, tmp_path, small_collection):
         payload = Payload.synthetic(8, seed=1)
         manifest = build_dataset(
-            small_collection, 16, tmp_path / "ds", lsb=8, payload=payload
+            small_collection, 16, tmp_path / "ds", AttackSpec(8, True, payload)
         )
         benign = sum(1 for s in manifest.samples if s.label == 0)
         assert benign == len(manifest.samples) - benign
@@ -204,7 +215,7 @@ class TestBuildDataset:
 
         payload = Payload.synthetic(8, seed=1)
         manifest = build_dataset(
-            small_collection, 16, tmp_path / "ds", lsb=8, payload=payload
+            small_collection, 16, tmp_path / "ds", AttackSpec(8, True, payload)
         )
         assert manifest.payload_sha256 == payload.sha256()
         for record in (manifest.samples[0], manifest.samples[-1]):
@@ -220,8 +231,8 @@ class TestBuildDataset:
 def fuzz_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz-dataset")
     collection = synth_collection(root / "mc", n_zoos=2, n_models=1, n_params=50, seed=9)
-    build_dataset(collection, 8, root / "ds", lsb=8,
-                  payload=Payload.synthetic(8, seed=1), train_zoos=["zoo0"])
+    build_dataset(collection, 8, root / "ds", AttackSpec(8, True, Payload.synthetic(8, seed=1)),
+                  train_zoos=["zoo0"])
     return root / "ds"
 
 
@@ -416,8 +427,8 @@ class TestOnePass:
             "spaced": lambda: spaced_collection(small_collection, tmp_path / "spaced"),
         }[layout]()
         payload = Payload.synthetic(5, seed=3)
-        build_dataset(collection, 12, tmp_path / "one", lsb=lsb,
-                      payload=payload, train_zoos=["zoo1"])
+        build_dataset(collection, 12, tmp_path / "one", AttackSpec(lsb, True, payload),
+                      train_zoos=["zoo1"])
         two_pass_dataset(collection, 12, tmp_path / "two", lsb, payload, ["zoo1"])
         one, two = tree(tmp_path / "one"), tree(tmp_path / "two")
         assert len(one) == 1 + 2 * 6 + 6  # manifest, images, attacked models
@@ -438,8 +449,8 @@ class TestOnePass:
         for module in (weights_io, dataset):
             for name in ("parse_model", "flatten", "load_model"):
                 monkeypatch.setattr(module, name, whole_model, raising=module is weights_io)
-        manifest = build_dataset(collection, 12, tmp_path / "ds", lsb=8,
-                                 payload=Payload.synthetic(5, seed=3))
+        manifest = build_dataset(collection, 12, tmp_path / "ds",
+                                 AttackSpec(8, True, Payload.synthetic(5, seed=3)))
         assert len(manifest.samples) == 4
 
     def test_each_benign_file_read_once(self, tmp_path, small_collection, monkeypatch):

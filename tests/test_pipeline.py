@@ -1,11 +1,14 @@
 """A detection run embeds each evaluation image once and scores it like the sample API."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from weightsteg import detect, pipeline, steg
 from weightsteg.dataset import synth_collection
 from weightsteg.detect import ReportRow, embed_samples, eval_al, eval_oml
+from weightsteg.imagerep import normalize, render
 from weightsteg.net import TrainConfig
 from weightsteg.pipeline import (
     ExperimentConfig,
@@ -13,7 +16,7 @@ from weightsteg.pipeline import (
     render_samples,
     run_detection_run,
 )
-from weightsteg.steg import Payload
+from weightsteg.steg import AttackSpec, Payload
 from weightsteg.weights_io import WeightTensor
 
 PAYLOAD = Payload.synthetic(16, 2)
@@ -46,12 +49,13 @@ def sample_based_rows(detector, collection, cfg, seed):
     set, the trained severity's included, is rendered and embedded on its own."""
     test_flats = [fm for fm in load_flat_models(collection) if fm.zoo not in cfg.train_zoos]
 
-    def embedded(lsb, payload):
-        return embed_samples(detector, render_samples(test_flats, cfg, lsb, payload))
+    def embedded(attack):
+        return embed_samples(detector, render_samples(test_flats, cfg, attack))
 
-    benign = embedded(None, None)
-    attacked = embedded(cfg.lsb, PAYLOAD)
-    per_x = {x: embedded(x, PAYLOAD) for x in cfg.severities}
+    attack = AttackSpec(cfg.lsb, True, PAYLOAD)
+    benign = embedded(None)
+    attacked = embedded(attack)
+    per_x = {x: embedded(replace(attack, lsb=x)) for x in cfg.severities}
     rows = []
     for mode in cfg.modes:
         oml = eval_oml(detector, benign, attacked, mode, cfg.knn_k)
@@ -89,6 +93,21 @@ def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, m
     assert calls == [()] * (2 * PER_CLASS + n_test * (1 + attacked_sets))
 
     assert res.rows == sample_based_rows(res.detector, collection, cfg, 3)
+
+
+def test_render_samples_labels_by_attack(collection):
+    """No attack renders benign samples (label 0); an attack, attacked ones
+    (label 1), each the image of its model's attacked words."""
+    flats = load_flat_models(collection)
+    cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), image_size=28)
+    attack = AttackSpec(8, True, PAYLOAD)
+    benign, attacked = render_samples(flats, cfg, None), render_samples(flats, cfg, attack)
+    assert [s.label for s in benign] == [0] * len(flats)
+    assert [s.label for s in attacked] == [1] * len(flats)
+    assert [s.zoo for s in attacked] == [fm.zoo for fm in flats]
+    for fm, sample in zip(flats, attacked):
+        want = normalize(render(attack.words(fm.tensor), 28))
+        assert np.array_equal(sample.image, want)
 
 
 def test_1nn_rows_ignore_knn_k(collection):
