@@ -11,15 +11,17 @@ import hashlib
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATION, normalize, read_pgm, render, write_pgm
 from .steg import AttackSpec
-from .weights_io import DType, ModelWeights, WeightTensor, open_words, save_model
+from .weights_io import CHUNK_WORDS, DType, ModelWeights, WeightTensor, _write, open_words
 
 logger = logging.getLogger(__name__)
 
@@ -169,11 +171,14 @@ def _model_pass(
     """One benign model's share of build_dataset: (image, file sha256) for the
     benign file and, given attack, for the attacked file it writes. Both images
     render from the words they tap; the file is hashed in one streamed pass
-    and the attacked copy written in a second (FileWords.save)."""
+    and the attacked copy written in a second (FileWords.save), into
+    attacked_dir, made once the attack has passed its check against the
+    model's dtype."""
     with open_words(path) as source:
         passed = [(render(source, size), source.sha256())]
         if attack is not None:
             words = attack.words(source)
+            attacked_dir.mkdir(parents=True, exist_ok=True)
             image = render(words, size)
             passed.append((image, source.save(attacked_dir / path.name, words.rewrite,
                                               attack.provenance())))
@@ -197,7 +202,9 @@ def build_dataset(
     Images are written as PGM files beside a manifest.json under out_dir; the
     manifest's source_sha256 folds the file digests of every benign model,
     then of every attacked model. A plain attack is refused before anything
-    is written: the manifest records no fill flag.
+    is written: the manifest records no fill flag. No directory is made
+    before the first model's attack has passed its check against the
+    model's dtype.
     """
     if attack is not None and not attack.fill:
         raise ValueError("build_dataset attacks with fill only; the manifest records no fill flag")
@@ -210,16 +217,14 @@ def build_dataset(
     )
     file_digests: tuple[list[bytes], list[bytes]] = ([], [])  # benign, attacked
     for zoo in benign.zoos:
-        (out_dir / "images" / zoo.zoo_id).mkdir(parents=True, exist_ok=True)
         attacked_dir = out_dir / "attacked" / zoo.zoo_id
-        if attack is not None:
-            attacked_dir.mkdir(parents=True, exist_ok=True)
         zoo_samples: tuple[list[SampleRecord], list[SampleRecord]] = ([], [])
         for path in zoo.model_paths:
             try:
                 passed = _model_pass(path, attack, size, attacked_dir)
             except (ValueError, CapacityError, FormatError) as exc:
                 raise type(exc)(f"{path}: {exc}") from exc
+            (out_dir / "images" / zoo.zoo_id).mkdir(parents=True, exist_ok=True)
             for label, (img, file_digest) in enumerate(passed):
                 rel = f"images/{zoo.zoo_id}/{path.stem}.{('benign', 'attacked')[label]}.pgm"
                 write_pgm(img, out_dir / rel)
@@ -294,19 +299,107 @@ def _split_layer_sizes(n_params: int, n_layers: int = 4) -> list[int]:
     return sizes
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Layer(NamedTuple):
+    """What a container header records of one synthetic layer."""
+
+    name: str
+    dtype: DType
+    shape: tuple[int]
+
+
+def _synth_layers(n_params: int) -> list[_Layer]:
+    if n_params < 1:
+        raise ValueError("n_params must be >= 1")
+    return [_Layer(f"layer{i}.weight", DType.F32, (size,))
+            for i, size in enumerate(_split_layer_sizes(n_params))]
+
+
+# Words a synthetic model draws and writes at a time: 128 KiB of float64
+# draws and 64 KiB of float32 words per model being drawn, under a tenth of
+# a 1M-param model's file.
+_DRAW_WORDS = CHUNK_WORDS // 4
+
+
+def _synth_words(layers: list[_Layer], rng: np.random.Generator):
+    """Draw the words of a synthetic model in order: per layer a log-uniform
+    scale in [1e-3, 1e-1], then its zero-mean normals times that scale, cast
+    to float32. Yields them _DRAW_WORDS at a time as a view of one reused
+    buffer, valid until the next is drawn. The draws are the stream that
+    (rng.standard_normal(size) * scale).astype(np.float32) takes per layer."""
+    draws = np.empty(_DRAW_WORDS)
+    values = np.empty(_DRAW_WORDS, dtype=DType.F32.float_dtype)
+    for layer in layers:
+        size = layer.shape[0]
+        scale = math.exp(rng.uniform(math.log(1e-3), math.log(1e-1)))
+        for lo in range(0, size, _DRAW_WORDS):
+            chunk = draws[: min(_DRAW_WORDS, size - lo)]
+            rng.standard_normal(out=chunk)
+            chunk *= scale
+            out = values[: len(chunk)]
+            out[...] = chunk
+            yield out.view(DType.F32.word_dtype)
+
+
 def synth_model(n_params: int, rng: np.random.Generator) -> ModelWeights:
     """Gaussian stand-in for a trained model: zero-mean layers with
     log-uniform scales in [1e-3, 1e-1]."""
-    if n_params < 1:
-        raise ValueError("n_params must be >= 1")
-    tensors = []
-    for i, size in enumerate(_split_layer_sizes(n_params)):
-        scale = math.exp(rng.uniform(math.log(1e-3), math.log(1e-1)))
-        values = (rng.standard_normal(size) * scale).astype(np.float32)
-        tensors.append(
-            WeightTensor(f"layer{i}.weight", DType.F32, (size,), values.view(np.uint32))
-        )
-    return ModelWeights(tensors)
+    layers = _synth_layers(n_params)
+    words = np.empty(n_params, dtype=DType.F32.word_dtype)
+    at = 0
+    for chunk in _synth_words(layers, rng):
+        words[at : at + len(chunk)] = chunk
+        at += len(chunk)
+    bounds = np.cumsum([0] + [layer.shape[0] for layer in layers])
+    return ModelWeights([WeightTensor(layer.name, layer.dtype, layer.shape, words[lo:hi])
+                         for layer, lo, hi in zip(layers, bounds, bounds[1:])])
+
+
+def _synth_zoos(
+    out_dir: str | Path, zoo_seeds: list[tuple[str, int]], n_models: int, n_params: int
+) -> list[ModelZoo]:
+    """Write n_models synthetic models into each (zoo id, seed) zoo under out_dir.
+
+    Each model draws from its own child of its zoo's SeedSequence, so its
+    bytes do not depend on which thread draws it or when. The models are
+    drawn on a pool of one thread per usable CPU, at most one per model, and
+    each is streamed to its file a chunk at a time. Sizes are checked before
+    anything is written; the first failing model, in zoo and model order,
+    raises its error.
+    """
+    if n_models < 1:
+        raise ValueError("n_models must be >= 1")
+    layers = _synth_layers(n_params)
+    jobs = []  # (path, metadata, seed sequence) per model, in zoo and model order
+    for zoo_id, seed in zoo_seeds:
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_models)):
+            metadata = {"generator": "synth-gaussian", "seed": str(seed),
+                        "model_index": str(i), "n_params": str(n_params)}
+            jobs.append((Path(out_dir) / zoo_id / f"model{i:03d}.safetensors", metadata, child))
+    for zoo_id, _ in zoo_seeds:
+        (Path(out_dir) / zoo_id).mkdir(parents=True, exist_ok=True)
+
+    def write(path, metadata, child):
+        _write(path, layers, metadata, _synth_words(layers, np.random.default_rng(child)))
+
+    # imported here, so that only a command that draws models loads the thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(min(_usable_cpus(), len(jobs)))
+    try:
+        for future in [pool.submit(write, *job) for job in jobs]:
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+    paths = [path for path, _, _ in jobs]
+    return [ModelZoo(zoo_id, paths[z * n_models : (z + 1) * n_models])
+            for z, (zoo_id, _) in enumerate(zoo_seeds)]
 
 
 def synth_zoo(
@@ -317,24 +410,7 @@ def synth_zoo(
     seed: int,
 ) -> ModelZoo:
     """Write a deterministic synthetic zoo of n_models container files."""
-    if n_models < 1:
-        raise ValueError("n_models must be >= 1")
-    zoo_dir = Path(out_dir) / zoo_id
-    zoo_dir.mkdir(parents=True, exist_ok=True)
-    children = np.random.SeedSequence(seed).spawn(n_models)
-    paths = []
-    for i, child in enumerate(children):
-        model = synth_model(n_params, np.random.default_rng(child))
-        model.metadata = {
-            "generator": "synth-gaussian",
-            "seed": str(seed),
-            "model_index": str(i),
-            "n_params": str(n_params),
-        }
-        path = zoo_dir / f"model{i:03d}.safetensors"
-        save_model(model, path)
-        paths.append(path)
-    return ModelZoo(zoo_id, paths)
+    return _synth_zoos(out_dir, [(zoo_id, seed)], n_models, n_params)[0]
 
 
 def synth_collection(
@@ -344,12 +420,10 @@ def synth_collection(
     n_params: int,
     seed: int,
 ) -> ModelCollection:
-    """A collection of synthetic zoos with per-zoo derived seeds."""
+    """A collection of synthetic zoos with per-zoo derived seeds, drawn as one pool."""
     if n_zoos < 1:
         raise ValueError("n_zoos must be >= 1")
     zoo_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_zoos)
-    zoos = [
-        synth_zoo(out_dir, f"zoo{i}", n_models, n_params, int(zoo_seeds[i]))
-        for i in range(n_zoos)
-    ]
+    zoos = _synth_zoos(out_dir, [(f"zoo{i}", int(s)) for i, s in enumerate(zoo_seeds)],
+                       n_models, n_params)
     return ModelCollection("synth-mc", zoos)

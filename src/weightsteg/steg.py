@@ -76,6 +76,10 @@ class AttackSpec:
     payload: Payload
     mantissa_only: bool = True
 
+    def __post_init__(self):
+        if self.lsb < 1:  # the upper bound depends on the cover's dtype: validate_for
+            raise ValueError(f"lsb must be at least 1, got {self.lsb}")
+
     def validate_for(self, dtype: DType) -> None:
         _check_lsb(self.lsb, dtype.word_bits)
         if self.mantissa_only and self.lsb > dtype.mantissa_bits:

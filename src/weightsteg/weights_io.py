@@ -528,8 +528,10 @@ class FileWords:
         if _raw_dtype_for_path(path) is None:  # only a container records provenance
             metadata = {**self.metadata, **provenance, "source_sha256": self.canonical_sha256()}
         blocks = self._stream(self._spans.tolist(), self.dtype.word_dtype)
-        return _write(path, self.tensors, metadata,
-                      (rewrite(block, first, out=block) for first, block in blocks))
+        digest = hashlib.sha256()
+        _write(path, self.tensors, metadata,
+               (rewrite(block, first, out=block) for first, block in blocks), digest)
+        return digest.hexdigest()
 
 
 def _check_read(got: int, nbytes: int, offset: int) -> None:
@@ -560,32 +562,28 @@ def open_words(path: str | Path):
                 yield FileWords(copy.fileno(), path)
 
 
-def _write(path: Path, tensors, metadata: dict[str, str], buffers) -> str:
+def _write(path: Path, tensors, metadata: dict[str, str], buffers, digest=None) -> None:
     """Write tensors (anything with name, dtype and shape) to path, their
-    words given as buffers in tensor order, and return the sha256 hex digest
-    of the bytes written. A .f32/.f16 path gets the words alone, any other
-    path the container header under metadata first; nothing is joined."""
+    words given as buffers in tensor order, and feed every byte written to
+    digest (a hashlib object) when one is given. A .f32/.f16 path gets the
+    words alone, any other path the container header under metadata first;
+    nothing is joined."""
     raw_dtype = _raw_dtype_for_path(path)
     if raw_dtype is not None and _flat_dtype(tensors) is not raw_dtype:
         raise ValueError(f"model dtype {_flat_dtype(tensors).value} does not match {path.suffix}")
     parts = [] if raw_dtype else [_container_header(metadata, tensors)]
-    digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for part in itertools.chain(parts, buffers):
             fh.write(part)
-            digest.update(part)
-    return digest.hexdigest()
+            if digest is not None:
+                digest.update(part)
 
 
-def save_model(model: ModelWeights, path: str | Path) -> str:
-    """Write model to path and return the sha256 hex digest of the bytes written.
-
-    A .f32/.f16 path gets write_raw(flatten(model)), any other path
-    write_container(model); the pieces are written and hashed as they are,
-    never joined into one copy.
-    """
-    return _write(Path(path), model.tensors, model.metadata,
-                  (_tensor_buffer(t) for t in model.tensors))
+def save_model(model: ModelWeights, path: str | Path) -> None:
+    """Write model to path: a .f32/.f16 path gets write_raw(flatten(model)),
+    any other path write_container(model). The pieces are written as they
+    are, never joined into one copy."""
+    _write(Path(path), model.tensors, model.metadata, (_tensor_buffer(t) for t in model.tensors))
 
 
 def sha256_hex(data: bytes) -> str:

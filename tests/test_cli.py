@@ -117,6 +117,7 @@ class TestEmbedExtract:
         model = mc_dir / "zoo0" / "model000.safetensors"
         assert run("embed", "--in", model, "--lsb", 0, "--fill",
                    "--synthetic-payload", "8,1", "--out", tmp_path / "x.safetensors") == 2
+        assert not (tmp_path / "x.safetensors").exists()
 
     def test_mantissa_guard_and_override(self, tmp_path, mc_dir):
         model = mc_dir / "zoo0" / "model000.safetensors"
@@ -930,6 +931,21 @@ class TestTrainingFlagsCheckedFirst:
 
 
 class TestBuildDatasetTrainScan:
+    @pytest.mark.parametrize("lsb,message", [
+        (0, "lsb must be at least 1, got 0"),
+        (30, "model000.safetensors: lsb=30 exceeds the 23-bit mantissa of F32"),
+    ])
+    def test_bad_lsb_writes_no_tree(self, tmp_path, mc_dir, capsys, lsb, message):
+        """A severity no float32 model admits exits 2 before a directory is
+        made: below 1 when the attack is built, above the mantissa when the
+        first model's dtype is known."""
+        out = tmp_path / "ds"
+        capsys.readouterr()
+        assert run("build-dataset", "--mc", mc_dir, "--lsb", lsb, "--synthetic-payload", "16,2",
+                   "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_full_pipeline(self, tmp_path, mc_dir, capsys):
         ds = tmp_path / "ds"
         assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",

@@ -7,6 +7,7 @@ import math
 import os
 import struct
 import tracemalloc
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,96 @@ class TestSynth:
         a = zoo.model_paths[0].read_bytes()
         b = zoo.model_paths[1].read_bytes()
         assert a != b
+
+
+def tree_sha256(root: Path) -> str:
+    """One digest over every file under root: its relative path, then its sha256."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
+
+
+# synth_collection(out, zoos, models, n_params, seed=13) as drawn whole, layer
+# by layer, before models were streamed in chunks: layers of 1, 16,383-16,385
+# and 65,536-65,537 words sit below, at and across chunk boundaries.
+SYNTH_PINNED = {
+    (1, 1, 1): "55cc38155546eca8d69a13fc9c5786c0f6e6232ab4e21fdfb6f8c4a7d13201df",
+    (1, 1, 3): "2bcc8416181e7b47ce2becc4268f5ee1c85a2fecbd16ce50784435591ae10761",
+    (1, 1, 5): "76d8ffa6260ca8ae4aaf4a6f5fe80f3ec4043991f6164e5f7ea3bb191984043a",
+    (1, 1, 65_535): "9c8924d99fa6cccc77393c094f17137e348062cedb141fabc5f02651e0b56e67",
+    (1, 1, 65_537): "68de04225832fdfb447095ac42dcbccd0cc68be8cf36d3c1139e981aec6efede",
+    (1, 1, 4 * 65_536 + 3): "6e93c5ce25e93f04368df52cd1849cee6bd1e00932d09ab2ede902352e22bef0",
+    (2, 3, 4 * 65_536 + 3): "fe9a1b8d349b09a5e8e63a95808eb98e9b66a2dccc8b623969de26fc75cdead2",
+    (2, 3, 1000): "01647674579e17f9f9e9f4d64904b3c67fd8533caa77859469657266cfa6f276",
+}
+
+
+class TestSynthStreamed:
+    @pytest.mark.parametrize("shape", list(SYNTH_PINNED), ids=lambda s: "x".join(map(str, s)))
+    def test_pinned_bytes(self, tmp_path, shape):
+        synth_collection(tmp_path / "mc", *shape, seed=13)
+        assert tree_sha256(tmp_path / "mc") == SYNTH_PINNED[shape]
+
+    @pytest.mark.parametrize("cpus", [1, 64])
+    def test_bytes_do_not_depend_on_the_workers(self, tmp_path, monkeypatch, cpus):
+        """One worker, or more usable CPUs than models (capped at the 6 models)."""
+        pools = []
+
+        class Recorded(futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Recorded)
+        shape = (2, 3, 4 * 65_536 + 3)
+        synth_collection(tmp_path / "mc", *shape, seed=13)
+        assert pools == [min(cpus, 6)]
+        assert tree_sha256(tmp_path / "mc") == SYNTH_PINNED[shape]
+
+    def test_synth_model_is_the_streamed_model(self, tmp_path):
+        zoo = synth_zoo(tmp_path, "z", 2, 70_000, seed=5)
+        for i, child in enumerate(np.random.SeedSequence(5).spawn(2)):
+            model = synth_model(70_000, np.random.default_rng(child))
+            assert load_model(zoo.model_paths[i]).tensors == model.tensors
+
+    def test_streams_each_model(self, tmp_path):
+        """A 1M-param model is drawn and written a chunk at a time: under 0.1x
+        its file in traced allocations."""
+        tracemalloc.start()
+        try:
+            zoo = synth_zoo(tmp_path, "z", 1, 1_000_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = zoo.model_paths[0].stat().st_size
+        assert peak < 0.1 * size, peak / size
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (("--zoos", 0, "--models", 2, "--params", 10), "n_zoos must be >= 1"),
+            (("--zoos", 2, "--models", 0, "--params", 10), "n_models must be >= 1"),
+            (("--zoos", 2, "--models", 2, "--params", 0), "n_params must be >= 1"),
+        ],
+        ids=["zoos", "models", "params"],
+    )
+    def test_bad_sizes_write_nothing(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "mc0"
+        assert main(["synth-mc", "--out", str(out), *map(str, flags)]) == 2
+        assert capsys.readouterr().err == f"error[usage]: {message}\n"
+        assert not out.exists()
+
+    def test_failing_model_write(self, tmp_path, capsys):
+        """A model whose file cannot be written fails the command as it did
+        before the pool: exit 3 with the first failing model's OSError."""
+        blocked = tmp_path / "mc" / "zoo1" / "model001.safetensors"
+        blocked.mkdir(parents=True)
+        assert main(["synth-mc", "--out", str(tmp_path / "mc"), "--zoos", "2", "--models", "2",
+                     "--params", "100"]) == 3
+        assert capsys.readouterr().err == f"error[data]: [Errno 21] Is a directory: '{blocked}'\n"
 
 
 class TestCollections:

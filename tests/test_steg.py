@@ -253,6 +253,11 @@ class TestPayload:
 
 
 class TestAttackSpec:
+    @pytest.mark.parametrize("lsb", [0, -3])
+    def test_severity_below_one_refused_when_built(self, lsb):
+        with pytest.raises(ValueError, match=f"lsb must be at least 1, got {lsb}"):
+            AttackSpec(lsb, True, Payload.from_bitstring("1"))
+
     def test_mantissa_guard(self):
         spec = AttackSpec(24, True, Payload.from_bitstring("1"))
         with pytest.raises(ValueError, match="mantissa"):

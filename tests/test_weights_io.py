@@ -327,9 +327,8 @@ def test_save_model_streams_canonical_bytes(tmp_path_factory, model, meta, raw):
     model.metadata = meta
     suffix = (".f32" if model.tensors[0].dtype is DType.F32 else ".f16") if raw else ".safetensors"
     path = tmp_path_factory.mktemp("save") / f"m{suffix}"
-    digest = save_model(model, path)
+    save_model(model, path)
     data = path.read_bytes()
-    assert digest == hashlib.sha256(data).hexdigest()
     assert data == (write_raw(flatten(model)) if raw else write_container(model))
     with open_words(path) as words:  # the digest a derived copy records as its source
         canonical = write_container(ModelWeights([flatten(model)]) if raw else model)
