@@ -21,7 +21,7 @@ from .dataset import (
     synth_collection,
 )
 from .detect import (
-    classify,
+    label_embeddings,
     load_detector,
     render_report_csv,
     render_report_json,
@@ -207,28 +207,47 @@ def _scan_targets(path: Path) -> list[Path]:
     return [path]
 
 
+SCAN_BLOCK = 32  # files scan renders before it embeds them with one forward
+
+
 def cmd_scan(args) -> int:
     """Print path,label,d0,d1 per model file; a file that cannot be read or
     rendered, or that a directory walk found and is not a regular file, gets
     an error[data] line on stderr, and the scan goes on and exits 3. A pipe
-    named as --model is read whole."""
+    named as --model is read whole.
+
+    The files are rendered in walk order, SCAN_BLOCK at a time, and each
+    block's images are embedded with one forward before its lines are
+    printed in that order."""
     detector = load_detector(Path(args.detector).read_bytes())
     size = detector.config.input_size
     failed = False
     walked = Path(args.model).is_dir()
-    for target in _scan_targets(Path(args.model)):
-        try:
-            if walked and not target.is_file():  # a pipe would block until a writer came
-                raise FormatError("not a regular file")
-            with open_words(target) as words:
-                image = normalize(render(words, size))
-        except (FormatError, OSError, ValueError) as exc:
-            print(f"error[data]: {target}: {exc}", file=sys.stderr)
-            failed = True
-            continue
-        # centroid: path,label,d0,d1 (distances); knn: path,label,v0,v1 (votes)
-        label, benign, malicious = classify(detector, image, args.mode, args.k)
-        print(f"{target},{label},{benign!r},{malicious!r}")
+    targets = _scan_targets(Path(args.model))
+    for start in range(0, len(targets), SCAN_BLOCK):
+        rendered = []  # (target, image or the error that stopped its render)
+        for target in targets[start : start + SCAN_BLOCK]:
+            try:
+                if walked and not target.is_file():  # a pipe would block until a writer came
+                    raise FormatError("not a regular file")
+                with open_words(target) as words:
+                    rendered.append((target, normalize(render(words, size))))
+            except (FormatError, OSError, ValueError) as exc:
+                rendered.append((target, exc))
+        embeddings = iter(detector.embed(
+            [image for _, image in rendered if not isinstance(image, Exception)]
+        ))
+        for target, image in rendered:
+            if isinstance(image, Exception):
+                print(f"error[data]: {target}: {image}", file=sys.stderr)
+                failed = True
+                continue
+            # centroid: path,label,d0,d1 (distances); knn: path,label,v0,v1 (votes);
+            # labelled one by one, so that a bad --k stops the scan at this line
+            [(label, benign, malicious)] = label_embeddings(
+                detector, [next(embeddings)], args.mode, args.k
+            )
+            print(f"{target},{label},{benign!r},{malicious!r}")
     return EXIT_DATA if failed else EXIT_OK
 
 

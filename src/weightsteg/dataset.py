@@ -11,7 +11,6 @@ import hashlib
 import json
 import logging
 import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -20,6 +19,7 @@ import numpy as np
 
 from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATION, normalize, read_pgm, render, write_pgm
+from .net import _fan_out
 from .steg import AttackSpec
 from .weights_io import CHUNK_WORDS, DType, ModelWeights, WeightTensor, _write, open_words
 
@@ -299,13 +299,6 @@ def _split_layer_sizes(n_params: int, n_layers: int = 4) -> list[int]:
     return sizes
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on (all of them where the platform cannot say)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 class _Layer(NamedTuple):
     """What a container header records of one synthetic layer."""
 
@@ -362,16 +355,22 @@ def synth_model(n_params: int, rng: np.random.Generator) -> ModelWeights:
 
 
 def _synth_zoos(
-    out_dir: str | Path, zoo_seeds: list[tuple[str, int]], n_models: int, n_params: int
+    out_dir: str | Path, zoo_seeds: list[tuple[str, int]], n_models: int, n_params: int,
+    whole_dir: bool = False,
 ) -> list[ModelZoo]:
     """Write n_models synthetic models into each (zoo id, seed) zoo under out_dir.
 
     Each model draws from its own child of its zoo's SeedSequence, so its
     bytes do not depend on which thread draws it or when. The models are
-    drawn on a pool of one thread per usable CPU, at most one per model, and
-    each is streamed to its file a chunk at a time. Sizes are checked before
-    anything is written; the first failing model, in zoo and model order,
-    raises its error.
+    drawn on this thread and one more per other usable CPU (net._fan_out),
+    and each is streamed to its file a chunk at a time. Sizes are checked
+    before anything is written; the first failing model, in zoo and model
+    order, raises its error.
+
+    A model file (one that load_collection lists) that this run would not
+    overwrite is refused before anything is written, as a collection read
+    back would include it: in the zoos' directories, or with whole_dir in
+    any subdirectory of out_dir.
     """
     if n_models < 1:
         raise ValueError("n_models must be >= 1")
@@ -382,21 +381,23 @@ def _synth_zoos(
             metadata = {"generator": "synth-gaussian", "seed": str(seed),
                         "model_index": str(i), "n_params": str(n_params)}
             jobs.append((Path(out_dir) / zoo_id / f"model{i:03d}.safetensors", metadata, child))
-    for zoo_id, _ in zoo_seeds:
-        (Path(out_dir) / zoo_id).mkdir(parents=True, exist_ok=True)
+    zoo_dirs = [Path(out_dir) / zoo_id for zoo_id, _ in zoo_seeds]
+    checked = zoo_dirs
+    if whole_dir and Path(out_dir).is_dir():
+        checked = [d for d in Path(out_dir).iterdir() if d.is_dir()]
+    ours = {path for path, _, _ in jobs}
+    for zoo_dir in sorted(d for d in checked if d.is_dir()):
+        for p in sorted(zoo_dir.iterdir()):
+            if p.suffix.lower() in MODEL_SUFFIXES and not p.is_dir() and p not in ours:
+                raise ValueError(f"{p}: a model file of another run would join this collection")
+    for zoo_dir in zoo_dirs:
+        zoo_dir.mkdir(parents=True, exist_ok=True)
 
-    def write(path, metadata, child):
+    def write(j):
+        path, metadata, child = jobs[j]
         _write(path, layers, metadata, _synth_words(layers, np.random.default_rng(child)))
 
-    # imported here, so that only a command that draws models loads the thread pool
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(min(_usable_cpus(), len(jobs)))
-    try:
-        for future in [pool.submit(write, *job) for job in jobs]:
-            future.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    _fan_out(write, len(jobs))
     paths = [path for path, _, _ in jobs]
     return [ModelZoo(zoo_id, paths[z * n_models : (z + 1) * n_models])
             for z, (zoo_id, _) in enumerate(zoo_seeds)]
@@ -425,5 +426,5 @@ def synth_collection(
         raise ValueError("n_zoos must be >= 1")
     zoo_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_zoos)
     zoos = _synth_zoos(out_dir, [(f"zoo{i}", int(s)) for i, s in enumerate(zoo_seeds)],
-                       n_models, n_params)
+                       n_models, n_params, whole_dir=True)
     return ModelCollection("synth-mc", zoos)

@@ -36,14 +36,10 @@ class TrainedDetector:
     strategy: str = ""
     trained_lsb: int = 0
 
-    def embed(self, image) -> np.ndarray:
-        image = np.asarray(image)
-        if image.shape != (self.config.input_size, self.config.input_size):
-            raise ValueError(
-                f"image shape {image.shape} does not match detector input "
-                f"({self.config.input_size}, {self.config.input_size})"
-            )
-        return forward(self.config, self.params, image).astype(np.float64)
+    def embed(self, images) -> np.ndarray:
+        """The float64 embedding of one (size, size) image, or one row per
+        image of a batch, each with the bits of its batch-1 forward."""
+        return forward(self.config, self.params, images).astype(np.float64)
 
 
 def build_detector(
@@ -59,8 +55,8 @@ def build_detector(
     labels = np.asarray(labels, dtype=np.int64)
     if not ((labels == 0).any() and (labels == 1).any()):
         raise ValueError("detector needs at least one embedding per class")
-    # one batch-1 forward per image, as embed runs: a batched forward differs in the last bits
-    emb = np.stack([forward(config, params, image) for image in images]).astype(np.float32)
+    # one forward for the list; each row has its image's batch-1 bits, as embed gives
+    emb = forward(config, params, images).astype(np.float32)
     return TrainedDetector(
         config=config,
         params=params,
@@ -197,17 +193,14 @@ class EmbeddedSamples:
 
 
 def embed_samples(detector: TrainedDetector, samples) -> EmbeddedSamples:
-    """Embed each sample's image with one batch-1 forward.
+    """Embed the samples' images with one forward, each row the bits of its
+    image's batch-1 forward.
 
-    Batch-1 is the canonical embedding: a batched forward may differ from it
-    in the last bits, so every score is taken on batch-1 embeddings. The
-    scoring functions below take the result, so that a caller scoring one
-    image set several times embeds it only once.
+    The scoring functions below take the result, so that a caller scoring
+    one image set several times embeds it only once.
     """
     samples = list(samples)
-    embeddings = np.empty((len(samples), detector.config.embedding_dim), dtype=np.float64)
-    for row, sample in zip(embeddings, samples):
-        row[:] = detector.embed(sample.image)
+    embeddings = detector.embed([s.image for s in samples])
     return EmbeddedSamples(embeddings, tuple(int(s.label) for s in samples))
 
 

@@ -10,6 +10,7 @@ gradient checking.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,6 +173,65 @@ def init_params(config: ConvNetConfig, rng: np.random.Generator | None = None) -
     return NetParams(tensors)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (all of them where the platform cannot say)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_helpers = None  # (pid, size, executor): the pool _fan_out shares its indices with
+
+
+def _helper_pool(size: int):
+    """The persistent pool of size threads: made on first use, and again for
+    another size or in a forked child, whose copy names threads it lacks."""
+    global _helpers
+    if _helpers is None or _helpers[:2] != (os.getpid(), size):
+        # imported here, so that only a command that fans out loads the thread pool
+        from concurrent.futures import ThreadPoolExecutor
+
+        _helpers = (os.getpid(), size, ThreadPoolExecutor(size))
+    return _helpers[2]
+
+
+def _fan_out(fn, n: int) -> None:
+    """Run fn(0), ..., fn(n - 1), each once, on this thread and a persistent
+    pool of one thread per other usable CPU; inline on one CPU or for one index.
+
+    Each thread claims the next index until none is left, so the calls start
+    in index order, and once one has raised no thread starts another. Returns
+    when every started call has, raising the error of the lowest index that
+    failed. Each fn(i) writes only what index i owns. A call made inside fn
+    runs inline when it has one index, and with more it waits only on pool
+    threads that started its work, so nesting never deadlocks.
+    """
+    cpus = _usable_cpus() if n > 1 else 1
+    if cpus < 2:
+        for i in range(n):
+            fn(i)
+        return
+    claims, failed = iter(range(n)), []  # each next() on it is atomic under the GIL
+
+    def work():
+        for i in claims:
+            if failed:
+                return
+            try:
+                fn(i)
+            except Exception as exc:
+                failed.append((i, exc))
+
+    pool = _helper_pool(cpus - 1)
+    shares = [pool.submit(work) for _ in range(min(cpus, n) - 1)]
+    work()
+    for share in shares:
+        if not share.cancel():  # one no thread has started would find no index left
+            share.result()
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+
+
 def _im2col(x, k):
     """(B, OH*OW, C*k*k) rows of the k x k patches of a (B, C, H, W) batch.
 
@@ -214,7 +274,8 @@ def _im2col(x, k):
 
 
 def _conv_forward(x, w, b):
-    """Valid convolution that builds one image's patches at a time.
+    """Valid convolution that builds one image's patches at a time, the
+    images spread over the usable CPUs.
 
     Each image's gemm is the one a stacked ``matmul`` over the whole batch
     runs for that image, so the output bits are the batched product's.
@@ -224,8 +285,7 @@ def _conv_forward(x, w, b):
     oh, ow = h - k + 1, width - k + 1
     wt = w.reshape(out_c, -1).T
     out = np.empty((batch, oh * ow, out_c), dtype=np.result_type(x, w, b))
-    for n in range(batch):
-        np.matmul(_im2col(x[n : n + 1], k), wt, out=out[n : n + 1])
+    _fan_out(lambda n: np.matmul(_im2col(x[n : n + 1], k), wt, out=out[n : n + 1]), batch)
     out += b
     return out.transpose(0, 2, 1).reshape(batch, out_c, oh, ow)
 
@@ -234,7 +294,8 @@ def _conv_backward(dy, w, x, input_grad=True):
     """(dx, dw, db) of a convolution of the block input x; dx is None unless input_grad.
 
     dw takes one gemm over the whole batch's patches, rebuilt here and freed
-    before dx, which is summed one image at a time in (i, j) tap order.
+    before dx, which is summed one image at a time in (i, j) tap order, the
+    images spread over the usable CPUs.
     """
     batch, out_c, oh, ow = dy.shape
     k = w.shape[2]
@@ -245,7 +306,8 @@ def _conv_backward(dy, w, x, input_grad=True):
         return None, dw, db
     w2 = w.reshape(out_c, -1)
     dx = np.zeros(x.shape, dtype=dy.dtype)
-    for n in range(batch):
+
+    def image(n):
         # (C, k, k, OH, OW), so that each tap adds one contiguous slice
         taps = np.ascontiguousarray(
             (dmat[n] @ w2).reshape(oh, ow, x.shape[1], k, k).transpose(2, 3, 4, 0, 1)
@@ -253,6 +315,8 @@ def _conv_backward(dy, w, x, input_grad=True):
         for i in range(k):
             for j in range(k):
                 dx[n, :, i : i + oh, j : j + ow] += taps[:, i, j]
+
+    _fan_out(image, batch)
     return dx, dw, db
 
 
@@ -309,6 +373,8 @@ def _pool_backward(dy, cache):
 
 def _prepare_batch(config: ConvNetConfig, images, dtype) -> np.ndarray:
     x = np.asarray(images)
+    if x.shape == (0,):  # an empty list: no images
+        x = x.reshape(0, config.input_size, config.input_size)
     single = x.ndim == 2
     if single:
         x = x[None]
@@ -370,9 +436,19 @@ def _backward(config: ConvNetConfig, params: NetParams, cache, demb):
 
 
 def forward(config: ConvNetConfig, params: NetParams, images) -> np.ndarray:
-    """Embed one (h, w) image or a batch of them; deterministic."""
+    """Embed one (h, w) image or a batch of them; deterministic.
+
+    Each image's row has the bits of its own batch-1 forward, whatever the
+    batch: a batched head gemm could sum in another order. The images are
+    spread over the usable CPUs.
+    """
     x, single = _prepare_batch(config, images, params.dtype)
-    emb, _ = _forward(config, params, x)
+    emb = np.empty((len(x), config.embedding_dim), dtype=params.dtype)
+
+    def image(n):
+        emb[n] = _forward(config, params, x[n : n + 1])[0][0]
+
+    _fan_out(image, len(x))
     return emb[0] if single else emb
 
 

@@ -1,8 +1,12 @@
 import contextlib
+import functools
 import hashlib
+import importlib
+import inspect
 import io
 import json
 import os
+import pkgutil
 import struct
 import subprocess
 import sys
@@ -14,7 +18,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_weights_io import random_tensors, scrambled_container
-from weightsteg import cli, pipeline, weights_io
+import weightsteg
+from weightsteg import cli, detect, net, pipeline, weights_io
 from weightsteg.cli import main
 from weightsteg.dataset import load_dataset, synth_collection
 from weightsteg.detect import build_detector, classify, load_detector, save_detector
@@ -557,6 +562,44 @@ class TestScanKeepsGoing:
         errors = captured.err.splitlines()
         assert len(errors) == 1 and errors[0].startswith(f"error[data]: {dangling}: ")
         assert "Traceback" not in captured.err
+
+
+    def test_blocks_print_the_per_file_lines(self, tmp_path, mc_dir, monkeypatch):
+        """With more files than one block holds and unreadable ones among them,
+        scan prints, interleaved as one stream, the lines a render, embed and
+        print per file gives, and embeds each block's images in one forward."""
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        scan_dir = tmp_path / "scan"
+        scan_dir.mkdir()
+        good = [p.read_bytes() for p in sorted(mc_dir.rglob("*.safetensors"))]
+        (scan_dir / "a.safetensors").write_bytes(good[0])
+        (scan_dir / "b.safetensors").write_bytes(good[1][:-10])
+        (scan_dir / "c.safetensors").write_bytes(good[2])
+        (scan_dir / "d.safetensors").write_bytes(good[3])
+        (scan_dir / "e.f16").write_bytes(bytes(64))
+        (scan_dir / "f.safetensors").write_bytes(good[4])
+        detector = load_detector(det_path.read_bytes())
+        want = io.StringIO()
+        for target in sorted(scan_dir.iterdir()):
+            try:
+                with open_words(target) as words:
+                    image = normalize(render(words, detector.config.input_size))
+            except (FormatError, OSError, ValueError) as exc:
+                print(f"error[data]: {target}: {exc}", file=want)
+                continue
+            label, benign, malicious = classify(detector, image)
+            print(f"{target},{label},{benign!r},{malicious!r}", file=want)
+
+        batches, real = [], detect.forward
+        monkeypatch.setattr(detect, "forward", lambda *a: batches.append(len(a[2])) or real(*a))
+        monkeypatch.setattr(cli, "SCAN_BLOCK", 2)
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+            assert run("scan", "--detector", det_path, "--model", scan_dir) == 3
+        assert printed.getvalue() == want.getvalue()
+        assert want.getvalue().count("error[data]") == 2
+        assert batches == [1, 2, 1]
 
 
 class TestWalksRefusePipes:
@@ -1163,6 +1206,56 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error[usage]: lsb={lsb} exceeds the 23-bit mantissa of F32")
         assert not csv_path.exists()
+
+
+class TestLayersRunOnTheMainThread:
+    LAYERS = ("weights_io", "steg", "imagerep", "dataset", "net", "detect", "pipeline", "cli")
+
+    def test_train_report_scan(self, tmp_path, mc_dir, monkeypatch, capsys):
+        """Every public function of the layer modules, wrapped and patched in
+        wherever it is named as a per-layer tracer does, runs on the main
+        thread while train, report and scan fan their images out."""
+        monkeypatch.setattr(net, "_usable_cpus", lambda: 4)
+        threads = {}  # function -> the threads it ran on
+        wrapped = {}
+        for layer in self.LAYERS:
+            module = importlib.import_module(f"weightsteg.{layer}")
+            for name, obj in vars(module).items():
+                if not name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                    wrapped[id(obj)] = (obj, self.recording(f"{layer}.{name}", obj, threads))
+        modules = [weightsteg] + [importlib.import_module(f"weightsteg.{info.name}")
+                                  for info in pkgutil.iter_modules(weightsteg.__path__)]
+        for module in modules:
+            for name, obj in list(vars(module).items()):
+                if id(obj) in wrapped and wrapped[id(obj)][0] is obj:
+                    monkeypatch.setattr(module, name, wrapped[id(obj)][1])
+                elif isinstance(obj, dict):
+                    for key, value in list(obj.items()):
+                        if id(value) in wrapped and wrapped[id(value)][0] is value:
+                            monkeypatch.setitem(obj, key, wrapped[id(value)][1])
+
+        ds, det = tmp_path / "ds", tmp_path / "det.safetensors"
+        assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--size", 28, "--train-zoos", "zoo0", "--out", ds) == 0
+        assert run("train", "--dataset", ds, "--arch", "tiny", "--strategy", "ST",
+                   "--out", det) == 0
+        assert run("report", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28,
+                   "--train-per-class", 2, "--runs", 1, "--severities", "1-2",
+                   "--out-csv", tmp_path / "r.csv") == 0
+        assert run("scan", "--detector", det, "--model", mc_dir) == 0
+        assert {"net.forward", "net.backward", "detect.embed_samples", "cli.cmd_scan"} <= threads.keys()
+        assert net._helpers is not None  # the images went through the pool
+        assert {name: ids for name, ids in threads.items() if ids != {threading.get_ident()}} == {}
+
+    @staticmethod
+    def recording(name, func, threads):
+        @functools.wraps(func)
+        def wrapper(*args, **kwargs):
+            threads.setdefault(name, set()).add(threading.get_ident())
+            return func(*args, **kwargs)
+
+        return wrapper
 
 
 class TestPipeline:

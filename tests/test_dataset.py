@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_weights_io import scrambled_container
-from weightsteg import dataset
+from weightsteg import dataset, net
 from weightsteg.cli import main
 
 from weightsteg.dataset import (
@@ -129,7 +129,9 @@ class TestSynthStreamed:
 
     @pytest.mark.parametrize("cpus", [1, 64])
     def test_bytes_do_not_depend_on_the_workers(self, tmp_path, monkeypatch, cpus):
-        """One worker, or more usable CPUs than models (capped at the 6 models)."""
+        """One thread, or more usable CPUs than models: the models are drawn
+        through net._fan_out, whose pool holds a thread per CPU beyond the
+        caller's, none when there is one."""
         pools = []
 
         class Recorded(futures.ThreadPoolExecutor):
@@ -137,11 +139,12 @@ class TestSynthStreamed:
                 pools.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(dataset, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(net, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(net, "_helpers", None)
         monkeypatch.setattr(futures, "ThreadPoolExecutor", Recorded)
         shape = (2, 3, 4 * 65_536 + 3)
         synth_collection(tmp_path / "mc", *shape, seed=13)
-        assert pools == [min(cpus, 6)]
+        assert pools == ([] if cpus == 1 else [cpus - 1])
         assert tree_sha256(tmp_path / "mc") == SYNTH_PINNED[shape]
 
     def test_synth_model_is_the_streamed_model(self, tmp_path):
@@ -176,6 +179,37 @@ class TestSynthStreamed:
         assert main(["synth-mc", "--out", str(out), *map(str, flags)]) == 2
         assert capsys.readouterr().err == f"error[usage]: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "second,stale",
+        [
+            (("--zoos", 1, "--models", 2, "--params", 60), "zoo0/model002.safetensors"),
+            (("--zoos", 1, "--models", 3, "--params", 60), "zoo1/model000.safetensors"),
+        ],
+        ids=["fewer-models", "fewer-zoos"],
+    )
+    def test_refuses_an_earlier_runs_models(self, tmp_path, capsys, second, stale):
+        """A model file in --out that the run would not overwrite would join
+        the collection build-dataset reads back: exit 2, nothing written."""
+        out = tmp_path / "mc"
+        assert main(["synth-mc", "--out", str(out), "--zoos", "2", "--models", "3",
+                     "--params", "50"]) == 0
+        capsys.readouterr()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert main(["synth-mc", "--out", str(out), *map(str, second)]) == 2
+        message = f"error[usage]: {out / stale}: a model file of another run would join this collection\n"
+        assert capsys.readouterr().err == message
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_rewrites_its_own_files(self, tmp_path):
+        """A run over the same file names is allowed: the same files, rewritten."""
+        shape = (2, 3, 1000)
+        synth_collection(tmp_path / "mc", *shape, seed=13)
+        (tmp_path / "mc" / "zoo0" / "notes.txt").write_text("kept")
+        (tmp_path / "mc" / "zoo0" / "model000.safetensors").write_bytes(b"stale")
+        synth_collection(tmp_path / "mc", *shape, seed=13)
+        (tmp_path / "mc" / "zoo0" / "notes.txt").unlink()
+        assert tree_sha256(tmp_path / "mc") == SYNTH_PINNED[shape]
 
     def test_failing_model_write(self, tmp_path, capsys):
         """A model whose file cannot be written fails the command as it did

@@ -1,4 +1,10 @@
+import os
+import select
+import signal
+import sys
+import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -73,6 +79,7 @@ class TestForward:
         assert emb.shape == (3,)
         batch = forward(SMALL, params, np.random.default_rng(0).random((5, 8, 8)))
         assert batch.shape == (5, 3)
+        assert forward(SMALL, params, []).shape == (0, 3)
 
     def test_deterministic(self):
         params = init_params(SMALL)
@@ -879,3 +886,103 @@ class TestBatchSize:
         for size, loss in chunks:
             total += loss * size
         assert result.epoch_losses == [total / 36]
+
+
+@pytest.fixture(params=[1, 8], ids=["one-cpu", "more-cpus-than-images"])
+def cpus(request, monkeypatch):
+    """The usable CPUs _fan_out sees, with a pool made afresh for them."""
+    monkeypatch.setattr(net, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(net, "_helpers", None)
+    return request.param
+
+
+class TestFanOut:
+    @pytest.mark.parametrize("arch,size", [("tiny", 28), ("osl-small", 100)])
+    @pytest.mark.parametrize("sigmoid_head", [True, False], ids=["sigmoid", "linear"])
+    def test_batch_rows_are_batch_1_forwards(self, cpus, arch, size, sigmoid_head):
+        """forward on a batch of 1, 2, 3 or 7 gives, row by row, the bits of
+        each image's own forward."""
+        config = ConvNetConfig(size, preset(arch).blocks, preset(arch).embedding_dim, sigmoid_head)
+        rng = np.random.default_rng(5)
+        params = init_params(config, rng)
+        for name, tensor in params.tensors.items():
+            if name.endswith(".bias"):
+                tensor[...] = 0.1 * rng.standard_normal(tensor.shape)
+        images = rng.random((7, size, size))
+        want = np.stack([forward(config, params, image) for image in images])
+        for batch in (1, 2, 3, 7):
+            got = forward(config, params, images[:batch])
+            assert got.dtype == np.float32 and got.shape == (batch, config.embedding_dim)
+            assert np.array_equal(got.view(np.uint32), want[:batch].view(np.uint32))
+
+    def test_train_bits_do_not_depend_on_the_workers(self, monkeypatch):
+        config, images, labels = tiny_data()
+        results = []
+        for workers in (1, 4):
+            monkeypatch.setattr(net, "_usable_cpus", lambda: workers)
+            results.append(train(images, labels, config, TrainConfig(strategy="ST", seed=3)))
+        one, four = results
+        assert one.epoch_losses == four.epoch_losses
+        for name, tensor in one.params.tensors.items():
+            assert np.array_equal(tensor.view(np.uint32), four.params.tensors[name].view(np.uint32))
+
+    def test_lowest_failing_index_raises(self, cpus):
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            if i in (2, 4):
+                raise ValueError(f"index {i}")
+
+        with pytest.raises(ValueError, match="index 2"):
+            net._fan_out(fn, 6)
+        assert set(range(3)) <= set(ran)
+
+    def test_each_index_runs_once_under_contention(self, monkeypatch):
+        """Eight threads on a short switch interval claim 5,000 indices: each
+        runs exactly once, which a lost or repeated claim would break."""
+        monkeypatch.setattr(net, "_usable_cpus", lambda: 8)
+        runs = np.zeros(5000, dtype=np.int64)
+
+        def fn(i):
+            runs[i] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=net._fan_out, args=(fn, len(runs)), daemon=True)
+            worker.start()
+            worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert (runs == 1).all()
+
+    def test_forked_child_makes_its_own_pool(self, monkeypatch):
+        """A forward in a forked child completes once the parent has used the
+        pool: the child's copy names threads that do not run in it."""
+        monkeypatch.setattr(net, "_usable_cpus", lambda: 2)
+        config = preset("tiny", input_size=28)
+        params = init_params(config)
+        images = np.random.default_rng(2).random((3, 28, 28))
+        want = forward(config, params, images)
+        assert net._helpers is not None and net._helpers[0] == os.getpid()
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
+            pid = os.fork()
+        if pid == 0:  # the child: embed, send the bytes, and leave without cleanup
+            try:
+                os.write(write_end, forward(config, params, images).tobytes())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        try:
+            ready, _, _ = select.select([read_end], [], [], 60)
+            got = os.read(read_end, want.nbytes + 1) if ready else None
+        finally:
+            os.close(read_end)
+            if not ready:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert got == want.tobytes(), "the child's forward did not complete"

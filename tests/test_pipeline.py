@@ -1,5 +1,6 @@
 """A detection run embeds each evaluation image once and scores it like the sample API."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -89,8 +90,10 @@ def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, m
 
     n_test = 4  # zoo1 and zoo2 hold two models each
     attacked_sets = len(set(severities) | {lsb})
-    # batch-1 forwards only: the detector's training embeddings, then each evaluation image
-    assert calls == [()] * (2 * PER_CLASS + n_test * (1 + attacked_sets))
+    # each distinct image once, in one forward per sample list: the detector's
+    # training embeddings, then the benign and each attacked evaluation set
+    assert sum(math.prod(shape) for shape in calls) == 2 * PER_CLASS + n_test * (1 + attacked_sets)
+    assert calls == [(2 * PER_CLASS,)] + [(n_test,)] * (1 + attacked_sets)
 
     assert res.rows == sample_based_rows(res.detector, collection, cfg, 3)
 
