@@ -13,13 +13,7 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset import (
-    MODEL_SUFFIXES,
-    build_dataset,
-    load_collection,
-    load_dataset,
-    synth_collection,
-)
+from .dataset import build_dataset, is_model_file, load_collection, load_dataset, synth_collection
 from .detect import (
     label_embeddings,
     load_detector,
@@ -196,14 +190,10 @@ def cmd_train(args) -> int:
 
 
 def _scan_targets(path: Path) -> list[Path]:
-    """The model files under a directory, or path itself. A subdirectory whose
-    name ends in a model suffix is not a file; anything else with such a name,
-    a dangling symlink or a pipe included, is scanned and fails closed if it
-    is not a regular file."""
+    """The model files (is_model_file) under a directory, or path itself. One
+    that is not a regular file, such as a pipe, is scanned and fails closed."""
     if path.is_dir():
-        return sorted(
-            p for p in path.rglob("*") if p.suffix.lower() in MODEL_SUFFIXES and not p.is_dir()
-        )
+        return sorted(filter(is_model_file, path.rglob("*")))
     return [path]
 
 
@@ -214,12 +204,14 @@ def cmd_scan(args) -> int:
     """Print path,label,d0,d1 per model file; a file that cannot be read or
     rendered, or that a directory walk found and is not a regular file, gets
     an error[data] line on stderr, and the scan goes on and exits 3. A pipe
-    named as --model is read whole.
+    named as --model is read whole. A knn --k outside [1, number of training
+    embeddings] is a usage error before the model path is walked.
 
     The files are rendered in walk order, SCAN_BLOCK at a time, and each
-    block's images are embedded with one forward before its lines are
-    printed in that order."""
+    block's images are embedded with one forward and labelled with one
+    label_embeddings call before its lines are printed in that order."""
     detector = load_detector(Path(args.detector).read_bytes())
+    label_embeddings(detector, [], args.mode, args.k)  # checks --k against the detector
     size = detector.config.input_size
     failed = False
     walked = Path(args.model).is_dir()
@@ -234,19 +226,17 @@ def cmd_scan(args) -> int:
                     rendered.append((target, normalize(render(words, size))))
             except (FormatError, OSError, ValueError) as exc:
                 rendered.append((target, exc))
-        embeddings = iter(detector.embed(
+        embeddings = detector.embed(
             [image for _, image in rendered if not isinstance(image, Exception)]
-        ))
+        )
+        verdicts = iter(label_embeddings(detector, embeddings, args.mode, args.k))
         for target, image in rendered:
             if isinstance(image, Exception):
                 print(f"error[data]: {target}: {image}", file=sys.stderr)
                 failed = True
                 continue
-            # centroid: path,label,d0,d1 (distances); knn: path,label,v0,v1 (votes);
-            # labelled one by one, so that a bad --k stops the scan at this line
-            [(label, benign, malicious)] = label_embeddings(
-                detector, [next(embeddings)], args.mode, args.k
-            )
+            # centroid: path,label,d0,d1 (distances); knn: path,label,v0,v1 (votes)
+            label, benign, malicious = next(verdicts)
             print(f"{target},{label},{benign!r},{malicious!r}")
     return EXIT_DATA if failed else EXIT_OK
 

@@ -28,6 +28,12 @@ logger = logging.getLogger(__name__)
 MODEL_SUFFIXES = (".safetensors", ".f32", ".f16")
 
 
+def is_model_file(path: Path) -> bool:
+    """Whether a walk lists path as a model file: a MODEL_SUFFIXES suffix, in
+    any case, on a non-directory (a pipe or a dangling symlink included)."""
+    return path.suffix.lower() in MODEL_SUFFIXES and not path.is_dir()
+
+
 @dataclass
 class ModelZoo:
     """Models sharing one architecture and task."""
@@ -146,15 +152,13 @@ class LabeledSample:
 
 def load_collection(mc_dir: str | Path) -> ModelCollection:
     """Scan a collection directory: one subdirectory per zoo, sorted order. A
-    model file (a non-directory with a model suffix) must be a regular file."""
+    model file (is_model_file) must be a regular file."""
     mc_dir = Path(mc_dir)
     if not mc_dir.is_dir():
         raise FormatError(f"{mc_dir} is not a directory")
     zoos = []
     for zoo_dir in sorted(p for p in mc_dir.iterdir() if p.is_dir()):
-        paths = sorted(
-            p for p in zoo_dir.iterdir() if p.suffix.lower() in MODEL_SUFFIXES and not p.is_dir()
-        )
+        paths = sorted(filter(is_model_file, zoo_dir.iterdir()))
         for p in paths:
             if not p.is_file():  # a pipe would block its read until a writer came
                 raise FormatError(f"{p}: not a regular file")
@@ -388,7 +392,7 @@ def _synth_zoos(
     ours = {path for path, _, _ in jobs}
     for zoo_dir in sorted(d for d in checked if d.is_dir()):
         for p in sorted(zoo_dir.iterdir()):
-            if p.suffix.lower() in MODEL_SUFFIXES and not p.is_dir() and p not in ours:
+            if is_model_file(p) and p not in ours:
                 raise ValueError(f"{p}: a model file of another run would join this collection")
     for zoo_dir in zoo_dirs:
         zoo_dir.mkdir(parents=True, exist_ok=True)

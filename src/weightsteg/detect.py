@@ -91,8 +91,6 @@ def _centroid_verdict(embedding, c_benign, c_malicious) -> Verdict:
 
 
 def _knn_verdict(embedding, embeddings, labels, k: int) -> Verdict:
-    if not 1 <= k <= len(embeddings):
-        raise ValueError(f"k must be in [1, {len(embeddings)}], got {k}")
     d = np.linalg.norm(
         np.asarray(embeddings, dtype=np.float64) - np.asarray(embedding, dtype=np.float64),
         axis=1,
@@ -113,15 +111,18 @@ def label_embeddings(
 
     mode "centroid" picks the nearer training centroid; "knn" takes the
     majority of the k nearest training embeddings, and "1nn" the nearest
-    one, whatever k is. Both under l2.
+    one, whatever k is. Both under l2. A knn k outside [1, number of training
+    embeddings] raises ValueError, whatever the embeddings (none included).
     """
     if mode == "centroid":
         c0 = detector.centroid_benign.astype(np.float64)
         c1 = detector.centroid_malicious.astype(np.float64)
         return [_centroid_verdict(e, c0, c1) for e in embeddings]
     if mode in ("1nn", "knn"):
-        train = detector.embeddings.astype(np.float64)
         k = 1 if mode == "1nn" else k
+        if not 1 <= k <= len(detector.embeddings):
+            raise ValueError(f"k must be in [1, {len(detector.embeddings)}], got {k}")
+        train = detector.embeddings.astype(np.float64)
         return [_knn_verdict(e, train, detector.labels, k) for e in embeddings]
     raise ValueError(f"unknown evaluation mode {mode!r}; known: {_MODES}")
 
@@ -131,8 +132,11 @@ def classify(detector: TrainedDetector, image, mode: str = "centroid", k: int = 
     return label_embeddings(detector, [detector.embed(image)], mode, k)[0]
 
 
+_CHECK_BATCH = 32  # query images centroids_as_1nn_equivalence_check embeds at a time
+
+
 def centroids_as_1nn_equivalence_check(
-    detector: TrainedDetector, n_queries: int = 100, seed: int = 0, batch: int = 32
+    detector: TrainedDetector, n_queries: int = 100, seed: int = 0
 ) -> bool:
     """Check that the centroid rule matches 1NN over the two centroids.
 
@@ -147,7 +151,7 @@ def centroids_as_1nn_equivalence_check(
     two_labels = np.array([1, 0])
     remaining = n_queries
     while remaining > 0:
-        count = min(batch, remaining)
+        count = min(_CHECK_BATCH, remaining)
         remaining -= count
         images = rng.random((count, size, size)).astype(np.float32)
         embs = forward(detector.config, detector.params, images).astype(np.float64)
@@ -288,24 +292,31 @@ def _check_shapes(config: ConvNetConfig, tensors: dict[str, np.ndarray]) -> None
 
 
 def load_detector(data: bytes) -> TrainedDetector:
-    """Parse a detector file; a missing, undecodable or non-finite field raises FormatError."""
+    """Parse a detector file: every field save_detector writes, none defaulted.
+
+    A missing, undecodable or non-finite field, a training label other than
+    0 or 1, or labels that lack a class raise FormatError.
+    """
     model = read_container(data)
     meta = model.metadata
     if meta.get("kind") != "weightsteg-detector":
         raise FormatError("not a detector file")
     if meta.get("format_version") != DETECTOR_FORMAT_VERSION:
         raise FormatError(f"unsupported detector format_version {meta.get('format_version')!r}")
-    representation = meta.get("representation", REPRESENTATION)
-    if representation != REPRESENTATION:
-        raise FormatError(f"detector uses unknown representation {representation!r}")
     by_name = {t.name: t.values().reshape(t.shape).copy() for t in model.tensors}
     try:
+        if meta["representation"] != REPRESENTATION:
+            raise FormatError(f"detector uses unknown representation {meta['representation']!r}")
         config = ConvNetConfig.from_dict(json.loads(meta["config"]))
         _check_shapes(config, by_name)
         # a NaN or inf would turn every distance into nan, and nan labels benign
         bad = sorted(name for name, value in by_name.items() if not np.isfinite(value).all())
         if bad:
             raise FormatError(f"detector tensors hold non-finite values: {', '.join(bad)}")
+        # build_detector needs both classes, and astype(int64) would truncate a 0.5
+        classes = sorted(set(by_name["train.labels"].tolist()))
+        if classes != [0.0, 1.0]:
+            raise FormatError(f"detector train.labels must be 0 or 1, each once or more: {classes}")
         params = NetParams(
             {
                 name[len("net.") :]: by_name.pop(name)
@@ -320,10 +331,10 @@ def load_detector(data: bytes) -> TrainedDetector:
             labels=by_name["train.labels"].astype(np.int64),
             centroid_benign=by_name["centroid.benign"],
             centroid_malicious=by_name["centroid.malicious"],
-            manifest_sha256=meta.get("manifest_sha256", ""),
-            seed=int(meta.get("seed", "0")),
-            strategy=meta.get("strategy", ""),
-            trained_lsb=int(meta.get("trained_lsb", "0")),
+            manifest_sha256=meta["manifest_sha256"],
+            seed=int(meta["seed"]),
+            strategy=meta["strategy"],
+            trained_lsb=int(meta["trained_lsb"]),
         )
     except KeyError as exc:
         raise FormatError(f"detector file lacks {exc}") from exc
@@ -331,15 +342,15 @@ def load_detector(data: bytes) -> TrainedDetector:
         raise FormatError(f"bad detector field: {exc}") from exc
 
 
-def bootstrap_ci(values, n_resamples: int = 10_000, alpha: float = 0.05, seed: int = 0):
-    """Percentile bootstrap interval for the mean of per-run values."""
+def bootstrap_ci(values, n_resamples: int = 10_000, seed: int = 0):
+    """Percentile bootstrap 95% interval for the mean of per-run values."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("no values to bootstrap")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, values.size, size=(n_resamples, values.size))
     means = values[idx].mean(axis=1)
-    lo, hi = np.percentile(means, [100 * alpha / 2, 100 * (1 - alpha / 2)])
+    lo, hi = np.percentile(means, [2.5, 97.5])  # the ci95_* rows of summarize_rows
     return float(lo), float(hi)
 
 

@@ -2,7 +2,7 @@
 
 Implemented directly on numpy so that training is a pure function of
 (data, config, seed): valid convolutions, 2x2 max pooling, ReLU, a dense
-embedding head with optional sigmoid, triplet-loss backpropagation, and Adam.
+embedding head with a sigmoid, triplet-loss backpropagation, and Adam.
 Parameters live in float32; casting them to float64 gives a shadow mode for
 gradient checking.
 """
@@ -25,11 +25,12 @@ class ConvBlock:
     pool: bool = False
 
 
-# Detector format v1 records these settings, which every net has: no l2-normalised
-# head, He-uniform initialisation drawn from the run seed (init_params with no rng
-# draws from seed 0). They are written so that v1 files stay byte-identical, and a
-# file with any other value is refused rather than run as a net it does not describe.
-_FIXED_FIELDS = {"l2_normalize": False, "init_scheme": "he_uniform", "init_seed": 0}
+# Detector format v1 records these settings, which every net has: a sigmoid head,
+# not l2-normalised, He-uniform initialisation drawn from the run seed (init_params
+# with no rng draws from seed 0). They are written so that v1 files stay byte-identical,
+# and a file with any other value is refused rather than run as a net it does not describe.
+_FIXED_FIELDS = {"sigmoid_head": True, "l2_normalize": False, "init_scheme": "he_uniform",
+                 "init_seed": 0}
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class ConvNetConfig:
     input_size: int
     blocks: tuple[ConvBlock, ...]
     embedding_dim: int = 128
-    sigmoid_head: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -68,7 +68,6 @@ class ConvNetConfig:
             "input_size": self.input_size,
             "blocks": [[b.channels, b.kernel, b.pool] for b in self.blocks],
             "embedding_dim": self.embedding_dim,
-            "sigmoid_head": self.sigmoid_head,
             **_FIXED_FIELDS,
         }
 
@@ -81,10 +80,10 @@ class ConvNetConfig:
         blocks = tuple(ConvBlock(c, k, p) for c, k, p in doc["blocks"])
         sizes = [doc["input_size"], doc["embedding_dim"], *(b.channels for b in blocks),
                  *(b.kernel for b in blocks)]
-        flags = [doc["sigmoid_head"], *(b.pool for b in blocks)]
-        if any(type(v) is not int for v in sizes) or any(type(v) is not bool for v in flags):
-            raise ValueError(f"config sizes {sizes} must be JSON integers, flags {flags} booleans")
-        return cls(doc["input_size"], blocks, doc["embedding_dim"], doc["sigmoid_head"])
+        pools = [b.pool for b in blocks]
+        if any(type(v) is not int for v in sizes) or any(type(v) is not bool for v in pools):
+            raise ValueError(f"config sizes {sizes} must be JSON integers, pools {pools} booleans")
+        return cls(doc["input_size"], blocks, doc["embedding_dim"])
 
 
 _PRESETS = {
@@ -399,11 +398,8 @@ def _forward(config: ConvNetConfig, params: NetParams, x, with_cache=False):
         x = y
     flat = x.reshape(x.shape[0], -1)
     z = flat @ params.tensors["embed.weight"].T + params.tensors["embed.bias"]
-    if config.sigmoid_head:
-        with np.errstate(over="ignore"):
-            emb = 1.0 / (1.0 + np.exp(-z))
-    else:
-        emb = z
+    with np.errstate(over="ignore"):
+        emb = 1.0 / (1.0 + np.exp(-z))
     if not with_cache:
         return emb, None
     return emb, (caches, flat, emb, x.shape)
@@ -411,8 +407,7 @@ def _forward(config: ConvNetConfig, params: NetParams, x, with_cache=False):
 
 def _backward(config: ConvNetConfig, params: NetParams, cache, demb):
     caches, flat, emb, last_shape = cache
-    if config.sigmoid_head:
-        demb = demb * emb * (1.0 - emb)
+    demb = demb * emb * (1.0 - emb)
     grads: dict[str, np.ndarray] = {}
     grads["embed.weight"] = demb.T @ flat
     grads["embed.bias"] = demb.sum(axis=0)

@@ -8,7 +8,7 @@ seed, which drives initialization and triplet shuffling).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -86,7 +86,6 @@ class RunResult:
     detector: TrainedDetector
     rows: list[ReportRow]
     oml: dict[str, float]
-    weighted: dict[str, float] = field(default_factory=dict)
     epochs_run: int = 0
 
 
@@ -215,19 +214,17 @@ def run_detection_run(
 
     rows: list[ReportRow] = []
     oml: dict[str, float] = {}
-    weighted: dict[str, float] = {}
     run_id = str(seed)
     for mode in cfg.modes:
         oml[mode] = eval_oml(detector, test_benign, test_attacked, mode, cfg.knn_k)
         rows.append(ReportRow(run_id, cfg.lsb, mode, "oml_accuracy", oml[mode]))
         if per_x:
             wm, a0, acc_x = eval_al(detector, test_benign, per_x, mode, cfg.knn_k)
-            weighted[mode] = wm
             rows.append(ReportRow(run_id, cfg.lsb, mode, "benign_accuracy", a0))
             for x in sorted(acc_x):
                 rows.append(ReportRow(run_id, cfg.lsb, mode, f"accuracy_x{x}", acc_x[x]))
             rows.append(ReportRow(run_id, cfg.lsb, mode, "weighted_metric", wm))
-    return RunResult(seed, detector, rows, oml, weighted, result.epochs_run)
+    return RunResult(seed, detector, rows, oml, result.epochs_run)
 
 
 def run_report_sweep(

@@ -28,7 +28,6 @@ import numpy as np
 
 from .errors import FormatError
 
-CONTAINER_SUFFIX = ".safetensors"
 _METADATA_KEY = "__metadata__"
 # Words per chunk wherever words are streamed instead of held: FileWords'
 # passes over a whole file, the full-image gather. 256 KiB of float32.

@@ -407,6 +407,16 @@ def _set_first_value(name, value):
     return edit
 
 
+def _fill(name, value):
+    def edit(model):
+        model.tensors = [
+            t.with_bits(np.full(t.n, value, dtype=np.float32).view(t.bits.dtype))
+            if t.name == name else t
+            for t in model.tensors
+        ]
+    return edit
+
+
 def _set_meta(key, value):
     def edit(model):
         if value is None:
@@ -429,6 +439,11 @@ class TestScanBadDetector:
             _set_meta("config", '{"input_size": 8}'),
             _set_meta("seed", "seven"),
             _set_meta("representation", "nope"),
+            _set_meta("seed", None),
+            _set_meta("strategy", None),
+            _set_meta("trained_lsb", None),
+            _set_meta("manifest_sha256", None),
+            _set_meta("representation", None),
             _set_config("input_size", 16),
             _set_config("embedding_dim", 5),
             _set_config("l2_normalize", True),
@@ -436,6 +451,7 @@ class TestScanBadDetector:
             _set_config("init_seed", 3),
             _set_config("sigmoid_head", "no"),
             _set_config("sigmoid_head", 1),
+            _set_config("sigmoid_head", False),
             _set_config("input_size", 8.0),
             _set_config("input_size", "8"),
             _set_config("embedding_dim", 4.0),
@@ -443,17 +459,23 @@ class TestScanBadDetector:
             _set_config("blocks", [[2.0, 3, True]]),
             _set_config("blocks", [[2, True, True]]),
             _drop_last_row("train.labels"),
+            _set_first_value("train.labels", 0.5),
+            _set_first_value("train.labels", 2.0),
+            _fill("train.labels", 0.0),
             _drop_last_row("centroid.benign"),
             _set_first_value("net.conv0.weight", np.nan),
             _set_first_value("net.embed.weight", np.inf),
         ],
         ids=["no-embeddings", "no-centroid", "config-not-json", "no-config",
              "config-incomplete", "seed-not-int", "unknown-representation",
+             "no-seed", "no-strategy", "no-trained-lsb", "no-manifest-sha256",
+             "no-representation",
              "config-input-size", "config-embedding-dim", "config-l2-normalize",
              "config-init-scheme", "config-init-seed", "config-sigmoid-string",
-             "config-sigmoid-int", "config-input-size-float", "config-input-size-string",
+             "config-sigmoid-int", "config-sigmoid-false", "config-input-size-float",
+             "config-input-size-string",
              "config-embedding-dim-float", "config-pool-int", "config-channels-float",
-             "config-kernel-bool", "labels-short",
+             "config-kernel-bool", "labels-short", "label-half", "label-two", "labels-all-zero",
              "centroid-short", "nan-conv-weight", "inf-embed-weight"],
     )
     def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
@@ -464,6 +486,22 @@ class TestScanBadDetector:
         assert run("scan", "--detector", det_path, "--model", mc_dir / "zoo0") == 3
         err = capsys.readouterr().err
         assert err.startswith("error[data]:") and "Traceback" not in err
+
+
+class TestScanBadK:
+    @pytest.mark.parametrize("k", [0, 99])
+    def test_exit_2_before_any_model_is_read(self, tmp_path, mc_dir, capsys, monkeypatch, k):
+        """A knn --k outside [1, the detector's 2 training embeddings] is a
+        usage error before scan opens a model file."""
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        monkeypatch.setattr(cli, "open_words", lambda path: pytest.fail(f"opened {path}"))
+        capsys.readouterr()
+        assert run("scan", "--detector", det_path, "--model", mc_dir / "zoo0",
+                   "--mode", "knn", "--k", k) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error[usage]: k must be in [1, 2], got {k}\n"
 
 
 @pytest.fixture(scope="module")

@@ -93,16 +93,6 @@ class TestForward:
         emb = forward(SMALL, zeros, np.zeros((8, 8)))
         assert np.all(emb == 0.5)
 
-    def test_zero_net_linear_head(self):
-        cfg = ConvNetConfig(
-            input_size=8,
-            blocks=SMALL.blocks,
-            embedding_dim=3,
-            sigmoid_head=False,
-        )
-        zeros = NetParams({k: np.zeros_like(v) for k, v in init_params(cfg).tensors.items()})
-        assert np.all(forward(cfg, zeros, np.zeros((8, 8))) == 0.0)
-
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             forward(SMALL, init_params(SMALL), np.zeros((9, 9)))
@@ -209,7 +199,7 @@ class TestMakeTriplets:
 class TestBackward:
     def test_inactive_triplets_zero_gradients(self):
         # two well separated clusters and a tiny margin: hinge strictly inactive
-        cfg = ConvNetConfig(input_size=4, blocks=(), embedding_dim=2, sigmoid_head=False)
+        cfg = ConvNetConfig(input_size=4, blocks=(), embedding_dim=2)
         params = NetParams(
             {
                 "embed.weight": np.eye(2, 16, dtype=np.float64),
@@ -414,12 +404,9 @@ def reference_net(config, params, x, demb):
         x = y
     flat = x.reshape(x.shape[0], -1)
     z = flat @ params.tensors["embed.weight"].T + params.tensors["embed.bias"]
-    if config.sigmoid_head:
-        with np.errstate(over="ignore"):
-            emb = 1.0 / (1.0 + np.exp(-z))
-        demb = demb * emb * (1.0 - emb)
-    else:
-        emb = z
+    with np.errstate(over="ignore"):
+        emb = 1.0 / (1.0 + np.exp(-z))
+    demb = demb * emb * (1.0 - emb)
     grads = {"embed.weight": demb.T @ flat, "embed.bias": demb.sum(axis=0)}
     dx = (demb @ params.tensors["embed.weight"]).reshape(x.shape)
     for i in range(len(config.blocks) - 1, -1, -1):
@@ -477,17 +464,14 @@ class TestConvOracle:
         ),
         extra=st.integers(0, 5),
         batch=st.integers(1, 4),
-        sigmoid_head=st.booleans(),
         dtype=FLOAT_TYPES,
         seed=st.integers(0, 2**16),
     )
-    def test_net_bitwise(self, blocks, extra, batch, sigmoid_head, dtype, seed):
+    def test_net_bitwise(self, blocks, extra, batch, dtype, seed):
         size = 1  # the smallest input that leaves the last map 1x1, then 0-5 more
         for block in reversed(blocks):
             size = (2 * size if block.pool else size) + block.kernel - 1
-        config = ConvNetConfig(
-            input_size=size + extra, blocks=blocks, embedding_dim=3, sigmoid_head=sigmoid_head
-        )
+        config = ConvNetConfig(input_size=size + extra, blocks=blocks, embedding_dim=3)
         rng = np.random.default_rng(seed)
         params = init_params(config, rng).astype(dtype)
         for name, tensor in params.tensors.items():
@@ -520,11 +504,10 @@ class TestConvOracle:
     ),
     extra=st.integers(0, 5),
     batch=st.integers(1, 4),
-    sigmoid_head=st.booleans(),
     dtype=FLOAT_TYPES,
     seed=st.integers(0, 2**16),
 )
-def test_backward_bitwise_against_masked_reference(blocks, extra, batch, sigmoid_head, dtype, seed):
+def test_backward_bitwise_against_masked_reference(blocks, extra, batch, dtype, seed):
     """The net, which caches no ReLU mask and applies ReLU to a pooled block's
     gradient before the pool, against reference_net, which keeps the mask and
     applies it after: embeddings and gradients bit for bit, on inputs with
@@ -532,9 +515,7 @@ def test_backward_bitwise_against_masked_reference(blocks, extra, batch, sigmoid
     size = 1
     for block in reversed(blocks):
         size = (2 * size if block.pool else size) + block.kernel - 1
-    config = ConvNetConfig(
-        input_size=size + extra, blocks=blocks, embedding_dim=3, sigmoid_head=sigmoid_head
-    )
+    config = ConvNetConfig(input_size=size + extra, blocks=blocks, embedding_dim=3)
     rng = np.random.default_rng(seed)
     params = init_params(config, rng).astype(dtype)
     for name, tensor in params.tensors.items():
@@ -897,12 +878,12 @@ def cpus(request, monkeypatch):
 
 
 class TestFanOut:
-    @pytest.mark.parametrize("arch,size", [("tiny", 28), ("osl-small", 100)])
-    @pytest.mark.parametrize("sigmoid_head", [True, False], ids=["sigmoid", "linear"])
-    def test_batch_rows_are_batch_1_forwards(self, cpus, arch, size, sigmoid_head):
+    @pytest.mark.parametrize("arch,size", [("tiny", 28), ("osl-small", 100)],
+                             ids=["sigmoid-tiny-28", "sigmoid-osl-small-100"])
+    def test_batch_rows_are_batch_1_forwards(self, cpus, arch, size):
         """forward on a batch of 1, 2, 3 or 7 gives, row by row, the bits of
         each image's own forward."""
-        config = ConvNetConfig(size, preset(arch).blocks, preset(arch).embedding_dim, sigmoid_head)
+        config = preset(arch, size)
         rng = np.random.default_rng(5)
         params = init_params(config, rng)
         for name, tensor in params.tensors.items():
