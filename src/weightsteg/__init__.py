@@ -50,7 +50,6 @@ from .net import (
     make_triplets,
     preset,
     train,
-    triplet_loss,
 )
 from .pipeline import train_detector
 from .steg import (

@@ -13,7 +13,8 @@ import os
 import sys
 from pathlib import Path
 
-from .dataset import build_dataset, is_model_file, load_collection, load_dataset, synth_collection
+from .dataset import build_dataset, is_model_file, load_collection, load_dataset, manifest_file
+from .dataset import synth_collection
 from .detect import (
     label_embeddings,
     load_detector,
@@ -168,9 +169,7 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     train_config = TrainConfig(seed=args.seed, **_training_settings(args))  # before any read
-    manifest_path = Path(args.dataset)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.json"
+    manifest_path = manifest_file(args.dataset)
     data = manifest_path.read_bytes()  # the bytes parsed are the bytes hashed
     manifest, samples = load_dataset(manifest_path, data)
     if manifest.shape[0] != manifest.shape[1]:

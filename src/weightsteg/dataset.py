@@ -264,17 +264,20 @@ def split_by_zoo(
     return train, test
 
 
+def manifest_file(path: str | Path) -> Path:
+    """The manifest a dataset path names: a directory's manifest.json, or the path itself."""
+    return Path(path, "manifest.json") if Path(path).is_dir() else Path(path)
+
+
 def load_dataset(
     manifest_path: str | Path, data: bytes | None = None
 ) -> tuple[DatasetManifest, list[LabeledSample]]:
-    """Read a manifest and its images back as normalized labeled samples.
+    """Read a manifest (manifest_file) and its images back as normalized labeled samples.
 
-    data, when given, is the manifest's bytes, already read from manifest_path;
+    data, when given, is the bytes already read from manifest_file(manifest_path);
     they are parsed instead of a second read, which could see another file.
     """
-    manifest_path = Path(manifest_path)
-    if manifest_path.is_dir():
-        manifest_path = manifest_path / "manifest.json"
+    manifest_path = manifest_file(manifest_path)
     manifest = DatasetManifest.from_json(manifest_path.read_bytes() if data is None else data)
     base = manifest_path.parent
     samples = []
@@ -294,8 +297,8 @@ def load_dataset(
     return manifest, samples
 
 
-def _split_layer_sizes(n_params: int, n_layers: int = 4) -> list[int]:
-    n_layers = max(1, min(n_layers, n_params))
+def _split_layer_sizes(n_params: int) -> list[int]:
+    n_layers = min(4, n_params)
     base = n_params // n_layers
     sizes = [base] * n_layers
     for i in range(n_params - base * n_layers):

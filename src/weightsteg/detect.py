@@ -1,8 +1,8 @@
 """Embedding-space classification, the weighted accuracy metric, and reports.
 
 A trained detector bundles the embedding network with the training embeddings
-and their class centroids. Classification ties always resolve to malicious:
-a scanner should fail closed.
+and their class centroids, the means of each class's embeddings.
+Classification ties always resolve to malicious: a scanner should fail closed.
 """
 
 from __future__ import annotations
@@ -10,14 +10,15 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import FormatError
 from .imagerep import REPRESENTATION
-from .net import ConvNetConfig, NetParams, forward, param_shapes
+from .net import STRATEGIES, ConvNetConfig, NetParams, forward, param_shapes
 from .weights_io import DType, ModelWeights, WeightTensor, read_container, write_container
 
 DETECTOR_FORMAT_VERSION = "1"
@@ -28,13 +29,20 @@ class TrainedDetector:
     config: ConvNetConfig
     params: NetParams
     embeddings: np.ndarray  # (n, d) float32 training embeddings
-    labels: np.ndarray  # (n,) 0/1
-    centroid_benign: np.ndarray
-    centroid_malicious: np.ndarray
+    labels: np.ndarray  # (n,) 0/1, each class once or more; stored as int64
     manifest_sha256: str = ""
     seed: int = 0
     strategy: str = ""
     trained_lsb: int = 0
+    centroid_benign: np.ndarray = field(init=False)  # mean of the label-0 embeddings
+    centroid_malicious: np.ndarray = field(init=False)  # mean of the label-1 embeddings
+
+    def __post_init__(self):
+        if set(np.asarray(self.labels).tolist()) != {0, 1}:
+            raise ValueError("detector labels must be 0 or 1, each once or more")
+        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.centroid_benign = self.embeddings[self.labels == 0].mean(axis=0)
+        self.centroid_malicious = self.embeddings[self.labels == 1].mean(axis=0)
 
     def embed(self, images) -> np.ndarray:
         """The float64 embedding of one (size, size) image, or one row per
@@ -52,18 +60,12 @@ def build_detector(
     strategy: str = "",
     trained_lsb: int = 0,
 ) -> TrainedDetector:
-    labels = np.asarray(labels, dtype=np.int64)
-    if not ((labels == 0).any() and (labels == 1).any()):
-        raise ValueError("detector needs at least one embedding per class")
     # one forward for the list; each row has its image's batch-1 bits, as embed gives
-    emb = forward(config, params, images).astype(np.float32)
     return TrainedDetector(
         config=config,
         params=params,
-        embeddings=emb,
+        embeddings=forward(config, params, images).astype(np.float32),
         labels=labels,
-        centroid_benign=emb[labels == 0].mean(axis=0),
-        centroid_malicious=emb[labels == 1].mean(axis=0),
         manifest_sha256=manifest_sha256,
         seed=seed,
         strategy=strategy,
@@ -294,8 +296,11 @@ def _check_shapes(config: ConvNetConfig, tensors: dict[str, np.ndarray]) -> None
 def load_detector(data: bytes) -> TrainedDetector:
     """Parse a detector file: every field save_detector writes, none defaulted.
 
-    A missing, undecodable or non-finite field, a training label other than
-    0 or 1, or labels that lack a class raise FormatError.
+    A missing, undecodable or non-finite field raises FormatError, as do
+    training labels that are not 0 and 1, centroids other than the class
+    means of train.embeddings, a seed or trained_lsb (in [0, 32]) not written
+    as str() writes it, a strategy outside STRATEGIES and "", and a
+    manifest_sha256 other than 64 lowercase hex digits or "".
     """
     model = read_container(data)
     meta = model.metadata
@@ -307,16 +312,23 @@ def load_detector(data: bytes) -> TrainedDetector:
     try:
         if meta["representation"] != REPRESENTATION:
             raise FormatError(f"detector uses unknown representation {meta['representation']!r}")
+        if meta["strategy"] not in (*STRATEGIES, ""):
+            raise FormatError(f"detector strategy must be one of {STRATEGIES} or '', "
+                              f"got {meta['strategy']!r}")
+        if not re.fullmatch(r"([0-9a-f]{64})?", meta["manifest_sha256"]):
+            raise FormatError("detector manifest_sha256 must be 64 lowercase hex digits or '', "
+                              f"got {meta['manifest_sha256']!r}")
+        decimals = (meta["seed"], meta["trained_lsb"])
+        seed, trained_lsb = map(int, decimals)
+        if (str(seed), str(trained_lsb)) != decimals or trained_lsb not in range(33):
+            raise FormatError(f"detector seed and trained_lsb {decimals} must be decimals as "
+                              "str() writes them, trained_lsb in [0, 32]")
         config = ConvNetConfig.from_dict(json.loads(meta["config"]))
         _check_shapes(config, by_name)
         # a NaN or inf would turn every distance into nan, and nan labels benign
         bad = sorted(name for name, value in by_name.items() if not np.isfinite(value).all())
         if bad:
             raise FormatError(f"detector tensors hold non-finite values: {', '.join(bad)}")
-        # build_detector needs both classes, and astype(int64) would truncate a 0.5
-        classes = sorted(set(by_name["train.labels"].tolist()))
-        if classes != [0.0, 1.0]:
-            raise FormatError(f"detector train.labels must be 0 or 1, each once or more: {classes}")
         params = NetParams(
             {
                 name[len("net.") :]: by_name.pop(name)
@@ -324,31 +336,35 @@ def load_detector(data: bytes) -> TrainedDetector:
                 if name.startswith("net.")
             }
         )
-        return TrainedDetector(
+        detector = TrainedDetector(
             config=config,
             params=params,
             embeddings=by_name["train.embeddings"],
-            labels=by_name["train.labels"].astype(np.int64),
-            centroid_benign=by_name["centroid.benign"],
-            centroid_malicious=by_name["centroid.malicious"],
+            labels=by_name["train.labels"],
             manifest_sha256=meta["manifest_sha256"],
-            seed=int(meta["seed"]),
+            seed=seed,
             strategy=meta["strategy"],
-            trained_lsb=int(meta["trained_lsb"]),
+            trained_lsb=trained_lsb,
         )
     except KeyError as exc:
         raise FormatError(f"detector file lacks {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise FormatError(f"bad detector field: {exc}") from exc
+    for name, derived in (("centroid.benign", detector.centroid_benign),
+                          ("centroid.malicious", detector.centroid_malicious)):
+        if by_name[name].tobytes() != derived.tobytes():
+            raise FormatError(f"detector {name} is not the mean of its class's train.embeddings")
+    return detector
 
 
-def bootstrap_ci(values, n_resamples: int = 10_000, seed: int = 0):
-    """Percentile bootstrap 95% interval for the mean of per-run values."""
+def bootstrap_ci(values):
+    """Percentile bootstrap 95% interval for the mean of per-run values: 10,000
+    resamples drawn from default_rng(0)."""
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise ValueError("no values to bootstrap")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, values.size, size=(n_resamples, values.size))
+    rng = np.random.default_rng(0)
+    idx = rng.integers(0, values.size, size=(10_000, values.size))
     means = values[idx].mean(axis=1)
     lo, hi = np.percentile(means, [2.5, 97.5])  # the ci95_* rows of summarize_rows
     return float(lo), float(hi)
@@ -363,7 +379,7 @@ class ReportRow:
     value: float
 
 
-def summarize_rows(rows, n_resamples: int = 10_000, seed: int = 0) -> list[ReportRow]:
+def summarize_rows(rows) -> list[ReportRow]:
     """Mean and 95% bootstrap interval per (model_lsb, eval_type, metric)."""
     groups: dict[tuple, list[float]] = {}
     order: list[tuple] = []
@@ -376,7 +392,7 @@ def summarize_rows(rows, n_resamples: int = 10_000, seed: int = 0) -> list[Repor
     out = []
     for key in order:
         values = groups[key]
-        lo, hi = bootstrap_ci(values, n_resamples=n_resamples, seed=seed)
+        lo, hi = bootstrap_ci(values)
         out.append(ReportRow("mean", key[0], key[1], key[2], float(np.mean(values))))
         out.append(ReportRow("ci95_low", key[0], key[1], key[2], lo))
         out.append(ReportRow("ci95_high", key[0], key[1], key[2], hi))

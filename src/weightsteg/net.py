@@ -124,9 +124,6 @@ class NetParams:
     def copy(self) -> "NetParams":
         return NetParams({k: v.copy() for k, v in self.tensors.items()})
 
-    def n_params(self) -> int:
-        return sum(v.size for v in self.tensors.values())
-
     def __eq__(self, other):
         return (
             isinstance(other, NetParams)
@@ -447,18 +444,6 @@ def forward(config: ConvNetConfig, params: NetParams, images) -> np.ndarray:
     return emb[0] if single else emb
 
 
-def triplet_loss(anchor, positive, negative, margin: float) -> float:
-    """max(0, ||a-p||^2 - ||a-n||^2 + margin) with squared l2 distances."""
-    a = np.asarray(anchor, dtype=np.float64)
-    p = np.asarray(positive, dtype=np.float64)
-    n = np.asarray(negative, dtype=np.float64)
-    if not (a.shape == p.shape == n.shape):
-        raise ValueError("triplet members must share one shape")
-    d_ap = ((a - p) ** 2).sum()
-    d_an = ((a - n) ** 2).sum()
-    return float(max(0.0, d_ap - d_an + margin))
-
-
 def make_triplets(labels) -> list[tuple[int, int, int]]:
     """All ordered same-label (anchor, positive) pairs times all opposite-label
     negatives, in deterministic index order."""
@@ -530,20 +515,17 @@ class AdamState:
 
 
 _ADAM_CHUNK = 1 << 16  # elements of a tensor that adam_step updates at a time
+# Adam's moment decay rates and denominator offset: Kingma & Ba's defaults
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(
-    state: AdamState,
-    params: NetParams,
-    grads: dict[str, np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    state: AdamState, params: NetParams, grads: dict[str, np.ndarray], lr: float
 ) -> tuple[AdamState, NetParams]:
     """One standard Adam update with bias correction, in place.
 
-    Each tensor's ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``
+    With beta1, beta2 and eps the constants _BETA1, _BETA2 and _EPS, each
+    tensor's ``m = beta1*m + (1-beta1)*g``, ``v = beta2*v + (1-beta2)*g*g``
     and ``p - lr*(m/(1-beta1**t)) / (sqrt(v/(1-beta2**t)) + eps)`` are computed
     operation by operation in that order, _ADAM_CHUNK elements at a time
     through two scratch arrays of that size, into state.m, state.v and the
@@ -562,17 +544,17 @@ def adam_step(
             hi = lo + _ADAM_CHUNK
             gs, ms, vs = g[lo:hi], m[lo:hi], v[lo:hi]
             a, s = scratch[: gs.size], step[: gs.size]
-            np.multiply(gs, 1.0 - beta1, out=a)
-            ms *= beta1
+            np.multiply(gs, 1.0 - _BETA1, out=a)
+            ms *= _BETA1
             ms += a
-            np.multiply(gs, 1.0 - beta2, out=a)
+            np.multiply(gs, 1.0 - _BETA2, out=a)
             a *= gs
-            vs *= beta2
+            vs *= _BETA2
             vs += a
-            np.divide(vs, 1.0 - beta2**t, out=s)  # v_hat, then sqrt(v_hat) + eps
+            np.divide(vs, 1.0 - _BETA2**t, out=s)  # v_hat, then sqrt(v_hat) + eps
             np.sqrt(s, out=s)
-            s += eps
-            np.divide(ms, 1.0 - beta1**t, out=a)  # m_hat, then the step
+            s += _EPS
+            np.divide(ms, 1.0 - _BETA1**t, out=a)  # m_hat, then the step
             a *= lr
             a /= s
             p[lo:hi] -= a
@@ -582,6 +564,7 @@ def adam_step(
 
 STRATEGIES = ("ES", "ST", "UB")
 ES, ST, UB = STRATEGIES
+UB_MAX_EPOCHS = 100  # the epochs UB runs when its loss never enters [ub_low, ub_high]
 
 
 @dataclass(frozen=True)
@@ -593,7 +576,6 @@ class TrainConfig:
     seed: int = 0
     ub_low: float = 0.5
     ub_high: float = 1.25
-    max_epochs: int = 100
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -621,7 +603,7 @@ def train(images, labels, config: ConvNetConfig, train_config: TrainConfig) -> T
 
     The run seed drives both initialization and per-epoch triplet shuffling.
     ES stops after 1 epoch, ST after 5; UB stops once the mean epoch loss
-    falls inside [ub_low, ub_high], else at max_epochs.
+    falls inside [ub_low, ub_high], else at UB_MAX_EPOCHS.
     """
     triplets = make_triplets(labels)
     if not triplets:
@@ -633,7 +615,7 @@ def train(images, labels, config: ConvNetConfig, train_config: TrainConfig) -> T
     batch = train_config.batch_size or len(triplets)
 
     losses: list[float] = []
-    for _ in range({ES: 1, ST: 5, UB: train_config.max_epochs}[train_config.strategy]):
+    for _ in range({ES: 1, ST: 5, UB: UB_MAX_EPOCHS}[train_config.strategy]):
         order = rng.permutation(len(triplets))
         total = 0.0
         for start in range(0, len(triplets), batch):

@@ -407,6 +407,16 @@ def _set_first_value(name, value):
     return edit
 
 
+def _next_float_up(name):
+    """The first value of the tensor one ulp further from zero."""
+    def edit(model):
+        model.tensors = [
+            t.with_bits(np.concatenate([t.bits[:1] + 1, t.bits[1:]])) if t.name == name else t
+            for t in model.tensors
+        ]
+    return edit
+
+
 def _fill(name, value):
     def edit(model):
         model.tensors = [
@@ -463,8 +473,15 @@ class TestScanBadDetector:
             _set_first_value("train.labels", 2.0),
             _fill("train.labels", 0.0),
             _drop_last_row("centroid.benign"),
+            _next_float_up("centroid.benign"),
             _set_first_value("net.conv0.weight", np.nan),
             _set_first_value("net.embed.weight", np.inf),
+            _set_meta("seed", " 1_000 "),
+            _set_meta("trained_lsb", "-3"),
+            _set_meta("trained_lsb", "33"),
+            _set_meta("strategy", "bogus"),
+            _set_meta("manifest_sha256", "xyz"),
+            _set_meta("manifest_sha256", "AB" * 32),
         ],
         ids=["no-embeddings", "no-centroid", "config-not-json", "no-config",
              "config-incomplete", "seed-not-int", "unknown-representation",
@@ -476,7 +493,9 @@ class TestScanBadDetector:
              "config-input-size-string",
              "config-embedding-dim-float", "config-pool-int", "config-channels-float",
              "config-kernel-bool", "labels-short", "label-half", "label-two", "labels-all-zero",
-             "centroid-short", "nan-conv-weight", "inf-embed-weight"],
+             "centroid-short", "centroid-one-ulp-off", "nan-conv-weight", "inf-embed-weight",
+             "seed-not-canonical", "trained-lsb-negative", "trained-lsb-33", "strategy-unknown",
+             "manifest-sha256-short", "manifest-sha256-upper"],
     )
     def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
         model = read_container(tiny_detector_bytes())
@@ -1026,6 +1045,25 @@ class TestBuildDatasetTrainScan:
                    "--out", out) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_written_detectors_resave_byte_identically(self, tmp_path, mc_dir):
+        """Every detector train and report --save-detectors write loads, with
+        its stored centroids equal to the derived ones, and saves to its own bytes."""
+        ds, dets = tmp_path / "ds", tmp_path / "dets"
+        assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--size", 28, "--train-zoos", "zoo0", "--out", ds) == 0
+        assert run("train", "--dataset", ds, "--arch", "tiny", "--strategy", "ST", "--seed", 7,
+                   "--out", tmp_path / "det.safetensors") == 0
+        assert run("report", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--strategy", "ES",
+                   "--train-per-class", 2, "--runs", 2, "--seed", 1, "--severities", "1-2",
+                   "--out-csv", tmp_path / "r.csv", "--save-detectors", dets) == 0
+        paths = [tmp_path / "det.safetensors", *sorted(dets.iterdir())]
+        assert [p.name for p in paths[1:]] == ["detector_seed1.safetensors",
+                                               "detector_seed2.safetensors"]
+        for path in paths:
+            data = path.read_bytes()
+            assert save_detector(load_detector(data)) == data, path.name
 
     def test_full_pipeline(self, tmp_path, mc_dir, capsys):
         ds = tmp_path / "ds"

@@ -30,7 +30,6 @@ from weightsteg.net import (
     make_triplets,
     preset,
     train,
-    triplet_loss,
 )
 
 SMALL = ConvNetConfig(
@@ -164,21 +163,6 @@ class TestPool:
         assert y[0, 0, 0, 0] == 2.0 and np.isnan(y[0, 0, 0, 1])
         dx = _pool_backward(np.ones((1, 1, 1, 2), dtype=np.float32), cache)
         assert dx.tolist() == [[[[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]]]]
-
-
-class TestTripletLoss:
-    def test_inactive(self):
-        assert triplet_loss((0, 0), (0, 0), (2, 0), 1.0) == 0.0
-
-    def test_degenerate_equals_margin(self):
-        assert triplet_loss((1, 2), (1, 2), (1, 2), 1.0) == 1.0
-
-    def test_equal_distances(self):
-        assert triplet_loss((0, 0), (1, 0), (1, 0), 1.0) == 1.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            triplet_loss((0, 0), (0,), (0, 0), 1.0)
 
 
 class TestMakeTriplets:
@@ -777,9 +761,9 @@ class TestTrain:
 
     def test_ub_runs_to_cap_when_interval_unreachable(self):
         images, labels = small_data()
-        cfg = TrainConfig(strategy="UB", seed=0, ub_low=1e8, ub_high=1e9, max_epochs=4)
+        cfg = TrainConfig(strategy="UB", seed=0, ub_low=1e8, ub_high=1e9)
         result = train(images, labels, SMALL, cfg)
-        assert result.epochs_run == 4
+        assert result.epochs_run == net.UB_MAX_EPOCHS == 100
 
     def test_deterministic_given_seed(self):
         images, labels = small_data()
