@@ -17,7 +17,6 @@ from .dataset import (
     split_by_zoo,
     synth_collection,
     synth_model,
-    synth_zoo,
 )
 from .detect import (
     TrainedDetector,
@@ -71,9 +70,7 @@ from .weights_io import (
     read_container,
     read_raw,
     save_model,
-    unflatten,
     write_container,
-    write_raw,
 )
 
 __version__ = "0.1.0"

@@ -284,9 +284,8 @@ def cmd_report(args) -> int:
         det_dir = Path(args.save_detectors)
         det_dir.mkdir(parents=True, exist_ok=True)
         for res in results:
-            (det_dir / f"detector_seed{res.seed}.safetensors").write_bytes(
-                save_detector(res.detector)
-            )
+            name = f"detector_x{res.detector.trained_lsb}_seed{res.seed}.safetensors"
+            (det_dir / name).write_bytes(save_detector(res.detector))
     return EXIT_OK
 
 

@@ -361,66 +361,6 @@ def synth_model(n_params: int, rng: np.random.Generator) -> ModelWeights:
                          for layer, lo, hi in zip(layers, bounds, bounds[1:])])
 
 
-def _synth_zoos(
-    out_dir: str | Path, zoo_seeds: list[tuple[str, int]], n_models: int, n_params: int,
-    whole_dir: bool = False,
-) -> list[ModelZoo]:
-    """Write n_models synthetic models into each (zoo id, seed) zoo under out_dir.
-
-    Each model draws from its own child of its zoo's SeedSequence, so its
-    bytes do not depend on which thread draws it or when. The models are
-    drawn on this thread and one more per other usable CPU (net._fan_out),
-    and each is streamed to its file a chunk at a time. Sizes are checked
-    before anything is written; the first failing model, in zoo and model
-    order, raises its error.
-
-    A model file (one that load_collection lists) that this run would not
-    overwrite is refused before anything is written, as a collection read
-    back would include it: in the zoos' directories, or with whole_dir in
-    any subdirectory of out_dir.
-    """
-    if n_models < 1:
-        raise ValueError("n_models must be >= 1")
-    layers = _synth_layers(n_params)
-    jobs = []  # (path, metadata, seed sequence) per model, in zoo and model order
-    for zoo_id, seed in zoo_seeds:
-        for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_models)):
-            metadata = {"generator": "synth-gaussian", "seed": str(seed),
-                        "model_index": str(i), "n_params": str(n_params)}
-            jobs.append((Path(out_dir) / zoo_id / f"model{i:03d}.safetensors", metadata, child))
-    zoo_dirs = [Path(out_dir) / zoo_id for zoo_id, _ in zoo_seeds]
-    checked = zoo_dirs
-    if whole_dir and Path(out_dir).is_dir():
-        checked = [d for d in Path(out_dir).iterdir() if d.is_dir()]
-    ours = {path for path, _, _ in jobs}
-    for zoo_dir in sorted(d for d in checked if d.is_dir()):
-        for p in sorted(zoo_dir.iterdir()):
-            if is_model_file(p) and p not in ours:
-                raise ValueError(f"{p}: a model file of another run would join this collection")
-    for zoo_dir in zoo_dirs:
-        zoo_dir.mkdir(parents=True, exist_ok=True)
-
-    def write(j):
-        path, metadata, child = jobs[j]
-        _write(path, layers, metadata, _synth_words(layers, np.random.default_rng(child)))
-
-    _fan_out(write, len(jobs))
-    paths = [path for path, _, _ in jobs]
-    return [ModelZoo(zoo_id, paths[z * n_models : (z + 1) * n_models])
-            for z, (zoo_id, _) in enumerate(zoo_seeds)]
-
-
-def synth_zoo(
-    out_dir: str | Path,
-    zoo_id: str,
-    n_models: int,
-    n_params: int,
-    seed: int,
-) -> ModelZoo:
-    """Write a deterministic synthetic zoo of n_models container files."""
-    return _synth_zoos(out_dir, [(zoo_id, seed)], n_models, n_params)[0]
-
-
 def synth_collection(
     out_dir: str | Path,
     n_zoos: int,
@@ -428,10 +368,48 @@ def synth_collection(
     n_params: int,
     seed: int,
 ) -> ModelCollection:
-    """A collection of synthetic zoos with per-zoo derived seeds, drawn as one pool."""
+    """Write n_zoos synthetic zoos of n_models models each under out_dir.
+
+    Zoo i, out_dir/zoo{i}, draws from the i-th seed that seed's generator
+    draws, and each of its models from its own child of that seed's
+    SeedSequence, so a model's bytes do not depend on which thread draws it
+    or when. The models are drawn on this thread and one more per other
+    usable CPU (net._fan_out), and each is streamed to its file a chunk at a
+    time. Sizes are checked before anything is written; the first failing
+    model, in zoo and model order, raises its error.
+
+    A model file (one that load_collection lists) in any subdirectory of
+    out_dir that this run would not overwrite is refused before anything is
+    written, as the collection read back would include it.
+    """
     if n_zoos < 1:
         raise ValueError("n_zoos must be >= 1")
+    if n_models < 1:
+        raise ValueError("n_models must be >= 1")
+    layers = _synth_layers(n_params)
+    out_dir = Path(out_dir)
+    zoo_ids = [f"zoo{z}" for z in range(n_zoos)]
     zoo_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_zoos)
-    zoos = _synth_zoos(out_dir, [(f"zoo{i}", int(s)) for i, s in enumerate(zoo_seeds)],
-                       n_models, n_params, whole_dir=True)
-    return ModelCollection("synth-mc", zoos)
+    jobs = []  # (path, metadata, seed sequence) per model, in zoo and model order
+    for zoo_id, zoo_seed in zip(zoo_ids, map(int, zoo_seeds)):
+        for i, child in enumerate(np.random.SeedSequence(zoo_seed).spawn(n_models)):
+            metadata = {"generator": "synth-gaussian", "seed": str(zoo_seed),
+                        "model_index": str(i), "n_params": str(n_params)}
+            jobs.append((out_dir / zoo_id / f"model{i:03d}.safetensors", metadata, child))
+    ours = {path for path, _, _ in jobs}
+    if out_dir.is_dir():
+        for zoo_dir in sorted(d for d in out_dir.iterdir() if d.is_dir()):
+            for p in sorted(zoo_dir.iterdir()):
+                if is_model_file(p) and p not in ours:
+                    raise ValueError(f"{p}: a model file of another run would join this collection")
+
+    def write(j):
+        path, metadata, child = jobs[j]
+        _write(path, layers, metadata, _synth_words(layers, np.random.default_rng(child)))
+
+    for zoo_id in zoo_ids:
+        (out_dir / zoo_id).mkdir(parents=True, exist_ok=True)
+    _fan_out(write, len(jobs))
+    paths = [path for path, _, _ in jobs]
+    return ModelCollection("synth-mc", [ModelZoo(zoo_id, paths[z * n_models : (z + 1) * n_models])
+                                        for z, zoo_id in enumerate(zoo_ids)])

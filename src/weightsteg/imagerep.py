@@ -1,7 +1,9 @@
 """The grayscale-fourpart image of weight bits, plus resize/normalize/PGM io.
 
-Images are plain numpy arrays: uint8 (h, w) before normalization, float64 in
-[0, 1] after.
+One function, _planes, lays words out as the image's four byte planes:
+grayscale_fourpart lays out every word, and render only the words its
+resize taps. Images are plain numpy arrays: uint8 (h, w) before
+normalization, float64 in [0, 1] after.
 """
 
 from __future__ import annotations
@@ -73,12 +75,8 @@ def resize(img: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
 
 
 def _fourpart_side(source) -> tuple[int, int]:
-    """(n, side) of the four-part layout of a source with dtype and n.
-
-    Each 32-bit weight splits into bytes p1..p4 from most to least
-    significant. Every plane is zero-padded to side x side, the next square,
-    reshaped row-major, and the planes are laid out [[p1, p2], [p3, p4]].
-    """
+    """(n, side) of the four-part image of a source with dtype and n: its
+    words zero-padded to side x side, the next square, row-major."""
     if source.dtype is not DType.F32:
         raise FormatError(
             f"grayscale-fourpart requires float32 weights, got {source.dtype.value}"
@@ -89,54 +87,58 @@ def _fourpart_side(source) -> tuple[int, int]:
     return n, math.isqrt(n - 1) + 1  # ceil(sqrt(n))
 
 
-def _every_word(source, n: int, side: int) -> np.ndarray:
-    """The full four-part image: zero-pad the words, a chunk at a time, and
-    copy each plane's bytes out of them, with no per-pixel word or index."""
-    words = np.zeros(side * side, dtype=source.dtype.word_dtype)
-    for lo in range(0, n, CHUNK_WORDS):
-        hi = min(n, lo + CHUNK_WORDS)
-        words[lo:hi] = source.take(np.arange(lo, hi))
-    planes = words.view(np.uint8).reshape(side, side, 4)  # little-endian: p1 is byte 3
-    image = np.empty((2 * side, 2 * side), dtype=np.uint8)
-    for byte, (top, left) in zip((3, 2, 1, 0), ((0, 0), (0, side), (side, 0), (side, side))):
-        image[top : top + side, left : left + side] = planes[:, :, byte]
+def _planes(grid: np.ndarray) -> np.ndarray:
+    """An h x w grid of 32-bit words as its four byte planes, a 2h x 2w image.
+
+    Each word splits into bytes p1..p4 from most to least significant, and
+    the planes are laid out [[p1, p2], [p3, p4]]. The bytes are copied plane
+    by plane, with no per-pixel word or index.
+    """
+    h, w = grid.shape
+    planes = grid.view(np.uint8).reshape(h, w, 4)  # little-endian: p1 is byte 3
+    image = np.empty((2 * h, 2 * w), dtype=np.uint8)
+    for byte, (top, left) in zip((3, 2, 1, 0), ((0, 0), (0, w), (h, 0), (h, w))):
+        image[top : top + h, left : left + w] = planes[:, :, byte]
     return image
 
 
 def grayscale_fourpart(tensor: WeightTensor | FileWords) -> np.ndarray:
     """Tile the four byte planes of a float32 tensor, or of any source with
-    dtype, n and take, into one square image."""
-    return _every_word(tensor, *_fourpart_side(tensor))
+    dtype, n and take, into one square image. The zero-padded words are
+    gathered CHUNK_WORDS at a time, by slices, with no index grid over them."""
+    n, side = _fourpart_side(tensor)
+    words = np.zeros(side * side, dtype=tensor.dtype.word_dtype)
+    for lo in range(0, n, CHUNK_WORDS):
+        hi = min(n, lo + CHUNK_WORDS)
+        words[lo:hi] = tensor.take(np.arange(lo, hi))
+    return _planes(words.reshape(side, side))
 
 
 def render(source: WeightTensor | FileWords, size: int) -> np.ndarray:
     """The model image resized to size x size, reading only the tapped words.
 
-    Equal to ``resize(grayscale_fourpart(source), size, size)`` but reads at
-    most 4 * size**2 words, whatever the number of weights. source may be a
-    WeightTensor, a FileWords (weights_io.open_words), which reads those words
-    from the file, or anything else with dtype, n and take(flat_indices) (such
-    as steg.LsbWords, the attacked words of a plain or a fill attack).
+    Equal to ``resize(grayscale_fourpart(source), size, size)`` but asks
+    source once, for at most 4 * size**2 words, whatever the number of
+    weights. source may be a WeightTensor, a FileWords
+    (weights_io.open_words), which reads those words from the file, or
+    anything else with dtype, n and take(flat_indices) (such as
+    steg.LsbWords, the attacked words of a plain or a fill attack).
     """
     n, side = _fourpart_side(source)
     rows, cols, wy, wx = _taps(2 * side, 2 * side, size, size)
     # the four planes show the same words: gather each distinct one once
     r, r_at = np.unique(rows % side, return_inverse=True)
     c, c_at = np.unique(cols % side, return_inverse=True)
-    if len(r) == side and len(c) == side:
-        pix = _every_word(source, n, side).take(rows, axis=0).take(cols, axis=1)
-        return _blend(pix, wy, wx)
     # word rows by word columns, row-major: strictly increasing, since c < side,
     # so the padding past the last word is a suffix and the rest one sorted take
     flat = (r[:, None] * side + c).reshape(-1)
     shown = int(np.searchsorted(flat, n))
     words = np.zeros(len(flat), dtype=source.dtype.word_dtype)
     words[:shown] = source.take(flat[:shown])
-    value = words.reshape(len(r), len(c)).take(r_at, axis=0).take(c_at, axis=1)
-    # planes p1..p4 hold the bytes at shifts 24, 16, 8, 0
-    value >>= np.where(rows < side, 16, 0).astype(np.uint32)[:, None]
-    value >>= np.where(cols < side, 8, 0).astype(np.uint32)[None, :]
-    return _blend(value.astype(np.uint8), wy, wx)
+    image = _planes(words.reshape(len(r), len(c)))
+    # a tap in the bottom (right) half of the full image is one in the sub-grid's
+    pix = image.take(r_at + len(r) * (rows >= side), axis=0)
+    return _blend(pix.take(c_at + len(c) * (cols >= side), axis=1), wy, wx)
 
 
 def normalize(img: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ seed, which drives initialization and triplet shuffling).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, replace
 
@@ -118,23 +119,25 @@ def select_train_pairs(flats, train_zoos, per_class: int) -> list[FlatModel]:
     """Round-robin over the training zoos so few-shot picks span architectures."""
     if per_class < 2:
         raise ValueError("need at least 2 training models per class to form triplets")
-    by_zoo = {z: [fm for fm in flats if fm.zoo == z] for z in sorted(train_zoos)}
-    picked: list[FlatModel] = []
-    round_idx = 0
-    while len(picked) < per_class:
-        advanced = False
-        for zoo in sorted(by_zoo):
-            if round_idx < len(by_zoo[zoo]):
-                advanced = True
-                picked.append(by_zoo[zoo][round_idx])
-                if len(picked) == per_class:
-                    break
-        if not advanced:
-            raise ValueError(
-                f"training zoos hold only {len(picked)} models, need {per_class}"
-            )
-        round_idx += 1
-    return picked
+    rounds = itertools.zip_longest(*([fm for fm in flats if fm.zoo == z]
+                                     for z in sorted(set(train_zoos))))
+    picked = [fm for fm in itertools.chain.from_iterable(rounds) if fm is not None]
+    if len(picked) < per_class:
+        raise ValueError(f"training zoos hold only {len(picked)} models, need {per_class}")
+    return picked[:per_class]
+
+
+def _held_out_zoos(collection: ModelCollection, train_zoos) -> list[str]:
+    """The sorted zoos of collection that a run trained on train_zoos tests
+    on; an unknown training zoo, or no zoo left to test, is refused."""
+    zoo_ids = set(collection.zoo_ids())
+    unknown = sorted(set(train_zoos) - zoo_ids)
+    if unknown:
+        raise ValueError(f"unknown training zoos: {unknown}")
+    held_out = sorted(zoo_ids - set(train_zoos))
+    if not held_out:
+        raise ValueError("no zoos left for evaluation; shrink --train-zoos")
+    return held_out
 
 
 def provenance_digest(
@@ -185,14 +188,7 @@ def run_detection_run(
     flats: list[FlatModel],
 ) -> RunResult:
     """One seeded run on flats, the load_flat_models(collection)."""
-    zoo_ids = set(collection.zoo_ids())
-    unknown = sorted(set(cfg.train_zoos) - zoo_ids)
-    if unknown:
-        raise ValueError(f"unknown training zoos: {unknown}")
-    test_zoos = sorted(zoo_ids - set(cfg.train_zoos))
-    if not test_zoos:
-        raise ValueError("no zoos left for evaluation; shrink --train-zoos")
-
+    held_out = _held_out_zoos(collection, cfg.train_zoos)
     attack = AttackSpec(cfg.lsb, True, payload)
     train_flats = select_train_pairs(flats, cfg.train_zoos, cfg.train_per_class)
     train_samples = render_samples(train_flats, cfg, None)  # benign, then attacked
@@ -202,7 +198,7 @@ def run_detection_run(
         provenance_digest(collection, flats, attack, cfg), trained_lsb=cfg.lsb,
     )
 
-    test_flats = [fm for fm in flats if fm.zoo in test_zoos]
+    test_flats = [fm for fm in flats if fm.zoo in held_out]
 
     def embedded(spec):
         # Images are embedded once and dropped; every mode scores the embeddings.
@@ -241,6 +237,7 @@ def run_report_sweep(
         raise ValueError("need at least one trained severity")
     if runs < 1:
         raise ValueError("need at least one run")
+    _held_out_zoos(collection, cfg.train_zoos)  # refused before any model file is read
     flats = load_flat_models(collection)
     # every severity is attacked under the mantissa rule; refuse before any run trains
     for lsb in sorted(set(trained_lsbs) | set(cfg.severities)):

@@ -44,10 +44,6 @@ class Payload:
             return cls.from_bytes(fh.read())
 
     @classmethod
-    def from_bitstring(cls, text: str) -> "Payload":
-        return cls(np.array([int(c) for c in text], dtype=np.uint8))
-
-    @classmethod
     def synthetic(cls, n_bytes: int, seed: int) -> "Payload":
         """Seeded pseudo-random bytes standing in for a malware sample."""
         if n_bytes < 1:
@@ -213,20 +209,11 @@ def lsb_attack(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
 def lsb_attack_fill(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
     """Fill every weight's low field by repeating or truncating the payload.
 
-    Equal to ``lsb_attack(tensor, lsb, effective_fill_payload(bits, n, lsb))``;
-    see LsbWords, which costs O(n) word operations and no per-bit work.
+    Equal to lsb_attack with the payload's bits repeated, then cut to the
+    n * lsb bits of the fields; see LsbWords, which costs O(n) word
+    operations and no per-bit work.
     """
     return tensor.with_bits(LsbWords(tensor, lsb, payload, fill=True).rewrite(tensor.bits, 0))
-
-
-def effective_fill_payload(bits: np.ndarray, n_weights: int, lsb: int) -> np.ndarray:
-    """The exact bit stream a fill attack embeds: prefix or repeat-and-truncate."""
-    capacity = n_weights * lsb
-    k = len(bits)
-    if k > capacity:
-        return bits[:capacity]
-    reps = math.ceil(capacity / k)
-    return np.tile(bits, reps)[:capacity]
 
 
 def extract_lsb(source, lsb: int, n_bits: int) -> Payload:

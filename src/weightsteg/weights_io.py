@@ -167,10 +167,6 @@ def read_raw(data: bytes, dtype: DType) -> WeightTensor:
     return WeightTensor("", dtype, (n,), _frombuffer(data, dtype))
 
 
-def write_raw(tensor: WeightTensor) -> bytes:
-    return _tensor_buffer(tensor).tobytes()
-
-
 def _header_length(prefix: bytes, size: int) -> int:
     """The JSON header length from the first 8 bytes of a size-byte container."""
     if len(prefix) < 8:
@@ -352,20 +348,6 @@ def _flat_dtype(tensors) -> DType:
     if len(dtypes) > 1:
         raise ValueError(f"mixed dtypes in model: {sorted(d.value for d in dtypes)}")
     return tensors[0].dtype
-
-
-def unflatten(model: ModelWeights, flat_bits: np.ndarray) -> ModelWeights:
-    """Split a flat word sequence back into the model's tensor structure."""
-    total = sum(t.n for t in model.tensors)
-    flat_bits = np.asarray(flat_bits).reshape(-1)
-    if len(flat_bits) != total:
-        raise ValueError(f"expected {total} words, got {len(flat_bits)}")
-    tensors = []
-    cursor = 0
-    for t in model.tensors:
-        tensors.append(t.with_bits(flat_bits[cursor : cursor + t.n]))
-        cursor += t.n
-    return ModelWeights(tensors, metadata=dict(model.metadata))
 
 
 def _raw_dtype_for_path(path: Path) -> DType | None:
@@ -579,9 +561,9 @@ def _write(path: Path, tensors, metadata: dict[str, str], buffers, digest=None) 
 
 
 def save_model(model: ModelWeights, path: str | Path) -> None:
-    """Write model to path: a .f32/.f16 path gets write_raw(flatten(model)),
-    any other path write_container(model). The pieces are written as they
-    are, never joined into one copy."""
+    """Write model to path: a .f32/.f16 path gets the bytes of
+    flatten(model)'s words, any other path write_container(model). The
+    pieces are written as they are, never joined into one copy."""
     _write(Path(path), model.tensors, model.metadata, (_tensor_buffer(t) for t in model.tensors))
 
 

@@ -17,9 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import unflatten, write_raw
 from test_weights_io import random_tensors, scrambled_container
 import weightsteg
-from weightsteg import cli, detect, net, pipeline, weights_io
+from weightsteg import cli, dataset, detect, net, pipeline, weights_io
 from weightsteg.cli import main
 from weightsteg.dataset import load_dataset, synth_collection
 from weightsteg.detect import build_detector, classify, load_detector, save_detector
@@ -36,9 +37,7 @@ from weightsteg.weights_io import (
     load_model,
     open_words,
     read_container,
-    unflatten,
     write_container,
-    write_raw,
 )
 
 
@@ -1059,8 +1058,8 @@ class TestBuildDatasetTrainScan:
                    "--train-per-class", 2, "--runs", 2, "--seed", 1, "--severities", "1-2",
                    "--out-csv", tmp_path / "r.csv", "--save-detectors", dets) == 0
         paths = [tmp_path / "det.safetensors", *sorted(dets.iterdir())]
-        assert [p.name for p in paths[1:]] == ["detector_seed1.safetensors",
-                                               "detector_seed2.safetensors"]
+        assert [p.name for p in paths[1:]] == ["detector_x8_seed1.safetensors",
+                                               "detector_x8_seed2.safetensors"]
         for path in paths:
             data = path.read_bytes()
             assert save_detector(load_detector(data)) == data, path.name
@@ -1217,8 +1216,51 @@ class TestReportCommand:
         assert {"1", "2", "mean", "ci95_low", "ci95_high"} <= runs  # seeds 1 and 2
         doc = json.loads(json_path.read_text())
         assert doc["config"]["lsb"] == [8]
-        assert (tmp_path / "dets" / "detector_seed1.safetensors").exists()
-        assert (tmp_path / "dets" / "detector_seed2.safetensors").exists()
+        assert (tmp_path / "dets" / "detector_x8_seed1.safetensors").exists()
+        assert (tmp_path / "dets" / "detector_x8_seed2.safetensors").exists()
+
+    def test_saved_detectors_one_file_per_severity_and_seed(self, tmp_path, mc_dir):
+        """Each trained severity's run with each seed keeps its own file, so
+        no severity's detectors overwrite another's."""
+        dets = tmp_path / "dets"
+        assert run("report", "--mc", mc_dir, "--lsb", "2,8", "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--strategy", "ES",
+                   "--train-per-class", 2, "--runs", 2, "--seed", 1,
+                   "--out-csv", tmp_path / "r.csv", "--save-detectors", dets) == 0
+        found = {}
+        for path in sorted(dets.iterdir()):
+            detector = load_detector(path.read_bytes())
+            found[path.name] = (detector.trained_lsb, detector.seed)
+        assert found == {f"detector_x{x}_seed{seed}.safetensors": (x, seed)
+                         for x in (2, 8) for seed in (1, 2)}
+
+    @pytest.mark.parametrize("zoos,message", [
+        ("zooX", "unknown training zoos: ['zooX']"),
+        ("zoo0,zoo1", "no zoos left for evaluation; shrink --train-zoos"),
+    ], ids=["unknown", "no-test-zoo"])
+    def test_zoos_refused_before_any_model_is_read(
+        self, tmp_path, mc_dir, capsys, monkeypatch, zoos, message
+    ):
+        """A --train-zoos naming a zoo the collection lacks, or leaving no zoo
+        to test on, exits 2 once the collection is listed, before any model
+        file is opened or read."""
+        read_bytes = type(mc_dir).read_bytes
+
+        def guarded(path):
+            if path.suffix == ".safetensors":
+                pytest.fail(f"read {path}")
+            return read_bytes(path)
+
+        monkeypatch.setattr(type(mc_dir), "read_bytes", guarded)
+        for module in (cli, dataset, weights_io):
+            monkeypatch.setattr(module, "open_words", lambda path: pytest.fail(f"opened {path}"))
+        csv_path = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert run("report", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--train-zoos", zoos, "--arch", "tiny", "--size", 28,
+                   "--train-per-class", 2, "--runs", 1, "--out-csv", csv_path) == 2
+        assert capsys.readouterr().err == f"error[usage]: {message}\n"
+        assert not csv_path.exists()
 
     def test_report_deterministic(self, tmp_path, mc_dir):
         for name in ("a.csv", "b.csv"):

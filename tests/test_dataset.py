@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import effective_fill_payload, unflatten
 from test_weights_io import scrambled_container
 from weightsteg import dataset, net
 from weightsteg.cli import main
@@ -29,7 +30,6 @@ from weightsteg.dataset import (
     split_by_zoo,
     synth_collection,
     synth_model,
-    synth_zoo,
 )
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import REPRESENTATION, read_pgm, render, write_pgm
@@ -37,7 +37,6 @@ from weightsteg.steg import (
     AttackSpec,
     LsbWords,
     Payload,
-    effective_fill_payload,
     extract_lsb,
     lsb_attack,
     lsb_attack_fill,
@@ -52,7 +51,6 @@ from weightsteg.weights_io import (
     open_words,
     parse_model,
     save_model,
-    unflatten,
     write_container,
 )
 
@@ -64,20 +62,20 @@ def small_collection(tmp_path):
 
 class TestSynth:
     def test_same_seed_bit_identical(self, tmp_path):
-        synth_zoo(tmp_path / "a", "z", 3, 40, seed=1)
-        synth_zoo(tmp_path / "b", "z", 3, 40, seed=1)
+        synth_collection(tmp_path / "a", 1, 3, 40, seed=1)
+        synth_collection(tmp_path / "b", 1, 3, 40, seed=1)
         for i in range(3):
             assert (
-                (tmp_path / "a/z" / f"model{i:03d}.safetensors").read_bytes()
-                == (tmp_path / "b/z" / f"model{i:03d}.safetensors").read_bytes()
+                (tmp_path / "a/zoo0" / f"model{i:03d}.safetensors").read_bytes()
+                == (tmp_path / "b/zoo0" / f"model{i:03d}.safetensors").read_bytes()
             )
 
     def test_different_seeds_differ(self, tmp_path):
-        synth_zoo(tmp_path / "a", "z", 1, 40, seed=1)
-        synth_zoo(tmp_path / "b", "z", 1, 40, seed=2)
+        synth_collection(tmp_path / "a", 1, 1, 40, seed=1)
+        synth_collection(tmp_path / "b", 1, 1, 40, seed=2)
         assert (
-            (tmp_path / "a/z/model000.safetensors").read_bytes()
-            != (tmp_path / "b/z/model000.safetensors").read_bytes()
+            (tmp_path / "a/zoo0/model000.safetensors").read_bytes()
+            != (tmp_path / "b/zoo0/model000.safetensors").read_bytes()
         )
 
     def test_parameter_count_and_scales(self):
@@ -148,8 +146,10 @@ class TestSynthStreamed:
         assert tree_sha256(tmp_path / "mc") == SYNTH_PINNED[shape]
 
     def test_synth_model_is_the_streamed_model(self, tmp_path):
-        zoo = synth_zoo(tmp_path, "z", 2, 70_000, seed=5)
-        for i, child in enumerate(np.random.SeedSequence(5).spawn(2)):
+        zoo = synth_collection(tmp_path, 1, 2, 70_000, seed=5).zoos[0]
+        # zoo i draws from the i-th seed of the collection seed's generator
+        zoo_seed = int(np.random.default_rng(5).integers(0, 2**63 - 1, size=1)[0])
+        for i, child in enumerate(np.random.SeedSequence(zoo_seed).spawn(2)):
             model = synth_model(70_000, np.random.default_rng(child))
             assert load_model(zoo.model_paths[i]).tensors == model.tensors
 
@@ -158,7 +158,7 @@ class TestSynthStreamed:
         its file in traced allocations."""
         tracemalloc.start()
         try:
-            zoo = synth_zoo(tmp_path, "z", 1, 1_000_000, seed=5)
+            zoo = synth_collection(tmp_path, 1, 1, 1_000_000, seed=5).zoos[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

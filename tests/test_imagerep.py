@@ -185,12 +185,17 @@ class TestRender:
                 assert np.array_equal(render(tensor, size), want)
             cases, wants = cases[::-1], wants[::-1]
 
-    @pytest.mark.parametrize("n", [39_999, 40_000, 40_001])
-    def test_one_increasing_take_of_real_words(self, n):
-        """A render that taps some words asks its source once, for strictly
-        increasing indices below n, whether or not n is a square (at 40_001
-        the side is 201 and 99 tapped words lie past the last one):
-        FileWords.take then skips its sort."""
+    @pytest.mark.parametrize("n, size", [
+        *(pytest.param(n, 100, id=str(n)) for n in (39_999, 40_000, 40_001)),
+        pytest.param(66_049, 129, id="66049-129"),
+    ])
+    def test_one_increasing_take_of_real_words(self, n, size):
+        """A render asks its source once, for strictly increasing indices
+        below n, whether or not n is a square (at 40_001 the side is 201 and
+        99 tapped words lie past the last one) and whether it taps some words
+        or every one (at 66_049 and size 129 it taps every row and column of
+        the 257 x 257 words, more than CHUNK_WORDS): FileWords.take then
+        skips its sort."""
         tensor = f32_tensor(np.random.default_rng(n).integers(0, 2**32, size=n, dtype=np.uint64))
         asked = []
 
@@ -201,8 +206,8 @@ class TestRender:
                 asked.append(np.asarray(flat_indices))
                 return tensor.take(flat_indices)
 
-        got = render(Spy(), 100)
-        assert np.array_equal(got, resize(grayscale_fourpart(tensor), 100, 100))
+        got = render(Spy(), size)
+        assert np.array_equal(got, resize(grayscale_fourpart(tensor), size, size))
         assert len(asked) == 1
         flat = asked[0]
         assert flat.ndim == 1 and np.all(np.diff(flat) > 0) and 0 <= flat[0] and flat[-1] < n

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from helpers import effective_fill_payload, from_bitstring
 from weightsteg.errors import CapacityError
 from weightsteg.steg import (
     AttackSpec,
     LsbWords,
     Payload,
-    effective_fill_payload,
     extract_lsb,
     lsb_attack,
     lsb_attack_fill,
@@ -55,7 +55,7 @@ def random_tensor(rng, n, dtype=DType.F32):
 class TestLsbAttack:
     def test_two_weight_example(self):
         cover = make_tensor([0b00, 0b00])
-        out = lsb_attack(cover, 2, Payload.from_bitstring("1011"))
+        out = lsb_attack(cover, 2, from_bitstring("1011"))
         assert [int(w) & 0b11 for w in out.bits] == [0b10, 0b11]
 
     def test_full_width_substitution(self):
@@ -69,30 +69,30 @@ class TestLsbAttack:
     def test_capacity_guard(self):
         cover = make_tensor([0])
         with pytest.raises(CapacityError):
-            lsb_attack(cover, 1, Payload.from_bitstring("10"))
+            lsb_attack(cover, 1, from_bitstring("10"))
 
     def test_lsb_out_of_range(self):
         cover = make_tensor([0])
         with pytest.raises(ValueError):
-            lsb_attack(cover, 0, Payload.from_bitstring("1"))
+            lsb_attack(cover, 0, from_bitstring("1"))
         with pytest.raises(ValueError):
-            lsb_attack(cover, 33, Payload.from_bitstring("1"))
+            lsb_attack(cover, 33, from_bitstring("1"))
 
     def test_empty_payload_is_noop(self):
         cover = make_tensor([123, 456])
-        out = lsb_attack(cover, 4, Payload.from_bitstring(""))
+        out = lsb_attack(cover, 4, from_bitstring(""))
         assert np.array_equal(out.bits, cover.bits)
 
     def test_partial_last_chunk_keeps_low_cover_bits(self):
         cover = make_tensor([0b111111, 0b111111])
-        out = lsb_attack(cover, 3, Payload.from_bitstring("1010"))
+        out = lsb_attack(cover, 3, from_bitstring("1010"))
         # chunk 2 is the single bit 0; it lands in the top of the 3-bit field
         assert [int(w) & 0b111 for w in out.bits] == [0b101, 0b011]
 
     def test_weights_beyond_payload_untouched(self):
         rng = np.random.default_rng(2)
         cover = random_tensor(rng, 10)
-        out = lsb_attack(cover, 4, Payload.from_bitstring("10110"))
+        out = lsb_attack(cover, 4, from_bitstring("10110"))
         # 5 bits at X=4 touch ceil(5/4) = 2 weights
         assert np.array_equal(out.bits[2:], cover.bits[2:])
 
@@ -100,35 +100,35 @@ class TestLsbAttack:
         rng = np.random.default_rng(3)
         cover = random_tensor(rng, 4, DType.F16)
         bits = "".join(map(str, rng.integers(0, 2, size=30)))
-        out = lsb_attack(cover, 9, Payload.from_bitstring(bits))
+        out = lsb_attack(cover, 9, from_bitstring(bits))
         assert list(out.bits) == splice_oracle(cover.bits, 16, 9, bits)
 
 
 class TestFill:
     def test_repeat_and_truncate(self):
-        effective = effective_fill_payload(Payload.from_bitstring("1011").bits, 4, 2)
+        effective = effective_fill_payload(from_bitstring("1011").bits, 4, 2)
         assert "".join(map(str, effective)) == "10111011"
 
     def test_exact_fit_unchanged(self):
-        bits = Payload.from_bitstring("110010").bits
+        bits = from_bitstring("110010").bits
         assert np.array_equal(effective_fill_payload(bits, 3, 2), bits)
 
     def test_long_payload_prefix(self):
-        bits = Payload.from_bitstring("11001010").bits
+        bits = from_bitstring("11001010").bits
         assert np.array_equal(effective_fill_payload(bits, 2, 2), bits[:4])
 
     def test_every_weight_carries_payload(self):
         rng = np.random.default_rng(4)
         cover = random_tensor(rng, 7)
-        out = lsb_attack_fill(cover, 5, Payload.from_bitstring("101"))
+        out = lsb_attack_fill(cover, 5, from_bitstring("101"))
         expected_bits = "".join(
-            map(str, effective_fill_payload(Payload.from_bitstring("101").bits, 7, 5))
+            map(str, effective_fill_payload(from_bitstring("101").bits, 7, 5))
         )
         assert list(out.bits) == splice_oracle(cover.bits, 32, 5, expected_bits)
 
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
-            lsb_attack_fill(make_tensor([1]), 2, Payload.from_bitstring(""))
+            lsb_attack_fill(make_tensor([1]), 2, from_bitstring(""))
 
     def test_fill_idempotent(self):
         rng = np.random.default_rng(5)
@@ -143,7 +143,7 @@ class TestExtract:
     def test_roundtrip_example(self):
         rng = np.random.default_rng(6)
         cover = random_tensor(rng, 8)
-        payload = Payload.from_bitstring("110100111")
+        payload = from_bitstring("110100111")
         out = lsb_attack(cover, 3, payload)
         assert extract_lsb(out, 3, payload.k) == payload
 
@@ -153,7 +153,7 @@ class TestExtract:
     def test_fill_extraction_matches_effective_payload(self):
         rng = np.random.default_rng(7)
         cover = random_tensor(rng, 6)
-        payload = Payload.from_bitstring("10011")
+        payload = from_bitstring("10011")
         attacked = lsb_attack_fill(cover, 4, payload)
         expected = effective_fill_payload(payload.bits, 6, 4)
         assert np.array_equal(extract_lsb(attacked, 4, 24).bits, expected)
@@ -256,19 +256,19 @@ class TestAttackSpec:
     @pytest.mark.parametrize("lsb", [0, -3])
     def test_severity_below_one_refused_when_built(self, lsb):
         with pytest.raises(ValueError, match=f"lsb must be at least 1, got {lsb}"):
-            AttackSpec(lsb, True, Payload.from_bitstring("1"))
+            AttackSpec(lsb, True, from_bitstring("1"))
 
     def test_mantissa_guard(self):
-        spec = AttackSpec(24, True, Payload.from_bitstring("1"))
+        spec = AttackSpec(24, True, from_bitstring("1"))
         with pytest.raises(ValueError, match="mantissa"):
             spec.validate_for(DType.F32)
-        AttackSpec(24, True, Payload.from_bitstring("1"), mantissa_only=False).validate_for(
+        AttackSpec(24, True, from_bitstring("1"), mantissa_only=False).validate_for(
             DType.F32
         )
 
     def test_apply_dispatch(self):
         cover = make_tensor([0, 0, 0])
-        payload = Payload.from_bitstring("11")
+        payload = from_bitstring("11")
         plain = AttackSpec(1, False, payload).words(cover).rewrite(cover.bits, 0)
         filled = AttackSpec(1, True, payload).words(cover).rewrite(cover.bits, 0)
         assert [int(w) & 1 for w in plain] == [1, 1, 0]

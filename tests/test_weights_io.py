@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import unflatten, write_raw
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import render
 from weightsteg.weights_io import (
@@ -21,9 +22,7 @@ from weightsteg.weights_io import (
     read_container,
     read_raw,
     save_model,
-    unflatten,
     write_container,
-    write_raw,
 )
 
 
