@@ -11,6 +11,7 @@ import hashlib
 import json
 import logging
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATION, normalize, read_pgm, render, write_pgm
-from .net import _fan_out
+from . import net
 from .steg import AttackSpec
 from .weights_io import CHUNK_WORDS, DType, ModelWeights, WeightTensor, _write, open_words
 
@@ -169,24 +170,80 @@ def load_collection(mc_dir: str | Path) -> ModelCollection:
     return ModelCollection(mc_dir.name, zoos)
 
 
-def _model_pass(
-    path: Path, attack: AttackSpec | None, size: int, attacked_dir: Path
-) -> list[tuple[np.ndarray, bytes]]:
-    """One benign model's share of build_dataset: (image, file sha256) for the
-    benign file and, given attack, for the attacked file it writes. Both images
-    render from the words they tap; the file is hashed in one streamed pass
-    and the attacked copy written in a second (FileWords.save), into
-    attacked_dir, made once the attack has passed its check against the
-    model's dtype."""
-    with open_words(path) as source:
-        passed = [(render(source, size), source.sha256())]
-        if attack is not None:
-            words = attack.words(source)
-            attacked_dir.mkdir(parents=True, exist_ok=True)
-            image = render(words, size)
-            passed.append((image, source.save(attacked_dir / path.name, words.rewrite,
-                                              attack.provenance())))
-    return [(image, bytes.fromhex(digest)) for image, digest in passed]
+def _named(path: Path, fn, *args):
+    """Call fn(*args); a ValueError, CapacityError or FormatError it raises
+    is raised again with path prefixed to its message."""
+    try:
+        return fn(*args)
+    except (ValueError, CapacityError, FormatError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _render_model(stack: ExitStack, path: Path, attack: AttackSpec | None, size: int):
+    """The model at path opened on stack (open_words), its images, benign
+    first, and the words of its attack (None without one), which
+    AttackSpec.words checks against the model's dtype. Both images render
+    from the words they tap."""
+    source = stack.enter_context(open_words(path))
+    images = [render(source, size)]
+    words = None
+    if attack is not None:
+        words = attack.words(source)
+        images.append(render(words, size))
+    return source, images, words
+
+
+def _write_model(source, words, attacked_path: Path, provenance) -> list[bytes]:
+    """The file digests of one model, benign first: its file hashed in one
+    streamed pass (FileWords.sha256) and, given its attack's words, the
+    attacked copy written to attacked_path in a second (FileWords.save)."""
+    digests = [source.sha256()]
+    if words is not None:
+        attacked_path.parent.mkdir(parents=True, exist_ok=True)
+        digests.append(source.save(attacked_path, words.rewrite, provenance))
+    return [bytes.fromhex(digest) for digest in digests]
+
+
+def _model_passes(models, attack: AttackSpec | None, size: int, out_dir: Path):
+    """Yield (zoo id, path, images, file digests) for each (zoo id, path) of
+    models, in order, as a model-by-model loop of _render_model then
+    _write_model would give them.
+
+    Models go in windows of one per usable CPU. This thread opens and
+    renders each model of a window; then net._fan_out runs each one's
+    _write_model, one model per thread. A failing model ends the walk with
+    its error, path prefixed, once the models before it are written and
+    yielded, so the error raised is the first such loop would raise.
+    """
+    provenance = None if attack is None else attack.provenance()
+    window = net._usable_cpus()
+    for lo in range(0, len(models), window):
+        with ExitStack() as stack:
+            opened, failure = [], None
+            for zoo_id, path in models[lo : lo + window]:
+                try:
+                    opened.append((zoo_id, path, *_named(path, _render_model, stack, path,
+                                                         attack, size)))
+                except Exception as exc:  # raised once the models before it are written
+                    failure = exc
+                    break
+            written = [None] * len(opened)
+
+            def write(i):
+                zoo_id, path, source, _, words = opened[i]
+                written[i] = _named(path, _write_model, source, words,
+                                    out_dir / "attacked" / zoo_id / path.name, provenance)
+
+            try:
+                net._fan_out(write, len(opened))
+            except Exception as exc:  # the earliest failure: every model before it was written
+                failure = exc
+            for (zoo_id, path, _, images, _), digests in zip(opened, written):
+                if digests is None:
+                    break
+                yield zoo_id, path, images, digests
+        if failure is not None:
+            raise failure
 
 
 def build_dataset(
@@ -203,15 +260,19 @@ def build_dataset(
     its attack from the words they tap, hash the file in one streamed pass,
     and write the attacked model to out_dir/attacked/<zoo>/ in a second, one
     chunk at a time, hashing what is written. Nothing written is read back.
-    Images are written as PGM files beside a manifest.json under out_dir; the
-    manifest's source_sha256 folds the file digests of every benign model,
-    then of every attacked model. A plain attack is refused before anything
-    is written: the manifest records no fill flag. No directory is made
-    before the first model's attack has passed its check against the
-    model's dtype.
+    Up to one model per usable CPU is open at once, and their two passes run
+    on as many threads (_model_passes); the outputs do not depend on how
+    many. Images are written as PGM files beside a manifest.json under
+    out_dir; the manifest's source_sha256 folds the file digests of every
+    benign model, then of every attacked model. A plain attack and an
+    unknown train_zoos id are refused before anything is written: the
+    manifest records no fill flag. No directory is made before the first
+    model's attack has passed its check against the model's dtype.
     """
     if attack is not None and not attack.fill:
         raise ValueError("build_dataset attacks with fill only; the manifest records no fill flag")
+    if train_zoos is not None:
+        _check_zoo_ids(train_zoos, benign.zoo_ids())
     out_dir = Path(out_dir)
     manifest = DatasetManifest(
         mc_id=benign.mc_id,
@@ -219,22 +280,19 @@ def build_dataset(
         payload_sha256=None if attack is None else attack.payload.sha256(),
         shape=(size, size),
     )
+    models = [(zoo.zoo_id, path) for zoo in benign.zoos for path in zoo.model_paths]
+    # per zoo, its benign samples, then its attacked samples
+    zoo_samples = {zoo.zoo_id: ([], []) for zoo in benign.zoos}
     file_digests: tuple[list[bytes], list[bytes]] = ([], [])  # benign, attacked
-    for zoo in benign.zoos:
-        attacked_dir = out_dir / "attacked" / zoo.zoo_id
-        zoo_samples: tuple[list[SampleRecord], list[SampleRecord]] = ([], [])
-        for path in zoo.model_paths:
-            try:
-                passed = _model_pass(path, attack, size, attacked_dir)
-            except (ValueError, CapacityError, FormatError) as exc:
-                raise type(exc)(f"{path}: {exc}") from exc
-            (out_dir / "images" / zoo.zoo_id).mkdir(parents=True, exist_ok=True)
-            for label, (img, file_digest) in enumerate(passed):
-                rel = f"images/{zoo.zoo_id}/{path.stem}.{('benign', 'attacked')[label]}.pgm"
-                write_pgm(img, out_dir / rel)
-                zoo_samples[label].append(SampleRecord(rel, zoo.zoo_id, label))
-                file_digests[label].append(file_digest)
-        manifest.samples += zoo_samples[0] + zoo_samples[1]
+    for zoo_id, path, images, digests in _model_passes(models, attack, size, out_dir):
+        (out_dir / "images" / zoo_id).mkdir(parents=True, exist_ok=True)
+        for label, (img, file_digest) in enumerate(zip(images, digests)):
+            rel = f"images/{zoo_id}/{path.stem}.{('benign', 'attacked')[label]}.pgm"
+            write_pgm(img, out_dir / rel)
+            zoo_samples[zoo_id][label].append(SampleRecord(rel, zoo_id, label))
+            file_digests[label].append(file_digest)
+    for benign_samples, attacked_samples in zoo_samples.values():
+        manifest.samples += benign_samples + attacked_samples
 
     digest = hashlib.sha256()
     for file_digest in file_digests[0] + file_digests[1]:
@@ -246,14 +304,18 @@ def build_dataset(
     return manifest
 
 
+def _check_zoo_ids(train_zoos, zoo_ids) -> None:
+    unknown = sorted(set(train_zoos) - set(zoo_ids))
+    if unknown:
+        raise ValueError(f"unknown zoo ids in train split: {unknown}")
+
+
 def split_by_zoo(
     manifest: DatasetManifest, train_zoos: list[str]
 ) -> tuple[list[SampleRecord], list[SampleRecord]]:
     """Assign whole zoos to train or test; no zoo ever straddles the split."""
     zoo_ids = {s.zoo for s in manifest.samples}
-    unknown = sorted(set(train_zoos) - zoo_ids)
-    if unknown:
-        raise ValueError(f"unknown zoo ids in train split: {unknown}")
+    _check_zoo_ids(train_zoos, zoo_ids)
     train_set = set(train_zoos)
     if train_set == zoo_ids:
         logger.warning("all zoos assigned to train; test set is empty")
@@ -409,7 +471,7 @@ def synth_collection(
 
     for zoo_id in zoo_ids:
         (out_dir / zoo_id).mkdir(parents=True, exist_ok=True)
-    _fan_out(write, len(jobs))
+    net._fan_out(write, len(jobs))
     paths = [path for path, _, _ in jobs]
     return ModelCollection("synth-mc", [ModelZoo(zoo_id, paths[z * n_models : (z + 1) * n_models])
                                         for z, zoo_id in enumerate(zoo_ids)])

@@ -1045,6 +1045,15 @@ class TestBuildDatasetTrainScan:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_train_zoo_writes_no_tree(self, tmp_path, mc_dir, capsys):
+        """An unknown --train-zoos id exits 2 before the first model is opened."""
+        out = tmp_path / "ds"
+        capsys.readouterr()
+        assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0,zooX", "--out", out) == 2
+        assert "unknown zoo ids in train split: ['zooX']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_written_detectors_resave_byte_identically(self, tmp_path, mc_dir):
         """Every detector train and report --save-detectors write loads, with
         its stored centroids equal to the derived ones, and saves to its own bytes."""
@@ -1332,7 +1341,8 @@ class TestLayersRunOnTheMainThread:
     def test_train_report_scan(self, tmp_path, mc_dir, monkeypatch, capsys):
         """Every public function of the layer modules, wrapped and patched in
         wherever it is named as a per-layer tracer does, runs on the main
-        thread while train, report and scan fan their images out."""
+        thread while build-dataset fans its models out and train, report and
+        scan their images."""
         monkeypatch.setattr(net, "_usable_cpus", lambda: 4)
         threads = {}  # function -> the threads it ran on
         wrapped = {}
@@ -1353,8 +1363,11 @@ class TestLayersRunOnTheMainThread:
                             monkeypatch.setitem(obj, key, wrapped[id(value)][1])
 
         ds, det = tmp_path / "ds", tmp_path / "det.safetensors"
+        monkeypatch.setattr(net, "_helpers", None)
         assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
                    "--size", 28, "--train-zoos", "zoo0", "--out", ds) == 0
+        assert net._helpers is not None  # the models went through the pool
+        monkeypatch.setattr(net, "_helpers", None)
         assert run("train", "--dataset", ds, "--arch", "tiny", "--strategy", "ST",
                    "--out", det) == 0
         assert run("report", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",

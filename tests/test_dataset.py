@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import effective_fill_payload, unflatten
 from test_weights_io import scrambled_container
-from weightsteg import dataset, net
+from weightsteg import dataset, net, weights_io
 from weightsteg.cli import main
 
 from weightsteg.dataset import (
@@ -564,8 +564,6 @@ class TestOnePass:
         assert manifest.source_sha256 == collection_digest(small_collection)
 
     def test_never_parses_or_flattens(self, tmp_path, monkeypatch):
-        from weightsteg import weights_io
-
         collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=2, n_params=50, seed=9)
 
         def whole_model(*args, **kwargs):
@@ -642,8 +640,8 @@ def chunked_cases(draw):
 def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, fill, draws):
     """FileWords.save through LsbWords.rewrite writes, chunk by chunk, the bytes
     of attacking the whole flattened model and saving it; for a fill attack its words render, at
-    any size, the image the attacked model renders, and _model_pass writes and
-    renders the same."""
+    any size, the image the attacked model renders, and build_dataset writes,
+    hashes and renders the same."""
     dtype, layout, sizes, lsb, payload, seed = case
     rng = np.random.default_rng(seed)
     tensors = [WeightTensor(f"t{i}", dtype, (size,),
@@ -695,12 +693,15 @@ def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, f
         image = render(spec.words(flat), size)
         assert np.array_equal(image, render(lsb_attack_fill(flat, lsb, payload), size))
         assert np.array_equal(image, render(flat_attacked, size))
-        (root / "attacked").mkdir()
-        passed = dataset._model_pass(path, spec, size, root / "attacked")
-        assert (root / "attacked" / path.name).read_bytes() == want
-        assert passed[1][1] == hashlib.sha256(want).digest()
-        assert np.array_equal(passed[1][0], image)
-        assert np.array_equal(passed[0][0], render(WeightTensor("", dtype, (len(cover),), cover), size))
+        out = root / "ds"
+        manifest = build_dataset(one_model_collection(path), size, out, spec)
+        assert (out / "attacked" / "zoo0" / path.name).read_bytes() == want
+        file_digests = hashlib.sha256(data).digest() + hashlib.sha256(want).digest()
+        assert manifest.source_sha256 == hashlib.sha256(file_digests).hexdigest()
+        images = out / "images" / "zoo0"
+        assert np.array_equal(read_pgm(images / f"{path.stem}.attacked.pgm"), image)
+        assert np.array_equal(read_pgm(images / f"{path.stem}.benign.pgm"),
+                              render(WeightTensor("", dtype, (len(cover),), cover), size))
 
 
 @pytest.mark.parametrize("offset", [0, 1, CHUNK_WORDS - 5])
@@ -719,16 +720,20 @@ def test_fill_rewrite_period_straddles_chunks(offset):
                           reference_fill(cover.bits, 32, 5, Payload.synthetic(3, 1).bits))
 
 
+def one_model_collection(path):
+    return ModelCollection("mc", [ModelZoo("zoo0", [path])])
+
+
 def test_model_pass_holds_one_copy_of_the_model(tmp_path):
-    """One 1M-param model's pass (parse, flatten, attack, write, hash, render)
+    """build_dataset on one 1M-param model (attack, write, hash, render)
     peaks under 1.5x the model file's size in traced allocations."""
     path = tmp_path / "m.safetensors"
     save_model(synth_model(1_000_000, np.random.default_rng(4)), path)
     spec = AttackSpec(8, True, Payload.synthetic(64, 7))
-    (tmp_path / "out").mkdir()
+    collection = one_model_collection(path)
     tracemalloc.start()
     try:
-        dataset._model_pass(path, spec, 100, tmp_path / "out")
+        build_dataset(collection, 100, tmp_path / "out", spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -738,22 +743,93 @@ def test_model_pass_holds_one_copy_of_the_model(tmp_path):
 
 @pytest.mark.parametrize("layout", ["container", "scrambled", "raw"])
 def test_model_pass_streams_the_model(tmp_path, layout):
-    """One 1M-param model's pass (hash, attack, write, and two renders at size
-    24) holds one chunk of words and the render's taps, never the model: under
-    0.1x the file in traced allocations, whatever the layout."""
+    """build_dataset on one 1M-param model (hash, attack, write, and two
+    renders at size 24) holds one chunk of words and the render's taps, never
+    the model: under 0.1x the file in traced allocations, whatever the layout."""
     model = synth_model(1_000_000, np.random.default_rng(4))
     path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
     path.write_bytes(layout_bytes(model.tensors, layout, {"origin": "test"}))
     spec = AttackSpec(8, True, Payload.synthetic(64, 7))
-    (tmp_path / "out").mkdir()
+    collection = one_model_collection(path)
     tracemalloc.start()
     try:
-        dataset._model_pass(path, spec, 24, tmp_path / "out")
+        build_dataset(collection, 24, tmp_path / "out", spec)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     size = path.stat().st_size
     assert peak < 0.1 * size, peak / size
+
+
+def test_build_dataset_streams_a_model_per_worker(tmp_path, monkeypatch):
+    """Four 1M-param models on four workers: each worker holds about one
+    chunk of words, never a model. The build peaks under 1.5 chunks per
+    worker in traced allocations: 1.19 MB, 4.5 chunks or 0.30x of one
+    model's file, on a 2-core Linux machine."""
+    workers = 4
+    monkeypatch.setattr(net, "_usable_cpus", lambda: workers)
+    collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=4,
+                                  n_params=1_000_000, seed=4)
+    spec = AttackSpec(8, True, Payload.synthetic(64, 7))
+    tracemalloc.start()
+    try:
+        build_dataset(collection, 24, tmp_path / "out", spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = CHUNK_WORDS * DType.F32.word_bytes
+    assert peak < workers * 1.5 * chunk_bytes, peak / chunk_bytes
+
+
+def test_bytes_do_not_depend_on_the_workers(tmp_path, monkeypatch):
+    """Six models (2 zoos x 3) on 1 to 4 workers: windows of 2 and 3 span the
+    zoos, the last window of 4 is partial, and every file written is the same."""
+    collection = synth_collection(tmp_path / "mc", n_zoos=2, n_models=3, n_params=500, seed=9)
+    spec = AttackSpec(8, True, Payload.synthetic(16, 2))
+    trees = []
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(net, "_usable_cpus", lambda workers=workers: workers)
+        build_dataset(collection, 12, tmp_path / f"ds{workers}", spec, train_zoos=["zoo0"])
+        trees.append(tree(tmp_path / f"ds{workers}"))
+    assert len(trees[0]) == 1 + 2 * 6 + 6  # manifest, images, attacked models
+    assert all(other == trees[0] for other in trees[1:])
+
+
+@pytest.mark.parametrize("stage", ["open", "write", "mixed"])
+def test_first_failing_model_is_named(tmp_path, monkeypatch, stage):
+    """Two malformed models in one window of three: the error names the
+    earlier, as a model-by-model build would, after the model before them is
+    written. They fail as they are opened (on this thread), as they are
+    hashed (on the workers), or the earlier as it is hashed and the later as
+    it is opened."""
+    monkeypatch.setattr(net, "_usable_cpus", lambda: 3)
+    collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=3, n_params=500, seed=9)
+    first, second = collection.zoos[0].model_paths[1:]
+    if stage in ("open", "mixed"):
+        second.write_bytes(b"\xff" * 16)
+    if stage == "open":
+        first.write_bytes(bytes(4))
+    else:
+        # truncated once rendered: model001 after render 4, model002 after render 6
+        victims = {4: [first]} if stage == "mixed" else {6: [first, second]}
+        renders, real_render = [], dataset.render
+
+        def truncating(source, size):
+            image = real_render(source, size)
+            renders.append(source)
+            for path in victims.get(len(renders), []):
+                os.truncate(path, path.stat().st_size - 40)
+            return image
+
+        monkeypatch.setattr(dataset, "render", truncating)
+    out = tmp_path / "ds"
+    with pytest.raises(FormatError) as failed:
+        build_dataset(collection, 12, out, AttackSpec(8, True, Payload.synthetic(16, 2)))
+    assert str(failed.value).startswith(f"{first}: ")
+    assert sorted(p.name for p in (out / "attacked" / "zoo0").iterdir()) == ["model000.safetensors"]
+    assert sorted(p.name for p in (out / "images" / "zoo0").iterdir()) == [
+        "model000.attacked.pgm", "model000.benign.pgm"]
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("change", ["rewritten", "truncated"])
@@ -763,25 +839,26 @@ def test_source_changed_between_passes_fails_closed(tmp_path, monkeypatch, capsy
     synth_collection(tmp_path / "mc", n_zoos=1, n_models=2, n_params=500, seed=9)
     victim = tmp_path / "mc" / "zoo0" / "model001.safetensors"
     os.utime(victim, ns=(0, 0))  # an old file, so that changing it now moves its mtime
-    renders, real_render = [], dataset.render
+    changed, real_sha256 = [], weights_io.FileWords.sha256
 
-    def changing(source, size):
-        renders.append(source)
-        if len(renders) == 4:  # model001's attacked image: after its hash, before its write
+    def changing(words):
+        digest = real_sha256(words)
+        if not changed and os.path.samestat(os.fstat(words._fd), victim.stat()):
+            changed.append(victim)  # hashed, its attacked copy not yet written
             if change == "truncated":
                 os.truncate(victim, victim.stat().st_size - 40)
             else:
                 with open(victim, "r+b") as fh:
                     fh.seek(-40, os.SEEK_END)
                     fh.write(bytes(40))
-        return real_render(source, size)
+        return digest
 
-    monkeypatch.setattr(dataset, "render", changing)
+    monkeypatch.setattr(weights_io.FileWords, "sha256", changing)
     out = tmp_path / "ds"
     capsys.readouterr()
     assert main(["build-dataset", "--mc", str(tmp_path / "mc"), "--lsb", "8",
                  "--synthetic-payload", "16,2", "--size", "12", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error[data]: {victim}: ")
-    assert len(renders) == 4
+    assert changed == [victim]
     assert not (out / "manifest.json").exists()
