@@ -179,7 +179,7 @@ def cmd_train(args) -> int:
         raise ValueError("dataset has no train-split samples")
     detector, result = train_detector(
         train_samples, args.arch, train_config, sha256_hex(data),
-        trained_lsb=manifest.lsb or 0,
+        trained_lsb=manifest.lsb,
     )
     out = _out_path(args.out, "detector.safetensors")
     out.write_bytes(save_detector(detector))

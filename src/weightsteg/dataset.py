@@ -83,8 +83,8 @@ class DatasetManifest:
     """Provenance record for one image dataset."""
 
     mc_id: str
-    lsb: int | None
-    payload_sha256: str | None
+    lsb: int
+    payload_sha256: str
     shape: tuple[int, int]
     samples: list[SampleRecord] = field(default_factory=list)
     source_sha256: str | None = None
@@ -131,8 +131,8 @@ def _is_int(value) -> bool:
 # manifest.json's top-level fields: the check each value must pass, and what it asks for
 _MANIFEST_FIELDS = {
     "mc_id": (lambda v: isinstance(v, str), "a string"),
-    "X": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "payload_sha256": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "X": (lambda v: _is_int(v) and 1 <= v <= 32, "an integer in [1, 32]"),
+    "payload_sha256": (lambda v: isinstance(v, str), "a string"),
     "source_sha256": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "representation": (lambda v: v == REPRESENTATION, repr(REPRESENTATION)),
     "shape": (
@@ -179,32 +179,27 @@ def _named(path: Path, fn, *args):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _render_model(stack: ExitStack, path: Path, attack: AttackSpec | None, size: int):
+def _render_model(stack: ExitStack, path: Path, attack: AttackSpec, size: int):
     """The model at path opened on stack (open_words), its images, benign
-    first, and the words of its attack (None without one), which
-    AttackSpec.words checks against the model's dtype. Both images render
-    from the words they tap."""
+    first, and the words of its attack, which AttackSpec.words checks against
+    the model's dtype. Both images render from the words they tap."""
     source = stack.enter_context(open_words(path))
-    images = [render(source, size)]
-    words = None
-    if attack is not None:
-        words = attack.words(source)
-        images.append(render(words, size))
-    return source, images, words
+    benign = render(source, size)
+    words = attack.words(source)
+    return source, [benign, render(words, size)], words
 
 
 def _write_model(source, words, attacked_path: Path, provenance) -> list[bytes]:
     """The file digests of one model, benign first: its file hashed in one
-    streamed pass (FileWords.sha256) and, given its attack's words, the
-    attacked copy written to attacked_path in a second (FileWords.save)."""
-    digests = [source.sha256()]
-    if words is not None:
-        attacked_path.parent.mkdir(parents=True, exist_ok=True)
-        digests.append(source.save(attacked_path, words.rewrite, provenance))
-    return [bytes.fromhex(digest) for digest in digests]
+    streamed pass (FileWords.sha256), and the attacked copy written to
+    attacked_path in a second (FileWords.save)."""
+    benign = source.sha256()
+    attacked_path.parent.mkdir(parents=True, exist_ok=True)
+    attacked = source.save(attacked_path, words.rewrite, provenance)
+    return [bytes.fromhex(benign), bytes.fromhex(attacked)]
 
 
-def _model_passes(models, attack: AttackSpec | None, size: int, out_dir: Path):
+def _model_passes(models, attack: AttackSpec, size: int, out_dir: Path):
     """Yield (zoo id, path, images, file digests) for each (zoo id, path) of
     models, in order, as a model-by-model loop of _render_model then
     _write_model would give them.
@@ -215,7 +210,7 @@ def _model_passes(models, attack: AttackSpec | None, size: int, out_dir: Path):
     its error, path prefixed, once the models before it are written and
     yielded, so the error raised is the first such loop would raise.
     """
-    provenance = None if attack is None else attack.provenance()
+    provenance = attack.provenance()
     window = net._usable_cpus()
     for lo in range(0, len(models), window):
         with ExitStack() as stack:
@@ -250,11 +245,11 @@ def build_dataset(
     benign: ModelCollection,
     size: int,
     out_dir: str | Path,
-    attack: AttackSpec | None = None,
+    attack: AttackSpec,
     train_zoos: list[str] | None = None,
 ) -> DatasetManifest:
-    """Render benign models (label 0) and, given a fill attack, their attacked
-    copies (label 1) to a labeled image set.
+    """Render benign models (label 0) and their copies under a fill attack
+    (label 1) to a labeled image set.
 
     Per benign model: open the file once, render its image and the image of
     its attack from the words they tap, hash the file in one streamed pass,
@@ -269,15 +264,15 @@ def build_dataset(
     manifest records no fill flag. No directory is made before the first
     model's attack has passed its check against the model's dtype.
     """
-    if attack is not None and not attack.fill:
+    if not attack.fill:
         raise ValueError("build_dataset attacks with fill only; the manifest records no fill flag")
     if train_zoos is not None:
         _check_zoo_ids(train_zoos, benign.zoo_ids())
     out_dir = Path(out_dir)
     manifest = DatasetManifest(
         mc_id=benign.mc_id,
-        lsb=None if attack is None else attack.lsb,
-        payload_sha256=None if attack is None else attack.payload.sha256(),
+        lsb=attack.lsb,
+        payload_sha256=attack.payload.sha256(),
         shape=(size, size),
     )
     models = [(zoo.zoo_id, path) for zoo in benign.zoos for path in zoo.model_paths]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import LabeledSample, ModelCollection
+from .dataset import LabeledSample, ModelCollection, _check_zoo_ids
 from .detect import (
     _MODES,
     ReportRow,
@@ -96,12 +96,7 @@ def load_flat_models(collection: ModelCollection) -> list[FlatModel]:
     for zoo in collection.zoos:
         for path in zoo.model_paths:
             data = path.read_bytes()
-            flat = flatten(parse_model(data, path))
-            # an aligned copy, which every render of every run gathers from: the
-            # parsed words view the file's bytes at the header's offset, and
-            # numpy gathers from an unaligned view about 5x slower
-            flat = flat.with_bits(flat.bits.copy())
-            out.append(FlatModel(zoo.zoo_id, flat, sha256_hex(data)))
+            out.append(FlatModel(zoo.zoo_id, flatten(parse_model(data, path)), sha256_hex(data)))
     return out
 
 
@@ -130,11 +125,9 @@ def select_train_pairs(flats, train_zoos, per_class: int) -> list[FlatModel]:
 def _held_out_zoos(collection: ModelCollection, train_zoos) -> list[str]:
     """The sorted zoos of collection that a run trained on train_zoos tests
     on; an unknown training zoo, or no zoo left to test, is refused."""
-    zoo_ids = set(collection.zoo_ids())
-    unknown = sorted(set(train_zoos) - zoo_ids)
-    if unknown:
-        raise ValueError(f"unknown training zoos: {unknown}")
-    held_out = sorted(zoo_ids - set(train_zoos))
+    zoo_ids = collection.zoo_ids()
+    _check_zoo_ids(train_zoos, zoo_ids)
+    held_out = sorted(set(zoo_ids) - set(train_zoos))
     if not held_out:
         raise ValueError("no zoos left for evaluation; shrink --train-zoos")
     return held_out

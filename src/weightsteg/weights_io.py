@@ -112,8 +112,13 @@ class WeightTensor:
         return self.bits.view(self.dtype.float_dtype)
 
     def take(self, flat_indices) -> np.ndarray:
-        """The words at flat_indices, as FileWords.take reads them from a file."""
-        return self.bits[flat_indices]
+        """The words at flat_indices, as FileWords.take reads them from a file.
+
+        The gather moves whole words as raw bytes (a void view), so it runs
+        as fast on the unaligned views a parse gives as on aligned words:
+        numpy copies an unaligned array whole before a plain take, and
+        fancy indexing reads it several times slower."""
+        return self.bits.view(f"V{self.bits.itemsize}").take(flat_indices).view(self.bits.dtype)
 
     def with_bits(self, bits) -> "WeightTensor":
         return WeightTensor(self.name, self.dtype, self.shape, bits)

@@ -838,7 +838,8 @@ def _set_sample_field(key, value):
 
 
 class TestTrainMistypedManifest:
-    """A manifest field of the wrong type is a data error (exit 3) before training."""
+    """A manifest field of the wrong type, or out of range, is a data error
+    (exit 3) before training."""
 
     @pytest.mark.parametrize(
         "edit",
@@ -846,7 +847,11 @@ class TestTrainMistypedManifest:
             _set_field("mc_id", 7),
             _set_field("X", 8.5),
             _set_field("X", True),
+            _set_field("X", None),
+            _set_field("X", 0),
+            _set_field("X", 33),
             _set_field("payload_sha256", 5),
+            _set_field("payload_sha256", None),
             _set_field("source_sha256", ["ab"]),
             _set_field("representation", 5),
             _set_field("representation", "foo"),
@@ -861,7 +866,8 @@ class TestTrainMistypedManifest:
             _set_sample_field("label", True),
             _set_sample_field("label", 1.0),
         ],
-        ids=["mc_id-int", "X-float", "X-bool", "payload_sha256-int", "source_sha256-list",
+        ids=["mc_id-int", "X-float", "X-bool", "X-null", "X-zero", "X-above-32",
+             "payload_sha256-int", "payload_sha256-null", "source_sha256-list",
              "representation-int", "representation-unknown", "shape-one", "shape-zero",
              "shape-float", "path-int", "path-null", "zoo-int", "split-int", "label-2",
              "label-bool", "label-float"],
@@ -989,10 +995,11 @@ class TestTrainingFlagsCheckedFirst:
             (("--lsb", "5-3"), "reversed range '5-3'"),
             (("--lsb", "0"), "lsb must be at least 1, got 0"),
             (("--lsb", "8,0"), "lsb must be at least 1, got 0"),
+            (("--lsb", "none"), "--lsb needs at least one trained severity"),
         ],
         ids=["mode-unknown", "k-zero", "k-above-train-embeddings", "train-per-class-one",
              "severities-from-two", "severities-gap", "severities-reversed", "lsb-reversed",
-             "lsb-zero", "lsb-zero-after-eight"],
+             "lsb-zero", "lsb-zero-after-eight", "lsb-none"],
     )
     def test_report_scoring_flags_before_the_collection(
         self, tmp_path, capsys, monkeypatch, flags, message
@@ -1244,7 +1251,7 @@ class TestReportCommand:
                          for x in (2, 8) for seed in (1, 2)}
 
     @pytest.mark.parametrize("zoos,message", [
-        ("zooX", "unknown training zoos: ['zooX']"),
+        ("zooX", "unknown zoo ids in train split: ['zooX']"),
         ("zoo0,zoo1", "no zoos left for evaluation; shrink --train-zoos"),
     ], ids=["unknown", "no-test-zoo"])
     def test_zoos_refused_before_any_model_is_read(
@@ -1427,3 +1434,120 @@ class TestPipeline:
         with pytest.raises(ValueError, match="zoos"):
             run_detection_run(collection, Payload.synthetic(16, 2), cfg, 0,
                               load_flat_models(collection))
+
+
+def hand_made_dataset(root, shape, splits, images=None):
+    """A dataset of one benign and one attacked sample of zoo0 whose images
+    are shape (h, w) and whose manifest records that shape; images, when
+    given, are the bytes of every PGM file."""
+    (root / "images").mkdir(parents=True)
+    samples = []
+    for label, split in enumerate(splits):
+        rel = f"images/m{label}.pgm"
+        if images is None:
+            write_pgm(np.full(shape, 40 * (label + 1), dtype=np.uint8), root / rel)
+        else:
+            (root / rel).write_bytes(images)
+        samples.append({"path": rel, "zoo": "zoo0", "label": label, "split": split})
+    doc = {"mc_id": "hand", "X": 8, "payload_sha256": "00" * 32, "representation": "grayscale-fourpart",
+           "shape": list(shape), "source_sha256": None, "samples": samples}
+    (root / "manifest.json").write_text(json.dumps(doc))
+    return root
+
+
+class TestMalformedInputsFailClosed:
+    """Each malformed flag or file is refused with its exit code and an
+    error[...] line naming the fault, never a traceback, and nothing is written."""
+
+    @staticmethod
+    def refused(capsys, code, kind, message, *argv):
+        capsys.readouterr()
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[{kind}]: ") and message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--synthetic-payload", "64"), "--synthetic-payload expects BYTES,SEED, got '64'"),
+        (("--synthetic-payload", "0,1"), "synthetic payload needs at least one byte"),
+        (("--synthetic-payload", "64,7", "--train-zoos", ","), "--train-zoos needs at least one zoo id"),
+    ], ids=["payload-one-field", "payload-zero-bytes", "train-zoos-empty"])
+    def test_build_dataset_flags_exit_2(self, tmp_path, mc_dir, capsys, argv, message):
+        out = tmp_path / "ds"
+        self.refused(capsys, 2, "usage", message,
+                     "build-dataset", "--mc", mc_dir, "--lsb", 8, *argv, "--out", out)
+        assert not out.exists()
+
+    def test_report_zero_runs_exit_2(self, tmp_path, mc_dir, capsys):
+        csv_path = tmp_path / "r.csv"
+        self.refused(capsys, 2, "usage", "need at least one run",
+                     "report", "--mc", mc_dir, "--lsb", 8, "--runs", 0, "--synthetic-payload", "16,2",
+                     "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--out-csv", csv_path)
+        assert not csv_path.exists()
+
+    def test_extract_negative_bits_exit_2(self, tmp_path, mc_dir, capsys):
+        out = tmp_path / "p.bin"
+        self.refused(capsys, 2, "usage", "cannot extract a negative number of bits",
+                     "extract", "--in", mc_dir / "zoo0" / "model000.safetensors", "--lsb", 8,
+                     "--bits", -1, "--out", out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape,splits,message", [
+        ((12, 8), ("train", "train"), "training requires square images"),
+        ((8, 8), ("test", "test"), "dataset has no train-split samples"),
+    ], ids=["non-square", "no-train-split"])
+    def test_train_dataset_exit_2(self, tmp_path, capsys, shape, splits, message):
+        ds = hand_made_dataset(tmp_path / "ds", shape, splits)
+        det = tmp_path / "d.safetensors"
+        self.refused(capsys, 2, "usage", message,
+                     "train", "--dataset", ds, "--arch", "tiny", "--out", det)
+        assert not det.exists()
+
+    def test_train_pgm_of_width_0_exit_3(self, tmp_path, capsys):
+        ds = hand_made_dataset(tmp_path / "ds", (8, 8), ("train", "train"), b"P5\n0 8\n255\n")
+        det = tmp_path / "d.safetensors"
+        self.refused(capsys, 3, "data", "bad PGM dimensions 0x8",
+                     "train", "--dataset", ds, "--arch", "tiny", "--out", det)
+        assert not det.exists()
+
+    def test_build_dataset_mc_names_a_file_exit_3(self, tmp_path, mc_dir, capsys):
+        out = tmp_path / "ds"
+        self.refused(capsys, 3, "data", "is not a directory",
+                     "build-dataset", "--mc", mc_dir / "zoo0" / "model000.safetensors", "--lsb", 8,
+                     "--synthetic-payload", "16,2", "--out", out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("header,message", [
+        ([{"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}],
+         "container header is not a JSON object"),
+        ({"w": [1]}, "tensor 'w': metadata is not an object"),
+        ({"w": {"dtype": "F32", "shape": [-1, 1], "data_offsets": [0, 4]}},
+         "tensor 'w': negative dimension"),
+    ], ids=["header-array", "entry-not-object", "negative-dimension"])
+    def test_container_header_exit_3(self, tmp_path, capsys, header, message):
+        raw = json.dumps(header).encode()
+        model = tmp_path / "m.safetensors"
+        model.write_bytes(struct.pack("<Q", len(raw)) + raw + b"\x00" * 4)
+        out = tmp_path / "m.pgm"
+        self.refused(capsys, 3, "data", message, "imagify", "--in", model, "--out", out)
+        assert not out.exists()
+
+
+class TestOutDir:
+    """Without --out, a command writes its default file name under
+    $WEIGHTSTEG_OUT_DIR, and prints that path."""
+
+    def test_env_names_the_directory(self, tmp_path, mc_dir, capsys, monkeypatch):
+        out_dir = tmp_path / "outputs"
+        out_dir.mkdir()
+        monkeypatch.setenv("WEIGHTSTEG_OUT_DIR", str(out_dir))
+        model = mc_dir / "zoo0" / "model000.safetensors"
+        capsys.readouterr()
+        assert run("imagify", "--in", model, "--size", 12) == 0
+        assert run("build-dataset", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--size", 12) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            str(out_dir / "model000.pgm"), str(out_dir / "dataset" / "manifest.json")]
+        with open_words(model) as words:
+            assert np.array_equal(read_pgm(out_dir / "model000.pgm"), render(words, 12))
+        assert sorted(p.name for p in out_dir.iterdir()) == ["dataset", "model000.pgm"]

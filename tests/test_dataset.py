@@ -292,12 +292,6 @@ class TestBuildDataset:
         assert all(s.image.shape == (16, 16) for s in samples)
         assert all(0.0 <= s.image.min() and s.image.max() <= 1.0 for s in samples)
 
-    def test_benign_only_dataset(self, tmp_path, small_collection):
-        manifest = build_dataset(small_collection, 16, tmp_path / "ds")
-        assert len(manifest.samples) == 6
-        assert all(s.label == 0 for s in manifest.samples)
-        assert manifest.lsb is None and manifest.payload_sha256 is None
-
     def test_plain_attack_refused(self, tmp_path, small_collection):
         """A manifest records no fill flag, so a plain attack is refused before
         anything is written."""
@@ -307,7 +301,8 @@ class TestBuildDataset:
         assert not (tmp_path / "ds").exists()
 
     def test_manifest_json_schema(self, tmp_path, small_collection):
-        manifest = build_dataset(small_collection, 16, tmp_path / "ds")
+        manifest = build_dataset(small_collection, 16, tmp_path / "ds",
+                                 AttackSpec(8, True, Payload.synthetic(8, seed=1)))
         doc = json.loads((tmp_path / "ds/manifest.json").read_text())
         assert set(doc) == {
             "mc_id",
@@ -460,7 +455,8 @@ class TestModelImage:
         assert img.shape == (100, 100)
 
     def test_shape_mismatch_on_load(self, tmp_path, small_collection):
-        build_dataset(small_collection, 16, tmp_path / "ds")
+        build_dataset(small_collection, 16, tmp_path / "ds",
+                      AttackSpec(8, True, Payload.synthetic(8, seed=1)))
         doc = json.loads((tmp_path / "ds/manifest.json").read_text())
         doc["shape"] = [32, 32]
         (tmp_path / "ds/manifest.json").write_text(json.dumps(doc))
@@ -558,10 +554,6 @@ class TestOnePass:
         one, two = tree(tmp_path / "one"), tree(tmp_path / "two")
         assert len(one) == 1 + 2 * 6 + 6  # manifest, images, attacked models
         assert one == two
-
-    def test_benign_only_source_digest(self, tmp_path, small_collection):
-        manifest = build_dataset(small_collection, 12, tmp_path / "ds")
-        assert manifest.source_sha256 == collection_digest(small_collection)
 
     def test_never_parses_or_flattens(self, tmp_path, monkeypatch):
         collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=2, n_params=50, seed=9)

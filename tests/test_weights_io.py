@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -240,6 +241,24 @@ class TestZeroCopy:
                               WeightTensor("b", DType.F32, (5,), other)])
         assert np.array_equal(flatten(mixed).bits, whole)
         assert not np.shares_memory(flatten(mixed).bits, whole)
+
+    @pytest.mark.parametrize("shift", [1, 2, 3])
+    def test_take_from_an_unaligned_view(self, shift):
+        """take gathers from words that start off a word boundary, as a parsed
+        container's often do, what indexing gives, in the indices' shape,
+        without first copying the whole array to aligned memory."""
+        want = np.random.default_rng(shift).integers(0, 2**32, 1 << 20, dtype=np.uint32)
+        flat = read_raw(memoryview(bytes(shift) + want.tobytes())[shift:], DType.F32)
+        assert not flat.bits.flags.aligned
+        idx = np.array([[5, 0, 1 << 19], [7, 7, -1]])
+        tracemalloc.start()
+        try:
+            got = flat.take(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == want.dtype and np.array_equal(got, want[idx])
+        assert peak < want.nbytes // 16
 
     @pytest.mark.parametrize("fill", [True, False])
     def test_attacks_never_write_their_input(self, tmp_path, fill):
