@@ -244,6 +244,8 @@ def cmd_report(args) -> int:
     trained_lsbs = _parse_int_spec(args.lsb)
     if not trained_lsbs:
         raise ValueError("--lsb needs at least one trained severity")
+    if args.runs < 1:
+        raise ValueError("need at least one run")
     cfg = ExperimentConfig(  # checks the training flags before any file is read
         lsb=min(trained_lsbs),  # so that every trained severity is checked
         train_zoos=tuple(_parse_zoos(args.train_zoos)),

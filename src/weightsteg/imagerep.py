@@ -2,8 +2,9 @@
 
 One function, _planes, lays words out as the image's four byte planes:
 grayscale_fourpart lays out every word, and render only the words its
-resize taps. Images are plain numpy arrays: uint8 (h, w) before
-normalization, float64 in [0, 1] after.
+resize taps, which KeptWords holds for renders after a file is closed.
+Images are plain numpy arrays: uint8 (h, w) before normalization, float64
+in [0, 1] after.
 """
 
 from __future__ import annotations
@@ -114,16 +115,11 @@ def grayscale_fourpart(tensor: WeightTensor | FileWords) -> np.ndarray:
     return _planes(words.reshape(side, side))
 
 
-def render(source: WeightTensor | FileWords, size: int) -> np.ndarray:
-    """The model image resized to size x size, reading only the tapped words.
-
-    Equal to ``resize(grayscale_fourpart(source), size, size)`` but asks
-    source once, for at most 4 * size**2 words, whatever the number of
-    weights. source may be a WeightTensor, a FileWords
-    (weights_io.open_words), which reads those words from the file, or
-    anything else with dtype, n and take(flat_indices) (such as
-    steg.LsbWords, the attacked words of a plain or a fill attack).
-    """
+def _render_plan(source, size: int):
+    """The flat indices of the words render(source, size) reads, strictly
+    increasing; the shape of the word sub-grid they fill, row-major, the
+    rest of it padding past source.n; the rows and the columns of the
+    sub-grid's four-plane image that the resize taps; and its weights wy, wx."""
     n, side = _fourpart_side(source)
     rows, cols, wy, wx = _taps(2 * side, 2 * side, size, size)
     # the four planes show the same words: gather each distinct one once
@@ -132,13 +128,54 @@ def render(source: WeightTensor | FileWords, size: int) -> np.ndarray:
     # word rows by word columns, row-major: strictly increasing, since c < side,
     # so the padding past the last word is a suffix and the rest one sorted take
     flat = (r[:, None] * side + c).reshape(-1)
-    shown = int(np.searchsorted(flat, n))
-    words = np.zeros(len(flat), dtype=source.dtype.word_dtype)
-    words[:shown] = source.take(flat[:shown])
-    image = _planes(words.reshape(len(r), len(c)))
     # a tap in the bottom (right) half of the full image is one in the sub-grid's
-    pix = image.take(r_at + len(r) * (rows >= side), axis=0)
-    return _blend(pix.take(c_at + len(c) * (cols >= side), axis=1), wy, wx)
+    pix_rows, pix_cols = r_at + len(r) * (rows >= side), c_at + len(c) * (cols >= side)
+    return flat[: np.searchsorted(flat, n)], (len(r), len(c)), pix_rows, pix_cols, wy, wx
+
+
+def render(source: WeightTensor | FileWords, size: int) -> np.ndarray:
+    """The model image resized to size x size, reading only the tapped words.
+
+    Equal to ``resize(grayscale_fourpart(source), size, size)`` but asks
+    source once, for at most 4 * size**2 words, whatever the number of
+    weights. source may be a WeightTensor, a FileWords
+    (weights_io.open_words), which reads those words from the file, a
+    KeptWords, which holds them, or anything else with dtype, n and
+    take(flat_indices) (such as steg.LsbWords, the attacked words of a
+    plain or a fill attack).
+    """
+    tapped, grid, pix_rows, pix_cols, wy, wx = _render_plan(source, size)
+    words = np.zeros(math.prod(grid), dtype=source.dtype.word_dtype)
+    words[: len(tapped)] = source.take(tapped)
+    image = _planes(words.reshape(grid))
+    return _blend(image.take(pix_rows, axis=0).take(pix_cols, axis=1), wy, wx)
+
+
+class KeptWords:
+    """The words render(source, size) reads from source (anything with
+    dtype, n and take), kept once source is closed: a source with its dtype
+    and n, so renders of it and of its attacks (steg.LsbWords) equal the
+    source's. Its take answers exactly those indices, with no search, and
+    raises ValueError for any others, such as a render's at another size.
+    A source that render refuses (not float32, or empty) keeps no words, and
+    a render of them raises as one of the source would."""
+
+    def __init__(self, source, size: int):
+        self.dtype, self.n, self.size = source.dtype, source.n, size
+        try:
+            self._at = _render_plan(source, size)[0]
+        except (FormatError, ValueError):  # raised again by any render of these words
+            self._at = np.empty(0, dtype=np.intp)
+        self._words = source.take(self._at)
+
+    def take(self, flat_indices) -> np.ndarray:
+        """The kept words, when flat_indices are the indices render reads."""
+        if not np.array_equal(flat_indices, self._at):
+            raise ValueError(
+                f"only the words of a {self.size} x {self.size} render were kept; "
+                "load the models at the size they render at"
+            )
+        return self._words.copy()
 
 
 def normalize(img: np.ndarray) -> np.ndarray:

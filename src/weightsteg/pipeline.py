@@ -1,8 +1,9 @@
 """End-to-end detection experiments: attack, render, train, evaluate.
 
-This is the in-memory counterpart of the file-based dataset pipeline, used by
-the report command and the repeatable-run protocol (error bars vary only the
-seed, which drives initialization and triplet shuffling).
+The report command's repeatable-run protocol (error bars vary only the seed,
+which drives initialization and triplet shuffling). Each model file is opened
+once, through open_words as every command reads one, and only the words its
+renders tap are kept; the images are rendered and embedded in memory.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import LabeledSample, ModelCollection, _check_zoo_ids
+from .dataset import LabeledSample, ModelCollection, _check_zoo_ids, _named
 from .detect import (
     _MODES,
     ReportRow,
@@ -24,10 +25,10 @@ from .detect import (
     eval_oml,
     summarize_rows,
 )
-from .imagerep import REPRESENTATION, normalize, render
+from .imagerep import REPRESENTATION, KeptWords, normalize, render
 from .net import TrainConfig, TrainResult, preset, train
 from .steg import AttackSpec, Payload
-from .weights_io import WeightTensor, flatten, parse_model, sha256_hex
+from .weights_io import open_words, sha256_hex
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class ExperimentConfig:
 @dataclass
 class FlatModel:
     zoo: str
-    tensor: WeightTensor
+    words: KeptWords  # the words its renders tap
     sha256: str  # of the file's bytes, for provenance_digest
 
 
@@ -90,21 +91,28 @@ class RunResult:
     epochs_run: int = 0
 
 
-def load_flat_models(collection: ModelCollection) -> list[FlatModel]:
-    """Every model of the collection, flattened; each file is read and hashed once."""
-    out = []
-    for zoo in collection.zoos:
-        for path in zoo.model_paths:
-            data = path.read_bytes()
-            out.append(FlatModel(zoo.zoo_id, flatten(parse_model(data, path)), sha256_hex(data)))
-    return out
+def _load_flat_model(zoo: str, path, size: int) -> FlatModel:
+    with open_words(path) as words:
+        kept = KeptWords(words, size)
+        # the hash pass ends by checking that the file did not change since it was opened
+        return FlatModel(zoo, kept, words.sha256())
+
+
+def load_flat_models(
+    collection: ModelCollection, size: int = ExperimentConfig.image_size
+) -> list[FlatModel]:
+    """Every model of the collection, each file opened once (open_words): the
+    words a size x size render taps are kept, then the file is hashed. A
+    model's error names its file."""
+    return [_named(path, _load_flat_model, zoo.zoo_id, path, size)
+            for zoo in collection.zoos for path in zoo.model_paths]
 
 
 def render_samples(flats, cfg: ExperimentConfig, attack: AttackSpec | None) -> list[LabeledSample]:
     """Benign samples when attack is None, else attacked samples."""
     samples = []
     for fm in flats:
-        source = fm.tensor if attack is None else attack.words(fm.tensor)
+        source = fm.words if attack is None else attack.words(fm.words)
         image = normalize(render(source, cfg.image_size))
         samples.append(LabeledSample(image, 0 if attack is None else 1, fm.zoo))
     return samples
@@ -224,18 +232,16 @@ def run_report_sweep(
     runs: int,
     base_seed: int,
 ) -> tuple[list[ReportRow], list[RunResult]]:
-    """One repeated-run block per trained severity, e.g. for OML/AL tables."""
-    trained_lsbs = list(trained_lsbs)
-    if not trained_lsbs:
-        raise ValueError("need at least one trained severity")
-    if runs < 1:
-        raise ValueError("need at least one run")
+    """One repeated-run block per trained severity, e.g. for OML/AL tables:
+    runs (at least 1) seeded runs from base_seed for each of trained_lsbs (a
+    non-empty sequence), which the report command checks before it opens
+    the collection."""
     _held_out_zoos(collection, cfg.train_zoos)  # refused before any model file is read
-    flats = load_flat_models(collection)
+    flats = load_flat_models(collection, cfg.image_size)
     # every severity is attacked under the mantissa rule; refuse before any run trains
     for lsb in sorted(set(trained_lsbs) | set(cfg.severities)):
         for fm in flats:
-            AttackSpec(lsb, True, payload).validate_for(fm.tensor.dtype)
+            AttackSpec(lsb, True, payload).validate_for(fm.words.dtype)
     rows: list[ReportRow] = []
     results: list[RunResult] = []
     for lsb in trained_lsbs:

@@ -87,11 +87,13 @@ def assert_flag_refused(capsys, flag, *argv):
 
 def forbid_whole_reads(monkeypatch, command):
     """Make load_model, parse_model and flatten fail, in weights_io and as
-    names in cli, which imports none of them."""
+    names in the package and its other modules, which import none of them."""
     def no_full_read(*args, **kwargs):
         raise AssertionError(f"{command} read a whole model")
 
-    for module in (weights_io, cli):
+    modules = [weightsteg] + [importlib.import_module(f"weightsteg.{info.name}")
+                              for info in pkgutil.iter_modules(weightsteg.__path__)]
+    for module in modules:
         for name in ("load_model", "parse_model", "flatten"):
             monkeypatch.setattr(module, name, no_full_read, raising=module is weights_io)
 
@@ -969,6 +971,7 @@ class TestTrainingFlagsCheckedFirst:
         read_bytes = type(mc_dir).read_bytes
         monkeypatch.setattr(type(mc_dir), "read_bytes",
                             lambda path: reads.append(path) or read_bytes(path))
+        monkeypatch.setattr(pipeline, "open_words", lambda path: pytest.fail(f"opened {path}"))
         csv_path = tmp_path / "r.csv"
         assert run("report", "--mc", mc_dir, "--lsb", 8, "--payload", tmp_path / "missing.bin",
                    "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, *flags,
@@ -996,24 +999,25 @@ class TestTrainingFlagsCheckedFirst:
             (("--lsb", "0"), "lsb must be at least 1, got 0"),
             (("--lsb", "8,0"), "lsb must be at least 1, got 0"),
             (("--lsb", "none"), "--lsb needs at least one trained severity"),
+            (("--runs", 0), "need at least one run"),
         ],
         ids=["mode-unknown", "k-zero", "k-above-train-embeddings", "train-per-class-one",
              "severities-from-two", "severities-gap", "severities-reversed", "lsb-reversed",
-             "lsb-zero", "lsb-zero-after-eight", "lsb-none"],
+             "lsb-zero", "lsb-zero-after-eight", "lsb-none", "runs-zero"],
     )
     def test_report_scoring_flags_before_the_collection(
         self, tmp_path, capsys, monkeypatch, flags, message
     ):
-        """A bad scoring, training-count or severity flag, a trained severity
-        below 1 among them, is a usage error found before the collection is
-        opened, so a missing --mc does not turn it into a data error, and no
-        model is read."""
+        """A bad scoring, training-count, severity or run-count flag, a
+        trained severity below 1 among them, is a usage error found before
+        the collection is opened, so a missing --mc does not turn it into a
+        data error, and no model is read."""
         def no_read(*args, **kwargs):
             raise AssertionError("report read the collection before it checked its flags")
 
         monkeypatch.setattr(cli, "load_collection", no_read)
         for module in (weights_io, pipeline):
-            monkeypatch.setattr(module, "parse_model", no_read)
+            monkeypatch.setattr(module, "open_words", no_read)
         csv_path = tmp_path / "r.csv"
         assert run("report", "--mc", tmp_path / "missing", "--lsb", 8, "--synthetic-payload", "16,2",
                    "--train-zoos", "zoo0", *flags, "--out-csv", csv_path) == 2
@@ -1268,7 +1272,7 @@ class TestReportCommand:
             return read_bytes(path)
 
         monkeypatch.setattr(type(mc_dir), "read_bytes", guarded)
-        for module in (cli, dataset, weights_io):
+        for module in (cli, dataset, pipeline, weights_io):
             monkeypatch.setattr(module, "open_words", lambda path: pytest.fail(f"opened {path}"))
         csv_path = tmp_path / "r.csv"
         capsys.readouterr()
@@ -1297,24 +1301,26 @@ class TestReportCommand:
         assert [l.split(",")[1] for l in oml] == ["2", "3", "4"]
 
     def test_sweep_reads_each_model_once(self, tmp_path, monkeypatch):
+        """Each model file is opened once, through open_words, and never read whole."""
         mc = tmp_path / "mc"
         synth_collection(mc, n_zoos=2, n_models=2, n_params=200, seed=4)
         models = sorted(mc.rglob("*.safetensors"))
-        reads = []
-        read_bytes = type(mc).read_bytes
+        opens = []
+        open_words = pipeline.open_words
 
         def counting(path):
-            reads.append(path)
-            return read_bytes(path)
+            opens.append(path)
+            return open_words(path)
 
-        monkeypatch.setattr(type(mc), "read_bytes", counting)
+        monkeypatch.setattr(pipeline, "open_words", counting)
+        forbid_whole_reads(monkeypatch, "report")
         csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
         assert run("report", "--mc", mc, "--lsb", "2-4", "--synthetic-payload", "16,2",
                    "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28,
                    "--train-per-class", 2, "--runs", 2, "--seed", 0, "--severities", "1-3",
                    "--out-csv", csv_path, "--out-json", json_path) == 0
         monkeypatch.undo()
-        assert sorted(p for p in reads if p.suffix == ".safetensors") == models
+        assert sorted(opens) == models
         # the bytes written when every trained severity re-read and re-hashed each file
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
             "c6d5e93b95513229ec206ac8db314672976b2e2d64b568d827f0679009c21435")
@@ -1483,6 +1489,44 @@ class TestMalformedInputsFailClosed:
         self.refused(capsys, 2, "usage", "need at least one run",
                      "report", "--mc", mc_dir, "--lsb", 8, "--runs", 0, "--synthetic-payload", "16,2",
                      "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--out-csv", csv_path)
+        assert not csv_path.exists()
+
+    def test_report_names_a_truncated_model_exit_3(self, tmp_path, mc_dir, capsys):
+        model = mc_dir / "zoo1" / "model001.safetensors"
+        model.write_bytes(model.read_bytes()[:16])
+        csv_path = tmp_path / "r.csv"
+        self.refused(capsys, 3, "data", f"{model}: header extends beyond end of file",
+                     "report", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                     "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--out-csv", csv_path)
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize("lsb,code,kind,message", [
+        (8, 3, "data", "grayscale-fourpart requires float32 weights, got F16"),
+        (12, 2, "usage", "lsb=12 exceeds the 10-bit mantissa of F16"),
+    ], ids=["within-mantissa", "beyond-mantissa"])
+    def test_report_f16_collection_before_training(
+        self, tmp_path, capsys, monkeypatch, lsb, code, kind, message
+    ):
+        """float16 models are refused before any run trains: a severity beyond
+        their mantissa by the mantissa rule, exit 2, and one within it by the
+        first render, as the four-part image is of float32 words, exit 3."""
+        mc = tmp_path / "mc"
+        for zoo in ("zoo0", "zoo1"):
+            (mc / zoo).mkdir(parents=True)
+            for i in range(2):
+                words = np.random.default_rng(i).integers(0, 2**16, size=300, dtype=np.uint16)
+                tensor = WeightTensor("w", DType.F16, (300,), words)
+                (mc / zoo / f"model{i}.safetensors").write_bytes(write_container(ModelWeights([tensor])))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a run trained on float16 models")
+
+        monkeypatch.setattr(pipeline, "train", no_training)
+        csv_path = tmp_path / "r.csv"
+        self.refused(capsys, code, kind, message,
+                     "report", "--mc", mc, "--lsb", lsb, "--synthetic-payload", "16,2",
+                     "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28,
+                     "--train-per-class", 2, "--out-csv", csv_path)
         assert not csv_path.exists()
 
     def test_extract_negative_bits_exit_2(self, tmp_path, mc_dir, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import (
+    KeptWords,
     grayscale_fourpart,
     normalize,
     read_pgm,
@@ -14,7 +15,7 @@ from weightsteg.imagerep import (
     resize,
     write_pgm,
 )
-from weightsteg.steg import Payload, lsb_attack_fill
+from weightsteg.steg import LsbWords, Payload, lsb_attack_fill
 from weightsteg.weights_io import CHUNK_WORDS, DType, WeightTensor
 
 
@@ -220,6 +221,27 @@ class TestRender:
             render(f32_tensor([]), 4)
         with pytest.raises(ValueError):
             render(f32_tensor([1]), 0)
+
+    def test_kept_words_render_at_their_size_only(self):
+        """KeptWords holds the words a size x size render reads: a render at
+        that size, of the words or of a fill attack's, equals the source's; a
+        take of other indices, as a render at another size asks, is refused;
+        and a model that render refuses keeps no words, so every render of
+        them raises what a render of the model raises."""
+        tensor = f32_tensor(np.random.default_rng(3).integers(0, 2**32, size=40_001, dtype=np.uint64))
+        kept = KeptWords(tensor, 100)
+        assert np.array_equal(render(kept, 100), render(tensor, 100))
+        payload = Payload.synthetic(16, 2)
+        assert np.array_equal(render(LsbWords(kept, 8, payload, fill=True), 100),
+                              render(LsbWords(tensor, 8, payload, fill=True), 100))
+        for refused in (lambda: render(kept, 28), lambda: kept.take(np.arange(10))):
+            with pytest.raises(ValueError, match="only the words of a 100 x 100 render were kept"):
+                refused()
+        f16 = WeightTensor("", DType.F16, (1,), np.array([1], dtype=np.uint16))
+        with pytest.raises(FormatError, match="requires float32"):
+            render(KeptWords(f16, 4), 4)
+        with pytest.raises(ValueError, match="empty tensor"):
+            render(KeptWords(f32_tensor([]), 4), 4)
 
 
 class TestResize:

@@ -1,6 +1,7 @@
 """A detection run embeds each evaluation image once and scores it like the sample API."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from weightsteg import detect, pipeline, steg
 from weightsteg.dataset import synth_collection
 from weightsteg.detect import ReportRow, embed_samples, eval_al, eval_oml
-from weightsteg.imagerep import normalize, render
+from weightsteg.imagerep import KeptWords, normalize, render
 from weightsteg.net import TrainConfig
 from weightsteg.pipeline import (
     ExperimentConfig,
@@ -18,7 +19,7 @@ from weightsteg.pipeline import (
     run_detection_run,
 )
 from weightsteg.steg import AttackSpec, Payload
-from weightsteg.weights_io import WeightTensor
+from weightsteg.weights_io import open_words
 
 PAYLOAD = Payload.synthetic(16, 2)
 PER_CLASS = 2
@@ -101,15 +102,17 @@ def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, m
 def test_render_samples_labels_by_attack(collection):
     """No attack renders benign samples (label 0); an attack, attacked ones
     (label 1), each the image of its model's attacked words."""
-    flats = load_flat_models(collection)
+    flats = load_flat_models(collection, 28)
     cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), image_size=28)
     attack = AttackSpec(8, True, PAYLOAD)
     benign, attacked = render_samples(flats, cfg, None), render_samples(flats, cfg, attack)
     assert [s.label for s in benign] == [0] * len(flats)
     assert [s.label for s in attacked] == [1] * len(flats)
     assert [s.zoo for s in attacked] == [fm.zoo for fm in flats]
-    for fm, sample in zip(flats, attacked):
-        want = normalize(render(attack.words(fm.tensor), 28))
+    paths = [path for zoo in collection.zoos for path in zoo.model_paths]
+    for path, sample in zip(paths, attacked, strict=True):
+        with open_words(path) as words:
+            want = normalize(render(attack.words(words), 28))
         assert np.array_equal(sample.image, want)
 
 
@@ -128,9 +131,11 @@ def test_1nn_rows_ignore_knn_k(collection):
 
 def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
     """A detection run attacks no whole model: each image it renders, benign or
-    at any severity, reads at most the 4*size**2 cover words the resize taps."""
+    at any severity, reads at most the 4*size**2 cover words the resize taps
+    from the words its model kept."""
     collection = synth_collection(tmp_path / "mc", n_zoos=2, n_models=2, n_params=250_000, seed=5)
-    flats = load_flat_models(collection)
+    size = 28
+    flats = load_flat_models(collection, size)
 
     def whole_model_attack(*args, **kwargs):
         raise AssertionError("a detection run attacked every word of a model")
@@ -138,7 +143,7 @@ def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
     monkeypatch.setattr(steg, "lsb_attack_fill", whole_model_attack)
     monkeypatch.setattr(steg.LsbWords, "rewrite", whole_model_attack)
     reads = []  # cover words read, per rendered image
-    take, render = WeightTensor.take, pipeline.render
+    take, render = KeptWords.take, pipeline.render
 
     def counting_take(self, flat_indices):
         reads[-1] += np.size(flat_indices)
@@ -148,9 +153,8 @@ def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
         reads.append(0)
         return render(source, size)
 
-    monkeypatch.setattr(WeightTensor, "take", counting_take)
+    monkeypatch.setattr(KeptWords, "take", counting_take)
     monkeypatch.setattr(pipeline, "render", counting_render)
-    size = 28
     cfg = ExperimentConfig(
         lsb=8, train_zoos=("zoo0",), image_size=size, arch="tiny", strategy="ES",
         train_per_class=PER_CLASS, severities=(1, 2, 3), modes=("centroid",),
@@ -172,3 +176,17 @@ def test_train_config_carries_the_training_settings():
     for bad in ({"strategy": "XX"}, {"learning_rate": 0.0}, {"ub_low": 2.0, "ub_high": 1.0}):
         with pytest.raises(ValueError):
             ExperimentConfig(lsb=8, train_zoos=("zoo0",), **bad)
+
+
+def test_load_keeps_only_the_tapped_words(tmp_path):
+    """Loading opens each model file once and keeps only the words a render
+    taps: on 1M-param models, traced allocations peak well under one file."""
+    collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=2, n_params=1_000_000, seed=5)
+    tracemalloc.start()
+    try:
+        flats = load_flat_models(collection)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = collection.zoos[0].model_paths[0].stat().st_size
+    assert len(flats) == 2 and peak < 0.5 * size, peak / size
