@@ -259,13 +259,15 @@ def build_dataset(
     on as many threads (_model_passes); the outputs do not depend on how
     many. Images are written as PGM files beside a manifest.json under
     out_dir; the manifest's source_sha256 folds the file digests of every
-    benign model, then of every attacked model. A plain attack and an
-    unknown train_zoos id are refused before anything is written: the
-    manifest records no fill flag. No directory is made before the first
+    benign model, then of every attacked model. A plain attack (the manifest
+    records no fill flag), an unknown train_zoos id and a size below 1 are
+    refused before any model is read. No directory is made before the first
     model's attack has passed its check against the model's dtype.
     """
     if not attack.fill:
         raise ValueError("build_dataset attacks with fill only; the manifest records no fill flag")
+    if size < 1:
+        raise ValueError(f"image size must be at least 1, got {size}")
     if train_zoos is not None:
         _check_zoo_ids(train_zoos, benign.zoo_ids())
     out_dir = Path(out_dir)

@@ -9,6 +9,7 @@ in [0, 1] after.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from pathlib import Path
@@ -115,12 +116,13 @@ def grayscale_fourpart(tensor: WeightTensor | FileWords) -> np.ndarray:
     return _planes(words.reshape(side, side))
 
 
-def _render_plan(source, size: int):
-    """The flat indices of the words render(source, size) reads, strictly
-    increasing; the shape of the word sub-grid they fill, row-major, the
-    rest of it padding past source.n; the rows and the columns of the
-    sub-grid's four-plane image that the resize taps; and its weights wy, wx."""
-    n, side = _fourpart_side(source)
+@functools.lru_cache(maxsize=1)  # one plan serves every model of a size, and its renders
+def _render_plan(n: int, size: int):
+    """Of render(source, size), source float32 of n > 0 words: the indices of
+    the words it reads, strictly increasing; the shape of the word sub-grid
+    they fill, row-major, the rest padding past n; the rows and columns of its
+    four-plane image the resize taps; its weights wy, wx; all shared, read-only."""
+    side = math.isqrt(n - 1) + 1  # as _fourpart_side
     rows, cols, wy, wx = _taps(2 * side, 2 * side, size, size)
     # the four planes show the same words: gather each distinct one once
     r, r_at = np.unique(rows % side, return_inverse=True)
@@ -130,21 +132,24 @@ def _render_plan(source, size: int):
     flat = (r[:, None] * side + c).reshape(-1)
     # a tap in the bottom (right) half of the full image is one in the sub-grid's
     pix_rows, pix_cols = r_at + len(r) * (rows >= side), c_at + len(c) * (cols >= side)
-    return flat[: np.searchsorted(flat, n)], (len(r), len(c)), pix_rows, pix_cols, wy, wx
+    tapped = flat[: np.searchsorted(flat, n)]
+    for array in (tapped, pix_rows, pix_cols, wy, wx):
+        array.flags.writeable = False
+    return tapped, (len(r), len(c)), pix_rows, pix_cols, wy, wx
 
 
 def render(source: WeightTensor | FileWords, size: int) -> np.ndarray:
     """The model image resized to size x size, reading only the tapped words.
 
     Equal to ``resize(grayscale_fourpart(source), size, size)`` but asks
-    source once, for at most 4 * size**2 words, whatever the number of
-    weights. source may be a WeightTensor, a FileWords
-    (weights_io.open_words), which reads those words from the file, a
-    KeptWords, which holds them, or anything else with dtype, n and
+    source once, for at most 4 * size**2 words in strictly increasing flat
+    order, whatever the number of weights. source may be a WeightTensor, a
+    FileWords (weights_io.open_words), which reads those words from the
+    file, a KeptWords, which holds them, or anything else with dtype, n and
     take(flat_indices) (such as steg.LsbWords, the attacked words of a
     plain or a fill attack).
     """
-    tapped, grid, pix_rows, pix_cols, wy, wx = _render_plan(source, size)
+    tapped, grid, pix_rows, pix_cols, wy, wx = _render_plan(_fourpart_side(source)[0], size)
     words = np.zeros(math.prod(grid), dtype=source.dtype.word_dtype)
     words[: len(tapped)] = source.take(tapped)
     image = _planes(words.reshape(grid))
@@ -155,15 +160,16 @@ class KeptWords:
     """The words render(source, size) reads from source (anything with
     dtype, n and take), kept once source is closed: a source with its dtype
     and n, so renders of it and of its attacks (steg.LsbWords) equal the
-    source's. Its take answers exactly those indices, with no search, and
-    raises ValueError for any others, such as a render's at another size.
-    A source that render refuses (not float32, or empty) keeps no words, and
-    a render of them raises as one of the source would."""
+    source's. Its take answers exactly those indices, one array that kept
+    sources of one n and size share, with no search, and raises ValueError
+    for any others, such as a render's at another size. A source that render
+    refuses (not float32, or empty) keeps no words, and a render of them
+    raises as one of the source would."""
 
     def __init__(self, source, size: int):
         self.dtype, self.n, self.size = source.dtype, source.n, size
         try:
-            self._at = _render_plan(source, size)[0]
+            self._at = _render_plan(_fourpart_side(source)[0], size)[0]
         except (FormatError, ValueError):  # raised again by any render of these words
             self._at = np.empty(0, dtype=np.intp)
         self._words = source.take(self._at)

@@ -52,6 +52,7 @@ class ExperimentConfig:
     def __post_init__(self):
         # a setting that a run would refuse raises ValueError before any file is read
         self.train_config(0)
+        preset(self.arch, self.image_size)  # an unknown arch, or an image it cannot embed
         if self.lsb < 1:  # the upper bound depends on the models' dtype
             raise ValueError(f"lsb must be at least 1, got {self.lsb}")
         if self.train_per_class < 2:

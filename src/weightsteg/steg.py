@@ -116,11 +116,11 @@ class LsbWords:
       word: ``limit = n`` and ``period = k / gcd(k, lsb)``, at most n.
 
     One period is built, on blocks of CHUNK_WORDS entries. ``take`` gives
-    the attacked words at any flat indices, reading only those cover words
-    (what render taps), and ``rewrite`` lays the period over a run of
-    consecutive cover words (what FileWords.save writes). The attacked cover is
-    never held whole. source, the cover, is anything with dtype, n and take:
-    a WeightTensor or a weights_io.FileWords.
+    the attacked words at the flat indices its source takes, reading only
+    those cover words (what render taps), and ``rewrite`` lays the period
+    over a run of consecutive cover words (what FileWords.save writes). The
+    attacked cover is never held whole. source, the cover, is anything with
+    dtype, n and take: a WeightTensor or a weights_io.FileWords.
     """
 
     def __init__(self, source, lsb: int, payload, fill: bool = False):
@@ -160,31 +160,24 @@ class LsbWords:
         self.keep = np.array((1 << self.dtype.word_bits) - (1 << lsb), dtype=self.dtype.word_dtype)
 
     def take(self, flat_indices) -> np.ndarray:
-        """The attacked words at flat_indices (any shape), in that shape."""
+        """The attacked words at flat_indices, as the source's take gives them."""
         idx = np.asarray(flat_indices, dtype=np.int64)
         words = self.source.take(idx)
-        if self.limit == self.n:
-            return (words & self.keep) | self.fields[idx % len(self.fields)]
-        hit = idx < self.limit  # a plain attack: period == limit
-        words[hit] = (words[hit] & self.keep) | self.fields[idx[hit]]
+        hit = idx < self.limit
+        words[hit] = (words[hit] & self.keep) | self.fields[idx[hit] % len(self.fields)]
         return words
 
-    def rewrite(self, words: np.ndarray, first: int, out: np.ndarray | None = None) -> np.ndarray:
-        """The attacked words of a run of consecutive cover words, the first at flat index first.
-
-        Equal to take(range(first, first + len(words))) for words read from
-        the cover, but the period is or-ed into the masked words in place:
-        in out, which may be words itself, or else in a new array, unless the
-        run lies wholly at or past limit and words is returned as it is.
-        """
-        fields, period = self.fields, len(self.fields)
+    def rewrite(self, words: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
+        """take(range(first, first + len(words))) for words, a run of cover
+        words, written to out (which may be words itself) and returned: the
+        period is or-ed into the masked words in place, and a run wholly at or
+        past limit is copied as it is."""
         carried = max(0, min(len(words), self.limit - first))  # words of the run below limit
-        if out is None:
-            if carried == 0:
-                return words
-            out = np.empty_like(words)
         if out is not words:
             out[carried:] = words[carried:]
+        if carried == 0:
+            return out
+        fields, period = self.fields, len(self.fields)
         run = np.bitwise_and(words[:carried], self.keep, out=out[:carried])
         phase = first % period
         head = min(carried, period - phase)
@@ -203,7 +196,8 @@ def lsb_attack(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
     Weights beyond the last chunk are left bit-identical. Raises
     CapacityError when the payload cannot fully fit.
     """
-    return tensor.with_bits(LsbWords(tensor, lsb, payload).rewrite(tensor.bits, 0))
+    words = LsbWords(tensor, lsb, payload)
+    return tensor.with_bits(words.rewrite(tensor.bits, 0, out=np.empty_like(tensor.bits)))
 
 
 def lsb_attack_fill(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
@@ -213,7 +207,8 @@ def lsb_attack_fill(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
     n * lsb bits of the fields; see LsbWords, which costs O(n) word
     operations and no per-bit work.
     """
-    return tensor.with_bits(LsbWords(tensor, lsb, payload, fill=True).rewrite(tensor.bits, 0))
+    words = LsbWords(tensor, lsb, payload, fill=True)
+    return tensor.with_bits(words.rewrite(tensor.bits, 0, out=np.empty_like(tensor.bits)))
 
 
 def extract_lsb(source, lsb: int, n_bits: int) -> Payload:

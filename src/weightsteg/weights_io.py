@@ -427,15 +427,12 @@ class FileWords:
         return data
 
     def take(self, flat_indices) -> np.ndarray:
-        """The words at flat_indices (any shape), in that shape."""
-        idx = np.asarray(flat_indices, dtype=np.int64)
-        flat = idx.reshape(-1)
-        if np.all(flat[1:] > flat[:-1]):  # already sorted and distinct, as a render's taps are
-            wanted, at = flat, None
-        else:
-            wanted, at = np.unique(flat, return_inverse=True)
+        """The words at strictly increasing 1-D flat_indices; others raise ValueError unread."""
+        wanted = np.asarray(flat_indices, dtype=np.int64)
+        if wanted.ndim != 1 or np.any(wanted[1:] <= wanted[:-1]):
+            raise ValueError("FileWords.take reads strictly increasing 1-D flat indices only")
         if len(wanted) == 0:
-            return np.empty(idx.shape, dtype=self.dtype.word_dtype)
+            return np.empty(0, dtype=self.dtype.word_dtype)
         if wanted[0] < 0 or wanted[-1] >= self.n:
             raise IndexError(f"flat index out of range for {self.n} words")
         word_bytes = self.dtype.word_bytes
@@ -454,8 +451,7 @@ class FileWords:
             runs[start : start + size] = self._read(size, f)
         # every word lies a whole number of words into its run
         at_word = (pos + np.repeat(joined_first - first, hi - lo)) // word_bytes
-        words = np.frombuffer(runs, dtype=self.dtype.word_dtype)[at_word]
-        return (words if at is None else words[at]).reshape(idx.shape)
+        return np.frombuffer(runs, dtype=self.dtype.word_dtype)[at_word]
 
     def _stream(self, spans, dtype: np.dtype):
         """Read each (file offset, count) span of dtype items in order, into

@@ -147,6 +147,24 @@ class TestEmbedExtract:
         assert run("extract", "--in", out, "--lsb", 8, "--bits", 48 * 8, "--out", back) == 0
         assert back.read_bytes() == payload_path.read_bytes()
 
+    def test_empty_plain_payload_copies_the_words(self, tmp_path, mc_dir, capsys):
+        """A plain attack with an empty payload writes no field: the copy holds
+        the cover's words and records the empty payload, and extracting no
+        bits from it gives an empty file."""
+        model = mc_dir / "zoo0" / "model000.safetensors"
+        payload_path = tmp_path / "empty.bin"
+        payload_path.write_bytes(b"")
+        out = tmp_path / "att.safetensors"
+        assert run("embed", "--in", model, "--lsb", 8, "--payload", payload_path,
+                   "--out", out) == 0
+        assert capsys.readouterr().err == ""
+        assert np.array_equal(flatten(load_model(out)).bits, flatten(load_model(model)).bits)
+        meta = load_model(out).metadata
+        assert (meta["attack"], meta["payload_sha256"]) == ("lsb", hashlib.sha256(b"").hexdigest())
+        back = tmp_path / "back.bin"
+        assert run("extract", "--in", out, "--lsb", 8, "--bits", 0, "--out", back) == 0
+        assert back.read_bytes() == b""
+
     def test_log_file_sidecar(self, tmp_path, mc_dir):
         model = mc_dir / "zoo0" / "model000.safetensors"
         out_a, out_b = tmp_path / "a.safetensors", tmp_path / "b.safetensors"
@@ -1000,16 +1018,21 @@ class TestTrainingFlagsCheckedFirst:
             (("--lsb", "8,0"), "lsb must be at least 1, got 0"),
             (("--lsb", "none"), "--lsb needs at least one trained severity"),
             (("--runs", 0), "need at least one run"),
+            (("--arch", "bogus"), "unknown architecture 'bogus'"),
+            (("--size", 0), "block 0 shrinks the feature map below 1x1"),
+            (("--size", 8), "block 0 shrinks the feature map below 1x1"),
         ],
         ids=["mode-unknown", "k-zero", "k-above-train-embeddings", "train-per-class-one",
              "severities-from-two", "severities-gap", "severities-reversed", "lsb-reversed",
-             "lsb-zero", "lsb-zero-after-eight", "lsb-none", "runs-zero"],
+             "lsb-zero", "lsb-zero-after-eight", "lsb-none", "runs-zero", "arch-unknown",
+             "size-zero", "size-below-osl-small"],
     )
     def test_report_scoring_flags_before_the_collection(
         self, tmp_path, capsys, monkeypatch, flags, message
     ):
-        """A bad scoring, training-count, severity or run-count flag, a
-        trained severity below 1 among them, is a usage error found before
+        """A bad scoring, training-count, severity, run-count, architecture or
+        image-size flag, a trained severity below 1 among them, or a size the
+        architecture cannot embed, is a usage error found before
         the collection is opened, so a missing --mc does not turn it into a
         data error, and no model is read."""
         def no_read(*args, **kwargs):
@@ -1477,12 +1500,35 @@ class TestMalformedInputsFailClosed:
         (("--synthetic-payload", "64"), "--synthetic-payload expects BYTES,SEED, got '64'"),
         (("--synthetic-payload", "0,1"), "synthetic payload needs at least one byte"),
         (("--synthetic-payload", "64,7", "--train-zoos", ","), "--train-zoos needs at least one zoo id"),
-    ], ids=["payload-one-field", "payload-zero-bytes", "train-zoos-empty"])
-    def test_build_dataset_flags_exit_2(self, tmp_path, mc_dir, capsys, argv, message):
+        (("--synthetic-payload", "64,7", "--size", 0), "image size must be at least 1, got 0"),
+    ], ids=["payload-one-field", "payload-zero-bytes", "train-zoos-empty", "size-zero"])
+    def test_build_dataset_flags_exit_2(self, tmp_path, mc_dir, capsys, monkeypatch, argv, message):
+        def no_read(*args, **kwargs):
+            raise AssertionError("build-dataset opened a model before it checked its flags")
+
+        monkeypatch.setattr(dataset, "open_words", no_read)
         out = tmp_path / "ds"
         self.refused(capsys, 2, "usage", message,
                      "build-dataset", "--mc", mc_dir, "--lsb", 8, *argv, "--out", out)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--arch", "bogus"), "unknown architecture 'bogus'"),
+        (("--size", 0), "block 0 shrinks the feature map below 1x1"),
+        (("--arch", "osl-small", "--size", 8), "block 0 shrinks the feature map below 1x1"),
+    ], ids=["arch-unknown", "size-zero", "size-below-osl-small"])
+    def test_report_arch_and_size_exit_2_before_a_model(self, tmp_path, mc_dir, capsys, argv,
+                                                        message):
+        """A truncated model in the collection is not read, so it cannot turn a
+        bad --arch or --size into a data error."""
+        model = mc_dir / "zoo1" / "model001.safetensors"
+        model.write_bytes(model.read_bytes()[:16])
+        csv_path = tmp_path / "r.csv"
+        self.refused(capsys, 2, "usage", message,
+                     "report", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                     "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, *argv,
+                     "--out-csv", csv_path)
+        assert not csv_path.exists()
 
     def test_report_zero_runs_exit_2(self, tmp_path, mc_dir, capsys):
         csv_path = tmp_path / "r.csv"

@@ -103,7 +103,7 @@ def test_render_samples_labels_by_attack(collection):
     """No attack renders benign samples (label 0); an attack, attacked ones
     (label 1), each the image of its model's attacked words."""
     flats = load_flat_models(collection, 28)
-    cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), image_size=28)
+    cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), image_size=28, arch="tiny")
     attack = AttackSpec(8, True, PAYLOAD)
     benign, attacked = render_samples(flats, cfg, None), render_samples(flats, cfg, attack)
     assert [s.label for s in benign] == [0] * len(flats)
@@ -167,13 +167,16 @@ def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
 
 def test_train_config_carries_the_training_settings():
     """An ExperimentConfig's training settings default to TrainConfig's, are
-    checked as it checks them, and reach each run's TrainConfig with its seed."""
+    checked as it checks them, and reach each run's TrainConfig with its seed;
+    an architecture it does not know, or an image size its net cannot embed
+    (28 for osl-small), is refused too."""
     assert ExperimentConfig(lsb=8, train_zoos=("zoo0",)).train_config(0) == TrainConfig()
     cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), strategy="ST", learning_rate=1e-3,
                            margin=0.5, batch_size=10, ub_low=0.1, ub_high=0.2)
     assert cfg.train_config(7) == TrainConfig(strategy="ST", learning_rate=1e-3, margin=0.5,
                                               batch_size=10, seed=7, ub_low=0.1, ub_high=0.2)
-    for bad in ({"strategy": "XX"}, {"learning_rate": 0.0}, {"ub_low": 2.0, "ub_high": 1.0}):
+    for bad in ({"strategy": "XX"}, {"learning_rate": 0.0}, {"ub_low": 2.0, "ub_high": 1.0},
+                {"arch": "bogus"}, {"image_size": 0}, {"image_size": 28}):
         with pytest.raises(ValueError):
             ExperimentConfig(lsb=8, train_zoos=("zoo0",), **bad)
 

@@ -269,8 +269,9 @@ class TestAttackSpec:
     def test_apply_dispatch(self):
         cover = make_tensor([0, 0, 0])
         payload = from_bitstring("11")
-        plain = AttackSpec(1, False, payload).words(cover).rewrite(cover.bits, 0)
-        filled = AttackSpec(1, True, payload).words(cover).rewrite(cover.bits, 0)
+        out = np.empty_like(cover.bits)
+        plain = AttackSpec(1, False, payload).words(cover).rewrite(cover.bits, 0, out.copy())
+        filled = AttackSpec(1, True, payload).words(cover).rewrite(cover.bits, 0, out.copy())
         assert [int(w) & 1 for w in plain] == [1, 1, 0]
         assert [int(w) & 1 for w in filled] == [1, 1, 1]
 
@@ -378,9 +379,11 @@ def test_rewrite_of_runs_equals_whole_attack(case, cuts, fill):
     words = LsbWords(cover, lsb, payload, fill)
     whole = (lsb_attack_fill if fill else lsb_attack)(cover, lsb, payload)
     bounds = sorted({0, n, *(c for c in cuts if c <= n)})
-    runs = [words.rewrite(cover.bits[lo:hi], lo) for lo, hi in zip(bounds, bounds[1:])]
-    assert np.array_equal(np.concatenate(runs), whole.bits)
-    idx = rng.integers(0, n, size=(2, 3))
+    out = np.empty_like(cover.bits)
+    for lo, hi in zip(bounds, bounds[1:]):
+        words.rewrite(cover.bits[lo:hi], lo, out=out[lo:hi])
+    assert np.array_equal(out, whole.bits)
+    idx = np.unique(rng.integers(0, n, size=6))
     assert np.array_equal(words.take(idx), whole.bits[idx])
 
 
@@ -411,7 +414,9 @@ words_cases = st.one_of(
 @example((False, (DType.F32, 4, 3, 0, 2)))  # an empty plain payload
 def test_words_match_string_oracle(case):
     """Both kinds of LsbWords, through rewrite and through take, give the
-    splice oracle's words for the stream each embeds."""
+    splice oracle's words for the stream each embeds: rewrite into a new
+    array, and in place in two runs, the second at a flat index above 0,
+    as FileWords.save rewrites its blocks (an empty plain payload too)."""
     fill, (dtype, n, lsb, k, seed) = case
     rng = np.random.default_rng(seed)
     cover = random_tensor(rng, n, dtype)
@@ -420,8 +425,13 @@ def test_words_match_string_oracle(case):
     expected = splice_oracle(cover.bits, dtype.word_bits, lsb, "".join(map(str, stream)))
     words = LsbWords(cover, lsb, Payload(bits), fill)
     assert (words.dtype, words.n) == (dtype, n)
-    assert list(words.rewrite(cover.bits, 0)) == expected
-    assert list(words.take(np.arange(n)[::-1])) == expected[::-1]
+    assert list(words.rewrite(cover.bits, 0, out=np.empty_like(cover.bits))) == expected
+    assert list(words.take(np.arange(n))) == expected
+    block = cover.bits.copy()
+    cut = 1 + seed % n
+    for first, run in ((0, block[:cut]), (cut, block[cut:])):
+        assert words.rewrite(run, first, out=run) is run
+    assert list(block) == expected
 
 
 @pytest.mark.parametrize("lsb,k", [(8, 8 * 3000 - 3), (23, 1001), (2, 0)])
