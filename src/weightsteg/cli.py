@@ -24,7 +24,7 @@ from .detect import (
 )
 from .errors import CapacityError, FormatError
 from .imagerep import grayscale_fourpart, normalize, render, write_pgm
-from .net import STRATEGIES, TrainConfig
+from .net import STRATEGIES, TrainConfig, preset
 from .pipeline import ExperimentConfig, run_report_sweep, train_detector
 from .steg import AttackSpec, Payload, extract_lsb
 from .weights_io import open_words, sha256_hex
@@ -168,7 +168,9 @@ def cmd_build_dataset(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train_config = TrainConfig(seed=args.seed, **_training_settings(args))  # before any read
+    # the flags are checked before any read
+    train_config = TrainConfig(seed=args.seed, **_training_settings(args))
+    preset(args.arch)
     manifest_path = manifest_file(args.dataset)
     data = manifest_path.read_bytes()  # the bytes parsed are the bytes hashed
     manifest, samples = load_dataset(manifest_path, data)

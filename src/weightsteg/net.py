@@ -289,21 +289,23 @@ def _conv_forward(x, w, b):
 def _conv_backward(dy, w, x, input_grad=True):
     """(dx, dw, db) of a convolution of the block input x; dx is None unless input_grad.
 
-    dw takes one gemm over the whole batch's patches, rebuilt here and freed
-    before dx, which is summed one image at a time in (i, j) tap order, the
-    images spread over the usable CPUs.
+    The images are spread over the usable CPUs. Each rebuilds its own
+    patches for its dw gemm and frees them before its dx, which it sums in
+    (i, j) tap order; the images' dw are then summed here in image order.
+    So a thread holds one image's patches at a time.
     """
     batch, out_c, oh, ow = dy.shape
     k = w.shape[2]
     dmat = dy.reshape(batch, out_c, oh * ow).transpose(0, 2, 1)
-    dw = np.tensordot(dmat, _im2col(x, k), axes=([0, 1], [0, 1])).reshape(w.shape)
     db = dy.sum(axis=(0, 2, 3))
-    if not input_grad:
-        return None, dw, db
     w2 = w.reshape(out_c, -1)
-    dx = np.zeros(x.shape, dtype=dy.dtype)
+    dx = np.zeros(x.shape, dtype=dy.dtype) if input_grad else None
+    dws = [None] * batch
 
     def image(n):
+        dws[n] = dmat[n].T @ _im2col(x[n : n + 1], k)[0]
+        if dx is None:
+            return
         # (C, k, k, OH, OW), so that each tap adds one contiguous slice
         taps = np.ascontiguousarray(
             (dmat[n] @ w2).reshape(oh, ow, x.shape[1], k, k).transpose(2, 3, 4, 0, 1)
@@ -313,7 +315,10 @@ def _conv_backward(dy, w, x, input_grad=True):
                 dx[n, :, i : i + oh, j : j + ow] += taps[:, i, j]
 
     _fan_out(image, batch)
-    return dx, dw, db
+    dw = dws[0]
+    for dw_n in dws[1:]:
+        dw += dw_n
+    return dx, dw.reshape(w.shape), db
 
 
 # The four strided views of a 2x2 pool window, in row-major window order.

@@ -1003,6 +1003,17 @@ class TestTrainingFlagsCheckedFirst:
                    "--out", tmp_path / "d.safetensors") == 2
         assert capsys.readouterr().err.startswith("error[usage]:")
 
+    def test_train_unknown_arch_reads_no_file(self, tmp_path, capsys, monkeypatch):
+        """The architecture name needs no file, so a bad --arch is a usage error
+        before the dataset is opened, and a missing dataset does not hide it."""
+        reads = []
+        monkeypatch.setattr(type(tmp_path), "read_bytes", lambda path: reads.append(path))
+        out = tmp_path / "d.safetensors"
+        assert run("train", "--dataset", tmp_path / "missing", "--arch", "bogus", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[usage]:") and "unknown architecture 'bogus'" in err
+        assert reads == [] and not out.exists()
+
     @pytest.mark.parametrize(
         "flags,message",
         [
