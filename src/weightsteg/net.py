@@ -290,9 +290,10 @@ def _conv_backward(dy, w, x, input_grad=True):
     """(dx, dw, db) of a convolution of the block input x; dx is None unless input_grad.
 
     The images are spread over the usable CPUs. Each rebuilds its own
-    patches for its dw gemm and frees them before its dx, which it sums in
-    (i, j) tap order; the images' dw are then summed here in image order.
-    So a thread holds one image's patches at a time.
+    patches for its dw gemm and frees them before its dcols gemm; the
+    images' dw are then summed here in image order. Each sums its dx in
+    (i, j) tap order from one kernel row of dcols at a time, so a thread
+    holds one gemm operand, the patches or dcols, plus at most one row.
     """
     batch, out_c, oh, ow = dy.shape
     k = w.shape[2]
@@ -306,13 +307,13 @@ def _conv_backward(dy, w, x, input_grad=True):
         dws[n] = dmat[n].T @ _im2col(x[n : n + 1], k)[0]
         if dx is None:
             return
-        # (C, k, k, OH, OW), so that each tap adds one contiguous slice
-        taps = np.ascontiguousarray(
-            (dmat[n] @ w2).reshape(oh, ow, x.shape[1], k, k).transpose(2, 3, 4, 0, 1)
-        )
+        dcols = (dmat[n] @ w2).reshape(oh, ow, x.shape[1], k, k)
+        # kernel row i as (C, k, OH, OW), so that each tap adds one contiguous slice
+        row = np.empty((x.shape[1], k, oh, ow), dtype=dcols.dtype)
         for i in range(k):
+            np.copyto(row, dcols[:, :, :, i].transpose(2, 3, 0, 1))
             for j in range(k):
-                dx[n, :, i : i + oh, j : j + ow] += taps[:, i, j]
+                dx[n, :, i : i + oh, j : j + ow] += row[:, j]
 
     _fan_out(image, batch)
     dw = dws[0]

@@ -348,10 +348,10 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
 def _flat_dtype(tensors) -> DType:
     """The one dtype of a flattenable model's tensors (or header entries)."""
     if not tensors:
-        raise ValueError("cannot flatten a model with no tensors")
+        raise FormatError("cannot flatten a model with no tensors")
     dtypes = {t.dtype for t in tensors}
     if len(dtypes) > 1:
-        raise ValueError(f"mixed dtypes in model: {sorted(d.value for d in dtypes)}")
+        raise FormatError(f"mixed dtypes in model: {sorted(d.value for d in dtypes)}")
     return tensors[0].dtype
 
 

@@ -1541,6 +1541,36 @@ class TestMalformedInputsFailClosed:
                      "--out-csv", csv_path)
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize("command", ["imagify", "embed", "extract", "build-dataset", "report",
+                                         "scan"])
+    @pytest.mark.parametrize("data,message", [
+        (scrambled_container([WeightTensor("a", DType.F32, (1,), np.array([1], dtype=np.uint32)),
+                              WeightTensor("b", DType.F16, (1,), np.array([2], dtype=np.uint16))],
+                             [0, 1]), "mixed dtypes in model"),
+        (write_container(ModelWeights([])), "cannot flatten a model with no tensors"),
+    ], ids=["mixed-dtypes", "no-tensors"])
+    def test_unflattenable_model_exit_3(self, tmp_path, mc_dir, capsys, command, data, message):
+        """A container no words can be read from is a data error in every
+        command that reads a model, as a truncated one is."""
+        model = mc_dir / "zoo1" / "model001.safetensors"
+        model.write_bytes(data)
+        out = tmp_path / "out"
+        det = tmp_path / "det.safetensors"
+        det.write_bytes(tiny_detector_bytes())
+        argv = {
+            "imagify": ("--in", model, "--out", out),
+            "embed": ("--in", model, "--lsb", 8, "--synthetic-payload", "16,2", "--out", out),
+            "extract": ("--in", model, "--lsb", 8, "--bits", 8, "--out", out),
+            "build-dataset": ("--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                              "--out", out),
+            "report": ("--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                       "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--out-csv", out),
+            "scan": ("--detector", det, "--model", model),
+        }[command]
+        self.refused(capsys, 3, "data", message, command, *argv)
+        # build-dataset has written the models before the bad one, but no manifest
+        assert not (out / "manifest.json" if command == "build-dataset" else out).exists()
+
     def test_report_zero_runs_exit_2(self, tmp_path, mc_dir, capsys):
         csv_path = tmp_path / "r.csv"
         self.refused(capsys, 2, "usage", "need at least one run",

@@ -597,16 +597,17 @@ def test_osl_small_backward_nan_and_signed_zero_windows(dtype):
 
 
 def test_backward_peak_memory(monkeypatch):
-    """One osl-small training step holds, per thread, one image's patches or
-    its dcols at a time, and a pooled block keeps its pool's "greater" masks,
-    not its pre-pool activation and ReLU mask: a backward on 6 images peaks at
-    15.2 MB traced on 1 usable CPU and 24.9 MB on 2, each bound 5% above that.
-    On 4 the dcols of four threads set it, at 39-44 MB."""
+    """One osl-small training step holds, per thread, one gemm operand (one
+    image's patches or its dcols) plus one kernel row of dcols at a time, and
+    a pooled block keeps its pool's "greater" masks, not its pre-pool
+    activation and ReLU mask: a backward on 6 images peaks at 11.2 MB traced
+    on 1 usable CPU, 17.0 MB on 2 and 27.9 MB on 4, where four threads'
+    dcols and rows set it, each bound 5% above that."""
     config = preset("osl-small", input_size=100)
     params = init_params(config)
     images = np.random.default_rng(5).random((6, 100, 100)).astype(np.float32)
     triplets = make_triplets([0, 0, 0, 1, 1, 1])
-    for cpus, bound_mb in ((1, 16.0), (2, 26.2)):
+    for cpus, bound_mb in ((1, 11.8), (2, 17.9), (4, 29.2)):
         monkeypatch.setattr(net, "_usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:

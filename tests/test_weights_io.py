@@ -174,11 +174,11 @@ class TestFlatten:
                 WeightTensor("b", DType.F16, (1,), np.array([1], dtype=np.uint16)),
             ]
         )
-        with pytest.raises(ValueError, match="mixed"):
+        with pytest.raises(FormatError, match="mixed"):
             flatten(model)
 
     def test_empty_model_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="no tensors"):
             flatten(ModelWeights([]))
 
     def test_unflatten_roundtrip(self):
