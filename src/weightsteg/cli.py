@@ -1,6 +1,7 @@
 """Command-line front end: embed, extract, imagify, build-dataset, train, scan, report.
 
-Exit codes: 0 success, 2 usage error, 3 data/format error, 4 capacity error.
+Exit codes: 0 success, 2 usage error, 3 data/format error (a malformed
+input file, such as a model file with no words), 4 capacity error.
 All outputs are deterministic given flags and seed; timestamps only ever go
 to the optional --log-file sidecar.
 """

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .weights_io import CHUNK_WORDS, DType, FileWords, WeightTensor
+from .weights_io import CHUNK_WORDS, DType, Words
 
 # the one image of a model, as manifests and detectors name it
 REPRESENTATION = "grayscale-fourpart"
@@ -76,9 +76,9 @@ def resize(img: np.ndarray, target_h: int, target_w: int) -> np.ndarray:
     return _blend(img[rows[:, None], cols], wy, wx)
 
 
-def _fourpart_side(source) -> tuple[int, int]:
-    """(n, side) of the four-part image of a source with dtype and n: its
-    words zero-padded to side x side, the next square, row-major."""
+def _fourpart_side(source: Words) -> tuple[int, int]:
+    """(n, side) of the four-part image of source: its words zero-padded to
+    side x side, the next square, row-major."""
     if source.dtype is not DType.F32:
         raise FormatError(
             f"grayscale-fourpart requires float32 weights, got {source.dtype.value}"
@@ -104,10 +104,10 @@ def _planes(grid: np.ndarray) -> np.ndarray:
     return image
 
 
-def grayscale_fourpart(tensor: WeightTensor | FileWords) -> np.ndarray:
-    """Tile the four byte planes of a float32 tensor, or of any source with
-    dtype, n and take, into one square image. The zero-padded words are
-    gathered CHUNK_WORDS at a time, by slices, with no index grid over them."""
+def grayscale_fourpart(tensor: Words) -> np.ndarray:
+    """Tile the four byte planes of the float32 words of a source into one
+    square image. The zero-padded words are gathered CHUNK_WORDS at a time,
+    by slices, with no index grid over them."""
     n, side = _fourpart_side(tensor)
     words = np.zeros(side * side, dtype=tensor.dtype.word_dtype)
     for lo in range(0, n, CHUNK_WORDS):
@@ -138,16 +138,12 @@ def _render_plan(n: int, size: int):
     return tapped, (len(r), len(c)), pix_rows, pix_cols, wy, wx
 
 
-def render(source: WeightTensor | FileWords, size: int) -> np.ndarray:
+def render(source: Words, size: int) -> np.ndarray:
     """The model image resized to size x size, reading only the tapped words.
 
     Equal to ``resize(grayscale_fourpart(source), size, size)`` but asks
     source once, for at most 4 * size**2 words in strictly increasing flat
-    order, whatever the number of weights. source may be a WeightTensor, a
-    FileWords (weights_io.open_words), which reads those words from the
-    file, a KeptWords, which holds them, or anything else with dtype, n and
-    take(flat_indices) (such as steg.LsbWords, the attacked words of a
-    plain or a fill attack).
+    order, whatever the number of weights.
     """
     tapped, grid, pix_rows, pix_cols, wy, wx = _render_plan(_fourpart_side(source)[0], size)
     words = np.zeros(math.prod(grid), dtype=source.dtype.word_dtype)
@@ -157,21 +153,15 @@ def render(source: WeightTensor | FileWords, size: int) -> np.ndarray:
 
 
 class KeptWords:
-    """The words render(source, size) reads from source (anything with
-    dtype, n and take), kept once source is closed: a source with its dtype
-    and n, so renders of it and of its attacks (steg.LsbWords) equal the
-    source's. Its take answers exactly those indices, one array that kept
-    sources of one n and size share, with no search, and raises ValueError
-    for any others, such as a render's at another size. A source that render
-    refuses (not float32, or empty) keeps no words, and a render of them
-    raises as one of the source would."""
+    """The words render(source, size) reads from source, kept once source is
+    closed: a Words source of its dtype and n whose take answers only those
+    indices (one array that kept sources of one n and size share, matched
+    with no search), so renders of it and of its attacks at that size equal
+    the source's. A source that render refuses raises here what it would."""
 
-    def __init__(self, source, size: int):
+    def __init__(self, source: Words, size: int):
         self.dtype, self.n, self.size = source.dtype, source.n, size
-        try:
-            self._at = _render_plan(_fourpart_side(source)[0], size)[0]
-        except (FormatError, ValueError):  # raised again by any render of these words
-            self._at = np.empty(0, dtype=np.intp)
+        self._at = _render_plan(_fourpart_side(source)[0], size)[0]
         self._words = source.take(self._at)
 
     def take(self, flat_indices) -> np.ndarray:

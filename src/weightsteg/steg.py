@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .weights_io import CHUNK_WORDS, DType, WeightTensor, sha256_hex
+from .weights_io import CHUNK_WORDS, DType, WeightTensor, Words, sha256_hex
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +89,7 @@ class AttackSpec:
         return {"attack": "lsb-fill" if self.fill else "lsb", "lsb": str(self.lsb),
                 "payload_sha256": self.payload.sha256()}
 
-    def words(self, source) -> "LsbWords":
+    def words(self, source: Words) -> "LsbWords":
         """The attacked words of source, a flat cover, computed on demand."""
         self.validate_for(source.dtype)
         return LsbWords(source, self.lsb, self.payload, self.fill)
@@ -115,15 +115,14 @@ class LsbWords:
     - The fill attack (fill True) repeats or truncates the payload to every
       word: ``limit = n`` and ``period = k / gcd(k, lsb)``, at most n.
 
-    One period is built, on blocks of CHUNK_WORDS entries. ``take`` gives
-    the attacked words at the flat indices its source takes, reading only
-    those cover words (what render taps), and ``rewrite`` lays the period
-    over a run of consecutive cover words (what FileWords.save writes). The
-    attacked cover is never held whole. source, the cover, is anything with
-    dtype, n and take: a WeightTensor or a weights_io.FileWords.
+    One period is built, on blocks of CHUNK_WORDS entries. As an attack
+    source (weights_io.Words) over the cover, source, its take reads only
+    the cover words asked for (what render taps) and its rewrite lays the
+    period over a run of cover words (what FileWords.save writes), so the
+    attacked cover is never held whole.
     """
 
-    def __init__(self, source, lsb: int, payload, fill: bool = False):
+    def __init__(self, source: Words, lsb: int, payload, fill: bool = False):
         self.source, self.dtype, self.n = source, source.dtype, source.n
         _check_lsb(lsb, self.dtype.word_bits)
         bits = (payload if isinstance(payload, Payload) else Payload(payload)).bits
@@ -160,7 +159,7 @@ class LsbWords:
         self.keep = np.array((1 << self.dtype.word_bits) - (1 << lsb), dtype=self.dtype.word_dtype)
 
     def take(self, flat_indices) -> np.ndarray:
-        """The attacked words at flat_indices, as the source's take gives them."""
+        """The attacked words at flat_indices."""
         idx = np.asarray(flat_indices, dtype=np.int64)
         words = self.source.take(idx)
         hit = idx < self.limit
@@ -168,10 +167,9 @@ class LsbWords:
         return words
 
     def rewrite(self, words: np.ndarray, first: int, out: np.ndarray) -> np.ndarray:
-        """take(range(first, first + len(words))) for words, a run of cover
-        words, written to out (which may be words itself) and returned: the
-        period is or-ed into the masked words in place, and a run wholly at or
-        past limit is copied as it is."""
+        """The attacked words of a run of cover words (see weights_io.Words):
+        the period is or-ed into the masked words in place, and a run wholly
+        at or past limit is copied as it is."""
         carried = max(0, min(len(words), self.limit - first))  # words of the run below limit
         if out is not words:
             out[carried:] = words[carried:]
@@ -211,13 +209,12 @@ def lsb_attack_fill(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
     return tensor.with_bits(words.rewrite(tensor.bits, 0, out=np.empty_like(tensor.bits)))
 
 
-def extract_lsb(source, lsb: int, n_bits: int) -> Payload:
+def extract_lsb(source: Words, lsb: int, n_bits: int) -> Payload:
     """Read back the first ``n_bits`` payload bits using the embedding convention.
 
-    source, the flat words, is anything with dtype, n and take (a
-    WeightTensor or a weights_io.FileWords); only the ceil(n_bits / lsb)
-    words that carry those bits are read, CHUNK_WORDS at a time, so the call
-    holds one byte per extracted bit plus one chunk.
+    Only the ceil(n_bits / lsb) words of source that carry those bits are
+    read, CHUNK_WORDS at a time, so the call holds one byte per extracted
+    bit plus one chunk.
     """
     _check_lsb(lsb, source.dtype.word_bits)
     if n_bits < 0:

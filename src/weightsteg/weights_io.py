@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -69,11 +69,27 @@ class DType(Enum):
         return np.dtype("<f4") if self is DType.F32 else np.dtype("<f2")
 
 
-def _as_words(bits, dtype: DType) -> np.ndarray:
-    arr = np.asarray(bits)
-    if arr.dtype != dtype.word_dtype:
-        arr = arr.astype(dtype.word_dtype)
-    return np.ascontiguousarray(arr).reshape(-1)
+class Words(Protocol):
+    """A words source, through which every command renders, attacks or
+    extracts a model: a WeightTensor, FileWords, imagerep.KeptWords or
+    steg.LsbWords. A source has dtype, n and take:
+
+    - ``dtype``, the DType of its words, and ``n``, their number;
+    - ``take(flat_indices)``, given strictly increasing 1-D flat indices, as
+      every caller sends, returns the words at them in a new writable array
+      of ``dtype.word_dtype`` that shares no memory with the source
+      (LsbWords.take writes into it). An empty take returns an empty array;
+      an index at or past n raises IndexError. A KeptWords answers only the
+      indices of a render at its size, and any others raise ValueError;
+    - an attack source (LsbWords) also has ``rewrite(words, first, out)``:
+      given the cover's words from flat index first on, it writes the words
+      take gives there to out, which may be words itself, and returns out.
+    """
+
+    dtype: DType
+    n: int
+
+    def take(self, flat_indices) -> np.ndarray: ...
 
 
 def _frombuffer(data, dtype: DType, count: int = -1, offset: int = 0) -> np.ndarray:
@@ -94,7 +110,8 @@ class WeightTensor:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-        object.__setattr__(self, "bits", _as_words(self.bits, self.dtype))
+        bits = np.asarray(self.bits).astype(self.dtype.word_dtype, copy=False)
+        object.__setattr__(self, "bits", np.ascontiguousarray(bits).reshape(-1))
         if any(d < 0 for d in self.shape):
             raise ValueError(f"tensor {self.name!r}: negative dimension in {self.shape}")
         if len(self.bits) != math.prod(self.shape):
@@ -112,12 +129,9 @@ class WeightTensor:
         return self.bits.view(self.dtype.float_dtype)
 
     def take(self, flat_indices) -> np.ndarray:
-        """The words at flat_indices, as FileWords.take reads them from a file.
-
-        The gather moves whole words as raw bytes (a void view), so it runs
-        as fast on the unaligned views a parse gives as on aligned words:
-        numpy copies an unaligned array whole before a plain take, and
-        fancy indexing reads it several times slower."""
+        """The words at flat_indices (see Words), gathered as raw bytes (a
+        void view): numpy copies an unaligned parse view whole before a plain
+        take, and fancy indexing reads it several times slower."""
         return self.bits.view(f"V{self.bits.itemsize}").take(flat_indices).view(self.bits.dtype)
 
     def with_bits(self, bits) -> "WeightTensor":
@@ -349,6 +363,8 @@ def _flat_dtype(tensors) -> DType:
     """The one dtype of a flattenable model's tensors (or header entries)."""
     if not tensors:
         raise FormatError("cannot flatten a model with no tensors")
+    if not any(math.prod(t.shape) for t in tensors):
+        raise FormatError("cannot flatten a model with no words")
     dtypes = {t.dtype for t in tensors}
     if len(dtypes) > 1:
         raise FormatError(f"mixed dtypes in model: {sorted(d.value for d in dtypes)}")
@@ -383,14 +399,12 @@ class FileWords:
 
     Construction reads only the 8-byte length prefix and the JSON header
     (nothing for a raw .f32/.f16 file) and makes every check that parse_model
-    and flatten make. ``take`` maps flat indices, which follow the header's
-    tensor order as flatten does, to file offsets and reads them with
-    os.pread: one call per run of words less than _RUN_GAP_BYTES apart in the
-    file, into one buffer that holds the runs end to end, from which one
-    index array gathers every word. ``sha256``, ``canonical_sha256`` and
-    ``save`` stream the file a chunk at a time. It never maps the file, so a
-    file truncated while open raises FormatError instead of faulting, as does
-    a streamed pass that ends with the file's size or modification time not
+    and flatten make. ``take`` reads each run of words less than
+    _RUN_GAP_BYTES apart in the file with one os.pread, into one buffer that
+    holds the runs end to end. ``sha256``, ``canonical_sha256`` and ``save``
+    stream the file a chunk at a time. It never maps the file, so a file
+    truncated while open raises FormatError instead of faulting, as does a
+    streamed pass that ends with the file's size or modification time not
     what they were at open. The file descriptor stays the caller's.
     """
 
@@ -400,22 +414,20 @@ class FileWords:
         size = info.st_size
         raw_dtype = _raw_dtype_for_path(path)
         if raw_dtype is not None:
-            self.dtype, self.n = raw_dtype, _raw_word_count(size, raw_dtype)
-            self.metadata, self._header = {}, None
-            self.tensors = [_Entry("", raw_dtype, (self.n,), 0, size)]
-            spans = [(0, self.n)]  # (file offset, words) per tensor, in flatten order
+            self.metadata, self._header, data_start = {}, None, 0
+            self.tensors = [_Entry("", raw_dtype, (_raw_word_count(size, raw_dtype),), 0, size)]
         else:
             prefix = os.pread(fd, 8, 0)
             data_start = 8 + _header_length(prefix, size)
             self._header = prefix + self._read(data_start - 8, 8)
             self.metadata, self.tensors = _layout(_decode_header(self._header[8:]),
                                                   size - data_start)
-            self.dtype = _flat_dtype(self.tensors)
-            word_bytes = self.dtype.word_bytes
-            spans = [(data_start + e.begin, (e.end - e.begin) // word_bytes) for e in self.tensors]
-            self.n = sum(words for _, words in spans)
-        self._spans = np.array([span for span in spans if span[1] > 0],
-                               dtype=np.int64).reshape(-1, 2)
+        self.dtype = _flat_dtype(self.tensors)
+        word_bytes = self.dtype.word_bytes
+        # (file offset, words) per tensor, in flatten order
+        spans = [(data_start + e.begin, (e.end - e.begin) // word_bytes) for e in self.tensors]
+        self.n = sum(words for _, words in spans)
+        self._spans = np.array([span for span in spans if span[1] > 0], dtype=np.int64)
         counts = self._spans[:, 1]
         self._starts = np.cumsum(counts) - counts  # first flat index of each tensor
         # flat index i of a tensor lies at file byte i * word_bytes + its shift
@@ -498,8 +510,8 @@ class FileWords:
 
     def save(self, path: str | Path, rewrite, provenance: dict[str, str]) -> str:
         """Write the file's model to path, each block of words (see _stream)
-        passed through rewrite(words, first, out=words), as steg.LsbWords'
-        does, and return the sha256 hex digest of the bytes written. A
+        passed through rewrite(words, first, out=words), an attack source's
+        (see Words), and return the sha256 hex digest of the bytes written. A
         .f32/.f16 path gets the words alone, any other path a container whose
         metadata is this file's, then provenance, then source_sha256: the
         canonical_sha256 of this file."""

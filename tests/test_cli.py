@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import unflatten, write_raw
-from test_weights_io import random_tensors, scrambled_container
+from helpers import count_preads, layout_bytes, random_tensors, scrambled_container, unflatten
+from helpers import write_raw
 import weightsteg
 from weightsteg import cli, dataset, detect, net, pipeline, weights_io
 from weightsteg.cli import main
@@ -65,16 +65,6 @@ def feed_fifo(fifo, data):
     writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
     writer.start()
     return writer
-
-
-def write_layout(path, tensors, layout):
-    """tensors in a raw file, a scrambled-offset container or a canonical one."""
-    if layout == "raw":
-        path.write_bytes(write_raw(flatten(ModelWeights(tensors))))
-    elif layout == "scrambled":
-        path.write_bytes(scrambled_container(tensors, [2, 0, 1]))
-    else:
-        path.write_bytes(write_container(ModelWeights(tensors)))
 
 
 def assert_flag_refused(capsys, flag, *argv):
@@ -238,8 +228,8 @@ class TestEmbedExtract:
     @pytest.mark.parametrize("suffix", [".safetensors", ".f32"])
     def test_fifo_input_writes_the_file_bytes(self, tmp_path, mc_dir, suffix, fill):
         model = tmp_path / f"m{suffix}"
-        write_layout(model, load_model(mc_dir / "zoo0" / "model000.safetensors").tensors,
-                     "raw" if suffix == ".f32" else "container")
+        model.write_bytes(layout_bytes(load_model(mc_dir / "zoo0" / "model000.safetensors").tensors,
+                                       "raw" if suffix == ".f32" else "container"))
         fifo = tmp_path / f"pipe{suffix}"
         os.mkfifo(fifo)
         flags = ["--lsb", 5, *(["--fill"] if fill else []), "--synthetic-payload", "32,5"]
@@ -259,21 +249,15 @@ class TestExtractReads:
     LSB, BITS = 8, 8 * 1_010 - 3  # 1,010 words, the last one short, across all three tensors
 
     def write_model(self, path, layout):
-        write_layout(path, random_tensors(DType.F32, [(1_000,), (3,), (250_000,)]), layout)
+        tensors = random_tensors(DType.F32, [(1_000,), (3,), (250_000,)])
+        path.write_bytes(layout_bytes(tensors, layout))
         return extract_lsb(flatten(load_model(path)), self.LSB, self.BITS).to_bytes()
 
     @pytest.mark.parametrize("layout", ["container", "raw", "scrambled"])
     def test_reads_payload_words(self, tmp_path, monkeypatch, layout):
         path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
         want = self.write_model(path, layout)
-        reads = []
-        pread = os.pread
-
-        def counting(fd, nbytes, offset):
-            reads.append(nbytes)
-            return pread(fd, nbytes, offset)
-
-        monkeypatch.setattr(os, "pread", counting)
+        reads = count_preads(monkeypatch)
         forbid_whole_reads(monkeypatch, "extract")
         out = tmp_path / "p.bin"
         assert run("extract", "--in", path, "--lsb", self.LSB, "--bits", self.BITS,
@@ -337,7 +321,7 @@ class TestImagify:
     def test_native_reads_through_open_words(self, tmp_path, monkeypatch, layout):
         tensors = random_tensors(DType.F32, [(1_000,), (3,), (1_500,)])
         path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
-        write_layout(path, tensors, layout)
+        path.write_bytes(layout_bytes(tensors, layout))
         want = grayscale_fourpart(flatten(load_model(path)))
         forbid_whole_reads(monkeypatch, "imagify")
         out = tmp_path / "img.pgm"
@@ -348,17 +332,10 @@ class TestImagify:
     def test_size_reads_tapped_words(self, tmp_path, monkeypatch, layout):
         tensors = random_tensors(DType.F32, [(100_000,), (3,), (150_000,)])
         path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
-        write_layout(path, tensors, layout)
+        path.write_bytes(layout_bytes(tensors, layout))
         want = tmp_path / "want.pgm"
         write_pgm(render(flatten(load_model(path)), 24), want)
-        reads = []
-        pread = os.pread
-
-        def counting(fd, nbytes, offset):
-            reads.append(nbytes)
-            return pread(fd, nbytes, offset)
-
-        monkeypatch.setattr(os, "pread", counting)
+        reads = count_preads(monkeypatch)
         forbid_whole_reads(monkeypatch, "imagify --size")
         out = tmp_path / "img.pgm"
         assert run("imagify", "--in", path, "--size", 24, "--out", out) == 0
@@ -1543,16 +1520,23 @@ class TestMalformedInputsFailClosed:
 
     @pytest.mark.parametrize("command", ["imagify", "embed", "extract", "build-dataset", "report",
                                          "scan"])
-    @pytest.mark.parametrize("data,message", [
+    @pytest.mark.parametrize("data,suffix,message", [
         (scrambled_container([WeightTensor("a", DType.F32, (1,), np.array([1], dtype=np.uint32)),
                               WeightTensor("b", DType.F16, (1,), np.array([2], dtype=np.uint16))],
-                             [0, 1]), "mixed dtypes in model"),
-        (write_container(ModelWeights([])), "cannot flatten a model with no tensors"),
-    ], ids=["mixed-dtypes", "no-tensors"])
-    def test_unflattenable_model_exit_3(self, tmp_path, mc_dir, capsys, command, data, message):
-        """A container no words can be read from is a data error in every
-        command that reads a model, as a truncated one is."""
-        model = mc_dir / "zoo1" / "model001.safetensors"
+                             [0, 1]), ".safetensors", "mixed dtypes in model"),
+        (write_container(ModelWeights([])), ".safetensors",
+         "cannot flatten a model with no tensors"),
+        (write_container(ModelWeights([WeightTensor("a", DType.F32, (0,), [])])), ".safetensors",
+         "cannot flatten a model with no words"),
+        (b"", ".f32", "cannot flatten a model with no words"),
+    ], ids=["mixed-dtypes", "no-tensors", "zero-word-tensor", "empty-f32"])
+    def test_unflattenable_model_exit_3(self, tmp_path, mc_dir, capsys, command, data, suffix,
+                                        message):
+        """A model file no words can be read from is a data error in every
+        command that reads a model, as a truncated one is, and a command that
+        reads a collection or a directory names the file."""
+        (mc_dir / "zoo1" / "model001.safetensors").unlink()
+        model = mc_dir / "zoo1" / f"model001{suffix}"
         model.write_bytes(data)
         out = tmp_path / "out"
         det = tmp_path / "det.safetensors"
@@ -1567,7 +1551,9 @@ class TestMalformedInputsFailClosed:
                        "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--out-csv", out),
             "scan": ("--detector", det, "--model", model),
         }[command]
-        self.refused(capsys, 3, "data", message, command, *argv)
+        named = command in ("build-dataset", "report", "scan")
+        self.refused(capsys, 3, "data", f"{model}: {message}" if named else message,
+                     command, *argv)
         # build-dataset has written the models before the bad one, but no manifest
         assert not (out / "manifest.json" if command == "build-dataset" else out).exists()
 
@@ -1587,16 +1573,11 @@ class TestMalformedInputsFailClosed:
                      "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28, "--out-csv", csv_path)
         assert not csv_path.exists()
 
-    @pytest.mark.parametrize("lsb,code,kind,message", [
-        (8, 3, "data", "grayscale-fourpart requires float32 weights, got F16"),
-        (12, 2, "usage", "lsb=12 exceeds the 10-bit mantissa of F16"),
-    ], ids=["within-mantissa", "beyond-mantissa"])
-    def test_report_f16_collection_before_training(
-        self, tmp_path, capsys, monkeypatch, lsb, code, kind, message
-    ):
-        """float16 models are refused before any run trains: a severity beyond
-        their mantissa by the mantissa rule, exit 2, and one within it by the
-        first render, as the four-part image is of float32 words, exit 3."""
+    @pytest.mark.parametrize("lsb", [8, 12], ids=["within-mantissa", "beyond-mantissa"])
+    def test_report_f16_collection_before_training(self, tmp_path, capsys, monkeypatch, lsb):
+        """float16 models are refused before any run trains, at any severity:
+        the first one read is a data error that names its file, exit 3, as the
+        four-part image is of float32 words."""
         mc = tmp_path / "mc"
         for zoo in ("zoo0", "zoo1"):
             (mc / zoo).mkdir(parents=True)
@@ -1610,7 +1591,9 @@ class TestMalformedInputsFailClosed:
 
         monkeypatch.setattr(pipeline, "train", no_training)
         csv_path = tmp_path / "r.csv"
-        self.refused(capsys, code, kind, message,
+        self.refused(capsys, 3, "data",
+                     f"{mc / 'zoo0' / 'model0.safetensors'}: "
+                     "grayscale-fourpart requires float32 weights, got F16",
                      "report", "--mc", mc, "--lsb", lsb, "--synthetic-payload", "16,2",
                      "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28,
                      "--train-per-class", 2, "--out-csv", csv_path)

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import effective_fill_payload, unflatten
-from test_weights_io import scrambled_container
+from helpers import effective_fill_payload, layout_bytes, unflatten
 from weightsteg import dataset, net, weights_io
 from weightsteg.cli import main
 
@@ -598,19 +597,6 @@ def reference_fill(words, word_bits, lsb, bits):
     fields = (stream << np.arange(lsb, dtype=np.uint64)[::-1]).sum(axis=1)
     keep = ((1 << word_bits) - 1) ^ ((1 << lsb) - 1)
     return ((words.astype(np.uint64) & keep) | fields).astype(words.dtype)
-
-
-def layout_bytes(tensors, layout, metadata):
-    if layout == "raw":
-        return b"".join(t.bits.tobytes() for t in tensors)
-    if layout == "scrambled":
-        return scrambled_container(tensors, list(range(len(tensors)))[::-1], metadata)
-    data = write_container(ModelWeights(tensors, metadata=metadata))
-    if layout == "spaced":
-        (header_len,) = struct.unpack("<Q", data[:8])
-        header = json.dumps(json.loads(data[8 : 8 + header_len]), indent=1).encode()
-        data = struct.pack("<Q", len(header)) + header + data[8 + header_len :]
-    return data
 
 
 @st.composite

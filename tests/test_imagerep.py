@@ -3,8 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+from helpers import f32_tensor, fourpart_oracle, make_tensor
 from weightsteg import imagerep
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import (
@@ -16,24 +16,8 @@ from weightsteg.imagerep import (
     resize,
     write_pgm,
 )
-from weightsteg.steg import LsbWords, Payload, lsb_attack_fill
+from weightsteg.steg import Payload, lsb_attack_fill
 from weightsteg.weights_io import CHUNK_WORDS, DType, WeightTensor
-
-
-def fourpart_oracle(words):
-    """Definition-level reference built on bit strings only."""
-    n = len(words)
-    side = math.ceil(math.sqrt(n))
-    strings = [format(int(w), "032b") for w in words]
-    planes = []
-    for part in range(4):
-        values = [int(s[8 * part : 8 * (part + 1)], 2) for s in strings]
-        values += [0] * (side * side - n)
-        rows = [values[r * side : (r + 1) * side] for r in range(side)]
-        planes.append(rows)
-    top = [planes[0][r] + planes[1][r] for r in range(side)]
-    bottom = [planes[2][r] + planes[3][r] for r in range(side)]
-    return np.array(top + bottom, dtype=np.uint8)
 
 
 def denormalize(img):
@@ -42,11 +26,6 @@ def denormalize(img):
     if img.min() < 0.0 or img.max() > 1.0:
         raise ValueError("normalized pixels must lie in [0, 1]")
     return np.rint(img * 255.0).astype(np.uint8)
-
-
-def f32_tensor(words):
-    words = np.array(words, dtype=np.uint32)
-    return WeightTensor("", DType.F32, (len(words),), words)
 
 
 class TestGrayscaleFourpart:
@@ -151,26 +130,7 @@ class TestFullImage:
         assert peak < 100e6, peak / 1e6
 
 
-@st.composite
-def render_cases(draw):
-    root = draw(st.integers(1, 12))
-    n = draw(st.sampled_from([1, root * root, root * root + 1, root * root + root]))
-    side = 2 * math.ceil(math.sqrt(n))  # native image side
-    size = draw(st.integers(1, 2 * side + 3))  # below, at and above the native side
-    seed = draw(st.integers(0, 2**16))
-    return n, size, seed
-
-
 class TestRender:
-    @given(render_cases())
-    def test_equals_resized_full_image(self, case):
-        n, size, seed = case
-        words = np.random.default_rng(seed).integers(0, 2**32, size=n, dtype=np.uint64)
-        tensor = f32_tensor(words)
-        full = grayscale_fourpart(tensor)
-        assert np.array_equal(full, fourpart_oracle(words))
-        assert np.array_equal(render(tensor, size), resize(full, size, size))
-
     def test_alternating_geometries(self):
         """Renders of interleaved (n, size) geometries in one process each equal
         the resized full image, so no render uses taps worked out for another
@@ -214,35 +174,15 @@ class TestRender:
         flat = asked[0]
         assert flat.ndim == 1 and np.all(np.diff(flat) > 0) and 0 <= flat[0] and flat[-1] < n
 
-    def test_rejects_what_the_full_image_rejects(self):
-        f16 = WeightTensor("", DType.F16, (1,), np.array([1], dtype=np.uint16))
-        with pytest.raises(FormatError):
-            render(f16, 4)
-        with pytest.raises(ValueError):
-            render(f32_tensor([]), 4)
-        with pytest.raises(ValueError):
-            render(f32_tensor([1]), 0)
-
-    def test_kept_words_render_at_their_size_only(self):
-        """KeptWords holds the words a size x size render reads: a render at
-        that size, of the words or of a fill attack's, equals the source's; a
-        take of other indices, as a render at another size asks, is refused;
-        and a model that render refuses keeps no words, so every render of
-        them raises what a render of the model raises."""
-        tensor = f32_tensor(np.random.default_rng(3).integers(0, 2**32, size=40_001, dtype=np.uint64))
-        kept = KeptWords(tensor, 100)
-        assert np.array_equal(render(kept, 100), render(tensor, 100))
-        payload = Payload.synthetic(16, 2)
-        assert np.array_equal(render(LsbWords(kept, 8, payload, fill=True), 100),
-                              render(LsbWords(tensor, 8, payload, fill=True), 100))
-        for refused in (lambda: render(kept, 28), lambda: kept.take(np.arange(10))):
-            with pytest.raises(ValueError, match="only the words of a 100 x 100 render were kept"):
-                refused()
-        f16 = WeightTensor("", DType.F16, (1,), np.array([1], dtype=np.uint16))
+    def test_kept_words_refuse_what_render_refuses(self):
+        """KeptWords raises when it is built what a render of its source
+        would raise, so a model that no render accepts is refused as it is read."""
         with pytest.raises(FormatError, match="requires float32"):
-            render(KeptWords(f16, 4), 4)
+            KeptWords(make_tensor([1], DType.F16), 4)
         with pytest.raises(ValueError, match="empty tensor"):
-            render(KeptWords(f32_tensor([]), 4), 4)
+            KeptWords(f32_tensor([]), 4)
+        with pytest.raises(ValueError, match="image dimensions must be >= 1"):
+            KeptWords(f32_tensor([1]), 0)
 
     def test_kept_words_of_one_size_share_their_indices(self):
         """Kept models of one n and size share one read-only index array, the

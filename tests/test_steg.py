@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
-from helpers import effective_fill_payload, from_bitstring
+from helpers import effective_fill_payload, from_bitstring, make_tensor, random_tensor
+from helpers import splice_oracle
+from test_words import case_of, cases, check_source
 from weightsteg.errors import CapacityError
 from weightsteg.steg import (
     AttackSpec,
@@ -15,41 +17,15 @@ from weightsteg.steg import (
     lsb_attack,
     lsb_attack_fill,
 )
-from weightsteg.imagerep import render
 from weightsteg.weights_io import (
     CHUNK_WORDS,
     DType,
     ModelWeights,
     WeightTensor,
+    flatten,
     open_words,
     write_container,
 )
-
-
-def splice_oracle(words, word_bits, lsb, bitstring):
-    """Straight-from-the-definition reference: keep the top s-X bits, place
-    each payload chunk MSB-first in the low field; a short final chunk covers
-    only the topmost bits of the field."""
-    out = [format(w, f"0{word_bits}b") for w in words]
-    k = len(bitstring)
-    assert k <= len(words) * lsb
-    n_chunks = math.ceil(k / lsb)
-    for i in range(n_chunks):
-        chunk = bitstring[i * lsb : min((i + 1) * lsb, k)]
-        head = out[i][: word_bits - lsb]
-        field = out[i][word_bits - lsb :]
-        out[i] = head + chunk + field[len(chunk) :]
-    return [int(b, 2) for b in out]
-
-
-def make_tensor(words, dtype=DType.F32):
-    words = np.array(words, dtype=dtype.word_dtype)
-    return WeightTensor("", dtype, (len(words),), words)
-
-
-def random_tensor(rng, n, dtype=DType.F32):
-    words = rng.integers(0, 2**dtype.word_bits, size=n, dtype=np.uint64)
-    return make_tensor(words, dtype)
 
 
 class TestLsbAttack:
@@ -367,26 +343,6 @@ def test_fill_period_table_peak_memory():
     assert peak < 1.5 * words.fields.nbytes, peak / words.fields.nbytes
 
 
-@given(attack_cases(), st.lists(st.integers(0, 24), max_size=5), st.booleans())
-def test_rewrite_of_runs_equals_whole_attack(case, cuts, fill):
-    """Rewriting the cover run by run, each run at its flat offset, gives the
-    words of attacking it whole: chunks may split a field period or the
-    partial final chunk anywhere."""
-    dtype, n, lsb, k, seed = case
-    rng = np.random.default_rng(seed)
-    cover = random_tensor(rng, n, dtype)
-    payload = Payload(rng.integers(0, 2, size=max(k, 1) if fill else k, dtype=np.uint8))
-    words = LsbWords(cover, lsb, payload, fill)
-    whole = (lsb_attack_fill if fill else lsb_attack)(cover, lsb, payload)
-    bounds = sorted({0, n, *(c for c in cuts if c <= n)})
-    out = np.empty_like(cover.bits)
-    for lo, hi in zip(bounds, bounds[1:]):
-        words.rewrite(cover.bits[lo:hi], lo, out=out[lo:hi])
-    assert np.array_equal(out, whole.bits)
-    idx = np.unique(rng.integers(0, n, size=6))
-    assert np.array_equal(words.take(idx), whole.bits[idx])
-
-
 def test_plain_field_table_peak_memory():
     """The plain attack's table holds one field per payload chunk and its
     build allocates little beyond it: a 1M-word cover at X = 7 under a 0.8 MB
@@ -404,45 +360,25 @@ def test_plain_field_table_peak_memory():
     assert peak < 1.5 * words.fields.nbytes, peak / words.fields.nbytes
 
 
-words_cases = st.one_of(
-    st.tuples(st.just(False), attack_cases()), st.tuples(st.just(True), fill_cases())
-)
-
-
-@given(words_cases)
-@example((False, (DType.F16, 3, 5, 7, 1)))  # a short final chunk: 3 field bits stay the cover's
-@example((False, (DType.F32, 4, 3, 0, 2)))  # an empty plain payload
-def test_words_match_string_oracle(case):
-    """Both kinds of LsbWords, through rewrite and through take, give the
-    splice oracle's words for the stream each embeds: rewrite into a new
-    array, and in place in two runs, the second at a flat index above 0,
-    as FileWords.save rewrites its blocks (an empty plain payload too)."""
-    fill, (dtype, n, lsb, k, seed) = case
-    rng = np.random.default_rng(seed)
-    cover = random_tensor(rng, n, dtype)
-    bits = rng.integers(0, 2, size=k, dtype=np.uint8)
-    stream = effective_fill_payload(bits, n, lsb) if fill else bits
-    expected = splice_oracle(cover.bits, dtype.word_bits, lsb, "".join(map(str, stream)))
-    words = LsbWords(cover, lsb, Payload(bits), fill)
-    assert (words.dtype, words.n) == (dtype, n)
-    assert list(words.rewrite(cover.bits, 0, out=np.empty_like(cover.bits))) == expected
-    assert list(words.take(np.arange(n))) == expected
-    block = cover.bits.copy()
-    cut = 1 + seed % n
-    for first, run in ((0, block[:cut]), (cut, block[cut:])):
-        assert words.rewrite(run, first, out=run) is run
-    assert list(block) == expected
+@given(case=cases(), fill=st.booleans())
+def test_rewrite_of_runs_equals_whole_attack(tmp_path_factory, case, fill):
+    """Rewriting the cover run by run, each run at its flat offset, gives the
+    words of attacking it whole: chunks may split a field period or the
+    partial final chunk anywhere (check_source), and those words are
+    lsb_attack's or lsb_attack_fill's."""
+    want = check_source(tmp_path_factory, "fill(tensor)" if fill else "plain(tensor)", case)
+    attack = lsb_attack_fill if fill else lsb_attack
+    whole = attack(flatten(ModelWeights(case.tensors)), case.lsb,
+                   Payload(case.fill if fill else case.plain))
+    assert np.array_equal(whole.bits, want)
 
 
 @pytest.mark.parametrize("lsb,k", [(8, 8 * 3000 - 3), (23, 1001), (2, 0)])
-def test_plain_words_render_as_the_attacked_model(lsb, k):
+def test_plain_words_render_as_the_attacked_model(tmp_path_factory, lsb, k):
     """AttackSpec.words of a plain attack renders the image of lsb_attack's
-    words, at the native size and resized."""
-    rng = np.random.default_rng(lsb)
-    cover = random_tensor(rng, 5000)  # a 142 x 142 fourpart image
-    payload = Payload(rng.integers(0, 2, size=k, dtype=np.uint8))
-    words = AttackSpec(lsb, False, payload).words(cover)
-    attacked = lsb_attack(cover, lsb, payload)
-    for size in (142, 50, 9):
-        assert np.array_equal(render(words, size),
-                              render(attacked, size))
+    words, at the native size and resized (check_source)."""
+    for size in (142, 50, 9):  # 5000 words: a 142 x 142 fourpart image
+        case = case_of([(5000,)], size=size, lsb=lsb, plain=k)
+        want = check_source(tmp_path_factory, "plain(tensor)", case)
+    attacked = lsb_attack(flatten(ModelWeights(case.tensors)), lsb, Payload(case.plain))
+    assert np.array_equal(attacked.bits, want)

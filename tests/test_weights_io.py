@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import unflatten, write_raw
+from helpers import count_preads, f32_tensor, random_tensors, scrambled_container, unflatten
+from helpers import write_raw
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import render
+from test_words import LAYOUTS, case_of, cases, check_source
 from weightsteg.weights_io import (
     DType,
-    FileWords,
     ModelWeights,
     WeightTensor,
     flatten,
@@ -25,11 +26,6 @@ from weightsteg.weights_io import (
     save_model,
     write_container,
 )
-
-
-def f32_tensor(words, name="", shape=None):
-    words = np.array(words, dtype=np.uint32)
-    return WeightTensor(name, DType.F32, shape or (len(words),), words)
 
 
 class TestReadRaw:
@@ -245,8 +241,9 @@ class TestZeroCopy:
     @pytest.mark.parametrize("shift", [1, 2, 3])
     def test_take_from_an_unaligned_view(self, shift):
         """take gathers from words that start off a word boundary, as a parsed
-        container's often do, what indexing gives, in the indices' shape,
-        without first copying the whole array to aligned memory."""
+        container's often do, without first copying the whole array to
+        aligned memory; and it gathers what indexing gives, in the indices'
+        shape, for indices that no words-source caller sends."""
         want = np.random.default_rng(shift).integers(0, 2**32, 1 << 20, dtype=np.uint32)
         flat = read_raw(memoryview(bytes(shift) + want.tobytes())[shift:], DType.F32)
         assert not flat.bits.flags.aligned
@@ -296,9 +293,9 @@ names = st.text(alphabet="abcdefghij_0123456789", min_size=1, max_size=8)
 
 
 @st.composite
-def models(draw, min_tensors=0):
+def models(draw):
     dtype = draw(st.sampled_from([DType.F32, DType.F16]))
-    n_tensors = draw(st.integers(min_tensors, 4))
+    n_tensors = draw(st.integers(0, 4))
     tensor_names = draw(
         st.lists(names, min_size=n_tensors, max_size=n_tensors, unique=True)
     )
@@ -340,7 +337,7 @@ def test_raw_file_helpers(tmp_path):
 metadata = st.dictionaries(names, st.text(max_size=6), max_size=3)
 
 
-@given(models(min_tensors=1), metadata, st.booleans())
+@given(models().filter(lambda model: model.n), metadata, st.booleans())
 def test_save_model_streams_canonical_bytes(tmp_path_factory, model, meta, raw):
     model.metadata = meta
     suffix = (".f32" if model.tensors[0].dtype is DType.F32 else ".f16") if raw else ".safetensors"
@@ -361,7 +358,7 @@ def canonical_on_open(path, data) -> bool:
         return words.canonical
 
 
-@given(models(min_tensors=1), metadata)
+@given(models().filter(lambda model: model.n), metadata)
 def test_canonical_bytes_recognized(tmp_path_factory, model, meta):
     model.metadata = meta
     data = write_container(model)
@@ -386,32 +383,6 @@ def test_noncanonical_bytes_recognized(tmp_path):
     parsed = parse_model(raw, "m.f32")
     assert write_container(parsed).startswith(header)
     assert not canonical_on_open(tmp_path / "m.f32", raw)
-
-
-def scrambled_container(tensors, data_order, metadata=None) -> bytes:
-    """A container whose header lists tensors in their order but whose data
-    section stores them in data_order, so header order is not offset order."""
-    offsets, chunks, cursor = {}, [], 0
-    for i in data_order:
-        buf = tensors[i].bits.tobytes()
-        offsets[tensors[i].name] = [cursor, cursor + len(buf)]
-        chunks.append(buf)
-        cursor += len(buf)
-    header = {"__metadata__": metadata} if metadata else {}
-    for t in tensors:
-        header[t.name] = {"dtype": t.dtype.value, "shape": list(t.shape),
-                          "data_offsets": offsets[t.name]}
-    header_bytes = json.dumps(header, separators=(",", ":")).encode()
-    return struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(chunks)
-
-
-def random_tensors(dtype, shapes, seed=0):
-    rng = np.random.default_rng(seed)
-    out = []
-    for i, shape in enumerate(shapes):
-        words = rng.integers(0, 2**dtype.word_bits, size=int(np.prod(shape)), dtype=np.uint64)
-        out.append(WeightTensor(f"t{i}", dtype, shape, words.astype(dtype.word_dtype)))
-    return out
 
 
 def via_parse(data, path, size):
@@ -441,65 +412,43 @@ def assert_same_outcome(a, b):
 class TestFileWords:
     """open_words gives the words of flatten(load_model(path)) without reading them all."""
 
-    @pytest.mark.parametrize(
-        "shapes,order",
-        [
-            ([(3, 4), (0, 2), (5,)], [2, 0, 1]),  # a zero-length tensor, scrambled offsets
-            ([(0,), (7,), (0, 3)], [1, 2, 0]),  # zero-length first and last
-            ([(1,)], [0]),  # a 1-word model
-            ([(4, 4)], [0]),  # n = side**2
-            ([(16,), (1,)], [1, 0]),  # n = side**2 + 1
-            ([(30,), (20,), (50,)], [2, 0, 1]),
-        ],
-    )
-    def test_take_equals_flatten(self, tmp_path, shapes, order):
-        tensors = random_tensors(DType.F32, shapes)
-        path = tmp_path / "m.safetensors"
-        path.write_bytes(scrambled_container(tensors, order, {"k": "v"}))
-        flat = flatten(load_model(path))
-        with open_words(path) as words:
-            assert isinstance(words, FileWords)
-            assert (words.dtype, words.n) == (flat.dtype, flat.n)
-            everything = np.arange(flat.n)
-            assert np.array_equal(words.take(everything), flat.bits)
-            some = np.flatnonzero(np.random.default_rng(1).random(flat.n) < 0.5)
-            assert np.array_equal(words.take(some), flat.bits[some])
-            assert words.take(np.zeros(0, dtype=np.intp)).shape == (0,)
-            with pytest.raises(IndexError):
-                words.take([flat.n])
-            for size in (1, 3, 2 * flat.n + 1):
-                assert np.array_equal(render(words, size),
-                                      render(flat, size))
+    @pytest.mark.parametrize("shapes,order", [(shapes, order) for shapes, order, _ in LAYOUTS])
+    def test_take_equals_flatten(self, tmp_path_factory, shapes, order):
+        """A container whose header order is not its offset order gives the
+        words of each layout to every take and render of check_source: all of
+        them rendered at size 1 and past the full image, and about half."""
+        case = case_of(shapes, order)
+        n = len(case.words)
+        some = np.flatnonzero(np.random.default_rng(1).random(n) < 0.5)
+        for asked, size in ((case.asked, 1), (some, 3), (case.asked, 2 * n + 1)):
+            check_source(tmp_path_factory, "scrambled", case._replace(asked=asked, size=size))
 
-    @pytest.mark.parametrize("idx", [[3, 2, 1], [0, 4, 4, 9], [[0, 1], [2, 3]], 5],
-                             ids=["reversed", "duplicated", "2-d", "0-d"])
-    def test_take_refuses_all_but_increasing_indices(self, tmp_path, monkeypatch, idx):
-        """take reads strictly increasing 1-D flat indices only, and refuses
-        any others with ValueError before it reads a byte."""
+    @pytest.mark.parametrize("idx,error", [
+        ([3, 2, 1], ValueError), ([0, 4, 4, 9], ValueError), ([[0, 1], [2, 3]], ValueError),
+        (5, ValueError), ([14, 0], ValueError), ([0, -1], ValueError), ([13, 14, 14], ValueError),
+        ([-1], IndexError), ([-1, 0], IndexError),
+    ], ids=["reversed", "duplicated", "2-d", "0-d", "past-end-first", "negative-last",
+            "past-end-repeated", "negative", "negative-first"])
+    def test_take_refuses_all_but_increasing_indices(self, tmp_path, monkeypatch, idx, error):
+        """take reads strictly increasing 1-D flat indices in [0, n) only: it
+        refuses any others before it reads a byte, with ValueError when they
+        are not strictly increasing and 1-D, whatever their range, and with
+        IndexError for one below 0 (one at or past n is the contract's)."""
         path = tmp_path / "m.safetensors"
         save_model(ModelWeights(random_tensors(DType.F32, [(6,), (8,)])), path)
-        reads = []
-        pread = os.pread
-
-        def counting(fd, nbytes, offset):
-            reads.append(nbytes)
-            return pread(fd, nbytes, offset)
-
         with open_words(path) as words:
-            monkeypatch.setattr(os, "pread", counting)
-            with pytest.raises(ValueError, match="strictly increasing 1-D"):
+            reads = count_preads(monkeypatch)
+            with pytest.raises(error, match={ValueError: "strictly increasing 1-D",
+                                             IndexError: "out of range for 14 words"}[error]):
                 words.take(np.array(idx))
         assert reads == []
 
     @pytest.mark.parametrize("dtype,suffix", [(DType.F32, ".f32"), (DType.F16, ".f16")])
-    def test_raw_file(self, tmp_path, dtype, suffix):
-        tensor = random_tensors(dtype, [(17,)])[0]
+    def test_raw_file(self, tmp_path_factory, tmp_path, dtype, suffix):
+        """A raw file passes check_source, and one a byte short of whole words is refused."""
+        check_source(tmp_path_factory, "raw", case_of([(17,)], dtype=dtype))
         path = tmp_path / f"m{suffix}"
-        path.write_bytes(write_raw(tensor))
-        with open_words(path) as words:
-            assert (words.dtype, words.n) == (dtype, 17)
-            assert np.array_equal(words.take(np.arange(17)), tensor.bits)
-        path.write_bytes(write_raw(tensor)[:-1])
+        path.write_bytes(write_raw(random_tensors(dtype, [(17,)])[0])[:-1])
         with pytest.raises(FormatError, match="not divisible"), open_words(path):
             pass
 
@@ -514,9 +463,12 @@ class TestFileWords:
              "truncated"),
             (write_container(ModelWeights([f32_tensor([1, 2], "a")])) + b"\x00", ".safetensors",
              "trailing"),
-            (b"", ".f32", "empty tensor"),
+            (b"", ".f32", "no words"),
+            (bytes(67), ".f32", "not divisible"),
+            (bytes(33), ".f16", "not divisible"),
         ],
-        ids=["short", "empty-model", "mixed", "truncated", "trailing", "empty-raw"],
+        ids=["short", "empty-model", "mixed", "truncated", "trailing", "empty-raw",
+             "partial-word-f32", "partial-word-f16"],
     )
     def test_refuses_what_parse_and_flatten_refuse(self, tmp_path, data, suffix, error):
         path = tmp_path / f"m{suffix}"
@@ -530,14 +482,7 @@ class TestFileWords:
         tensor = random_tensors(DType.F32, [(n,)])[0]
         path = tmp_path / "m.safetensors"
         save_model(ModelWeights([tensor]), path)
-        reads = []
-        pread = os.pread
-
-        def counting(fd, nbytes, offset):
-            reads.append(nbytes)
-            return pread(fd, nbytes, offset)
-
-        monkeypatch.setattr(os, "pread", counting)
+        reads = count_preads(monkeypatch)
         image = via_reader(path, size)
         assert np.array_equal(image, render(tensor, size))
         # the length prefix, the header, then at most one run per tapped row
@@ -554,45 +499,12 @@ class TestFileWords:
                 render(words, 8)
 
 
-@st.composite
-def take_cases(draw):
-    """A container of 1-4 tensors (one may be empty) whose header order is not
-    its offset order, and strictly increasing 1-D indices into its flattened
-    words, as every caller sends: all of them, some of them, or none."""
-    dtype = draw(st.sampled_from([DType.F32, DType.F16]))
-    sizes = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4).filter(any))
-    order = draw(st.permutations(range(len(sizes))))
-    n = sum(sizes)
-    picked = draw(st.one_of(st.just(list(range(n))),
-                            st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
-    idx = np.array(sorted(set(picked)), dtype=np.int64)
-    if draw(st.integers(0, 3)) == 0:
-        idx = idx[:0]
-    return random_tensors(dtype, [(size,) for size in sizes], seed=len(sizes)), order, idx
-
-
 @settings(max_examples=60)
-@given(case=take_cases())
+@given(case=cases())
 def test_take_equals_flatten_property(tmp_path_factory, case):
-    """FileWords.take(idx) is flatten(load_model(path)).bits[idx], runs
-    across tensor boundaries included; increasing indices that reach -1 or n
-    raise IndexError, and any others ValueError."""
-    tensors, order, idx = case
-    path = tmp_path_factory.getbasetemp() / "take.safetensors"
-    path.write_bytes(scrambled_container(tensors, order))
-    flat = flatten(load_model(path))
-    with open_words(path) as words:
-        got = words.take(idx)
-        want = flat.bits[idx]
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        n = flat.n
-        for bad in ([-1], [n], [0, n], [-1, 0]):
-            with pytest.raises(IndexError):
-                words.take(bad)
-        for bad in ([n, 0], [0, -1], [n - 1, n, n]):
-            with pytest.raises(ValueError):
-                words.take(bad)
+    """FileWords of a container whose header order is not its offset order
+    passes check_source on drawn models, takes and renders."""
+    check_source(tmp_path_factory, "scrambled", case)
 
 
 @st.composite
