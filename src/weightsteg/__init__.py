@@ -25,7 +25,7 @@ from .detect import (
     build_detector,
     centroids_as_1nn_equivalence_check,
     classify,
-    embed_samples,
+    classify_samples,
     eval_al,
     eval_oml,
     label_embeddings,

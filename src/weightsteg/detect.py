@@ -156,8 +156,7 @@ def centroids_as_1nn_equivalence_check(
         count = min(_CHECK_BATCH, remaining)
         remaining -= count
         images = rng.random((count, size, size)).astype(np.float32)
-        embs = forward(detector.config, detector.params, images).astype(np.float64)
-        for e in embs:
+        for e in detector.embed(images):
             centroid = _centroid_verdict(e, c0, c1).label
             if centroid != _knn_verdict(e, two_points, two_labels, k=1).label:
                 return False
@@ -182,61 +181,36 @@ def weighted_metric(benign_accuracy: float, accuracies) -> float:
     return 0.5 * (benign_accuracy + weighted / denom)
 
 
-@dataclass(frozen=True)
-class EmbeddedSamples:
-    """Labelled samples reduced to what scoring reads: one embedding row each."""
-
-    embeddings: np.ndarray  # (n, d) float64
-    labels: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-    def __add__(self, other: "EmbeddedSamples") -> "EmbeddedSamples":
-        return EmbeddedSamples(
-            np.concatenate([self.embeddings, other.embeddings]), self.labels + other.labels
-        )
+def classify_samples(detector: TrainedDetector, embeddings, mode="centroid", k=1) -> list[int]:
+    """The label of each embedding row: the one step from embeddings to labels."""
+    return [v.label for v in label_embeddings(detector, embeddings, mode, k)]
 
 
-def embed_samples(detector: TrainedDetector, samples) -> EmbeddedSamples:
-    """Embed the samples' images with one forward, each row the bits of its
-    image's batch-1 forward.
-
-    The scoring functions below take the result, so that a caller scoring
-    one image set several times embeds it only once.
-    """
-    samples = list(samples)
-    embeddings = detector.embed([s.image for s in samples])
-    return EmbeddedSamples(embeddings, tuple(int(s.label) for s in samples))
-
-
-def classify_samples(detector: TrainedDetector, embedded: EmbeddedSamples, mode="centroid", k=1):
-    return [v.label for v in label_embeddings(detector, embedded.embeddings, mode, k)]
-
-
-def accuracy(detector: TrainedDetector, embedded: EmbeddedSamples, mode="centroid", k=1) -> float:
-    if not embedded:
+def accuracy(labels, truth: int) -> float:
+    """The share of verdict labels that equal truth, the label of every sample scored."""
+    labels = list(labels)
+    if not labels:
         raise ValueError("cannot score an empty sample list")
-    predicted = classify_samples(detector, embedded, mode, k)
-    return float(np.mean([p == label for p, label in zip(predicted, embedded.labels)]))
+    return labels.count(truth) / len(labels)
 
 
-def eval_oml(detector, benign, attacked, mode="centroid", k=1) -> float:
-    """Accuracy over embedded benign plus samples attacked at the trained severity."""
-    return accuracy(detector, benign + attacked, mode, k)
+def eval_oml(benign, attacked) -> float:
+    """Accuracy over the labels of benign samples and of samples attacked at
+    the trained severity, taken together."""
+    return accuracy([label == 0 for label in benign] + [label == 1 for label in attacked], True)
 
 
-def eval_al(detector, benign, attacked_by_severity, mode="centroid", k=1):
-    """Weighted metric over embedded benign samples and every severity 1..s.
+def eval_al(benign, attacked_by_severity):
+    """Weighted metric over the labels of benign samples and of every severity 1..s.
 
-    attacked_by_severity maps severity -> embedded samples and must cover 1..s
+    attacked_by_severity maps severity -> labels and must cover 1..s
     contiguously. Returns (wm, benign_accuracy, {severity: accuracy}).
     """
     severities = sorted(attacked_by_severity)
     if severities != list(range(1, len(severities) + 1)):
         raise ValueError(f"severities must cover 1..s contiguously, got {severities}")
-    a0 = accuracy(detector, benign, mode, k)
-    per_severity = {x: accuracy(detector, attacked_by_severity[x], mode, k) for x in severities}
+    a0 = accuracy(benign, 0)
+    per_severity = {x: accuracy(attacked_by_severity[x], 1) for x in severities}
     wm = weighted_metric(a0, [per_severity[x] for x in severities])
     return wm, a0, per_severity
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError
-from .weights_io import CHUNK_WORDS, DType, Words
+from .weights_io import CHUNK_WORDS, DType, Words, _check_words
 
 # the one image of a model, as manifests and detectors name it
 REPRESENTATION = "grayscale-fourpart"
@@ -84,8 +84,7 @@ def _fourpart_side(source: Words) -> tuple[int, int]:
             f"grayscale-fourpart requires float32 weights, got {source.dtype.value}"
         )
     n = source.n
-    if n == 0:
-        raise ValueError("cannot build an image from an empty tensor")
+    _check_words(n)
     return n, math.isqrt(n - 1) + 1  # ceil(sqrt(n))
 
 

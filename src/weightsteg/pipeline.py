@@ -20,7 +20,7 @@ from .detect import (
     ReportRow,
     TrainedDetector,
     build_detector,
-    embed_samples,
+    classify_samples,
     eval_al,
     eval_oml,
     summarize_rows,
@@ -202,22 +202,23 @@ def run_detection_run(
 
     test_flats = [fm for fm in flats if fm.zoo in held_out]
 
-    def embedded(spec):
-        # Images are embedded once and dropped; every mode scores the embeddings.
-        return embed_samples(detector, render_samples(test_flats, cfg, spec))
+    def labels(spec):
+        # Images are embedded once and dropped; each mode labels the embeddings once.
+        embeddings = detector.embed([s.image for s in render_samples(test_flats, cfg, spec)])
+        return {mode: classify_samples(detector, embeddings, mode, cfg.knn_k) for mode in cfg.modes}
 
-    test_benign = embedded(None)
-    per_x = {x: embedded(replace(attack, lsb=x)) for x in cfg.severities}
-    test_attacked = per_x[cfg.lsb] if cfg.lsb in per_x else embedded(attack)
+    test_benign = labels(None)
+    per_x = {x: labels(replace(attack, lsb=x)) for x in cfg.severities}
+    test_attacked = per_x[cfg.lsb] if cfg.lsb in per_x else labels(attack)
 
     rows: list[ReportRow] = []
     oml: dict[str, float] = {}
     run_id = str(seed)
     for mode in cfg.modes:
-        oml[mode] = eval_oml(detector, test_benign, test_attacked, mode, cfg.knn_k)
+        oml[mode] = eval_oml(test_benign[mode], test_attacked[mode])
         rows.append(ReportRow(run_id, cfg.lsb, mode, "oml_accuracy", oml[mode]))
         if per_x:
-            wm, a0, acc_x = eval_al(detector, test_benign, per_x, mode, cfg.knn_k)
+            wm, a0, acc_x = eval_al(test_benign[mode], {x: per_x[x][mode] for x in per_x})
             rows.append(ReportRow(run_id, cfg.lsb, mode, "benign_accuracy", a0))
             for x in sorted(acc_x):
                 rows.append(ReportRow(run_id, cfg.lsb, mode, f"accuracy_x{x}", acc_x[x]))

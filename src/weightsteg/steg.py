@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
-from .weights_io import CHUNK_WORDS, DType, WeightTensor, Words, sha256_hex
+from .weights_io import CHUNK_WORDS, DType, WeightTensor, Words, _check_words, sha256_hex
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +130,7 @@ class LsbWords:
         if fill:
             if k == 0:
                 raise ValueError("fill attack requires a non-empty payload")
-            if self.n == 0:
-                raise ValueError("fill attack requires at least one weight")
+            _check_words(self.n)
             self.limit = self.n
             period = min(self.n, k // math.gcd(k, lsb))
         else:

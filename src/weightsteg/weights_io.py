@@ -79,8 +79,9 @@ class Words(Protocol):
       every caller sends, returns the words at them in a new writable array
       of ``dtype.word_dtype`` that shares no memory with the source
       (LsbWords.take writes into it). An empty take returns an empty array;
-      an index at or past n raises IndexError. A KeptWords answers only the
-      indices of a render at its size, and any others raise ValueError;
+      an index below 0, or at or past n, raises IndexError. A KeptWords
+      answers only the indices of a render at its size, and any others
+      raise ValueError;
     - an attack source (LsbWords) also has ``rewrite(words, first, out)``:
       given the cover's words from flat index first on, it writes the words
       take gives there to out, which may be words itself, and returns out.
@@ -132,6 +133,9 @@ class WeightTensor:
         """The words at flat_indices (see Words), gathered as raw bytes (a
         void view): numpy copies an unaligned parse view whole before a plain
         take, and fancy indexing reads it several times slower."""
+        flat_indices = np.asarray(flat_indices, dtype=np.int64)
+        if flat_indices.size and flat_indices.min() < 0:  # numpy counts it from the end
+            raise IndexError(f"flat index out of range for {self.n} words")
         return self.bits.view(f"V{self.bits.itemsize}").take(flat_indices).view(self.bits.dtype)
 
     def with_bits(self, bits) -> "WeightTensor":
@@ -359,12 +363,17 @@ def _joined(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays)
 
 
+def _check_words(n: int) -> None:
+    """A model of no words is malformed, whatever reads, renders or attacks it."""
+    if n == 0:
+        raise FormatError("cannot flatten a model with no words")
+
+
 def _flat_dtype(tensors) -> DType:
     """The one dtype of a flattenable model's tensors (or header entries)."""
     if not tensors:
         raise FormatError("cannot flatten a model with no tensors")
-    if not any(math.prod(t.shape) for t in tensors):
-        raise FormatError("cannot flatten a model with no words")
+    _check_words(sum(math.prod(t.shape) for t in tensors))
     dtypes = {t.dtype for t in tensors}
     if len(dtypes) > 1:
         raise FormatError(f"mixed dtypes in model: {sorted(d.value for d in dtypes)}")

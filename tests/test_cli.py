@@ -1399,7 +1399,7 @@ class TestLayersRunOnTheMainThread:
                    "--train-per-class", 2, "--runs", 1, "--severities", "1-2",
                    "--out-csv", tmp_path / "r.csv") == 0
         assert run("scan", "--detector", det, "--model", mc_dir) == 0
-        assert {"net.forward", "net.backward", "detect.embed_samples", "cli.cmd_scan"} <= threads.keys()
+        assert {"net.forward", "net.backward", "detect.classify_samples", "cli.cmd_scan"} <= threads.keys()
         assert net._helpers is not None  # the images went through the pool
         assert {name: ids for name, ids in threads.items() if ids != {threading.get_ident()}} == {}
 

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from weightsteg.dataset import LabeledSample
 from weightsteg.detect import (
     ReportRow,
     TrainedDetector,
@@ -14,7 +13,7 @@ from weightsteg.detect import (
     build_detector,
     centroids_as_1nn_equivalence_check,
     classify,
-    embed_samples,
+    classify_samples,
     eval_al,
     eval_oml,
     load_detector,
@@ -218,58 +217,55 @@ def constant_benign_detector():
     return det
 
 
-def make_samples(det, labels):
-    """Samples whose embeddings coincide with stored training embeddings."""
-    rng = np.random.default_rng(7)
-    return [LabeledSample(rng.random((8, 8)), label, "z") for label in labels]
+def labels_of(det, n, seed=7):
+    """The labels det gives n random images, embedded in one call."""
+    images = np.random.default_rng(seed).random((n, 8, 8))
+    return classify_samples(det, det.embed(images))
 
 
 class TestEval:
     def test_constant_benign_detector_oml(self):
         det = constant_benign_detector()
-        benign = embed_samples(det, make_samples(det, [0, 0, 0]))
-        attacked = embed_samples(det, make_samples(det, [1, 1, 1]))
-        oml = eval_oml(det, benign, attacked, mode="centroid")
-        assert oml == pytest.approx(0.5)
+        benign, attacked = labels_of(det, 3), labels_of(det, 3, seed=8)
+        assert benign == attacked == [0, 0, 0]
+        assert eval_oml(benign, attacked) == pytest.approx(0.5)
 
     def test_constant_benign_detector_al(self):
         det = constant_benign_detector()
-        benign = embed_samples(det, make_samples(det, [0, 0]))
-        by_sev = {x: embed_samples(det, make_samples(det, [1, 1])) for x in range(1, 5)}
-        wm, a0, per = eval_al(det, benign, by_sev, mode="centroid")
+        benign = labels_of(det, 2)
+        by_sev = {x: labels_of(det, 2, seed=x) for x in range(1, 5)}
+        wm, a0, per = eval_al(benign, by_sev)
         assert a0 == 1.0
         assert all(v == 0.0 for v in per.values())
         assert wm == pytest.approx(0.5)
 
     def test_perfect_detector_oml(self):
+        """Labels that are all right score 1.0, and each wrong one costs its
+        share of the total: a hit count over a total, as np.mean of the hits."""
         det = tiny_detector()
-        rng = np.random.default_rng(8)
-        benign, attacked = [], []
-        for i in range(4):
-            img = rng.random((8, 8))
-            label = classify(det, img).label
-            (attacked if label else benign).append(LabeledSample(img, label, "z"))
-        if benign and attacked:
-            benign, attacked = embed_samples(det, benign), embed_samples(det, attacked)
-            assert eval_oml(det, benign, attacked, mode="centroid") == 1.0
+        labels = labels_of(det, 4, seed=8)
+        benign = [label for label in labels if label == 0]
+        attacked = [label for label in labels if label == 1]
+        assert eval_oml(benign, attacked) == 1.0
+        assert eval_oml(attacked, benign) == 0.0
+        for benign, attacked in [([0, 1, 0], [1]), ([0] * 7, [1, 0] * 5), ([1], [0, 0])]:
+            hits = [label == 0 for label in benign] + [label == 1 for label in attacked]
+            assert eval_oml(benign, attacked) == float(np.mean(hits))
 
     def test_al_requires_contiguous_severities(self):
-        det = constant_benign_detector()
-        benign = embed_samples(det, make_samples(det, [0]))
         with pytest.raises(ValueError, match="contiguous"):
-            eval_al(det, benign, {1: benign, 3: benign})
+            eval_al([0], {1: [1], 3: [1]})
 
     def test_accuracy_empty(self):
-        det = constant_benign_detector()
-        empty = embed_samples(det, [])
         with pytest.raises(ValueError):
-            accuracy(det, empty)
+            accuracy([], 0)
+        with pytest.raises(ValueError):
+            eval_oml([], [])
 
     def test_unknown_mode(self):
         det = constant_benign_detector()
-        embedded = embed_samples(det, make_samples(None, [0]))
-        with pytest.raises(ValueError):
-            accuracy(det, embedded, mode="svm")
+        with pytest.raises(ValueError, match="unknown evaluation mode"):
+            classify_samples(det, det.embed(np.zeros((1, 8, 8))), mode="svm")
 
 
 class TestSerialization:

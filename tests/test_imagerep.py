@@ -53,7 +53,7 @@ class TestGrayscaleFourpart:
             assert np.array_equal(grayscale_fourpart(f32_tensor(words)), fourpart_oracle(words))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="no words"):
             grayscale_fourpart(f32_tensor([]))
 
     def test_f16_unsupported(self):
@@ -179,7 +179,7 @@ class TestRender:
         would raise, so a model that no render accepts is refused as it is read."""
         with pytest.raises(FormatError, match="requires float32"):
             KeptWords(make_tensor([1], DType.F16), 4)
-        with pytest.raises(ValueError, match="empty tensor"):
+        with pytest.raises(FormatError, match="no words"):
             KeptWords(f32_tensor([]), 4)
         with pytest.raises(ValueError, match="image dimensions must be >= 1"):
             KeptWords(f32_tensor([1]), 0)

@@ -1,4 +1,5 @@
-"""A detection run embeds each evaluation image once and scores it like the sample API."""
+"""A detection run embeds each evaluation image once, labels each image set once
+per mode, and scores the labels as an independent oracle does."""
 
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 from weightsteg import detect, pipeline, steg
 from weightsteg.dataset import synth_collection
-from weightsteg.detect import ReportRow, embed_samples, eval_al, eval_oml
+from weightsteg.detect import ReportRow, label_embeddings, weighted_metric
 from weightsteg.imagerep import KeptWords, normalize, render
 from weightsteg.net import TrainConfig
 from weightsteg.pipeline import (
@@ -47,27 +48,32 @@ def forwards(monkeypatch):
 
 
 def sample_based_rows(detector, collection, cfg, seed):
-    """The rows eval_oml/eval_al give for the run's detector when every image
-    set, the trained severity's included, is rendered and embedded on its own."""
+    """The rows of the run's detector when every image set, the trained
+    severity's included, is rendered, embedded and labelled on its own for
+    each mode, each accuracy the mean of the hits of label_embeddings."""
     test_flats = [fm for fm in load_flat_models(collection) if fm.zoo not in cfg.train_zoos]
 
-    def embedded(attack):
-        return embed_samples(detector, render_samples(test_flats, cfg, attack))
+    def hits(attack, mode):
+        samples = render_samples(test_flats, cfg, attack)
+        verdicts = label_embeddings(detector, detector.embed([s.image for s in samples]),
+                                    mode, cfg.knn_k)
+        return [v.label == s.label for v, s in zip(verdicts, samples, strict=True)]
 
     attack = AttackSpec(cfg.lsb, True, PAYLOAD)
-    benign = embedded(None)
-    attacked = embedded(attack)
-    per_x = {x: embedded(replace(attack, lsb=x)) for x in cfg.severities}
     rows = []
     for mode in cfg.modes:
-        oml = eval_oml(detector, benign, attacked, mode, cfg.knn_k)
+        benign = hits(None, mode)
+        oml = float(np.mean(benign + hits(attack, mode)))
         rows.append(ReportRow(str(seed), cfg.lsb, mode, "oml_accuracy", oml))
-        if per_x:
-            wm, a0, acc_x = eval_al(detector, benign, per_x, mode, cfg.knn_k)
+        if cfg.severities:
+            a0 = float(np.mean(benign))
+            acc_x = {x: float(np.mean(hits(replace(attack, lsb=x), mode)))
+                     for x in sorted(cfg.severities)}
             rows.append(ReportRow(str(seed), cfg.lsb, mode, "benign_accuracy", a0))
             rows += [
-                ReportRow(str(seed), cfg.lsb, mode, f"accuracy_x{x}", acc_x[x]) for x in sorted(acc_x)
+                ReportRow(str(seed), cfg.lsb, mode, f"accuracy_x{x}", acc_x[x]) for x in acc_x
             ]
+            wm = weighted_metric(a0, list(acc_x.values()))
             rows.append(ReportRow(str(seed), cfg.lsb, mode, "weighted_metric", wm))
     return rows
 
@@ -97,6 +103,30 @@ def test_one_forward_per_distinct_image(collection, forwards, lsb, severities, m
     assert calls == [(2 * PER_CLASS,)] + [(n_test,)] * (1 + attacked_sets)
 
     assert res.rows == sample_based_rows(res.detector, collection, cfg, 3)
+
+
+def test_each_image_set_is_labelled_once_per_mode(collection, monkeypatch):
+    """A run that scores severities, the trained one among them, labels the
+    benign set and each severity's set once per mode: OML and the weighted
+    metric read the same labels."""
+    calls = []
+    real = detect.classify_samples
+
+    def counting(detector, embeddings, mode="centroid", k=1):
+        calls.append((mode, len(embeddings)))
+        return real(detector, embeddings, mode, k)
+
+    for module in (detect, pipeline):  # wherever it is named, as a tracer patches it
+        monkeypatch.setattr(module, "classify_samples", counting)
+    severities, modes = (1, 2, 3), ("centroid", "1nn", "knn")
+    cfg = ExperimentConfig(
+        lsb=2, train_zoos=("zoo0",), image_size=28, arch="tiny", strategy="ES",
+        train_per_class=PER_CLASS, severities=severities, modes=modes, knn_k=3,
+    )
+    run_detection_run(collection, PAYLOAD, cfg, 3, load_flat_models(collection))
+    n_test = 4  # zoo1 and zoo2 hold two models each
+    assert sorted(calls) == sorted((mode, n_test) for mode in modes
+                                   for _ in range(1 + len(severities)))
 
 
 def test_render_samples_labels_by_attack(collection):

@@ -243,11 +243,12 @@ class TestZeroCopy:
         """take gathers from words that start off a word boundary, as a parsed
         container's often do, without first copying the whole array to
         aligned memory; and it gathers what indexing gives, in the indices'
-        shape, for indices that no words-source caller sends."""
+        shape, for indices that no words-source caller sends (repeated, out of
+        order, 2-D; a negative one is refused, see test_words)."""
         want = np.random.default_rng(shift).integers(0, 2**32, 1 << 20, dtype=np.uint32)
         flat = read_raw(memoryview(bytes(shift) + want.tobytes())[shift:], DType.F32)
         assert not flat.bits.flags.aligned
-        idx = np.array([[5, 0, 1 << 19], [7, 7, -1]])
+        idx = np.array([[5, 0, 1 << 19], [7, 7, (1 << 20) - 1]])
         tracemalloc.start()
         try:
             got = flat.take(idx)
