@@ -161,7 +161,7 @@ def cmd_build_dataset(args) -> int:
         args.size,
         out,
         attack,
-        train_zoos=_parse_zoos(args.train_zoos) if args.train_zoos else None,
+        train_zoos=None if args.train_zoos is None else _parse_zoos(args.train_zoos),
     )
     print(out / "manifest.json")
     logger.info("wrote %d samples", len(manifest.samples))

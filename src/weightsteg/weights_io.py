@@ -404,14 +404,15 @@ _RUN_GAP_BYTES = 4096
 
 
 class FileWords:
-    """The words of flatten(load_model(path)), read from an open regular file on demand.
+    """The words of a model file (a container's tensors in header order, or
+    a raw .f32/.f16 file's words), read from an open regular file on demand.
 
     Construction reads only the 8-byte length prefix and the JSON header
-    (nothing for a raw .f32/.f16 file) and makes every check that parse_model
-    and flatten make. ``take`` reads each run of words less than
-    _RUN_GAP_BYTES apart in the file with one os.pread, into one buffer that
-    holds the runs end to end. ``sha256``, ``canonical_sha256`` and ``save``
-    stream the file a chunk at a time. It never maps the file, so a file
+    (nothing for a raw file) and makes every check that parse_model and
+    flatten make. ``take`` reads each run of words less than _RUN_GAP_BYTES
+    apart in the file with one os.pread, into one buffer that holds the runs
+    end to end. ``sha256`` and ``save`` are the only streamed passes: each
+    reads the file a chunk at a time. It never maps the file, so a file
     truncated while open raises FormatError instead of faulting, as does a
     streamed pass that ends with the file's size or modification time not
     what they were at open. The file descriptor stays the caller's.
@@ -423,13 +424,11 @@ class FileWords:
         size = info.st_size
         raw_dtype = _raw_dtype_for_path(path)
         if raw_dtype is not None:
-            self.metadata, self._header, data_start = {}, None, 0
+            self.metadata, data_start = {}, 0
             self.tensors = [_Entry("", raw_dtype, (_raw_word_count(size, raw_dtype),), 0, size)]
         else:
-            prefix = os.pread(fd, 8, 0)
-            data_start = 8 + _header_length(prefix, size)
-            self._header = prefix + self._read(data_start - 8, 8)
-            self.metadata, self.tensors = _layout(_decode_header(self._header[8:]),
+            data_start = 8 + _header_length(os.pread(fd, 8, 0), size)
+            self.metadata, self.tensors = _layout(_decode_header(self._read(data_start - 8, 8)),
                                                   size - data_start)
         self.dtype = _flat_dtype(self.tensors)
         word_bytes = self.dtype.word_bytes
@@ -501,35 +500,19 @@ class FileWords:
             self._sha256 = digest.hexdigest()
         return self._sha256
 
-    @property
-    def canonical(self) -> bool:
-        """Whether the file is the canonical container encoding of its model.
-        The header decides: the checks made at open tie the rest to it."""
-        return self._header == _container_header(self.metadata, self.tensors)
-
-    def canonical_sha256(self) -> str:
-        """The sha256 of the canonical container encoding of the file's model:
-        the file's own when it is canonical, else one more streamed pass."""
-        if self.canonical:
-            return self.sha256()
-        digest = hashlib.sha256(_container_header(self.metadata, self.tensors))
-        for _, words in self._stream(self._spans.tolist(), self.dtype.word_dtype):
-            digest.update(words)
-        return digest.hexdigest()
-
     def save(self, path: str | Path, rewrite, provenance: dict[str, str]) -> str:
         """Write the file's model to path, each block of words (see _stream)
         passed through rewrite(words, first, out=words), an attack source's
         (see Words), and return the sha256 hex digest of the bytes written. A
         .f32/.f16 path gets the words alone, any other path a container whose
         metadata is this file's, then provenance, then source_sha256: the
-        canonical_sha256 of this file."""
+        sha256 of this file's bytes, which sha256sum gives too."""
         path = Path(path)
         if path.exists() and os.path.samestat(os.stat(path), os.fstat(self._fd)):
             raise ValueError(f"{path} is the file being read; write the copy elsewhere")
         metadata = {}
         if _raw_dtype_for_path(path) is None:  # only a container records provenance
-            metadata = {**self.metadata, **provenance, "source_sha256": self.canonical_sha256()}
+            metadata = {**self.metadata, **provenance, "source_sha256": self.sha256()}
         blocks = self._stream(self._spans.tolist(), self.dtype.word_dtype)
         digest = hashlib.sha256()
         _write(path, self.tensors, metadata,
@@ -547,7 +530,7 @@ def _check_read(got: int, nbytes: int, offset: int) -> None:
 
 @contextmanager
 def open_words(path: str | Path):
-    """Yield the words of flatten(load_model(path)) as a FileWords.
+    """Yield the words of the model file at path as a FileWords (which see).
 
     A regular file is read only where asked, and closed when the block
     exits. Anything else (a pipe, a device) cannot be read at offsets, so it

@@ -1488,8 +1488,10 @@ class TestMalformedInputsFailClosed:
         (("--synthetic-payload", "64"), "--synthetic-payload expects BYTES,SEED, got '64'"),
         (("--synthetic-payload", "0,1"), "synthetic payload needs at least one byte"),
         (("--synthetic-payload", "64,7", "--train-zoos", ","), "--train-zoos needs at least one zoo id"),
+        (("--synthetic-payload", "64,7", "--train-zoos", ""), "--train-zoos needs at least one zoo id"),
         (("--synthetic-payload", "64,7", "--size", 0), "image size must be at least 1, got 0"),
-    ], ids=["payload-one-field", "payload-zero-bytes", "train-zoos-empty", "size-zero"])
+    ], ids=["payload-one-field", "payload-zero-bytes", "train-zoos-empty", "train-zoos-blank",
+            "size-zero"])
     def test_build_dataset_flags_exit_2(self, tmp_path, mc_dir, capsys, monkeypatch, argv, message):
         def no_read(*args, **kwargs):
             raise AssertionError("build-dataset opened a model before it checked its flags")

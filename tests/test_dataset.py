@@ -488,7 +488,7 @@ def two_pass_dataset(benign, size, out_dir, lsb, payload, train_zoos):
                 "attack": "lsb-fill",
                 "lsb": str(lsb),
                 "payload_sha256": payload.sha256(),
-                "source_sha256": hashlib.sha256(write_container(model)).hexdigest(),
+                "source_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
             })
             out = out_dir / "attacked" / zoo.zoo_id / path.name
             save_model(attacked, out)
@@ -588,6 +588,57 @@ class TestOnePass:
         assert not [p for p in reads if (out / "attacked").resolve() in p.parents]
         assert len(list((out / "attacked").rglob("*.safetensors"))) == len(benign)
 
+    def test_spaced_model_read_in_two_streamed_passes(self, tmp_path, small_collection,
+                                                      monkeypatch):
+        """A model whose header is not the one this toolkit writes is still
+        streamed twice: the file once to hash it, its words once to write
+        the copy."""
+        collection = spaced_collection(small_collection, tmp_path / "spaced")
+        streamed = []  # (inode, bytes) per os.preadv
+        real_preadv = os.preadv
+
+        def counting_preadv(fd, buffers, offset, *args):
+            got = real_preadv(fd, buffers, offset, *args)
+            streamed.append((os.fstat(fd).st_ino, got))
+            return got
+
+        monkeypatch.setattr(os, "preadv", counting_preadv)
+        build_dataset(collection, 12, tmp_path / "ds", AttackSpec(8, True, Payload.synthetic(5, 3)))
+        monkeypatch.undo()
+        want = {}
+        for path in (p for zoo in collection.zoos for p in zoo.model_paths):
+            with open_words(path) as words:
+                want[path.stat().st_ino] = path.stat().st_size + words.n * words.dtype.word_bytes
+        got = dict.fromkeys(want, 0)
+        for inode, nbytes in streamed:
+            got[inode] += nbytes
+        assert got == want
+
+
+@pytest.mark.parametrize("layout", ["canonical", "spaced", "scrambled", "raw"])
+def test_copy_records_its_source_files_sha256(tmp_path, layout):
+    """A container copy from embed (plain and --fill) and from build-dataset
+    records as source_sha256 the sha256 of its source file's bytes, as
+    sha256sum gives it, whatever the source's layout."""
+    rng = np.random.default_rng(5)
+    tensors = [WeightTensor(name, DType.F32, (size,), rng.integers(0, 2**32, size, dtype=np.uint64))
+               for name, size in (("w", 300), ("b", 40))]
+    mc = tmp_path / "mc"
+    source = mc / "zoo0" / ("model000.f32" if layout == "raw" else "model000.safetensors")
+    source.parent.mkdir(parents=True)
+    source.write_bytes(layout_bytes(tensors, layout, {"origin": "test"}))
+    copies = [tmp_path / "plain.safetensors", tmp_path / "fill.safetensors"]
+    for copy, flags in zip(copies, ([], ["--fill"])):
+        assert main(["embed", "--in", str(source), "--lsb", "8", *flags,
+                     "--synthetic-payload", "16,2", "--out", str(copy)]) == 0
+    if layout != "raw":  # build-dataset's copy of a raw file is raw, with no metadata
+        assert main(["build-dataset", "--mc", str(mc), "--lsb", "8", "--synthetic-payload",
+                     "16,2", "--size", "12", "--out", str(tmp_path / "ds")]) == 0
+        copies.append(tmp_path / "ds" / "attacked" / "zoo0" / source.name)
+    for copy in copies:
+        with open_words(copy) as words:
+            assert words.metadata["source_sha256"] == hashlib.sha256(source.read_bytes()).hexdigest()
+
 
 def reference_fill(words, word_bits, lsb, bits):
     """The fill attack straight from its definition: word i's low field holds
@@ -648,7 +699,7 @@ def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, f
             "attack": "lsb-fill" if fill else "lsb",
             "lsb": str(lsb),
             "payload_sha256": payload.sha256(),
-            "source_sha256": hashlib.sha256(write_container(model)).hexdigest(),
+            "source_sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         })
         want = write_container(expected)
 
