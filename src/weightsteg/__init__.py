@@ -16,7 +16,6 @@ from .dataset import (
     load_dataset,
     split_by_zoo,
     synth_collection,
-    synth_model,
 )
 from .detect import (
     TrainedDetector,
@@ -24,7 +23,6 @@ from .detect import (
     bootstrap_ci,
     build_detector,
     centroids_as_1nn_equivalence_check,
-    classify,
     classify_samples,
     eval_al,
     eval_oml,
@@ -57,7 +55,6 @@ from .steg import (
     Payload,
     extract_lsb,
     lsb_attack,
-    lsb_attack_fill,
 )
 from .weights_io import (
     DType,
@@ -66,7 +63,6 @@ from .weights_io import (
     flatten,
     load_model,
     open_words,
-    parse_model,
     read_container,
     read_raw,
     save_model,

@@ -22,7 +22,7 @@ from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATION, normalize, read_pgm, render, write_pgm
 from . import net
 from .steg import AttackSpec
-from .weights_io import CHUNK_WORDS, DType, ModelWeights, WeightTensor, _write, open_words
+from .weights_io import CHUNK_WORDS, DType, _write, open_words
 
 logger = logging.getLogger(__name__)
 
@@ -179,6 +179,11 @@ def _named(path: Path, fn, *args):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+def _check_model(path: Path, attack: AttackSpec) -> None:
+    with open_words(path) as source:
+        attack.validate_for(source.dtype)
+
+
 def _render_model(stack: ExitStack, path: Path, attack: AttackSpec, size: int):
     """The model at path opened on stack (open_words), its images, benign
     first, and the words of its attack, which AttackSpec.words checks against
@@ -261,8 +266,8 @@ def build_dataset(
     out_dir; the manifest's source_sha256 folds the file digests of every
     benign model, then of every attacked model. A plain attack (the manifest
     records no fill flag), an unknown train_zoos id and a size below 1 are
-    refused before any model is read. No directory is made before the first
-    model's attack has passed its check against the model's dtype.
+    refused before any model is read. No directory is made before every model
+    has opened and its attack has passed its check against the model's dtype.
     """
     if not attack.fill:
         raise ValueError("build_dataset attacks with fill only; the manifest records no fill flag")
@@ -278,6 +283,8 @@ def build_dataset(
         shape=(size, size),
     )
     models = [(zoo.zoo_id, path) for zoo in benign.zoos for path in zoo.model_paths]
+    for _, path in models:  # a header-only open: a file truncated now fails here
+        _named(path, _check_model, path, attack)
     # per zoo, its benign samples, then its attacked samples
     zoo_samples = {zoo.zoo_id: ([], []) for zoo in benign.zoos}
     file_digests: tuple[list[bytes], list[bytes]] = ([], [])  # benign, attacked
@@ -404,20 +411,6 @@ def _synth_words(layers: list[_Layer], rng: np.random.Generator):
             out = values[: len(chunk)]
             out[...] = chunk
             yield out.view(DType.F32.word_dtype)
-
-
-def synth_model(n_params: int, rng: np.random.Generator) -> ModelWeights:
-    """Gaussian stand-in for a trained model: zero-mean layers with
-    log-uniform scales in [1e-3, 1e-1]."""
-    layers = _synth_layers(n_params)
-    words = np.empty(n_params, dtype=DType.F32.word_dtype)
-    at = 0
-    for chunk in _synth_words(layers, rng):
-        words[at : at + len(chunk)] = chunk
-        at += len(chunk)
-    bounds = np.cumsum([0] + [layer.shape[0] for layer in layers])
-    return ModelWeights([WeightTensor(layer.name, layer.dtype, layer.shape, words[lo:hi])
-                         for layer, lo, hi in zip(layers, bounds, bounds[1:])])
 
 
 def synth_collection(

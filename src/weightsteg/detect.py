@@ -129,11 +129,6 @@ def label_embeddings(
     raise ValueError(f"unknown evaluation mode {mode!r}; known: {_MODES}")
 
 
-def classify(detector: TrainedDetector, image, mode: str = "centroid", k: int = 1) -> Verdict:
-    """Verdict for one image: its batch-1 embedding through label_embeddings."""
-    return label_embeddings(detector, [detector.embed(image)], mode, k)[0]
-
-
 _CHECK_BATCH = 32  # query images centroids_as_1nn_equivalence_check embeds at a time
 
 
@@ -270,11 +265,11 @@ def _check_shapes(config: ConvNetConfig, tensors: dict[str, np.ndarray]) -> None
 def load_detector(data: bytes) -> TrainedDetector:
     """Parse a detector file: every field save_detector writes, none defaulted.
 
-    A missing, undecodable or non-finite field raises FormatError, as do
-    training labels that are not 0 and 1, centroids other than the class
-    means of train.embeddings, a seed or trained_lsb (in [0, 32]) not written
-    as str() writes it, a strategy outside STRATEGIES and "", and a
-    manifest_sha256 other than 64 lowercase hex digits or "".
+    A missing, undecodable or non-finite field raises FormatError, as do a
+    tensor other than F32, training labels that are not 0 and 1, centroids
+    other than the class means of train.embeddings, a seed or trained_lsb (in
+    [0, 32]) not written as str() writes it, a strategy outside STRATEGIES
+    and "", and a manifest_sha256 other than 64 lowercase hex digits or "".
     """
     model = read_container(data)
     meta = model.metadata
@@ -282,6 +277,8 @@ def load_detector(data: bytes) -> TrainedDetector:
         raise FormatError("not a detector file")
     if meta.get("format_version") != DETECTOR_FORMAT_VERSION:
         raise FormatError(f"unsupported detector format_version {meta.get('format_version')!r}")
+    if any(t.dtype is not DType.F32 for t in model.tensors):  # the net runs in their dtype
+        raise FormatError("detector tensors must be F32, the only dtype save_detector writes")
     by_name = {t.name: t.values().reshape(t.shape).copy() for t in model.tensors}
     try:
         if meta["representation"] != REPRESENTATION:

@@ -197,17 +197,6 @@ def lsb_attack(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
     return tensor.with_bits(words.rewrite(tensor.bits, 0, out=np.empty_like(tensor.bits)))
 
 
-def lsb_attack_fill(tensor: WeightTensor, lsb: int, payload) -> WeightTensor:
-    """Fill every weight's low field by repeating or truncating the payload.
-
-    Equal to lsb_attack with the payload's bits repeated, then cut to the
-    n * lsb bits of the fields; see LsbWords, which costs O(n) word
-    operations and no per-bit work.
-    """
-    words = LsbWords(tensor, lsb, payload, fill=True)
-    return tensor.with_bits(words.rewrite(tensor.bits, 0, out=np.empty_like(tensor.bits)))
-
-
 def extract_lsb(source: Words, lsb: int, n_bits: int) -> Payload:
     """Read back the first ``n_bits`` payload bits using the embedding convention.
 

@@ -384,19 +384,11 @@ def _raw_dtype_for_path(path: Path) -> DType | None:
     return {".f32": DType.F32, ".f16": DType.F16}.get(path.suffix.lower())
 
 
-def parse_model(data: bytes, path: str | Path) -> ModelWeights:
-    """Parse the bytes of a container or raw (.f32/.f16) file; the suffix of
-    path picks the format."""
-    path = Path(path)
-    raw_dtype = _raw_dtype_for_path(path)
-    if raw_dtype is not None:
-        return ModelWeights([read_raw(data, raw_dtype)])
-    return read_container(data)
-
-
 def load_model(path: str | Path) -> ModelWeights:
-    """Load a container or raw (.f32/.f16) weights file."""
-    return parse_model(Path(path).read_bytes(), path)
+    """Load a container or raw (.f32/.f16) weights file; the suffix of path picks the format."""
+    path = Path(path)
+    data, raw_dtype = path.read_bytes(), _raw_dtype_for_path(path)
+    return read_container(data) if raw_dtype is None else ModelWeights([read_raw(data, raw_dtype)])
 
 
 # Words at most this many bytes apart are read by one pread, the bytes between included.
@@ -408,7 +400,7 @@ class FileWords:
     a raw .f32/.f16 file's words), read from an open regular file on demand.
 
     Construction reads only the 8-byte length prefix and the JSON header
-    (nothing for a raw file) and makes every check that parse_model and
+    (nothing for a raw file) and makes every check that load_model and
     flatten make. ``take`` reads each run of words less than _RUN_GAP_BYTES
     apart in the file with one os.pread, into one buffer that holds the runs
     end to end. ``sha256`` and ``save`` are the only streamed passes: each

@@ -18,17 +18,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import count_preads, layout_bytes, random_tensors, scrambled_container, unflatten
-from helpers import write_raw
+from helpers import effective_fill_payload, write_raw
 import weightsteg
 from weightsteg import cli, dataset, detect, net, pipeline, weights_io
 from weightsteg.cli import main
 from weightsteg.dataset import load_dataset, synth_collection
-from weightsteg.detect import build_detector, classify, load_detector, save_detector
+from weightsteg.detect import build_detector, label_embeddings, load_detector, save_detector
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import grayscale_fourpart, normalize, read_pgm, render, resize, write_pgm
 from weightsteg.pipeline import ExperimentConfig, run_detection_run, select_train_pairs, load_flat_models
 from weightsteg.net import ConvBlock, ConvNetConfig, TrainConfig, init_params
-from weightsteg.steg import AttackSpec, Payload, extract_lsb, lsb_attack, lsb_attack_fill
+from weightsteg.steg import AttackSpec, Payload, extract_lsb, lsb_attack
 from weightsteg.weights_io import (
     DType,
     ModelWeights,
@@ -76,7 +76,7 @@ def assert_flag_refused(capsys, flag, *argv):
 
 
 def forbid_whole_reads(monkeypatch, command):
-    """Make load_model, parse_model and flatten fail, in weights_io and as
+    """Make load_model and flatten fail, in weights_io and as
     names in the package and its other modules, which import none of them."""
     def no_full_read(*args, **kwargs):
         raise AssertionError(f"{command} read a whole model")
@@ -84,7 +84,7 @@ def forbid_whole_reads(monkeypatch, command):
     modules = [weightsteg] + [importlib.import_module(f"weightsteg.{info.name}")
                               for info in pkgutil.iter_modules(weightsteg.__path__)]
     for module in modules:
-        for name in ("load_model", "parse_model", "flatten"):
+        for name in ("load_model", "flatten"):
             monkeypatch.setattr(module, name, no_full_read, raising=module is weights_io)
 
 
@@ -205,8 +205,9 @@ class TestEmbedExtract:
             source.save(library, spec.words(source).rewrite, spec.provenance())
         assert load_model(out).metadata == load_model(library).metadata
         # the bytes the inline embed composition wrote
-        attack = lsb_attack_fill if fill else lsb_attack
-        expected = unflatten(model, attack(flatten(model), 5, payload).bits)
+        flat = flatten(model)
+        bits = effective_fill_payload(payload.bits, flat.n, 5) if fill else payload.bits
+        expected = unflatten(model, lsb_attack(flat, 5, Payload(bits)).bits)
         expected.metadata.update({
             "attack": "lsb-fill" if fill else "lsb",
             "lsb": "5",
@@ -423,6 +424,18 @@ def _fill(name, value):
     return edit
 
 
+def _as_f16(model):
+    """Every tensor re-encoded as F16, the centroids the float16 class means,
+    so only the dtype is off: the net would run in float16."""
+    half = {t.name: t.values().reshape(t.shape).astype(np.float16) for t in model.tensors}
+    for label, name in enumerate(("centroid.benign", "centroid.malicious")):
+        half[name] = half["train.embeddings"][half["train.labels"] == label].mean(axis=0)
+    model.tensors = [
+        WeightTensor(t.name, DType.F16, t.shape, half[t.name].view(np.uint16).reshape(-1))
+        for t in model.tensors
+    ]
+
+
 def _set_meta(key, value):
     def edit(model):
         if value is None:
@@ -478,6 +491,7 @@ class TestScanBadDetector:
             _set_meta("strategy", "bogus"),
             _set_meta("manifest_sha256", "xyz"),
             _set_meta("manifest_sha256", "AB" * 32),
+            _as_f16,
         ],
         ids=["no-embeddings", "no-centroid", "config-not-json", "no-config",
              "config-incomplete", "seed-not-int", "unknown-representation",
@@ -491,7 +505,7 @@ class TestScanBadDetector:
              "config-kernel-bool", "labels-short", "label-half", "label-two", "labels-all-zero",
              "centroid-short", "centroid-one-ulp-off", "nan-conv-weight", "inf-embed-weight",
              "seed-not-canonical", "trained-lsb-negative", "trained-lsb-33", "strategy-unknown",
-             "manifest-sha256-short", "manifest-sha256-upper"],
+             "manifest-sha256-short", "manifest-sha256-upper", "f16"],
     )
     def test_exit_3(self, tmp_path, mc_dir, capsys, edit):
         model = read_container(tiny_detector_bytes())
@@ -641,7 +655,7 @@ class TestScanKeepsGoing:
             except (FormatError, OSError, ValueError) as exc:
                 print(f"error[data]: {target}: {exc}", file=want)
                 continue
-            label, benign, malicious = classify(detector, image)
+            label, benign, malicious = label_embeddings(detector, [detector.embed(image)])[0]
             print(f"{target},{label},{benign!r},{malicious!r}", file=want)
 
         batches, real = [], detect.forward
@@ -696,7 +710,7 @@ def scan_lines_by_full_read(detector_bytes, targets):
     for target in targets:
         flat = flatten(load_model(target))
         image = normalize(render(flat, detector.config.input_size))
-        label, benign, malicious = classify(detector, image)
+        label, benign, malicious = label_embeddings(detector, [detector.embed(image)])[0]
         lines.append(f"{target},{label},{benign!r},{malicious!r}\n")
     return "".join(lines)
 
@@ -1556,8 +1570,7 @@ class TestMalformedInputsFailClosed:
         named = command in ("build-dataset", "report", "scan")
         self.refused(capsys, 3, "data", f"{model}: {message}" if named else message,
                      command, *argv)
-        # build-dataset has written the models before the bad one, but no manifest
-        assert not (out / "manifest.json" if command == "build-dataset" else out).exists()
+        assert not out.exists()
 
     def test_report_zero_runs_exit_2(self, tmp_path, mc_dir, capsys):
         csv_path = tmp_path / "r.csv"

@@ -28,7 +28,6 @@ from weightsteg.dataset import (
     load_dataset,
     split_by_zoo,
     synth_collection,
-    synth_model,
 )
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import REPRESENTATION, read_pgm, render, write_pgm
@@ -38,7 +37,6 @@ from weightsteg.steg import (
     Payload,
     extract_lsb,
     lsb_attack,
-    lsb_attack_fill,
 )
 from weightsteg.weights_io import (
     CHUNK_WORDS,
@@ -48,7 +46,6 @@ from weightsteg.weights_io import (
     flatten,
     load_model,
     open_words,
-    parse_model,
     save_model,
     write_container,
 )
@@ -77,8 +74,8 @@ class TestSynth:
             != (tmp_path / "b/zoo0/model000.safetensors").read_bytes()
         )
 
-    def test_parameter_count_and_scales(self):
-        model = synth_model(2000, np.random.default_rng(0))
+    def test_parameter_count_and_scales(self, tmp_path):
+        model = load_model(synth_collection(tmp_path, 1, 1, 2000, seed=0).zoos[0].model_paths[0])
         assert model.n == 2000
         for tensor in model.tensors:
             scale = float(np.std(tensor.values().astype(np.float64)))
@@ -144,13 +141,22 @@ class TestSynthStreamed:
         assert pools == ([] if cpus == 1 else [cpus - 1])
         assert tree_sha256(tmp_path / "mc") == SYNTH_PINNED[shape]
 
-    def test_synth_model_is_the_streamed_model(self, tmp_path):
+    def test_layers_are_the_documented_draws(self, tmp_path):
+        """Per layer, from the model's child seed: a scale exp(uniform(log 1e-3,
+        log 1e-1)), then the layer's words (standard_normal(size) * scale) as
+        float32. Layers of 17,500 words cross the 16,384-word draw chunks."""
         zoo = synth_collection(tmp_path, 1, 2, 70_000, seed=5).zoos[0]
         # zoo i draws from the i-th seed of the collection seed's generator
         zoo_seed = int(np.random.default_rng(5).integers(0, 2**63 - 1, size=1)[0])
         for i, child in enumerate(np.random.SeedSequence(zoo_seed).spawn(2)):
-            model = synth_model(70_000, np.random.default_rng(child))
-            assert load_model(zoo.model_paths[i]).tensors == model.tensors
+            rng = np.random.default_rng(child)
+            tensors = load_model(zoo.model_paths[i]).tensors
+            assert [(t.name, t.shape) for t in tensors] == [
+                (f"layer{j}.weight", (17_500,)) for j in range(4)]
+            for t in tensors:
+                scale = math.exp(rng.uniform(math.log(1e-3), math.log(1e-1)))
+                want = (rng.standard_normal(t.n) * scale).astype(np.float32)
+                assert np.array_equal(t.bits, want.view(np.uint32))
 
     def test_streams_each_model(self, tmp_path):
         """A 1M-param model is drawn and written a chunk at a time: under 0.1x
@@ -330,7 +336,6 @@ class TestBuildDataset:
         # every stored image must be reproducible from the recorded
         # hyperparameters and the source model alone
         from weightsteg.imagerep import grayscale_fourpart, read_pgm, resize
-        from weightsteg.steg import lsb_attack_fill
 
         payload = Payload.synthetic(8, seed=1)
         manifest = build_dataset(
@@ -341,7 +346,8 @@ class TestBuildDataset:
             stem = record.path.rsplit("/", 1)[1].split(".")[0]
             flat = flatten(load_model(tmp_path / "mc" / record.zoo / f"{stem}.safetensors"))
             if record.label == 1:
-                flat = lsb_attack_fill(flat, manifest.lsb, payload)
+                stream = effective_fill_payload(payload.bits, flat.n, manifest.lsb)
+                flat = lsb_attack(flat, manifest.lsb, Payload(stream))
             recomputed = resize(grayscale_fourpart(flat), *manifest.shape)
             assert np.array_equal(read_pgm(tmp_path / "ds" / record.path), recomputed)
 
@@ -483,7 +489,9 @@ def two_pass_dataset(benign, size, out_dir, lsb, payload, train_zoos):
         paths = []
         for path in zoo.model_paths:
             model = load_model(path)
-            attacked = unflatten(model, lsb_attack_fill(flatten(model), lsb, payload).bits)
+            flat = flatten(model)
+            stream = effective_fill_payload(payload.bits, flat.n, lsb)
+            attacked = unflatten(model, lsb_attack(flat, lsb, Payload(stream)).bits)
             attacked.metadata.update({
                 "attack": "lsb-fill",
                 "lsb": str(lsb),
@@ -561,13 +569,16 @@ class TestOnePass:
             raise AssertionError("build-dataset held a whole model")
 
         for module in (weights_io, dataset):
-            for name in ("parse_model", "flatten", "load_model"):
+            for name in ("flatten", "load_model"):
                 monkeypatch.setattr(module, name, whole_model, raising=module is weights_io)
         manifest = build_dataset(collection, 12, tmp_path / "ds",
                                  AttackSpec(8, True, Payload.synthetic(5, seed=3)))
         assert len(manifest.samples) == 4
 
     def test_each_benign_file_read_once(self, tmp_path, small_collection, monkeypatch):
+        """Each benign file is opened twice: in collection order to check its
+        header before any directory is made, then once for its passes. No
+        attacked copy is read back."""
         reads = []
         real_open = io.open
 
@@ -584,7 +595,8 @@ class TestOnePass:
         monkeypatch.undo()
         benign = [p.resolve() for z in small_collection.zoos for p in z.model_paths]
         model_reads = [p for p in reads if p.suffix == ".safetensors"]
-        assert sorted(model_reads) == sorted(benign)
+        assert model_reads[: len(benign)] == benign
+        assert sorted(model_reads[len(benign) :]) == sorted(benign)
         assert not [p for p in reads if (out / "attacked").resolve() in p.parents]
         assert len(list((out / "attacked").rglob("*.safetensors"))) == len(benign)
 
@@ -690,7 +702,7 @@ def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, f
     else:
         attacked = lsb_attack(WeightTensor("", dtype, (len(cover),), cover.copy()), lsb,
                               payload).bits
-    model = parse_model(data, path)
+    model = load_model(path)
     if layout == "raw":
         want = attacked.tobytes()
     else:
@@ -720,7 +732,6 @@ def test_chunked_attack_equals_whole_model_composition(tmp_path_factory, case, f
         size = draws.draw(st.integers(1, 2 * side + 3), label="size")
         flat = flatten(model)
         image = render(spec.words(flat), size)
-        assert np.array_equal(image, render(lsb_attack_fill(flat, lsb, payload), size))
         assert np.array_equal(image, render(flat_attacked, size))
         out = root / "ds"
         manifest = build_dataset(one_model_collection(path), size, out, spec)
@@ -745,7 +756,7 @@ def test_fill_rewrite_period_straddles_chunks(offset):
     run = cover.bits[offset : offset + CHUNK_WORDS + 11]
     assert np.array_equal(words.rewrite(run, offset, out=np.empty_like(run)),
                           words.take(np.arange(offset, offset + len(run))))
-    assert np.array_equal(lsb_attack_fill(cover, 5, Payload.synthetic(3, 1)).bits,
+    assert np.array_equal(words.rewrite(cover.bits, 0, out=np.empty_like(cover.bits)),
                           reference_fill(cover.bits, 32, 5, Payload.synthetic(3, 1).bits))
 
 
@@ -756,8 +767,7 @@ def one_model_collection(path):
 def test_model_pass_holds_one_copy_of_the_model(tmp_path):
     """build_dataset on one 1M-param model (attack, write, hash, render)
     peaks under 1.5x the model file's size in traced allocations."""
-    path = tmp_path / "m.safetensors"
-    save_model(synth_model(1_000_000, np.random.default_rng(4)), path)
+    path = synth_collection(tmp_path / "mc", 1, 1, 1_000_000, seed=4).zoos[0].model_paths[0]
     spec = AttackSpec(8, True, Payload.synthetic(64, 7))
     collection = one_model_collection(path)
     tracemalloc.start()
@@ -775,7 +785,8 @@ def test_model_pass_streams_the_model(tmp_path, layout):
     """build_dataset on one 1M-param model (hash, attack, write, and two
     renders at size 24) holds one chunk of words and the render's taps, never
     the model: under 0.1x the file in traced allocations, whatever the layout."""
-    model = synth_model(1_000_000, np.random.default_rng(4))
+    collection = synth_collection(tmp_path / "mc", 1, 1, 1_000_000, seed=4)
+    model = load_model(collection.zoos[0].model_paths[0])
     path = tmp_path / ("m.f32" if layout == "raw" else "m.safetensors")
     path.write_bytes(layout_bytes(model.tensors, layout, {"origin": "test"}))
     spec = AttackSpec(8, True, Payload.synthetic(64, 7))
@@ -826,11 +837,13 @@ def test_bytes_do_not_depend_on_the_workers(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("stage", ["open", "write", "mixed"])
 def test_first_failing_model_is_named(tmp_path, monkeypatch, stage):
-    """Two malformed models in one window of three: the error names the
-    earlier, as a model-by-model build would, after the model before them is
-    written. They fail as they are opened (on this thread), as they are
-    hashed (on the workers), or the earlier as it is hashed and the later as
-    it is opened."""
+    """Two malformed models in one window of three. Every model is opened
+    before any directory is made, so one malformed when the build starts
+    fails there and leaves out as it was: the earlier of two (open), or the
+    later when the earlier is truncated only once rendered (mixed). Two
+    truncated once rendered fail as they are hashed, on the workers (write):
+    the error names the earlier, after the model before them is written, as
+    a model-by-model build would."""
     monkeypatch.setattr(net, "_usable_cpus", lambda: 3)
     collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=3, n_params=500, seed=9)
     first, second = collection.zoos[0].model_paths[1:]
@@ -854,7 +867,10 @@ def test_first_failing_model_is_named(tmp_path, monkeypatch, stage):
     out = tmp_path / "ds"
     with pytest.raises(FormatError) as failed:
         build_dataset(collection, 12, out, AttackSpec(8, True, Payload.synthetic(16, 2)))
-    assert str(failed.value).startswith(f"{first}: ")
+    assert str(failed.value).startswith(f"{second if stage == 'mixed' else first}: ")
+    if stage != "write":
+        assert not out.exists()
+        return
     assert sorted(p.name for p in (out / "attacked" / "zoo0").iterdir()) == ["model000.safetensors"]
     assert sorted(p.name for p in (out / "images" / "zoo0").iterdir()) == [
         "model000.attacked.pgm", "model000.benign.pgm"]

@@ -12,10 +12,10 @@ from weightsteg.detect import (
     bootstrap_ci,
     build_detector,
     centroids_as_1nn_equivalence_check,
-    classify,
     classify_samples,
     eval_al,
     eval_oml,
+    label_embeddings,
     load_detector,
     render_report_csv,
     render_report_json,
@@ -66,15 +66,15 @@ class TestCentroid:
         assert _centroid_verdict(np.array([0.5]), np.array([0.0]), np.array([1.0])).label == 1
         assert _centroid_verdict(np.array([0.3]), np.array([0.3]), np.array([0.3])).label == 1
 
-    def test_classify_via_network(self):
+    def test_label_via_network(self):
         det = tiny_detector()
         img = np.random.default_rng(1).random((8, 8))
-        label, d0, d1 = classify(det, img)
+        label, d0, d1 = label_embeddings(det, [det.embed(img)])[0]
         assert label == (1 if d1 <= d0 else 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            classify(tiny_detector(), np.zeros((9, 9)))
+            tiny_detector().embed(np.zeros((9, 9)))
 
     def test_centroids_recomputable(self):
         det = tiny_detector()
@@ -122,10 +122,11 @@ class TestKnn:
 
     def test_k_out_of_range(self):
         det = tiny_detector()
+        embeddings = [det.embed(np.zeros((8, 8)))]
         with pytest.raises(ValueError):
-            classify(det, np.zeros((8, 8)), "knn", k=0)
+            label_embeddings(det, embeddings, "knn", k=0)
         with pytest.raises(ValueError):
-            classify(det, np.zeros((8, 8)), "knn", k=7)
+            label_embeddings(det, embeddings, "knn", k=7)
 
 
 class TestEquivalence:

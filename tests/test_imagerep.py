@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import f32_tensor, fourpart_oracle, make_tensor
+from helpers import effective_fill_payload, f32_tensor, fourpart_oracle, make_tensor
 from weightsteg import imagerep
 from weightsteg.errors import FormatError
 from weightsteg.imagerep import (
@@ -16,7 +16,7 @@ from weightsteg.imagerep import (
     resize,
     write_pgm,
 )
-from weightsteg.steg import Payload, lsb_attack_fill
+from weightsteg.steg import Payload, lsb_attack
 from weightsteg.weights_io import CHUNK_WORDS, DType, WeightTensor
 
 
@@ -81,7 +81,8 @@ class TestGrayscaleFourpart:
         side = 4
         payload = Payload.synthetic(8, seed=3)
         for lsb, clean_quadrants in [(8, 3), (16, 2)]:
-            attacked_img = grayscale_fourpart(lsb_attack_fill(cover, lsb, payload))
+            filled = effective_fill_payload(payload.bits, cover.n, lsb)
+            attacked_img = grayscale_fourpart(lsb_attack(cover, lsb, Payload(filled)))
             quads = [
                 (base[:side, :side], attacked_img[:side, :side]),
                 (base[:side, side:], attacked_img[:side, side:]),

@@ -170,7 +170,6 @@ def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
     def whole_model_attack(*args, **kwargs):
         raise AssertionError("a detection run attacked every word of a model")
 
-    monkeypatch.setattr(steg, "lsb_attack_fill", whole_model_attack)
     monkeypatch.setattr(steg.LsbWords, "rewrite", whole_model_attack)
     reads = []  # cover words read, per rendered image
     take, render = KeptWords.take, pipeline.render

@@ -15,7 +15,6 @@ from weightsteg.steg import (
     Payload,
     extract_lsb,
     lsb_attack,
-    lsb_attack_fill,
 )
 from weightsteg.weights_io import (
     CHUNK_WORDS,
@@ -96,23 +95,23 @@ class TestFill:
     def test_every_weight_carries_payload(self):
         rng = np.random.default_rng(4)
         cover = random_tensor(rng, 7)
-        out = lsb_attack_fill(cover, 5, from_bitstring("101"))
+        out = AttackSpec(5, True, from_bitstring("101")).words(cover).take(np.arange(7))
         expected_bits = "".join(
             map(str, effective_fill_payload(from_bitstring("101").bits, 7, 5))
         )
-        assert list(out.bits) == splice_oracle(cover.bits, 32, 5, expected_bits)
+        assert list(out) == splice_oracle(cover.bits, 32, 5, expected_bits)
 
     def test_empty_payload_rejected(self):
         with pytest.raises(ValueError):
-            lsb_attack_fill(make_tensor([1]), 2, from_bitstring(""))
+            LsbWords(make_tensor([1]), 2, from_bitstring(""), fill=True)
 
     def test_fill_idempotent(self):
         rng = np.random.default_rng(5)
         cover = random_tensor(rng, 9)
         payload = Payload.synthetic(4, seed=0)
-        once = lsb_attack_fill(cover, 6, payload)
-        twice = lsb_attack_fill(once, 6, payload)
-        assert np.array_equal(once.bits, twice.bits)
+        once = AttackSpec(6, True, payload).words(cover).take(np.arange(9))
+        twice = AttackSpec(6, True, payload).words(cover.with_bits(once)).take(np.arange(9))
+        assert np.array_equal(once, twice)
 
 
 class TestExtract:
@@ -130,7 +129,7 @@ class TestExtract:
         rng = np.random.default_rng(7)
         cover = random_tensor(rng, 6)
         payload = from_bitstring("10011")
-        attacked = lsb_attack_fill(cover, 4, payload)
+        attacked = AttackSpec(4, True, payload).words(cover)
         expected = effective_fill_payload(payload.bits, 6, 4)
         assert np.array_equal(extract_lsb(attacked, 4, 24).bits, expected)
 
@@ -203,8 +202,8 @@ class TestPreservation:
             lsb = int(rng.integers(1, dtype.mantissa_bits + 1))
             cover = random_tensor(rng, n, dtype)
             payload = Payload(rng.integers(0, 2, size=n * lsb, dtype=np.uint8))
-            out = lsb_attack_fill(cover, lsb, payload)
-            assert np.array_equal(cover.bits & mask, out.bits & mask)
+            out = AttackSpec(lsb, True, payload).words(cover).take(np.arange(n))
+            assert np.array_equal(cover.bits & mask, out & mask)
 
 
 class TestPayload:
@@ -307,10 +306,10 @@ def test_fill_equals_attack_on_effective_payload(case):
     rng = np.random.default_rng(seed)
     cover = random_tensor(rng, n, dtype)
     bits = rng.integers(0, 2, size=k, dtype=np.uint8)
-    filled = lsb_attack_fill(cover, lsb, Payload(bits))
+    filled = LsbWords(cover, lsb, Payload(bits), fill=True).take(np.arange(n))
     expected = lsb_attack(cover, lsb, effective_fill_payload(bits, n, lsb))
-    assert filled.dtype is dtype
-    assert np.array_equal(filled.bits, expected.bits)
+    assert filled.dtype == dtype.word_dtype
+    assert np.array_equal(filled, expected.bits)
 
 
 @pytest.mark.parametrize("lsb,k", [(2, 2 * CHUNK_WORDS + 1), (3, CHUNK_WORDS + 1)])
@@ -324,7 +323,7 @@ def test_fill_period_longer_than_a_block(lsb, k):
     words = LsbWords(cover, lsb, Payload(bits), fill=True)
     assert len(words.fields) == k > CHUNK_WORDS
     expected = lsb_attack(cover, lsb, effective_fill_payload(bits, n, lsb))
-    assert np.array_equal(lsb_attack_fill(cover, lsb, Payload(bits)).bits, expected.bits)
+    assert np.array_equal(words.rewrite(cover.bits, 0, np.empty_like(cover.bits)), expected.bits)
 
 
 def test_fill_period_table_peak_memory():
@@ -365,12 +364,11 @@ def test_rewrite_of_runs_equals_whole_attack(tmp_path_factory, case, fill):
     """Rewriting the cover run by run, each run at its flat offset, gives the
     words of attacking it whole: chunks may split a field period or the
     partial final chunk anywhere (check_source), and those words are
-    lsb_attack's or lsb_attack_fill's."""
+    lsb_attack's, of the fill attack's effective stream when it fills."""
     want = check_source(tmp_path_factory, "fill(tensor)" if fill else "plain(tensor)", case)
-    attack = lsb_attack_fill if fill else lsb_attack
-    whole = attack(flatten(ModelWeights(case.tensors)), case.lsb,
-                   Payload(case.fill if fill else case.plain))
-    assert np.array_equal(whole.bits, want)
+    cover = flatten(ModelWeights(case.tensors))
+    bits = effective_fill_payload(case.fill, cover.n, case.lsb) if fill else case.plain
+    assert np.array_equal(lsb_attack(cover, case.lsb, Payload(bits)).bits, want)
 
 
 @pytest.mark.parametrize("lsb,k", [(8, 8 * 3000 - 3), (23, 1001), (2, 0)])

@@ -19,7 +19,6 @@ from weightsteg.weights_io import (
     flatten,
     load_model,
     open_words,
-    parse_model,
     read_container,
     read_raw,
     save_model,
@@ -210,7 +209,7 @@ class TestZeroCopy:
         assert np.array_equal(flat.bits, np.concatenate([t.bits for t in tensors]))
         assert np.shares_memory(flat.bits, np.frombuffer(data, dtype=np.uint8))
         assert not flat.bits.flags.writeable
-        raw = parse_model(write_raw(flat), "m.f32")
+        raw = ModelWeights([read_raw(write_raw(flat), DType.F32)])
         assert np.shares_memory(flatten(raw).bits, raw.tensors[0].bits)
 
     def test_flatten_copies_any_other_layout(self):
@@ -345,11 +344,10 @@ def test_save_model_streams_canonical_bytes(tmp_path_factory, model, meta, raw):
     save_model(model, path)
     data = path.read_bytes()
     assert data == (write_raw(flatten(model)) if raw else write_container(model))
-    assert parse_model(data, path) == load_model(path)
 
 
-def via_parse(data, path, size):
-    return render(flatten(parse_model(data, path)), size)
+def via_load(path, size):
+    return render(flatten(load_model(path)), size)
 
 
 def via_reader(path, size):
@@ -437,7 +435,7 @@ class TestFileWords:
         path = tmp_path / f"m{suffix}"
         path.write_bytes(data)
         got = outcome(lambda: via_reader(path, 4))
-        assert got == outcome(lambda: via_parse(data, path, 4))
+        assert got == outcome(lambda: via_load(path, 4))
         assert error in got[1]
 
     def test_reads_rows_not_the_file(self, tmp_path, monkeypatch):
@@ -504,4 +502,4 @@ def test_reader_agrees_with_parse_on_mutated_containers(tmp_path_factory, dtype,
     path = tmp_path_factory.getbasetemp() / f"fuzz-{dtype.value}.safetensors"
     path.write_bytes(mutated)
     assert_same_outcome(outcome(lambda: via_reader(path, size)),
-                        outcome(lambda: via_parse(mutated, path, size)))
+                        outcome(lambda: via_load(path, size)))
