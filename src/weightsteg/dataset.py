@@ -11,7 +11,6 @@ import hashlib
 import json
 import logging
 import math
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -22,7 +21,7 @@ from .errors import CapacityError, FormatError
 from .imagerep import REPRESENTATION, normalize, read_pgm, render, write_pgm
 from . import net
 from .steg import AttackSpec
-from .weights_io import CHUNK_WORDS, DType, _write, open_words
+from .weights_io import CHUNK_WORDS, DType, FileWords, _write, open_words
 
 logger = logging.getLogger(__name__)
 
@@ -179,71 +178,29 @@ def _named(path: Path, fn, *args):
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _check_model(path: Path, attack: AttackSpec) -> None:
+def _render_model(path: Path, attack: AttackSpec, size: int):
+    """The (size, mtime_ns) stamp of the model file at path and its images,
+    benign first; AttackSpec.words checks the attack before either renders."""
     with open_words(path) as source:
-        attack.validate_for(source.dtype)
+        words = attack.words(source)
+        return source._stamp, [render(source, size), render(words, size)]
 
 
-def _render_model(stack: ExitStack, path: Path, attack: AttackSpec, size: int):
-    """The model at path opened on stack (open_words), its images, benign
-    first, and the words of its attack, which AttackSpec.words checks against
-    the model's dtype. Both images render from the words they tap."""
-    source = stack.enter_context(open_words(path))
-    benign = render(source, size)
-    words = attack.words(source)
-    return source, [benign, render(words, size)], words
-
-
-def _write_model(source, words, attacked_path: Path, provenance) -> list[bytes]:
-    """The file digests of one model, benign first: its file hashed in one
-    streamed pass (FileWords.sha256), and the attacked copy written to
-    attacked_path in a second (FileWords.save)."""
-    benign = source.sha256()
-    attacked_path.parent.mkdir(parents=True, exist_ok=True)
-    attacked = source.save(attacked_path, words.rewrite, provenance)
+def _write_model(path: Path, stamp, attack: AttackSpec, attacked_path: Path,
+                 provenance) -> list[bytes]:
+    """The file digests of one model, benign first: its file, refused unless
+    it has the stamp it was rendered at, hashed in one streamed pass
+    (FileWords.sha256), and the attacked copy written to attacked_path in a
+    second (FileWords.save). It calls no public function, open_words
+    included, so that it may run on any thread."""
+    with open(path, "rb", buffering=0) as fh:
+        source = FileWords(fh.fileno(), path)
+        if source._stamp != stamp:
+            raise FormatError("file changed since it was rendered (size or modification time)")
+        benign = source.sha256()
+        attacked_path.parent.mkdir(parents=True, exist_ok=True)
+        attacked = source.save(attacked_path, attack.words(source).rewrite, provenance)
     return [bytes.fromhex(benign), bytes.fromhex(attacked)]
-
-
-def _model_passes(models, attack: AttackSpec, size: int, out_dir: Path):
-    """Yield (zoo id, path, images, file digests) for each (zoo id, path) of
-    models, in order, as a model-by-model loop of _render_model then
-    _write_model would give them.
-
-    Models go in windows of one per usable CPU. This thread opens and
-    renders each model of a window; then net._fan_out runs each one's
-    _write_model, one model per thread. A failing model ends the walk with
-    its error, path prefixed, once the models before it are written and
-    yielded, so the error raised is the first such loop would raise.
-    """
-    provenance = attack.provenance()
-    window = net._usable_cpus()
-    for lo in range(0, len(models), window):
-        with ExitStack() as stack:
-            opened, failure = [], None
-            for zoo_id, path in models[lo : lo + window]:
-                try:
-                    opened.append((zoo_id, path, *_named(path, _render_model, stack, path,
-                                                         attack, size)))
-                except Exception as exc:  # raised once the models before it are written
-                    failure = exc
-                    break
-            written = [None] * len(opened)
-
-            def write(i):
-                zoo_id, path, source, _, words = opened[i]
-                written[i] = _named(path, _write_model, source, words,
-                                    out_dir / "attacked" / zoo_id / path.name, provenance)
-
-            try:
-                net._fan_out(write, len(opened))
-            except Exception as exc:  # the earliest failure: every model before it was written
-                failure = exc
-            for (zoo_id, path, _, images, _), digests in zip(opened, written):
-                if digests is None:
-                    break
-                yield zoo_id, path, images, digests
-        if failure is not None:
-            raise failure
 
 
 def build_dataset(
@@ -256,18 +213,19 @@ def build_dataset(
     """Render benign models (label 0) and their copies under a fill attack
     (label 1) to a labeled image set.
 
-    Per benign model: open the file once, render its image and the image of
-    its attack from the words they tap, hash the file in one streamed pass,
-    and write the attacked model to out_dir/attacked/<zoo>/ in a second, one
-    chunk at a time, hashing what is written. Nothing written is read back.
-    Up to one model per usable CPU is open at once, and their two passes run
-    on as many threads (_model_passes); the outputs do not depend on how
-    many. Images are written as PGM files beside a manifest.json under
-    out_dir; the manifest's source_sha256 folds the file digests of every
-    benign model, then of every attacked model. A plain attack (the manifest
-    records no fill flag), an unknown train_zoos id and a size below 1 are
-    refused before any model is read. No directory is made before every model
-    has opened and its attack has passed its check against the model's dtype.
+    This thread first renders every model in zoo and model order
+    (_render_model), so a model that open_words, the attack or render
+    refuses fails, path prefixed, before any directory is made. Then
+    net._fan_out runs each model's _write_model on a thread of its own,
+    writing the attacked model to out_dir/attacked/<zoo>/ one chunk at a
+    time; a failure raises the first failing model's error once the models
+    before it are written. Nothing written is read back. Last, the images
+    are written as PGM files beside a manifest.json under out_dir, in zoo
+    and model order, whose source_sha256 folds the file digests of every
+    benign model, then of every attacked model. No output depends on how
+    many threads ran. A plain attack (the manifest records no fill flag), an
+    unknown train_zoos id, a size below 1 and two models of one zoo with one
+    stem are refused before any model is read.
     """
     if not attack.fill:
         raise ValueError("build_dataset attacks with fill only; the manifest records no fill flag")
@@ -275,6 +233,12 @@ def build_dataset(
         raise ValueError(f"image size must be at least 1, got {size}")
     if train_zoos is not None:
         _check_zoo_ids(train_zoos, benign.zoo_ids())
+    for zoo in benign.zoos:  # a model's stem names its images
+        stems = {}
+        for path in zoo.model_paths:
+            if stems.setdefault(path.stem, path) != path:
+                raise FormatError(f"{stems[path.stem]} and {path}: one stem would name "
+                                  "the images of both")
     out_dir = Path(out_dir)
     manifest = DatasetManifest(
         mc_id=benign.mc_id,
@@ -283,12 +247,19 @@ def build_dataset(
         shape=(size, size),
     )
     models = [(zoo.zoo_id, path) for zoo in benign.zoos for path in zoo.model_paths]
-    for _, path in models:  # a header-only open: a file truncated now fails here
-        _named(path, _check_model, path, attack)
+    rendered = [_named(path, _render_model, path, attack, size) for _, path in models]
+    provenance, written = attack.provenance(), [None] * len(models)
+
+    def write(i):
+        (zoo_id, path), (stamp, _) = models[i], rendered[i]
+        written[i] = _named(path, _write_model, path, stamp, attack,
+                            out_dir / "attacked" / zoo_id / path.name, provenance)
+
+    net._fan_out(write, len(models))
     # per zoo, its benign samples, then its attacked samples
     zoo_samples = {zoo.zoo_id: ([], []) for zoo in benign.zoos}
     file_digests: tuple[list[bytes], list[bytes]] = ([], [])  # benign, attacked
-    for zoo_id, path, images, digests in _model_passes(models, attack, size, out_dir):
+    for (zoo_id, path), (_, images), digests in zip(models, rendered, written):
         (out_dir / "images" / zoo_id).mkdir(parents=True, exist_ok=True)
         for label, (img, file_digest) in enumerate(zip(images, digests)):
             rel = f"images/{zoo_id}/{path.stem}.{('benign', 'attacked')[label]}.pgm"

@@ -141,8 +141,10 @@ def render(source: Words, size: int) -> np.ndarray:
     """The model image resized to size x size, reading only the tapped words.
 
     Equal to ``resize(grayscale_fourpart(source), size, size)`` but asks
-    source once, for at most 4 * size**2 words in strictly increasing flat
-    order, whatever the number of weights.
+    source once, for words in strictly increasing flat order: at most
+    size**2 at an even size and 4 * size**2 at an odd one (an even size's
+    taps of the lower half repeat the upper half's), whatever the number of
+    weights.
     """
     tapped, grid, pix_rows, pix_cols, wy, wx = _render_plan(_fourpart_side(source)[0], size)
     words = np.zeros(math.prod(grid), dtype=source.dtype.word_dtype)

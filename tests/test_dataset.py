@@ -822,8 +822,8 @@ def test_build_dataset_streams_a_model_per_worker(tmp_path, monkeypatch):
 
 
 def test_bytes_do_not_depend_on_the_workers(tmp_path, monkeypatch):
-    """Six models (2 zoos x 3) on 1 to 4 workers: windows of 2 and 3 span the
-    zoos, the last window of 4 is partial, and every file written is the same."""
+    """Six models (2 zoos x 3) on 1 to 4 workers, more workers than models
+    per zoo: every file written is the same."""
     collection = synth_collection(tmp_path / "mc", n_zoos=2, n_models=3, n_params=500, seed=9)
     spec = AttackSpec(8, True, Payload.synthetic(16, 2))
     trees = []
@@ -837,13 +837,13 @@ def test_bytes_do_not_depend_on_the_workers(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("stage", ["open", "write", "mixed"])
 def test_first_failing_model_is_named(tmp_path, monkeypatch, stage):
-    """Two malformed models in one window of three. Every model is opened
-    before any directory is made, so one malformed when the build starts
-    fails there and leaves out as it was: the earlier of two (open), or the
-    later when the earlier is truncated only once rendered (mixed). Two
-    truncated once rendered fail as they are hashed, on the workers (write):
-    the error names the earlier, after the model before them is written, as
-    a model-by-model build would."""
+    """Two malformed models of three on three workers. Every model is
+    rendered before any directory is made, so one malformed when the build
+    starts fails there and leaves out as it was: the earlier of two (open),
+    or the later when the earlier is truncated only once rendered (mixed).
+    Two truncated once every model is rendered fail as they are reopened on
+    the workers (write): the error names the earlier, after the model before
+    them is written, and no image or manifest is written."""
     monkeypatch.setattr(net, "_usable_cpus", lambda: 3)
     collection = synth_collection(tmp_path / "mc", n_zoos=1, n_models=3, n_params=500, seed=9)
     first, second = collection.zoos[0].model_paths[1:]
@@ -872,9 +872,31 @@ def test_first_failing_model_is_named(tmp_path, monkeypatch, stage):
         assert not out.exists()
         return
     assert sorted(p.name for p in (out / "attacked" / "zoo0").iterdir()) == ["model000.safetensors"]
-    assert sorted(p.name for p in (out / "images" / "zoo0").iterdir()) == [
-        "model000.attacked.pgm", "model000.benign.pgm"]
+    assert not (out / "images").exists()
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("extra", ["f16", "same-stem"])
+def test_model_refused_before_out_is_made(tmp_path, capsys, extra):
+    """A float16 model after float32 ones, which render refuses, and a second
+    model of one zoo with one stem, whose images would overwrite the first's,
+    make build-dataset exit 3 naming the file(s) before --out is made."""
+    synth_collection(tmp_path / "mc", n_zoos=2, n_models=2, n_params=500, seed=9)
+    if extra == "f16":
+        named = [tmp_path / "mc" / "zoo1" / "model002.f16"]
+        np.zeros(600, np.float16).tofile(named[0])
+    else:
+        named = [tmp_path / "mc" / "zoo0" / f"model000{suffix}"
+                 for suffix in (".f32", ".safetensors")]
+        np.zeros(500, np.float32).tofile(named[0])
+    out = tmp_path / "ds"
+    capsys.readouterr()
+    assert main(["build-dataset", "--mc", str(tmp_path / "mc"), "--lsb", "8",
+                 "--synthetic-payload", "16,2", "--size", "12", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[data]: {named[0]}")
+    assert all(str(path) in err for path in named)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change", ["rewritten", "truncated"])
@@ -906,4 +928,30 @@ def test_source_changed_between_passes_fails_closed(tmp_path, monkeypatch, capsy
     err = capsys.readouterr().err
     assert err.startswith(f"error[data]: {victim}: ")
     assert changed == [victim]
+    assert not (out / "manifest.json").exists()
+
+
+def test_source_changed_after_render_fails_closed(tmp_path, monkeypatch, capsys):
+    """A model file rewritten in place once every model is rendered (same
+    size, a new mtime) is refused when it is reopened to be written: its
+    images were rendered from other bytes. build-dataset exits 3 naming it
+    and writes no manifest."""
+    synth_collection(tmp_path / "mc", n_zoos=1, n_models=2, n_params=500, seed=9)
+    victim = tmp_path / "mc" / "zoo0" / "model001.safetensors"
+    os.utime(victim, ns=(0, 0))  # an old file, so that changing it now moves its mtime
+    size, real_fan_out = victim.stat().st_size, net._fan_out
+
+    def rewriting(fn, n):  # called once the render pass is done
+        with open(victim, "r+b") as fh:
+            fh.seek(-40, os.SEEK_END)
+            fh.write(bytes(40))
+        real_fan_out(fn, n)
+
+    monkeypatch.setattr(net, "_fan_out", rewriting)
+    out = tmp_path / "ds"
+    capsys.readouterr()
+    assert main(["build-dataset", "--mc", str(tmp_path / "mc"), "--lsb", "8",
+                 "--synthetic-payload", "16,2", "--size", "12", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(f"error[data]: {victim}: ")
+    assert victim.stat().st_size == size
     assert not (out / "manifest.json").exists()
