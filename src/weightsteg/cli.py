@@ -24,7 +24,7 @@ from .detect import (
     save_detector,
 )
 from .errors import CapacityError, FormatError
-from .imagerep import grayscale_fourpart, normalize, render, write_pgm
+from .imagerep import _normalize, grayscale_fourpart, render, write_pgm
 from .net import STRATEGIES, TrainConfig, preset
 from .pipeline import ExperimentConfig, run_report_sweep, train_detector
 from .steg import AttackSpec, Payload, extract_lsb
@@ -199,7 +199,37 @@ def _scan_targets(path: Path) -> list[Path]:
     return [path]
 
 
-SCAN_BLOCK = 32  # files scan renders before it embeds them with one forward
+# Files scan embeds with one forward: a block holds at most SCAN_BLOCK
+# float32 inputs at a time, and the calling thread renders each one while
+# the pool embeds those before it.
+SCAN_BLOCK = 32
+
+
+class _ScanBlock:
+    """The normalized images of a block of scan targets, each rendered when
+    read. Reads run while the pool embeds, so they normalize through
+    imagerep._normalize, which no tracer wraps in tracemalloc.
+
+    A target that cannot be read or rendered, or that a directory walk found
+    and is not a regular file, reads as None and keeps its error here."""
+
+    def __init__(self, targets: list[Path], size: int, walked: bool):
+        self.targets, self.size, self.walked = targets, size, walked
+        self.errors: dict[int, Exception] = {}
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def __getitem__(self, i: int):
+        target = self.targets[i]
+        try:
+            if self.walked and not target.is_file():  # a pipe would block until a writer came
+                raise FormatError("not a regular file")
+            with open_words(target) as words:
+                return _normalize(render(words, self.size))
+        except (FormatError, OSError, ValueError) as exc:
+            self.errors[i] = exc
+            return None
 
 
 def cmd_scan(args) -> int:
@@ -209,8 +239,9 @@ def cmd_scan(args) -> int:
     named as --model is read whole. A knn --k outside [1, number of training
     embeddings] is a usage error before the model path is walked.
 
-    The files are rendered in walk order, SCAN_BLOCK at a time, and each
-    block's images are embedded with one forward and labelled with one
+    The files are taken in walk order, SCAN_BLOCK at a time. Each block is
+    embedded with one forward, which renders each file on this thread while
+    the pool embeds the files before it, and labelled with one
     label_embeddings call before its lines are printed in that order."""
     detector = load_detector(Path(args.detector).read_bytes())
     label_embeddings(detector, [], args.mode, args.k)  # checks --k against the detector
@@ -219,22 +250,11 @@ def cmd_scan(args) -> int:
     walked = Path(args.model).is_dir()
     targets = _scan_targets(Path(args.model))
     for start in range(0, len(targets), SCAN_BLOCK):
-        rendered = []  # (target, image or the error that stopped its render)
-        for target in targets[start : start + SCAN_BLOCK]:
-            try:
-                if walked and not target.is_file():  # a pipe would block until a writer came
-                    raise FormatError("not a regular file")
-                with open_words(target) as words:
-                    rendered.append((target, normalize(render(words, size))))
-            except (FormatError, OSError, ValueError) as exc:
-                rendered.append((target, exc))
-        embeddings = detector.embed(
-            [image for _, image in rendered if not isinstance(image, Exception)]
-        )
-        verdicts = iter(label_embeddings(detector, embeddings, args.mode, args.k))
-        for target, image in rendered:
-            if isinstance(image, Exception):
-                print(f"error[data]: {target}: {image}", file=sys.stderr)
+        block = _ScanBlock(targets[start : start + SCAN_BLOCK], size, walked)
+        verdicts = iter(label_embeddings(detector, detector.embed(block), args.mode, args.k))
+        for i, target in enumerate(block.targets):
+            if i in block.errors:
+                print(f"error[data]: {target}: {block.errors[i]}", file=sys.stderr)
                 failed = True
                 continue
             # centroid: path,label,d0,d1 (distances); knn: path,label,v0,v1 (votes)

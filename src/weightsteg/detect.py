@@ -46,7 +46,8 @@ class TrainedDetector:
 
     def embed(self, images) -> np.ndarray:
         """The float64 embedding of one (size, size) image, or one row per
-        image of a batch, each with the bits of its batch-1 forward."""
+        image of a sequence (None items have none), each with the bits of
+        its batch-1 forward."""
         return forward(self.config, self.params, images).astype(np.float64)
 
 

@@ -177,6 +177,13 @@ class KeptWords:
 
 def normalize(img: np.ndarray) -> np.ndarray:
     """Map 0-255 pixel values to real values in [0, 1]."""
+    return _normalize(img)
+
+
+def _normalize(img: np.ndarray) -> np.ndarray:
+    # normalize's body, which scan's reads call directly: they run while pool
+    # threads embed, and a tracer that wraps normalize in tracemalloc.start()
+    # and stop() crashed CPython 3.11.7 when another thread allocated meanwhile
     return _check_image(img).astype(np.float64) / 255.0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +192,7 @@ def _helper_pool(size: int):
     return _helpers[2]
 
 
-def _fan_out(fn, n: int) -> None:
+def _fan_out(fn, n: int, make=None) -> None:
     """Run fn(0), ..., fn(n - 1), each once, on this thread and a persistent
     pool of one thread per other usable CPU; inline on one CPU or for one index.
 
@@ -201,17 +202,32 @@ def _fan_out(fn, n: int) -> None:
     failed. Each fn(i) writes only what index i owns. A call made inside fn
     runs inline when it has one index, and with more it waits only on pool
     threads that started its work, so nesting never deadlocks.
+
+    With make, make(i) runs on this thread only, in index order, and fn(i)
+    never starts before make(i) has returned: a pool thread that claimed an
+    index not made yet waits for it, so this thread makes index i + 1 while
+    the pool runs fn(i), and joins the fn calls once all are made (inline:
+    make(i), then fn(i)). An error raised by make(i), or an interrupt, ends
+    the making: no later index starts, and the error is raised as it is once
+    every started call has returned.
     """
     cpus = _usable_cpus() if n > 1 else 1
     if cpus < 2:
         for i in range(n):
+            if make is not None:
+                make(i)
             fn(i)
         return
     claims, failed = iter(range(n)), []  # each next() on it is atomic under the GIL
+    # made_count: the indices made so far; stopped: set once no more will be made
+    made, made_count, stopped = threading.Condition(), [n if make is None else 0], []
 
     def work():
         for i in claims:
-            if failed:
+            if i >= made_count[0]:
+                with made:
+                    made.wait_for(lambda: i < made_count[0] or failed or stopped)
+            if failed or i >= made_count[0]:
                 return
             try:
                 fn(i)
@@ -220,10 +236,22 @@ def _fan_out(fn, n: int) -> None:
 
     pool = _helper_pool(cpus - 1)
     shares = [pool.submit(work) for _ in range(min(cpus, n) - 1)]
-    work()
-    for share in shares:
-        if not share.cancel():  # one no thread has started would find no index left
-            share.result()
+    try:
+        for i in range(made_count[0], n):
+            if failed:
+                break
+            make(i)
+            with made:
+                made_count[0] = i + 1
+                made.notify_all()
+        work()
+    finally:  # an index not made by now never will be: wake each thread waiting on one
+        with made:
+            stopped.append(True)
+            made.notify_all()
+        for share in shares:
+            if not share.cancel():  # one no thread has started would find no index left
+                share.result()
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
 
@@ -387,6 +415,16 @@ def _prepare_batch(config: ConvNetConfig, images, dtype) -> np.ndarray:
     return x[:, None].astype(dtype, copy=False), single
 
 
+def _prepare_image(config: ConvNetConfig, image, dtype) -> np.ndarray:
+    """One (h, w) image as the (1, 1, h, w) input of its batch-1 forward."""
+    x = np.asarray(image)
+    if x.shape != (config.input_size, config.input_size):
+        raise ValueError(
+            f"expected images of shape ({config.input_size}, {config.input_size}), got {x.shape}"
+        )
+    return x[None, None].astype(dtype, copy=False)
+
+
 def _forward(config: ConvNetConfig, params: NetParams, x, with_cache=False):
     caches = []
     for i, block in enumerate(config.blocks):
@@ -434,20 +472,36 @@ def _backward(config: ConvNetConfig, params: NetParams, cache, demb):
 
 
 def forward(config: ConvNetConfig, params: NetParams, images) -> np.ndarray:
-    """Embed one (h, w) image or a batch of them; deterministic.
+    """Embed one (h, w) image or a sequence of them; deterministic.
 
-    Each image's row has the bits of its own batch-1 forward, whatever the
-    batch: a batched head gemm could sum in another order. The images are
-    spread over the usable CPUs.
+    images[i] is read on the calling thread, in index order, and cast alone;
+    its batch-1 forward then starts at once, on the usable CPUs, while the
+    next image is read. A None item has no row. Each image's row has the bits
+    of its own batch-1 forward, whatever the batch: a batched head gemm could
+    sum in another order.
     """
-    x, single = _prepare_batch(config, images, params.dtype)
-    emb = np.empty((len(x), config.embedding_dim), dtype=params.dtype)
+    single = isinstance(images, np.ndarray) and images.ndim == 2
+    if single:
+        images = images[None]
+    inputs = [None] * len(images)  # index -> (row, batch-1 input) until embedded
+    emb = np.empty((len(inputs), config.embedding_dim), dtype=params.dtype)
+    rows = 0
 
-    def image(n):
-        emb[n] = _forward(config, params, x[n : n + 1])[0][0]
+    def read(n):
+        nonlocal rows
+        image = images[n]
+        if image is not None:
+            inputs[n] = (rows, _prepare_image(config, image, params.dtype))
+            rows += 1
 
-    _fan_out(image, len(x))
-    return emb[0] if single else emb
+    def embed(n):
+        if inputs[n] is not None:
+            row, x = inputs[n]
+            inputs[n] = None
+            emb[row] = _forward(config, params, x)[0][0]
+
+    _fan_out(embed, len(inputs), read)
+    return emb[0] if single else emb[:rows]
 
 
 def make_triplets(labels) -> list[tuple[int, int, int]]:

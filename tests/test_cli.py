@@ -631,12 +631,9 @@ class TestScanKeepsGoing:
         assert "Traceback" not in captured.err
 
 
-    def test_blocks_print_the_per_file_lines(self, tmp_path, mc_dir, monkeypatch):
-        """With more files than one block holds and unreadable ones among them,
-        scan prints, interleaved as one stream, the lines a render, embed and
-        print per file gives, and embeds each block's images in one forward."""
-        det_path = tmp_path / "det.safetensors"
-        det_path.write_bytes(tiny_detector_bytes())
+    @staticmethod
+    def scan_dir_with_failures(tmp_path, mc_dir):
+        """A directory of four good models, one cut short and one zero .f16 file."""
         scan_dir = tmp_path / "scan"
         scan_dir.mkdir()
         good = [p.read_bytes() for p in sorted(mc_dir.rglob("*.safetensors"))]
@@ -646,6 +643,16 @@ class TestScanKeepsGoing:
         (scan_dir / "d.safetensors").write_bytes(good[3])
         (scan_dir / "e.f16").write_bytes(bytes(64))
         (scan_dir / "f.safetensors").write_bytes(good[4])
+        return scan_dir
+
+    def test_blocks_print_the_per_file_lines(self, tmp_path, mc_dir, monkeypatch):
+        """With more files than one block holds and unreadable ones among them,
+        scan prints, interleaved as one stream, the lines a render, embed and
+        print per file gives, and embeds each block in one forward, as long as
+        the block: a file that fails is a None item."""
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        scan_dir = self.scan_dir_with_failures(tmp_path, mc_dir)
         detector = load_detector(det_path.read_bytes())
         want = io.StringIO()
         for target in sorted(scan_dir.iterdir()):
@@ -666,7 +673,25 @@ class TestScanKeepsGoing:
             assert run("scan", "--detector", det_path, "--model", scan_dir) == 3
         assert printed.getvalue() == want.getvalue()
         assert want.getvalue().count("error[data]") == 2
-        assert batches == [1, 2, 1]
+        assert batches == [2, 2, 2]
+
+    @pytest.mark.parametrize("block", [2, 32])
+    def test_same_bytes_on_any_cpu_count(self, tmp_path, mc_dir, monkeypatch, block):
+        """scan with failures among its files writes the same stdout and the
+        same stderr bytes on 1 usable CPU as on 4."""
+        det_path = tmp_path / "det.safetensors"
+        det_path.write_bytes(tiny_detector_bytes())
+        scan_dir = self.scan_dir_with_failures(tmp_path, mc_dir)
+        monkeypatch.setattr(cli, "SCAN_BLOCK", block)
+        outputs = []
+        for workers in (1, 4):
+            monkeypatch.setattr(net, "_usable_cpus", lambda: workers)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert run("scan", "--detector", det_path, "--model", scan_dir) == 3
+            outputs.append((out.getvalue().encode(), err.getvalue().encode()))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0].count(b"\n") == 4 and outputs[0][1].count(b"error[data]") == 2
 
 
 class TestWalksRefusePipes:

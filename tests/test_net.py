@@ -3,6 +3,7 @@ import select
 import signal
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from functools import reduce
@@ -96,6 +97,61 @@ class TestForward:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             forward(SMALL, init_params(SMALL), np.zeros((9, 9)))
+
+
+class ReadLog:
+    """A sequence of images that logs the index and thread of each read."""
+
+    def __init__(self, items):
+        self.items, self.reads = items, []
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, i):
+        self.reads.append((i, threading.get_ident()))
+        return self.items[i]
+
+
+class TestForwardOnASequence:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_rows_read_once_on_the_caller(self, monkeypatch, workers):
+        """forward on a sequence reads each item once, on the calling thread,
+        in index order; its rows have the bits of forward on the same images
+        as a list, a None item having none."""
+        monkeypatch.setattr(net, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(net, "_helpers", None)
+        config = preset("tiny", 28)
+        params = init_params(config, np.random.default_rng(4))
+        images = list(np.random.default_rng(6).random((5, 28, 28)))
+        items = ReadLog([images[0], None, images[1], images[2], None, None, images[3], images[4]])
+        got = forward(config, params, items)
+        assert items.reads == [(i, threading.get_ident()) for i in range(8)]
+        want = forward(config, params, images)
+        assert got.shape == want.shape == (5, config.embedding_dim)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        one = np.stack([forward(config, params, image) for image in images])
+        assert np.array_equal(got.view(np.uint32), one.view(np.uint32))
+
+    def test_empty_and_single(self):
+        config = preset("tiny", 28)
+        params = init_params(config)
+        image = np.random.default_rng(7).random((28, 28))
+        assert forward(config, params, []).shape == (0, config.embedding_dim)
+        assert forward(config, params, ReadLog([None, None])).shape == (0, config.embedding_dim)
+        row = forward(config, params, image)
+        assert row.shape == (config.embedding_dim,)
+        assert np.array_equal(row, forward(config, params, [image])[0])
+
+    def test_a_bad_item_fails_closed(self, monkeypatch):
+        """An item of the wrong shape raises ValueError, and no later item is read."""
+        monkeypatch.setattr(net, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(net, "_helpers", None)
+        config = preset("tiny", 28)
+        items = ReadLog([np.zeros((28, 28)), np.zeros((27, 28)), np.zeros((28, 28))])
+        with pytest.raises(ValueError, match=r"got \(27, 28\)"):
+            forward(config, init_params(config), items)
+        assert [i for i, _ in items.reads] == [0, 1]
 
 
 def argmax_pool(x, dy):
@@ -949,6 +1005,102 @@ class TestFanOut:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert (runs == 1).all()
+
+    @staticmethod
+    def made_then_run(n, pause=0.0):
+        """make and fn for _fan_out that log, in one list, ("made", i, thread)
+        when make(i) returns and ("start", i, thread) when fn(i) starts."""
+        log = []
+
+        def make(i):
+            time.sleep(pause)  # gives a pool thread time to claim an index not made yet
+            log.append(("made", i, threading.get_ident()))
+
+        def fn(i):
+            log.append(("start", i, threading.get_ident()))
+
+        return make, fn, log
+
+    @staticmethod
+    def check_made_then_run(log, n, caller):
+        made = [(i, thread) for kind, i, thread in log if kind == "made"]
+        assert made == [(i, caller) for i in range(n)]  # on the caller, in index order
+        started = sorted(i for kind, i, _ in log if kind == "start")
+        assert started == list(range(n))
+        at = {(kind, i): pos for pos, (kind, i, _) in enumerate(log)}
+        assert all(at["made", i] < at["start", i] for i in range(n))
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_make_runs_on_the_caller_before_each_call(self, monkeypatch, workers):
+        """make(i) runs on the calling thread, in index order, and fn(i) starts
+        only after make(i) has returned, on 1, 2 and 4 usable CPUs."""
+        monkeypatch.setattr(net, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(net, "_helpers", None)
+        make, fn, log = self.made_then_run(12, pause=0.002)
+        net._fan_out(fn, 12, make)
+        self.check_made_then_run(log, 12, threading.get_ident())
+        if workers > 1:  # the pool ran the calls the caller was making ahead of
+            assert {thread for kind, _, thread in log if kind == "start"} != {threading.get_ident()}
+
+    def test_make_keeps_its_order_under_contention(self, monkeypatch):
+        """Eight threads on a short switch interval: make still runs on the
+        calling thread in index order, each fn(i) once and after make(i)."""
+        monkeypatch.setattr(net, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(net, "_helpers", None)
+        make, fn, log = self.made_then_run(2000)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=net._fan_out, args=(fn, 2000, make), daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not caller.is_alive()
+        self.check_made_then_run(log, 2000, caller.ident)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_a_failing_make_leaves_no_thread_waiting(self, monkeypatch, error):
+        """make raising at index 3 of 6 is raised once the started calls have
+        returned, no later index starts, and every pool thread is free after."""
+        monkeypatch.setattr(net, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(net, "_helpers", None)
+        started, finished = [], []
+
+        def make(i):
+            if i == 3:
+                raise error("make 3")
+
+        def fn(i):
+            started.append(i)
+            time.sleep(0.02)
+            finished.append(i)
+
+        raised = []
+
+        def call():
+            try:
+                net._fan_out(fn, 6, make)
+            except BaseException as exc:  # with whether the started calls had returned
+                raised.append((exc, sorted(finished) == sorted(started)))
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        [(exc, returned)] = raised
+        assert type(exc) is error and str(exc) == "make 3" and returned
+        assert set(started) <= {0, 1, 2}
+        # all three pool threads meet at a barrier: none is left waiting on an index
+        barrier = threading.Barrier(3)
+        meets = [net._helpers[2].submit(barrier.wait, 30) for _ in range(3)]
+        assert all(meet.result(timeout=60) is not None for meet in meets)
+        ran = []
+        fresh = threading.Thread(target=net._fan_out, args=(ran.append, 8), daemon=True)
+        fresh.start()
+        fresh.join(timeout=60)
+        assert not fresh.is_alive()
+        assert sorted(ran) == list(range(8))
 
     def test_forked_child_makes_its_own_pool(self, monkeypatch):
         """A forward in a forked child completes once the parent has used the
