@@ -87,12 +87,14 @@ def _add_training_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     parser.add_argument("--margin", type=float, default=TrainConfig.margin)
     parser.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    parser.add_argument("--seed", type=int, default=TrainConfig.seed)
 
 
 def _training_settings(args) -> dict:
     """The training flags as TrainConfig and ExperimentConfig keywords."""
     return dict(strategy=args.strategy, learning_rate=args.lr, margin=args.margin,
-                batch_size=args.batch_size, ub_low=args.ub_lo, ub_high=args.ub_hi)
+                batch_size=args.batch_size, seed=args.seed, ub_low=args.ub_lo,
+                ub_high=args.ub_hi)
 
 
 def _parse_zoos(text: str) -> list[str]:
@@ -170,7 +172,7 @@ def cmd_build_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     # the flags are checked before any read
-    train_config = TrainConfig(seed=args.seed, **_training_settings(args))
+    train_config = TrainConfig(**_training_settings(args))
     preset(args.arch)
     manifest_path = manifest_file(args.dataset)
     data = manifest_path.read_bytes()  # the bytes parsed are the bytes hashed
@@ -267,6 +269,8 @@ def cmd_report(args) -> int:
     trained_lsbs = _parse_int_spec(args.lsb)
     if not trained_lsbs:
         raise ValueError("--lsb needs at least one trained severity")
+    if len(set(trained_lsbs)) < len(trained_lsbs):
+        raise ValueError(f"--lsb names a trained severity twice: {args.lsb!r}")
     if args.runs < 1:
         raise ValueError("need at least one run")
     cfg = ExperimentConfig(  # checks the training flags before any file is read
@@ -282,9 +286,7 @@ def cmd_report(args) -> int:
     )
     payload = _payload_from_args(args)
     collection = load_collection(args.mc)
-    rows, results = run_report_sweep(
-        collection, payload, cfg, trained_lsbs, args.runs, args.seed
-    )
+    rows, results = run_report_sweep(collection, payload, cfg, trained_lsbs, args.runs)
     out_csv = _out_path(args.out_csv, "report.csv")
     out_csv.write_text(render_report_csv(rows), encoding="utf-8")
     print(out_csv)
@@ -299,7 +301,7 @@ def cmd_report(args) -> int:
                 "image_size": cfg.image_size,
                 "payload_sha256": payload.sha256(),
                 "runs": args.runs,
-                "base_seed": args.seed,
+                "base_seed": cfg.seed,
                 "input_sha256": results[0].detector.manifest_sha256,
             }
         }
@@ -361,9 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a detector on a dataset's train split")
     p.add_argument("--dataset", required=True, help="dataset directory or manifest.json")
     p.add_argument("--out")
-    p.add_argument("--arch", default="osl-small")
+    p.add_argument("--arch", default=ExperimentConfig.arch)
     _add_training_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("scan", help="classify a weights file (or directory) with a detector")
@@ -378,15 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lsb", required=True, help="trained severities: '8', '1-23', or '2,8,16'")
     _add_payload_flags(p)
     p.add_argument("--train-zoos", required=True)
-    p.add_argument("--arch", default="osl-small")
-    p.add_argument("--size", type=int, default=100)
+    p.add_argument("--arch", default=ExperimentConfig.arch)
+    p.add_argument("--size", type=int, default=ExperimentConfig.image_size)
     _add_training_flags(p)
-    p.add_argument("--train-per-class", type=int, default=3)
+    p.add_argument("--train-per-class", type=int, default=ExperimentConfig.train_per_class)
     p.add_argument("--runs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--severities", default="none", help="'none', 'LO-HI', or comma list")
-    p.add_argument("--modes", default="centroid,1nn")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--modes", default=",".join(ExperimentConfig.modes))
+    p.add_argument("--k", type=int, default=ExperimentConfig.knn_k)
     p.add_argument("--out-csv", dest="out_csv")
     p.add_argument("--out-json", dest="out_json")
     p.add_argument("--save-detectors")

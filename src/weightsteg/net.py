@@ -402,17 +402,13 @@ def _pool_backward(dy, cache):
 
 
 def _prepare_batch(config: ConvNetConfig, images, dtype) -> np.ndarray:
+    """A triplet batch's (n, h, w) images as the (n, 1, h, w) input of its forward."""
     x = np.asarray(images)
-    if x.shape == (0,):  # an empty list: no images
-        x = x.reshape(0, config.input_size, config.input_size)
-    single = x.ndim == 2
-    if single:
-        x = x[None]
     if x.ndim != 3 or x.shape[1] != config.input_size or x.shape[2] != config.input_size:
         raise ValueError(
             f"expected images of shape ({config.input_size}, {config.input_size}), got {x.shape}"
         )
-    return x[:, None].astype(dtype, copy=False), single
+    return x[:, None].astype(dtype, copy=False)
 
 
 def _prepare_image(config: ConvNetConfig, image, dtype) -> np.ndarray:
@@ -529,7 +525,7 @@ def _triplet_terms(emb, ia, ip, inn, margin):
 
 def batch_loss(config: ConvNetConfig, params: NetParams, images, triplets, margin: float) -> float:
     """Mean triplet loss of a batch, forward pass only."""
-    x, _ = _prepare_batch(config, images, params.dtype)
+    x = _prepare_batch(config, images, params.dtype)
     emb, _ = _forward(config, params, x)
     ia, ip, inn = (np.asarray(v) for v in zip(*triplets))
     viol = _triplet_terms(emb.astype(np.float64), ia, ip, inn, margin)
@@ -543,7 +539,7 @@ def backward(config: ConvNetConfig, params: NetParams, images, triplets, margin:
     """
     if not triplets:
         raise ValueError("empty triplet batch")
-    x, _ = _prepare_batch(config, images, params.dtype)
+    x = _prepare_batch(config, images, params.dtype)
     emb, cache = _forward(config, params, x, with_cache=True)
     ia, ip, inn = (np.asarray(v) for v in zip(*triplets))
     viol = _triplet_terms(emb, ia, ip, inn, margin)
@@ -646,6 +642,8 @@ class TrainConfig:
             raise ValueError("UB interval must satisfy low < high")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 (or None for full batch)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -31,19 +31,15 @@ from .steg import AttackSpec, Payload
 from .weights_io import open_words, sha256_hex
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+@dataclass(frozen=True, kw_only=True)
+class ExperimentConfig(TrainConfig):
+    """A report's settings. Its training settings are TrainConfig's fields,
+    whose seed is the first run's; each run trains under replace(cfg, seed=...)."""
+
     lsb: int
     train_zoos: tuple[str, ...]
     image_size: int = 100
     arch: str = "osl-small"
-    # the training settings, with TrainConfig's defaults and checks; see train_config
-    strategy: str = TrainConfig.strategy
-    learning_rate: float = TrainConfig.learning_rate
-    margin: float = TrainConfig.margin
-    batch_size: int | None = TrainConfig.batch_size
-    ub_low: float = TrainConfig.ub_low
-    ub_high: float = TrainConfig.ub_high
     train_per_class: int = 3
     severities: tuple[int, ...] = ()  # extra severities to score for the weighted metric
     modes: tuple[str, ...] = ("centroid", "1nn")
@@ -51,7 +47,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # a setting that a run would refuse raises ValueError before any file is read
-        self.train_config(0)
+        super().__post_init__()
         preset(self.arch, self.image_size)  # an unknown arch, or an image it cannot embed
         if self.lsb < 1:  # the upper bound depends on the models' dtype
             raise ValueError(f"lsb must be at least 1, got {self.lsb}")
@@ -67,13 +63,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"knn_k must be in [1, {2 * self.train_per_class}], got {self.knn_k}"
             )
-
-    def train_config(self, seed: int) -> TrainConfig:
-        """The training settings of the run with this seed."""
-        return TrainConfig(
-            strategy=self.strategy, learning_rate=self.learning_rate, margin=self.margin,
-            batch_size=self.batch_size, seed=seed, ub_low=self.ub_low, ub_high=self.ub_high,
-        )
 
 
 @dataclass
@@ -196,7 +185,7 @@ def run_detection_run(
     train_samples = render_samples(train_flats, cfg, None)  # benign, then attacked
     train_samples += render_samples(train_flats, cfg, attack)
     detector, result = train_detector(
-        train_samples, cfg.arch, cfg.train_config(seed),
+        train_samples, cfg.arch, replace(cfg, seed=seed),
         provenance_digest(collection, flats, attack, cfg), trained_lsb=cfg.lsb,
     )
 
@@ -232,12 +221,11 @@ def run_report_sweep(
     cfg: ExperimentConfig,
     trained_lsbs,
     runs: int,
-    base_seed: int,
 ) -> tuple[list[ReportRow], list[RunResult]]:
     """One repeated-run block per trained severity, e.g. for OML/AL tables:
-    runs (at least 1) seeded runs from base_seed for each of trained_lsbs (a
-    non-empty sequence), which the report command checks before it opens
-    the collection."""
+    runs (at least 1) seeded runs from cfg.seed for each of trained_lsbs (a
+    non-empty sequence of distinct severities), which the report command
+    checks before it opens the collection."""
     _held_out_zoos(collection, cfg.train_zoos)  # refused before any model file is read
     flats = load_flat_models(collection, cfg.image_size)
     # every severity is attacked under the mantissa rule; refuse before any run trains
@@ -249,7 +237,7 @@ def run_report_sweep(
     for lsb in trained_lsbs:
         run_cfg = replace(cfg, lsb=lsb)
         for i in range(runs):
-            res = run_detection_run(collection, payload, run_cfg, base_seed + i, flats)
+            res = run_detection_run(collection, payload, run_cfg, cfg.seed + i, flats)
             rows.extend(res.rows)
             results.append(res)
     rows += summarize_rows(rows)

@@ -994,8 +994,9 @@ class TestTrainMutatedManifest:
 
 # Each is refused by TrainConfig's checks; a command given one exits 2 before it reads a file.
 BAD_TRAINING_FLAGS = [("--lr", 0), ("--lr", "nan"), ("--margin", -1),
-                      ("--ub-lo", 2, "--ub-hi", 1), ("--batch-size", 0)]
-BAD_TRAINING_IDS = ["lr-zero", "lr-nan", "margin-negative", "ub-band-reversed", "batch-zero"]
+                      ("--ub-lo", 2, "--ub-hi", 1), ("--batch-size", 0), ("--seed", -1)]
+BAD_TRAINING_IDS = ["lr-zero", "lr-nan", "margin-negative", "ub-band-reversed", "batch-zero",
+                    "seed-negative"]
 
 
 class TestTrainingFlagsCheckedFirst:
@@ -1044,6 +1045,7 @@ class TestTrainingFlagsCheckedFirst:
             (("--lsb", "0"), "lsb must be at least 1, got 0"),
             (("--lsb", "8,0"), "lsb must be at least 1, got 0"),
             (("--lsb", "none"), "--lsb needs at least one trained severity"),
+            (("--lsb", "8,8"), "--lsb names a trained severity twice: '8,8'"),
             (("--runs", 0), "need at least one run"),
             (("--arch", "bogus"), "unknown architecture 'bogus'"),
             (("--size", 0), "block 0 shrinks the feature map below 1x1"),
@@ -1051,14 +1053,14 @@ class TestTrainingFlagsCheckedFirst:
         ],
         ids=["mode-unknown", "k-zero", "k-above-train-embeddings", "train-per-class-one",
              "severities-from-two", "severities-gap", "severities-reversed", "lsb-reversed",
-             "lsb-zero", "lsb-zero-after-eight", "lsb-none", "runs-zero", "arch-unknown",
+             "lsb-zero", "lsb-zero-after-eight", "lsb-none", "lsb-repeated", "runs-zero", "arch-unknown",
              "size-zero", "size-below-osl-small"],
     )
     def test_report_scoring_flags_before_the_collection(
         self, tmp_path, capsys, monkeypatch, flags, message
     ):
         """A bad scoring, training-count, severity, run-count, architecture or
-        image-size flag, a trained severity below 1 among them, or a size the
+        image-size flag, a trained severity below 1 or named twice among them, or a size the
         architecture cannot embed, is a usage error found before
         the collection is opened, so a missing --mc does not turn it into a
         data error, and no model is read."""
@@ -1288,6 +1290,40 @@ class TestReportCommand:
         assert doc["config"]["lsb"] == [8]
         assert (tmp_path / "dets" / "detector_x8_seed1.safetensors").exists()
         assert (tmp_path / "dets" / "detector_x8_seed2.safetensors").exists()
+
+    def test_saved_detectors_train_under_the_training_flags(self, tmp_path, mc_dir):
+        """With every training flag off its default, each saved detector has
+        the bytes train_detector gives on that run's samples under the
+        TrainConfig those flags name, its seed --seed plus the run index."""
+        dets, json_path = tmp_path / "dets", tmp_path / "r.json"
+        settings = dict(strategy="ST", learning_rate=1e-3, margin=0.5, batch_size=3,
+                        ub_low=0.25, ub_high=2.0)
+        assert run("report", "--mc", mc_dir, "--lsb", 8, "--synthetic-payload", "16,2",
+                   "--train-zoos", "zoo0", "--arch", "tiny", "--size", 28,
+                   "--train-per-class", 2, "--runs", 2, "--strategy", "ST", "--lr", "1e-3",
+                   "--margin", 0.5, "--batch-size", 3, "--ub-lo", 0.25, "--ub-hi", 2,
+                   "--seed", 5, "--out-csv", tmp_path / "r.csv", "--out-json", json_path,
+                   "--save-detectors", dets) == 0
+        assert json.loads(json_path.read_text())["config"]["base_seed"] == 5
+
+        collection = dataset.load_collection(mc_dir)
+        flats = load_flat_models(collection, 28)
+        attack = AttackSpec(8, True, Payload.synthetic(16, 2))
+        train_flats = select_train_pairs(flats, ["zoo0"], 2)
+        samples = [dataset.LabeledSample(normalize(render(fm.words, 28)), 0, fm.zoo)
+                   for fm in train_flats]  # benign, then attacked
+        samples += [dataset.LabeledSample(normalize(render(attack.words(fm.words), 28)), 1, fm.zoo)
+                    for fm in train_flats]
+        cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), image_size=28, arch="tiny",
+                               train_per_class=2, **settings)
+        digest = pipeline.provenance_digest(collection, flats, attack, cfg)
+        assert sorted(p.name for p in dets.iterdir()) == ["detector_x8_seed5.safetensors",
+                                                          "detector_x8_seed6.safetensors"]
+        for seed in (5, 6):
+            want, _ = pipeline.train_detector(samples, "tiny", TrainConfig(seed=seed, **settings),
+                                              digest, trained_lsb=8)
+            got = (dets / f"detector_x8_seed{seed}.safetensors").read_bytes()
+            assert got == save_detector(want)
 
     def test_saved_detectors_one_file_per_severity_and_seed(self, tmp_path, mc_dir):
         """Each trained severity's run with each seed keeps its own file, so

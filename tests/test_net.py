@@ -524,7 +524,7 @@ class TestConvOracle:
         demb = rng.standard_normal((batch, 3)).astype(dtype)
 
         def run():
-            x, _ = net._prepare_batch(config, images, dtype)
+            x = net._prepare_batch(config, images, dtype)
             _, cache = net._forward(config, params, x, with_cache=True)
             return forward(config, params, images), net._backward(config, params, cache, demb)
 
@@ -569,7 +569,7 @@ def test_backward_bitwise_against_masked_reference(blocks, extra, batch, dtype, 
     if rng.random() < 0.25:  # a NaN reaches most gradients, so only now and then
         images[0, rng.integers(config.input_size), rng.integers(config.input_size)] = np.nan
     demb = rng.standard_normal((batch, 3)).astype(dtype)
-    x, _ = net._prepare_batch(config, images, dtype)
+    x = net._prepare_batch(config, images, dtype)
     emb, cache = net._forward(config, params, x, with_cache=True)
     grads = net._backward(config, params, cache, demb)
     want_emb, want = reference_net(config, params, x, demb)

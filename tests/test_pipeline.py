@@ -3,7 +3,7 @@ per mode, and scores the labels as an independent oracle does."""
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -195,17 +195,28 @@ def test_run_renders_only_the_tapped_words(tmp_path, monkeypatch):
 
 
 def test_train_config_carries_the_training_settings():
-    """An ExperimentConfig's training settings default to TrainConfig's, are
-    checked as it checks them, and reach each run's TrainConfig with its seed;
-    an architecture it does not know, or an image size its net cannot embed
-    (28 for osl-small), is refused too."""
-    assert ExperimentConfig(lsb=8, train_zoos=("zoo0",)).train_config(0) == TrainConfig()
-    cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), strategy="ST", learning_rate=1e-3,
-                           margin=0.5, batch_size=10, ub_low=0.1, ub_high=0.2)
-    assert cfg.train_config(7) == TrainConfig(strategy="ST", learning_rate=1e-3, margin=0.5,
-                                              batch_size=10, seed=7, ub_low=0.1, ub_high=0.2)
+    """An ExperimentConfig is the TrainConfig of its runs: it declares only its
+    own settings, its training fields default to TrainConfig's and are checked
+    as TrainConfig checks them, and a run's config is the same one with that
+    run's seed. An architecture it does not know, or an image size its net
+    cannot embed (28 for osl-small), is refused too."""
+    inherited = {f.name for f in fields(TrainConfig)}
+    own = [f.name for f in fields(ExperimentConfig) if f.name not in inherited]
+    assert own == ["lsb", "train_zoos", "image_size", "arch", "train_per_class",
+                   "severities", "modes", "knn_k"]
+    assert not hasattr(ExperimentConfig, "train_config")
+
+    def training(cfg):
+        return TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
+
+    assert training(ExperimentConfig(lsb=8, train_zoos=("zoo0",))) == TrainConfig()
+    settings = dict(strategy="ST", learning_rate=1e-3, margin=0.5, batch_size=10,
+                    ub_low=0.1, ub_high=0.2)
+    cfg = ExperimentConfig(lsb=8, train_zoos=("zoo0",), seed=3, **settings)
+    assert isinstance(cfg, TrainConfig) and cfg.seed == 3
+    assert training(replace(cfg, seed=7)) == TrainConfig(seed=7, **settings)
     for bad in ({"strategy": "XX"}, {"learning_rate": 0.0}, {"ub_low": 2.0, "ub_high": 1.0},
-                {"arch": "bogus"}, {"image_size": 0}, {"image_size": 28}):
+                {"seed": -1}, {"arch": "bogus"}, {"image_size": 0}, {"image_size": 28}):
         with pytest.raises(ValueError):
             ExperimentConfig(lsb=8, train_zoos=("zoo0",), **bad)
 
